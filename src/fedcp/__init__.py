@@ -6,7 +6,6 @@ from .baseline import BaselineResult, run_centralized_sgd
 from .data import (
     ExperimentConfig,
     SynthSpec,
-    concatenate_rows,
     generate_synthetic,
     load_config,
     partition_rows,
@@ -51,10 +50,8 @@ from .solver import (
     SolverParams,
     beta_lipschitz,
     init_site_state,
-    local_objective,
     prox_l21,
     run_local_epoch,
-    sgd_entry_update,
 )
 from .tensor import (
     FactorizationResult,
@@ -63,9 +60,7 @@ from .tensor import (
     factor_weights,
     fms,
     fms_report,
-    khatri_rao,
     l21_norm,
-    reconstruct_entry,
     rmse,
     zero_column_count,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, ParseError
 from .solver import PROX_PLAIN, PROX_SCALED
 from .tensor import FactorizationResult, SparseTensorCOO
 
@@ -163,26 +163,6 @@ def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCO
         coords[:, 0] -= lo
         shards.append(SparseTensorCOO((hi - lo, j_dim, k_dim), coords, tensor.values[mask]))
     return shards
-
-
-def concatenate_rows(shards) -> SparseTensorCOO:
-    """Inverse of partition_rows: stack shards back along mode 1."""
-    if not shards:
-        raise ValueError("nothing to concatenate")
-    j_dim, k_dim = shards[0].dims[1], shards[0].dims[2]
-    parts_c, parts_v = [], []
-    offset = 0
-    for sh in shards:
-        if sh.dims[1] != j_dim or sh.dims[2] != k_dim:
-            raise DimensionError("shards disagree on feature dims")
-        coords = sh.coords.copy()
-        coords[:, 0] += offset
-        parts_c.append(coords)
-        parts_v.append(sh.values)
-        offset += sh.dims[0]
-    return SparseTensorCOO(
-        (offset, j_dim, k_dim), np.concatenate(parts_c), np.concatenate(parts_v)
-    )
 
 
 def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:

@@ -3,9 +3,11 @@
 Each round: every site runs its local epoch against the current broadcast
 anchors, perturbs its two feature factors, and uploads them; the server
 applies one elastic step toward the uploads and broadcasts the new anchors.
-Patient factors never leave a site: the upload message has no field for
-them. Sites keep their local feature factors; the broadcast only moves the
-penalty anchors.
+Only bytes cross the site boundary: each upload is encoded with
+``RoundMessage.to_bytes`` and the server decodes it before its step, so a
+round's traffic is the length of those encodings. Patient factors never
+leave a site: the upload message has no field for them. Sites keep their
+local feature factors; the broadcast only moves the penalty anchors.
 
 Reductions are ordered by site id, so a run is bit-reproducible whether
 sites execute serially or on a worker pool.
@@ -62,10 +64,6 @@ class RoundMessage:
     priv_B: np.ndarray
     priv_C: np.ndarray
 
-    @property
-    def byte_size(self) -> int:
-        return HEADER_BYTES + _VALUE_BYTES * (self.priv_B.size + self.priv_C.size)
-
     def to_bytes(self) -> bytes:
         """Little-endian: three int64 header words, then B then C row-major."""
         header = struct.pack("<qqq", self.site_id, self.epoch, MESSAGE_TAG)
@@ -77,6 +75,7 @@ class RoundMessage:
 
     @classmethod
     def from_bytes(cls, blob: bytes, j_dim: int, k_dim: int, rank: int) -> "RoundMessage":
+        """Decode ``to_bytes`` output; the factors are read-only views of ``blob``."""
         expected = HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
         if len(blob) != expected:
             raise ProtocolError(f"message has {len(blob)} bytes, expected {expected}")
@@ -88,8 +87,8 @@ class RoundMessage:
         return cls(
             site_id=site_id,
             epoch=epoch,
-            priv_B=flat[:split].reshape(j_dim, rank).astype(np.float64),
-            priv_C=flat[split:].reshape(k_dim, rank).astype(np.float64),
+            priv_B=flat[:split].reshape(j_dim, rank),
+            priv_C=flat[split:].reshape(k_dim, rank),
         )
 
 
@@ -109,8 +108,9 @@ class EpochMetrics:
 def server_update(server: ServerState, uploads, eta: float, gamma: float) -> ServerState:
     """One elastic step of the anchors toward the uploads.
 
-    Every site must appear exactly once. The sum runs in ascending site_id
-    order against the pre-update anchors.
+    Every site must appear exactly once, with an upload for the epoch after
+    the server's. The sum runs in ascending site_id order against the
+    pre-update anchors.
     """
     ids = sorted(m.site_id for m in uploads)
     if ids != list(range(server.n_sites)):
@@ -120,6 +120,10 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float) -> Ser
     delta_c = np.zeros_like(server.C_hat)
     for t in range(server.n_sites):
         msg = by_id[t]
+        if msg.epoch != server.epoch + 1:
+            raise ProtocolError(
+                f"upload from site {t} is for epoch {msg.epoch}, expected epoch {server.epoch + 1}"
+            )
         if msg.priv_B.shape != server.B_hat.shape or msg.priv_C.shape != server.C_hat.shape:
             raise DimensionError(f"upload from site {t} has wrong shape")
         delta_b += gamma * (msg.priv_B - server.B_hat)
@@ -173,15 +177,19 @@ def run_round(
     sigma = gaussian_sigma(sensitivity, priv.rho)
     anchors = (server.B_hat, server.C_hat)
 
-    def site_work(state: SiteState) -> RoundMessage:
+    def site_work(state: SiteState) -> bytes:
         run_local_epoch(state, anchors, params)
-        return build_upload(state, epoch, sigma)
+        return build_upload(state, epoch, sigma).to_bytes()
 
     if pool is None:
-        messages = [site_work(s) for s in sites]
+        blobs = [site_work(s) for s in sites]
     else:
-        messages = list(pool.map(site_work, sites))
-    messages.sort(key=lambda m: m.site_id)
+        blobs = list(pool.map(site_work, sites))
+    (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
+    messages = sorted(
+        (RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs),
+        key=lambda m: m.site_id,
+    )
 
     for msg in messages:
         accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
@@ -189,7 +197,7 @@ def run_round(
 
     server_update(server, messages, params.eta, params.gamma)
 
-    comm_bytes = sum(2 * m.byte_size for m in messages)  # upload + broadcast
+    comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()
     metrics = EpochMetrics(
         epoch=epoch,

@@ -4,7 +4,8 @@ The solver cycles through the shard's non-zeros in a shuffled order,
 updating one row of each factor per observation, then applies a grouped
 soft-threshold to the patient factor so that weak components are zeroed
 column by column. Feature-factor rows feel an elastic pull toward the
-server's broadcast anchors.
+server's broadcast anchors. ``entry_gradients`` is the one place that
+computes an observation's clipped row gradients; the pass applies them.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NumericOverflowError
-from .tensor import SparseTensorCOO, l21_norm, reconstruct_values
+from .tensor import SparseTensorCOO
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
@@ -115,54 +116,32 @@ def init_site_state(tensor: SparseTensorCOO, rank: int, seed: int, site_id: int)
     return SiteState(tensor=tensor, A=a, B=b, C=c, rng_seed=seed, site_id=site_id)
 
 
-def clip_gradient(g: np.ndarray, bound: float) -> np.ndarray:
-    """Rescale g to 2-norm <= bound; infinite bound is a no-op."""
-    if not math.isfinite(bound):
-        return g
-    n = math.sqrt(float(np.dot(g, g)))
-    if n <= bound:
-        return g
-    return g * (bound / n)
-
-
 def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
     """Row gradients at one observation, all taken at the current rows.
 
-    Only the residual terms are clipped; the quadratic anchor pull is added
-    afterwards, matching what the sensitivity bound covers.
+    Only the residual terms are clipped, each to 2-norm <= clip (an infinite
+    clip disables it); the quadratic anchor pull is added afterwards,
+    matching what the sensitivity bound covers. Raises NumericOverflowError
+    when the residual is not finite.
     """
     bc = b * c
-    resid = float(np.dot(a, bc)) - value
-    ga = clip_gradient(resid * bc, clip)
-    gb = clip_gradient(resid * (a * c), clip) + gamma * (b - b_anchor)
-    gc = clip_gradient(resid * (a * b), clip) + gamma * (c - c_anchor)
-    return ga, gb, gc
-
-
-def sgd_entry_update(state: SiteState, entry, anchor_rows, params: SolverParams):
-    """Apply one observation's step to rows i of A, j of B, k of C.
-
-    Gradients are evaluated simultaneously at the pre-update rows, then all
-    three rows are replaced. Returns the new rows.
-    """
-    i, j, k, value = entry
-    b_anchor, c_anchor = anchor_rows
-    a = state.A[i]
-    b = state.B[j]
-    c = state.C[k]
-    ga, gb, gc = entry_gradients(a, b, c, value, b_anchor, c_anchor, params.gamma, params.clip)
-    a_new = a - params.eta * ga
-    b_new = b - params.eta * gb
-    c_new = c - params.eta * gc
-    for name, row, idx in (("A", a_new, i), ("B", b_new, j), ("C", c_new, k)):
-        if not np.all(np.isfinite(row)):
-            raise NumericOverflowError(
-                f"{name} row {idx} became non-finite at entry ({i}, {j}, {k})"
-            )
-    state.A[i] = a_new
-    state.B[j] = b_new
-    state.C[k] = c_new
-    return a_new, b_new, c_new
+    resid = float(a @ bc) - value
+    if not math.isfinite(resid):
+        raise NumericOverflowError("residual became non-finite")
+    ga = resid * bc
+    gb = resid * (a * c)
+    gc = resid * (a * b)
+    if math.isfinite(clip):
+        norm = math.sqrt(float(ga @ ga))
+        if norm > clip:
+            ga = ga * (clip / norm)
+        norm = math.sqrt(float(gb @ gb))
+        if norm > clip:
+            gb = gb * (clip / norm)
+        norm = math.sqrt(float(gc @ gc))
+        if norm > clip:
+            gc = gc * (clip / norm)
+    return ga, gb + gamma * (b - b_anchor), gc + gamma * (c - c_anchor)
 
 
 def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
@@ -196,9 +175,9 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
     written. The state's factors and shuffle stream advance in place.
 
-    The inner loop applies the sgd_entry_update arithmetic inline (same
-    operations, same order) to keep the entry rate high; non-finite rows
-    are caught through the residual and a per-pass sweep.
+    Each entry's step comes from ``entry_gradients`` at the pre-update
+    rows; non-finite values are caught through the residual, which names
+    the entry, and a per-pass sweep.
     """
     b_hat, c_hat = anchors
     if b_hat.shape != state.B.shape or c_hat.shape != state.C.shape:
@@ -217,41 +196,27 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
     vals = state.tensor.values.tolist()
     eta = params.eta
     gamma = params.gamma
-    bound = params.clip
-    bounded = math.isfinite(bound)
+    clip = params.clip
     threshold = params.threshold()
     A, B, C = state.A, state.B, state.C
     for _ in range(params.tau):
         order = state.shuffle_rng.permutation(state.tensor.nnz).tolist()
-        for n in order:
-            i = row_i[n]
-            j = row_j[n]
-            k = row_k[n]
-            a = A[i]
-            b = B[j]
-            c = C[k]
-            bc = b * c
-            resid = float(a @ bc) - vals[n]
-            if not math.isfinite(resid):
-                raise NumericOverflowError(
-                    f"residual became non-finite at entry ({i}, {j}, {k})"
+        try:
+            for n in order:
+                i = row_i[n]
+                j = row_j[n]
+                k = row_k[n]
+                a = A[i]
+                b = B[j]
+                c = C[k]
+                ga, gb, gc = entry_gradients(
+                    a, b, c, vals[n], b_hat[j], c_hat[k], gamma, clip
                 )
-            ga = resid * bc
-            gb = resid * (a * c)
-            gc = resid * (a * b)
-            if bounded:
-                norm = math.sqrt(float(ga @ ga))
-                if norm > bound:
-                    ga = ga * (bound / norm)
-                norm = math.sqrt(float(gb @ gb))
-                if norm > bound:
-                    gb = gb * (bound / norm)
-                norm = math.sqrt(float(gc @ gc))
-                if norm > bound:
-                    gc = gc * (bound / norm)
-            A[i] = a - eta * ga
-            B[j] = b - eta * (gb + gamma * (b - b_hat[j]))
-            C[k] = c - eta * (gc + gamma * (c - c_hat[k]))
+                A[i] = a - eta * ga
+                B[j] = b - eta * gb
+                C[k] = c - eta * gc
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(f"{exc} at entry ({i}, {j}, {k})") from None
         for name, m in (("A", A), ("B", B), ("C", C)):
             if not np.all(np.isfinite(m)):
                 bad = int(np.where(~np.isfinite(m).all(axis=1))[0][0])
@@ -259,24 +224,6 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
         state.A = prox_l21(state.A, threshold)
         A = state.A
     return state
-
-
-def local_objective(state: SiteState, anchors, params: SolverParams) -> float:
-    """Site objective: half squared residuals over stored entries, the two
-    anchor penalties, and the column-sparsity term on the patient factor."""
-    b_hat, c_hat = anchors
-    sq = 0.0
-    if state.tensor.nnz:
-        resid = reconstruct_values(state.A, state.B, state.C, state.tensor.coords)
-        resid = resid - state.tensor.values
-        sq = float(np.sum(resid * resid))
-    pen_b = float(np.sum((state.B - b_hat) ** 2))
-    pen_c = float(np.sum((state.C - c_hat) ** 2))
-    return (
-        0.5 * sq
-        + 0.5 * params.gamma * (pen_b + pen_c)
-        + params.mu * l21_norm(state.A.T)
-    )
 
 
 def beta_lipschitz(A, C, gamma: float) -> float:

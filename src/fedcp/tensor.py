@@ -112,37 +112,6 @@ class FactorizationResult:
         return factor_weights(self.A, self.B, self.C)
 
 
-def khatri_rao(a, b) -> np.ndarray:
-    """Columnwise Kronecker product of (I, R) and (J, R), giving (I*J, R).
-
-    Column r of the result is kron(a[:, r], b[:, r]).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(
-            f"column counts differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    i, r = a.shape
-    j = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(i * j, r)
-
-
-def reconstruct_entry(A, B, C, i, j, k) -> float:
-    """Model value at (i, j, k): sum_r A[i, r] * B[j, r] * C[k, r].
-
-    Delegates to reconstruct_values so that entrywise and vectorized
-    reconstructions agree bit for bit.
-    """
-    for name, m, idx in (("A", A, i), ("B", B, j), ("C", C, k)):
-        if not 0 <= idx < m.shape[0]:
-            raise IndexError(f"index {idx} out of range for {name} with {m.shape[0]} rows")
-    coords = np.array([[i, j, k]], dtype=np.int64)
-    return float(reconstruct_values(np.asarray(A), np.asarray(B), np.asarray(C), coords)[0])
-
-
 def reconstruct_values(A, B, C, coords) -> np.ndarray:
     """Model values at every (i, j, k) row of ``coords``, vectorized."""
     return np.einsum(

@@ -8,7 +8,6 @@ import pytest
 from fedcp.data import (
     ExperimentConfig,
     SynthSpec,
-    concatenate_rows,
     config_overrides,
     generate_synthetic,
     load_config,
@@ -20,7 +19,7 @@ from fedcp.data import (
     write_factors,
 )
 from fedcp.errors import ConfigError, ParseError
-from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_entry, rmse
+from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
 
 
 class TestGenerateSynthetic:
@@ -61,13 +60,11 @@ class TestGenerateSynthetic:
 
     def test_values_are_exact_reconstructions(self):
         spec = SynthSpec(dims=(20, 8, 9), rank_true=2, sparsity=2e-2, n_sites=2, seed=3)
-        tensor, _, truths = generate_synthetic(spec)
-        offsets = [0, 10]
-        for i, j, k, v in tensor.entries():
-            site = 1 if i >= 10 else 0
-            local = i - offsets[site]
-            truth = truths[site]
-            assert v == reconstruct_entry(truth.A, truth.B, truth.C, local, j, k)
+        tensor, shards, truths = generate_synthetic(spec)
+        assert sum(sh.nnz for sh in shards) == tensor.nnz
+        for shard, truth in zip(shards, truths):
+            model = reconstruct_values(truth.A, truth.B, truth.C, shard.coords)
+            assert np.array_equal(shard.values, model)
 
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
@@ -117,9 +114,15 @@ class TestPartitionRows:
         spec = SynthSpec(dims=(23, 6, 7), rank_true=2, sparsity=5e-2, n_sites=1, seed=2)
         tensor, _, _ = generate_synthetic(spec)
         for n_sites in (1, 2, 3, 5, 23):
-            back = concatenate_rows(partition_rows(tensor, n_sites))
-            assert back.dims == tensor.dims
-            assert back.same_entries(tensor)
+            shards = partition_rows(tensor, n_sites)
+            offsets = np.cumsum([0] + [sh.dims[0] for sh in shards])
+            assert offsets[-1] == tensor.dims[0]
+            assert all(sh.dims[1:] == tensor.dims[1:] for sh in shards)
+            coords = np.concatenate(
+                [sh.coords + [off, 0, 0] for sh, off in zip(shards, offsets)]
+            )
+            values = np.concatenate([sh.values for sh in shards])
+            assert SparseTensorCOO(tensor.dims, coords, values).same_entries(tensor)
 
     def test_permute_rows_keeps_entries(self):
         t = self._tensor()

@@ -73,12 +73,21 @@ class TestServerUpdate:
         # both differences against the original anchor: 0.1 * (1 + 2)
         assert server.B_hat.tolist() == [[pytest.approx(0.3, abs=1e-15)]]
 
+    @pytest.mark.parametrize("epoch", [1, 3])
+    def test_wrong_epoch_rejected(self, epoch):
+        # the server is at epoch 1 and takes only uploads for epoch 2
+        server = ServerState(B_hat=np.zeros((1, 1)), C_hat=np.zeros((1, 1)), n_sites=2, epoch=1)
+        uploads = [_message(0, [[1.0]], [[1.0]], epoch=2), _message(1, [[1.0]], [[1.0]], epoch=epoch)]
+        with pytest.raises(ProtocolError, match=f"site 1 is for epoch {epoch}, expected epoch 2"):
+            server_update(server, uploads, 0.1, 1.0)
+        assert server.epoch == 1
+        assert server.B_hat.tolist() == [[0.0]]
+
 
 class TestRoundMessage:
     def test_byte_size_formula(self):
         msg = _message(3, np.ones((5, 2)), np.ones((7, 2)))
-        assert msg.byte_size == HEADER_BYTES + 8 * (10 + 14)
-        assert len(msg.to_bytes()) == msg.byte_size
+        assert len(msg.to_bytes()) == HEADER_BYTES + 8 * (10 + 14)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -95,6 +104,13 @@ class TestRoundMessage:
         assert struct.unpack("<qqq", blob[:24]) == (1, 4, 1)
         assert struct.unpack("<d", blob[24:32])[0] == 1.5
         assert struct.unpack("<d", blob[32:40])[0] == 2.5
+
+    def test_decoded_factors_are_read_only(self):
+        back = RoundMessage.from_bytes(_message(0, [[1.0]], [[2.0]]).to_bytes(), 1, 1, 1)
+        with pytest.raises(ValueError):
+            back.priv_B[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            back.priv_C[0, 0] = 5.0
 
     def test_from_bytes_rejects_wrong_length(self):
         with pytest.raises(ProtocolError):
@@ -127,6 +143,25 @@ class TestRunRound:
         assert metrics.comm_seconds == metrics.comm_bytes / 15e6
         assert metrics.epoch == 1
         assert metrics.rho_total == pytest.approx(2e-3, rel=1e-12)
+
+    def test_every_upload_reaches_the_server_as_bytes(self, monkeypatch):
+        # each upload is decoded from its encoding, and traffic is their length
+        decoded = []
+        original = RoundMessage.from_bytes.__func__
+
+        def recording(cls, blob, *dims):
+            decoded.append(len(blob))
+            return original(cls, blob, *dims)
+
+        monkeypatch.setattr(RoundMessage, "from_bytes", classmethod(recording))
+        shards = _shards(n_sites=3)
+        sites = [init_site_state(sh, 2, seed=t, site_id=t) for t, sh in enumerate(shards)]
+        server = init_server(8, 9, 2, seed=1, n_sites=3)
+        acc = PrivacyAccountant(n_sites=3, delta=1e-4)
+        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
+        _, _, metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        assert len(decoded) == 3
+        assert metrics.comm_bytes == 2 * sum(decoded)
 
     def test_zero_epochs_run_is_empty(self):
         shards = _shards(n_sites=2)
@@ -258,13 +293,14 @@ class TestConsensusPull:
         rng = np.random.default_rng(3)
         n_sites, eta, gamma = 3, 0.05, 5.0
         assert 0 < eta * gamma * n_sites < 1
-        uploads = [
-            _message(t, rng.random((4, 2)), rng.random((5, 2))) for t in range(n_sites)
-        ]
+        factors = [(rng.random((4, 2)), rng.random((5, 2))) for _ in range(n_sites)]
         server = _server(rng.random((4, 2)), rng.random((5, 2)), n_sites)
         steps = []
         for _ in range(10):
             before = server.B_hat.copy()
+            uploads = [
+                _message(t, b, c, epoch=server.epoch + 1) for t, (b, c) in enumerate(factors)
+            ]
             server_update(server, uploads, eta, gamma)
             steps.append(float(np.linalg.norm(server.B_hat - before)))
         assert all(b < a for a, b in zip(steps, steps[1:]))

@@ -13,11 +13,10 @@ from fedcp.solver import (
     beta_lipschitz,
     entry_gradients,
     init_site_state,
-    local_objective,
     prox_l21,
     run_local_epoch,
-    sgd_entry_update,
 )
+from fedcp.federation import pooled_rmse
 from fedcp.tensor import SparseTensorCOO
 
 
@@ -36,24 +35,20 @@ def _state(entries, dims, a, b, c, seed=0, site_id=0):
 class TestSgdEntryUpdate:
     def test_stationary_point(self):
         state = _state([(0, 0, 0, 1.0)], (1, 1, 1), [[1.0]], [[1.0]], [[1.0]])
-        params = SolverParams(eta=0.3, gamma=2.0, mu=0.0, clip=math.inf)
-        a, b, c = sgd_entry_update(
-            state, (0, 0, 0, 1.0), (np.array([1.0]), np.array([1.0])), params
-        )
-        assert a.tolist() == [1.0]
-        assert b.tolist() == [1.0]
-        assert c.tolist() == [1.0]
+        params = SolverParams(eta=0.3, gamma=2.0, mu=0.0, tau=1, clip=math.inf)
+        run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params)
+        assert state.A.tolist() == [[1.0]]
+        assert state.B.tolist() == [[1.0]]
+        assert state.C.tolist() == [[1.0]]
 
     def test_unit_rows_target_two(self):
         state = _state([(0, 0, 0, 2.0)], (1, 1, 1), [[1.0]], [[1.0]], [[1.0]])
-        params = SolverParams(eta=0.1, gamma=0.0, mu=0.0, clip=math.inf)
-        a, b, c = sgd_entry_update(
-            state, (0, 0, 0, 2.0), (np.array([0.0]), np.array([0.0])), params
-        )
+        params = SolverParams(eta=0.1, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
+        run_local_epoch(state, (np.array([[0.0]]), np.array([[0.0]])), params)
         # residual -1; each row moves by eta * 1 using pre-update values
-        assert a.tolist() == pytest.approx([1.1], abs=1e-15)
-        assert b.tolist() == pytest.approx([1.1], abs=1e-15)
-        assert c.tolist() == pytest.approx([1.1], abs=1e-15)
+        assert state.A.ravel().tolist() == pytest.approx([1.1], abs=1e-15)
+        assert state.B.ravel().tolist() == pytest.approx([1.1], abs=1e-15)
+        assert state.C.ravel().tolist() == pytest.approx([1.1], abs=1e-15)
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(11)
@@ -106,14 +101,16 @@ class TestSgdEntryUpdate:
         _, gb, _ = entry_gradients(a, b, c, 0.0, b_hat, np.array([1.0]), 2.0, 1.0)
         assert gb[0] == pytest.approx(1.0 + 2.0 * 5.0, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_names_row(self):
-        state = _state([(0, 0, 0, 1.0)], (1, 1, 1), [[1e300]], [[1e300]], [[1.0]])
-        params = SolverParams(eta=10.0, gamma=0.0, mu=0.0, clip=math.inf)
-        with pytest.raises(NumericOverflowError, match="row"):
-            sgd_entry_update(
-                state, (0, 0, 0, 1.0), (np.array([0.0]), np.array([0.0])), params
-            )
+        # the error names the rows i, j, k of the entry whose residual overflowed
+        state = _state(
+            [(1, 0, 2, 1.0)], (2, 1, 3), [[1.0], [1e300]], [[1e300]], [[1.0], [1.0], [1.0]]
+        )
+        params = SolverParams(eta=10.0, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
+        anchors = (np.zeros((1, 1)), np.zeros((3, 1)))
+        with pytest.raises(NumericOverflowError, match=r"at entry \(1, 0, 2\)"):
+            run_local_epoch(state, anchors, params)
 
 
 class TestProxL21:
@@ -239,25 +236,44 @@ class TestRunLocalEpoch:
         assert np.array_equal(s1.B, s2.B)
         assert np.array_equal(s1.C, s2.C)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_inline_loop_matches_per_entry_api(self):
-        # the fast path inside run_local_epoch must walk the exact same
-        # trajectory as explicit sgd_entry_update calls plus the prox step
-        fast = _exact_rank_one_state(seed=31)
-        slow = _exact_rank_one_state(seed=31)
-        params = SolverParams(eta=0.05, gamma=2.0, mu=0.3, tau=2, clip=1.0)
-        rng = np.random.default_rng(0)
-        anchors = (rng.random((2, 1)), rng.random((2, 1)))
-        run_local_epoch(fast, anchors, params)
-        b_hat, c_hat = anchors
+        # one pass must equal, bit for bit, rows - eta * entry_gradients(...)
+        # at the pre-update rows followed by the prox step; rank 3 with both
+        # penalties on and a clip that fires on most entries
+        rng = np.random.default_rng(8)
+        entries = [
+            (i, j, k, float(rng.uniform(0.5, 3.0)))
+            for i in range(5)
+            for j in range(4)
+            for k in range(3)
+            if rng.random() < 0.6
+        ]
+        tensor = SparseTensorCOO.from_entries((5, 4, 3), entries)
+        init = (rng.random((5, 3)), rng.random((4, 3)), rng.random((3, 3)))
+        fast = SiteState(tensor, *(m.copy() for m in init), rng_seed=31, site_id=0)
+        slow = SiteState(tensor, *(m.copy() for m in init), rng_seed=31, site_id=0)
+        params = SolverParams(eta=0.05, gamma=2.0, mu=0.3, tau=2, clip=0.2)
+        b_hat, c_hat = rng.random((4, 3)), rng.random((3, 3))
+        run_local_epoch(fast, (b_hat, c_hat), params)
+        clipped = 0
         for _ in range(params.tau):
-            order = slow.shuffle_rng.permutation(slow.tensor.nnz)
+            order = slow.shuffle_rng.permutation(tensor.nnz)
             for n in order:
-                i, j, k = (int(v) for v in slow.tensor.coords[n])
-                sgd_entry_update(
-                    slow, (i, j, k, slow.tensor.values[n]), (b_hat[j], c_hat[k]), params
+                i, j, k = (int(v) for v in tensor.coords[n])
+                a, b, c = slow.A[i].copy(), slow.B[j].copy(), slow.C[k].copy()
+                value = float(tensor.values[n])
+                grads = entry_gradients(
+                    a, b, c, value, b_hat[j], c_hat[k], params.gamma, params.clip
                 )
+                free = entry_gradients(
+                    a, b, c, value, b_hat[j], c_hat[k], params.gamma, math.inf
+                )
+                clipped += not np.array_equal(grads[0], free[0])
+                slow.A[i] = a - params.eta * grads[0]
+                slow.B[j] = b - params.eta * grads[1]
+                slow.C[k] = c - params.eta * grads[2]
             slow.A = prox_l21(slow.A, params.threshold())
+        assert clipped > 0
         assert np.array_equal(fast.A, slow.A)
         assert np.array_equal(fast.B, slow.B)
         assert np.array_equal(fast.C, slow.C)
@@ -285,10 +301,11 @@ class TestRunLocalEpoch:
             beta_lipschitz(state.A, state.B, 0.0),
         )
         assert params.eta < 2.0 / beta
-        start = local_objective(state, anchors, params)
+        # with gamma = mu = 0 the site objective is 0.5 * nnz * rmse^2
+        start = pooled_rmse([state])
         for _ in range(50):
             run_local_epoch(state, anchors, params)
-        assert local_objective(state, anchors, params) < start
+        assert pooled_rmse([state]) < start
 
     def test_anchor_shape_mismatch(self):
         state = _exact_rank_one_state()
@@ -335,26 +352,6 @@ class TestProxThresholdModes:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             SolverParams(prox_threshold="bogus")
-
-
-class TestLocalObjective:
-    def test_all_zero_is_zero(self):
-        tensor = SparseTensorCOO((1, 1, 1), np.empty((0, 3), dtype=np.int64), np.empty(0))
-        state = SiteState(tensor, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), 0, 0)
-        params = SolverParams(eta=0.1, gamma=4.0, mu=2.0)
-        assert local_objective(state, (np.zeros((1, 2)), np.zeros((1, 2))), params) == 0.0
-
-    def test_exact_fit_with_matched_anchors_is_zero(self):
-        state = _state([(0, 0, 0, 30.0)], (1, 1, 1), [[2.0]], [[3.0]], [[5.0]])
-        params = SolverParams(eta=0.1, gamma=7.0, mu=0.0)
-        assert local_objective(state, (state.B.copy(), state.C.copy()), params) == 0.0
-
-    def test_hand_computed_value(self):
-        # residual term 0.5 * (0 - 2)^2 = 2, column-sparsity term ||[3, 4]|| = 5
-        state = _state([(0, 0, 0, 2.0)], (2, 1, 1), [[3.0], [4.0]], [[0.0]], [[0.0]])
-        params = SolverParams(eta=0.1, gamma=0.0, mu=1.0)
-        value = local_objective(state, (np.zeros((1, 1)), np.zeros((1, 1))), params)
-        assert value == pytest.approx(7.0, abs=1e-12)
 
 
 class TestBetaLipschitz:

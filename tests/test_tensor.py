@@ -12,9 +12,8 @@ from fedcp.tensor import (
     factor_weights,
     fms,
     fms_report,
-    khatri_rao,
     l21_norm,
-    reconstruct_entry,
+    reconstruct_values,
     rmse,
     zero_column_count,
 )
@@ -50,54 +49,26 @@ class TestSparseTensorCOO:
         assert a.same_entries(b)
 
 
-class TestKhatriRao:
-    def test_rank_one_by_hand(self):
-        out = khatri_rao([[1.0], [2.0]], [[3.0], [4.0]])
-        assert out.tolist() == [[3.0], [4.0], [6.0], [8.0]]
-
-    def test_identity_columns(self):
-        out = khatri_rao(np.eye(2), np.eye(2))
-        e1e1 = np.kron([1.0, 0.0], [1.0, 0.0])
-        e2e2 = np.kron([0.0, 1.0], [0.0, 1.0])
-        assert np.array_equal(out[:, 0], e1e1)
-        assert np.array_equal(out[:, 1], e2e2)
-
-    def test_two_by_two(self):
-        out = khatri_rao([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
-        assert out.tolist() == [[5.0, 12.0], [7.0, 16.0], [15.0, 24.0], [21.0, 32.0]]
-
-    def test_column_mismatch(self):
-        with pytest.raises(DimensionError):
-            khatri_rao(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_kron_identity_blockwise_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            i, j, r = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((i, r))
-            b = rng.standard_normal((j, r))
-            out = khatri_rao(a, b)
-            assert out.shape == (i * j, r)
-            for col in range(r):
-                assert np.allclose(out[:, col], np.kron(a[:, col], b[:, col]))
+def _entry(a, b, c, i, j, k):
+    return reconstruct_values(a, b, c, np.array([[i, j, k]]))[0]
 
 
 class TestReconstructEntry:
     def test_rank_one(self):
         a, b, c = np.array([[2.0]]), np.array([[3.0]]), np.array([[5.0]])
-        assert reconstruct_entry(a, b, c, 0, 0, 0) == 30.0
+        assert _entry(a, b, c, 0, 0, 0) == 30.0
 
     def test_zero_row_annihilates(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
         c = np.array([[5.0, 6.0]])
-        assert reconstruct_entry(a, b, c, 0, 0, 0) == 0.0
+        assert _entry(a, b, c, 0, 0, 0) == 0.0
 
     def test_rank_two_sum(self):
         a = np.array([[1.0, 2.0]])
         b = np.array([[3.0, 4.0]])
         c = np.array([[5.0, 6.0]])
-        assert reconstruct_entry(a, b, c, 0, 0, 0) == 63.0
+        assert _entry(a, b, c, 0, 0, 0) == 63.0
 
     def test_linear_in_each_row(self):
         rng = np.random.default_rng(1)
@@ -106,17 +77,10 @@ class TestReconstructEntry:
             a = rng.standard_normal((3, r))
             b = rng.standard_normal((4, r))
             c = rng.standard_normal((5, r))
-            base = reconstruct_entry(a, b, c, 1, 2, 3)
+            base = _entry(a, b, c, 1, 2, 3)
             doubled = a.copy()
             doubled[1] *= 2.0
-            assert reconstruct_entry(doubled, b, c, 1, 2, 3) == pytest.approx(2 * base)
-
-    def test_index_out_of_range(self):
-        m = np.ones((2, 1))
-        with pytest.raises(IndexError):
-            reconstruct_entry(m, m, m, 2, 0, 0)
-        with pytest.raises(IndexError):
-            reconstruct_entry(m, m, m, 0, -1, 0)
+            assert _entry(doubled, b, c, 1, 2, 3) == pytest.approx(2 * base)
 
 
 class TestRmse:
