@@ -81,7 +81,7 @@ def run_centralized_sgd(
                 factors_b[j] = b - eta * gb
                 factors_c[k] = c - eta * gc
         fit_curve.append(
-            rmse(tensor, [FactorizationResult(factors_a, factors_b, factors_c)])
+            rmse([tensor], [FactorizationResult(factors_a, factors_b, factors_c)])
         )
     return BaselineResult(
         rmse_per_epoch=fit_curve,

@@ -76,7 +76,6 @@ def cmd_generate(cfg: data.ExperimentConfig) -> int:
         heterogeneity=cfg.heterogeneity,
         seed=cfg.seed,
         value_noise_std=cfg.value_noise_std,
-        shuffle_rows=cfg.shuffle_rows,
     )
     tensor, shards, truths = data.generate_synthetic(spec)
     os.makedirs(cfg.data_dir, exist_ok=True)

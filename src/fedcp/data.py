@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .solver import PROX_PLAIN, PROX_SCALED
-from .tensor import FactorizationResult, SparseTensorCOO
+from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class SynthSpec:
     heterogeneity: dict = field(default_factory=dict)
     seed: int = 0
     value_noise_std: float = 0.0
-    shuffle_rows: bool = False
 
     def __post_init__(self):
         if not 0 < self.sparsity <= 1:
@@ -85,8 +84,6 @@ def generate_synthetic(spec: SynthSpec):
     truth_a = rng.random((i_dim, spec.rank_true))
     truth_b = rng.random((j_dim, spec.rank_true))
     truth_c = rng.random((k_dim, spec.rank_true))
-    if spec.shuffle_rows:
-        truth_a = truth_a[rng.permutation(i_dim)]
 
     starts = _block_starts(i_dim, spec.n_sites)
     for site, cols in spec.heterogeneity.items():
@@ -95,35 +92,24 @@ def generate_synthetic(spec: SynthSpec):
             truth_a[lo:hi, c] = 0.0
 
     lin = _sample_distinct(rng, total_cells, target)
-    coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64)
-    values = np.einsum(
-        "nr,nr,nr->n",
-        truth_a[coords[:, 0]],
-        truth_b[coords[:, 1]],
-        truth_c[coords[:, 2]],
-    )
-    for _ in range(100):
+    for _ in range(101):  # the first draw, then up to 100 resamples of zero-valued cells
+        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64)
+        values = reconstruct_values(truth_a, truth_b, truth_c, coords)
         dead = values == 0.0
-        if not dead.any():
+        need = int(dead.sum())
+        if need == 0:
             break
         taken = set(lin.tolist())
         fresh = []
-        while len(fresh) < int(dead.sum()):
-            for cand in rng.integers(0, total_cells, size=4 * int(dead.sum())).tolist():
+        while len(fresh) < need:
+            for cand in rng.integers(0, total_cells, size=4 * need).tolist():
                 if cand not in taken:
                     taken.add(cand)
                     fresh.append(cand)
-                    if len(fresh) == int(dead.sum()):
+                    if len(fresh) == need:
                         break
         lin[dead] = np.asarray(fresh, dtype=np.int64)
-        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64)
-        values = np.einsum(
-            "nr,nr,nr->n",
-            truth_a[coords[:, 0]],
-            truth_b[coords[:, 1]],
-            truth_c[coords[:, 2]],
-        )
-    if np.any(values == 0.0):
+    else:
         raise RuntimeError("could not find non-zero cells; truth factors degenerate")
 
     if spec.value_noise_std > 0:
@@ -177,40 +163,44 @@ def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:
 def write_coo(tensor: SparseTensorCOO, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n")
-        for i, j, k, v in tensor.entries():
+        # column lists, not coords.tolist(): no per-record list is held
+        for i, j, k, v in zip(*tensor.coords.T.tolist(), tensor.values.tolist()):
             fh.write(f"{i} {j} {k} {v!r}\n")
 
 
 def read_coo(path) -> SparseTensorCOO:
     """Parse a COO text file, reporting the offending line on any defect."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file; expected a '# dims I J K' header", line_no=1)
-    head = lines[0].strip().split()
-    if head[:2] != ["#", "dims"] or len(head) != 5:
-        raise ParseError("first line must be '# dims I J K'", line_no=1)
-    try:
-        dims = tuple(int(x) for x in head[2:])
-    except ValueError:
-        raise ParseError("dims must be integers", line_no=1) from None
-    rows = []
-    for no, line in enumerate(lines[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        parts = text.split()
-        if len(parts) != 4:
-            raise ParseError(f"expected 'i j k value', got {text!r}", line_no=no)
+        head = fh.readline().split()
+        if head[:2] != ["#", "dims"] or len(head) != 5:
+            raise ParseError("first line must be '# dims I J K'", line_no=1)
         try:
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            v = float(parts[3])
+            dims = tuple(int(x) for x in head[2:])
         except ValueError:
-            raise ParseError(f"could not parse record {text!r}", line_no=no) from None
-        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-            raise ParseError(f"index ({i}, {j}, {k}) outside dims {dims}", line_no=no)
-        rows.append((i, j, k, v))
-    return SparseTensorCOO.from_entries(dims, rows)
+            raise ParseError("dims must be integers", line_no=1) from None
+        if min(dims) < 1 or math.prod(dims) > np.iinfo(np.int64).max:
+            raise ParseError(f"dims {dims} must be positive with a product below 2**63", line_no=1)
+        index, values = [], []  # flat lists: exact int indices, no per-record object
+        for no, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != 4:
+                raise ParseError(f"expected 'i j k value', got {line.strip()!r}", line_no=no)
+            try:
+                i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+                v = float(parts[3])
+            except ValueError:
+                raise ParseError(f"could not parse record {line.strip()!r}", line_no=no) from None
+            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+                raise ParseError(f"index ({i}, {j}, {k}) outside dims {dims}", line_no=no)
+            if v == 0.0 or not math.isfinite(v):
+                raise ParseError(f"value {v!r} is not a finite non-zero number", line_no=no)
+            index.append(i)
+            index.append(j)
+            index.append(k)
+            values.append(v)
+    return SparseTensorCOO(dims, np.array(index, dtype=np.int64), values)
 
 
 def write_factors(result: FactorizationResult, path):
@@ -238,6 +228,8 @@ def read_factors(path) -> FactorizationResult:
             n_rows, rank = int(head[2]), int(head[3])
         except ValueError:
             raise ParseError("block header must carry two integers", line_no=no + 1) from None
+        if n_rows < 0 or rank < 0:
+            raise ParseError("block header counts must be non-negative", line_no=no + 1)
         block = np.empty((n_rows, rank))
         for r in range(n_rows):
             no += 1
@@ -246,7 +238,12 @@ def read_factors(path) -> FactorizationResult:
             vals = lines[no].split()
             if len(vals) != rank:
                 raise ParseError(f"expected {rank} values", line_no=no + 1)
-            block[r] = [float(v) for v in vals]
+            try:
+                block[r] = [float(v) for v in vals]
+            except ValueError:
+                raise ParseError(f"could not parse values {lines[no]!r}", line_no=no + 1) from None
+            if not np.all(np.isfinite(block[r])):
+                raise ParseError("factor values must be finite", line_no=no + 1)
         blocks.append(block)
         no += 1
     if len(blocks) != 3:

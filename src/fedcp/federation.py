@@ -28,7 +28,7 @@ from .privacy import (
     perturb_matrix,
 )
 from .solver import SiteState, SolverParams, derive_site_seed, init_site_state, run_local_epoch
-from .tensor import reconstruct_values
+from .tensor import rmse
 
 HEADER_BYTES = 24
 MESSAGE_TAG = 1  # combined B-then-C payload
@@ -66,12 +66,11 @@ class RoundMessage:
 
     def to_bytes(self) -> bytes:
         """Little-endian: three int64 header words, then B then C row-major."""
-        header = struct.pack("<qqq", self.site_id, self.epoch, MESSAGE_TAG)
-        return (
-            header
-            + np.ascontiguousarray(self.priv_B, dtype="<f8").tobytes()
-            + np.ascontiguousarray(self.priv_C, dtype="<f8").tobytes()
-        )
+        return b"".join((
+            struct.pack("<qqq", self.site_id, self.epoch, MESSAGE_TAG),
+            np.ascontiguousarray(self.priv_B, dtype="<f8").tobytes(),
+            np.ascontiguousarray(self.priv_C, dtype="<f8").tobytes(),
+        ))
 
     @classmethod
     def from_bytes(cls, blob: bytes, j_dim: int, k_dim: int, rank: int) -> "RoundMessage":
@@ -136,16 +135,7 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float) -> Ser
 
 def pooled_rmse(sites) -> float:
     """Fit over the union of all shards, each scored with its own factors."""
-    sq = 0.0
-    count = 0
-    for s in sites:
-        if s.tensor.nnz:
-            resid = reconstruct_values(s.A, s.B, s.C, s.tensor.coords) - s.tensor.values
-            sq += float(np.sum(resid * resid))
-            count += s.tensor.nnz
-    if count == 0:
-        raise ValueError("no observed entries across sites")
-    return float(np.sqrt(sq / count))
+    return rmse([s.tensor for s in sites], sites)
 
 
 def build_upload(state: SiteState, epoch: int, sigma: float) -> RoundMessage:
@@ -306,13 +296,15 @@ def run_experiment(
     rounds = fixed_epochs if fixed_epochs is not None else max_epochs
     metrics: list[EpochMetrics] = []
     converged = False
+    prev = factor_snapshot(sites)
     for _ in range(rounds):
-        prev = factor_snapshot(sites)
         sites, server, m = run_round(
             sites, server, params, priv, accountant, transfer_rate, pool=pool
         )
         metrics.append(m)
-        converged = has_converged(prev, factor_snapshot(sites), tol)
+        curr = factor_snapshot(sites)
+        converged = has_converged(prev, curr, tol)
+        prev = curr
         if fixed_epochs is None and converged:
             break
     return RunResult(

@@ -4,6 +4,9 @@ A factor matrix is a plain float64 ndarray of shape (rows, R). A rank-R
 factorization of an I x J x K tensor is a triple (A, B, C) with shapes
 (I, R), (J, R), (K, R); component r is the outer product of the three
 r-th columns.
+
+The fit metric ``rmse`` scores a list of shards, each with its own factor
+triple; a centralized run is the one-shard case.
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,9 @@ class SparseTensorCOO:
                 raise ValueError("tensor entry index out of range")
             lin = np.ravel_multi_index((coords[:, 0], coords[:, 1], coords[:, 2]), dims)
             if np.unique(lin).size != lin.size:
-                raise ValueError("duplicate tensor coordinates")
+                _, first = np.unique(lin, return_index=True)
+                n = np.setdiff1d(np.arange(lin.size), first)[0]
+                raise ValueError(f"duplicate tensor coordinate {tuple(coords[n].tolist())}")
         if not np.all(np.isfinite(values)):
             raise ValueError("tensor values must be finite")
         if np.any(values == 0.0):
@@ -60,20 +65,6 @@ class SparseTensorCOO:
     @property
     def nnz(self) -> int:
         return self.values.shape[0]
-
-    def entries(self):
-        """Iterate (i, j, k, value) tuples in storage order."""
-        for (i, j, k), v in zip(self.coords, self.values):
-            yield int(i), int(j), int(k), float(v)
-
-    @classmethod
-    def from_entries(cls, dims, entries):
-        """Build from an iterable of (i, j, k, value) tuples."""
-        rows = list(entries)
-        if not rows:
-            return cls(dims, np.empty((0, 3), dtype=np.int64), np.empty(0))
-        arr = np.asarray(rows, dtype=np.float64)
-        return cls(dims, arr[:, :3].astype(np.int64), arr[:, 3])
 
     def same_entries(self, other) -> bool:
         """True if both tensors hold identical entries, ignoring storage order."""
@@ -119,33 +110,27 @@ def reconstruct_values(A, B, C, coords) -> np.ndarray:
     )
 
 
-def rmse(observed: SparseTensorCOO, sites) -> float:
-    """Root mean square error over the observed (non-zero) entries.
+def rmse(shards, factors) -> float:
+    """Root mean square error over the union of the shards' stored entries.
 
-    ``sites`` is a list of FactorizationResult whose patient blocks stack,
-    in order, to the observed tensor's first mode; each entry is scored
-    against the factors of the site that owns its row.
+    Shard t is scored with ``factors[t]`` (anything with ``A``, ``B``, ``C``
+    whose row counts match the shard's dims); the per-shard sums of squared
+    residuals are added in shard order. Empty shards are allowed, but at
+    least one shard must hold an entry.
     """
-    if observed.nnz == 0:
-        raise ValueError("rmse is undefined for a tensor with no entries")
-    i_dim, j_dim, k_dim = observed.dims
-    offsets = np.cumsum([0] + [s.A.shape[0] for s in sites])
-    if offsets[-1] != i_dim:
-        raise DimensionError(
-            f"site patient rows sum to {offsets[-1]}, tensor has {i_dim}"
-        )
+    if len(shards) != len(factors):
+        raise DimensionError(f"{len(shards)} shards but {len(factors)} factor triples")
     sq_sum = 0.0
-    for t, site in enumerate(sites):
-        if site.B.shape[0] != j_dim or site.C.shape[0] != k_dim:
-            raise DimensionError(f"site {t} feature dims do not match the tensor")
-        mask = (observed.coords[:, 0] >= offsets[t]) & (observed.coords[:, 0] < offsets[t + 1])
-        if not mask.any():
-            continue
-        local = observed.coords[mask].copy()
-        local[:, 0] -= offsets[t]
-        resid = reconstruct_values(site.A, site.B, site.C, local) - observed.values[mask]
+    count = 0
+    for t, (shard, f) in enumerate(zip(shards, factors)):
+        if (f.A.shape[0], f.B.shape[0], f.C.shape[0]) != shard.dims:
+            raise DimensionError(f"factor rows of shard {t} do not match its dims {shard.dims}")
+        resid = reconstruct_values(f.A, f.B, f.C, shard.coords) - shard.values
         sq_sum += float(np.sum(resid * resid))
-    return float(np.sqrt(sq_sum / observed.nnz))
+        count += shard.nnz
+    if count == 0:
+        raise ValueError("rmse is undefined when no shard holds an entry")
+    return float(np.sqrt(sq_sum / count))
 
 
 def l21_norm(w) -> float:

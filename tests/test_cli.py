@@ -59,6 +59,15 @@ class TestGenerate:
         main(["generate", "--config", str(cfg), "--seed", "99"])
         assert (tmp_path / "data" / "global.coo").read_bytes() != first
 
+    def test_shuffle_rows_leaves_generated_files_unchanged(self, workspace):
+        # shuffle_rows only permutes rows before a run partitions them
+        tmp_path, cfg = workspace
+        main(["generate", "--config", str(cfg)])
+        plain = {p.name: p.read_bytes() for p in (tmp_path / "data").iterdir()}
+        _write_config(cfg, shuffle_rows="true")
+        main(["generate", "--config", str(cfg)])
+        assert {p.name: p.read_bytes() for p in (tmp_path / "data").iterdir()} == plain
+
     def test_bad_sparsity_rejected(self, workspace, tmp_path):
         cfg = tmp_path / "bad.txt"
         _write_config(cfg, sparsity="0")

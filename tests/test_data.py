@@ -44,8 +44,8 @@ class TestGenerateSynthetic:
 
     def test_truth_factors_reconstruct_every_entry(self):
         spec = SynthSpec(dims=(50, 15, 16), rank_true=4, sparsity=1e-2, n_sites=3, seed=4)
-        tensor, _, truths = generate_synthetic(spec)
-        assert rmse(tensor, truths) == 0.0
+        _, shards, truths = generate_synthetic(spec)
+        assert rmse(shards, truths) == 0.0
 
     def test_heterogeneity_removes_component_contribution(self):
         spec = SynthSpec(
@@ -65,6 +65,21 @@ class TestGenerateSynthetic:
         for shard, truth in zip(shards, truths):
             model = reconstruct_values(truth.A, truth.B, truth.C, shard.coords)
             assert np.array_equal(shard.values, model)
+
+    def test_zero_valued_cells_are_resampled(self):
+        # site 1 has every truth component zeroed, so every cell drawn in its
+        # block is zero-valued and must be replaced by a cell elsewhere
+        spec = SynthSpec(
+            dims=(30, 6, 7), rank_true=2, sparsity=0.1, n_sites=3,
+            heterogeneity={1: (0, 1)}, seed=0,
+        )
+        tensor, shards, _ = generate_synthetic(spec)
+        assert tensor.nnz == 126
+        assert not np.any(tensor.values == 0.0)
+        assert shards[1].nnz == 0
+        again, _, _ = generate_synthetic(spec)
+        assert np.array_equal(again.coords, tensor.coords)
+        assert np.array_equal(again.values, tensor.values)
 
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
@@ -87,8 +102,8 @@ class TestGenerateSynthetic:
 
 class TestPartitionRows:
     def _tensor(self):
-        entries = [(i, 0, 0, float(i + 1)) for i in range(10)]
-        return SparseTensorCOO.from_entries((10, 1, 1), entries)
+        coords = [(i, 0, 0) for i in range(10)]
+        return SparseTensorCOO((10, 1, 1), coords, [float(i + 1) for i in range(10)])
 
     def test_single_partition_is_identity(self):
         t = self._tensor()
@@ -104,7 +119,8 @@ class TestPartitionRows:
     def test_entry_rebasing(self):
         shards = partition_rows(self._tensor(), 5)
         # global row 7 lands in block 3 at local row 1
-        assert (1, 0, 0, 8.0) in list(shards[3].entries())
+        coords, values = shards[3].coords.tolist(), shards[3].values.tolist()
+        assert values[coords.index([1, 0, 0])] == 8.0
 
     def test_too_many_partitions(self):
         with pytest.raises(ValueError):
@@ -128,9 +144,7 @@ class TestPartitionRows:
         t = self._tensor()
         p = permute_rows(t, seed=5)
         assert p.dims == t.dims
-        assert sorted(v for _, _, _, v in p.entries()) == sorted(
-            v for _, _, _, v in t.entries()
-        )
+        assert sorted(p.values.tolist()) == sorted(t.values.tolist())
 
 
 class TestCooFiles:
@@ -148,7 +162,8 @@ class TestCooFiles:
         path = tmp_path / "t.coo"
         path.write_text("# dims 1 1 1\n0 0 0 1.5\n")
         t = read_coo(path)
-        assert list(t.entries()) == [(0, 0, 0, 1.5)]
+        assert t.coords.tolist() == [[0, 0, 0]]
+        assert t.values.tolist() == [1.5]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "t.coo"
@@ -166,6 +181,32 @@ class TestCooFiles:
         path.write_text("# dims 1 1 1\n0 0 zero 1.0\n")
         with pytest.raises(ParseError, match="line 2"):
             read_coo(path)
+
+    @pytest.mark.parametrize("dims", ["0 1 1", "99999999999999999999 1 1", "4294967296 4294967296 1"])
+    def test_bad_dims_rejected_with_line(self, tmp_path, dims):
+        path = tmp_path / "t.coo"
+        path.write_text(f"# dims {dims}\n0 0 0 1.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            read_coo(path)
+
+    def test_zero_value_rejected_with_line(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("# dims 2 1 1\n0 0 0 1.0\n1 0 0 0.0\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_coo(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "t.coo"
+        path.write_text(f"# dims 1 1 1\n# comment\n0 0 0 {value}\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_coo(path)
+
+    def test_index_beyond_float_precision_reads_exactly(self, tmp_path):
+        big = 2**53 + 1  # the nearest float64 is 2**53
+        path = tmp_path / "t.coo"
+        path.write_text(f"# dims {big + 1} 1 1\n{big} 0 0 1.0\n")
+        assert read_coo(path).coords.tolist() == [[big, 0, 0]]
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "t.coo"
@@ -195,6 +236,24 @@ class TestFactorFiles:
         path = tmp_path / "f.factors"
         path.write_text("# rows 2 1\n0.5\n")
         with pytest.raises(ParseError):
+            read_factors(path)
+
+    def test_malformed_number_rejected_with_line(self, tmp_path):
+        path = tmp_path / "f.factors"
+        path.write_text("# rows 2 1\n0.5\nabc\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_factors(path)
+
+    def test_negative_row_count_rejected_with_line(self, tmp_path):
+        path = tmp_path / "f.factors"
+        path.write_text("# rows 1 1\n0.5\n# rows -1 1\n")
+        with pytest.raises(ParseError, match="line 3"):
+            read_factors(path)
+
+    def test_non_finite_value_rejected_with_line(self, tmp_path):
+        path = tmp_path / "f.factors"
+        path.write_text("# rows 2 2\n0.5 1.0\n0.25 nan\n")
+        with pytest.raises(ParseError, match="line 3"):
             read_factors(path)
 
 

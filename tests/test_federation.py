@@ -217,7 +217,7 @@ class TestRunRound:
         # an empty shard uploads its (noised) unchanged factors and is billed
         from fedcp.tensor import SparseTensorCOO
 
-        full = SparseTensorCOO.from_entries((4, 3, 3), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
+        full = SparseTensorCOO((4, 3, 3), [(0, 0, 0), (1, 1, 1)], [1.0, 2.0])
         empty = SparseTensorCOO((4, 3, 3), np.empty((0, 3), dtype=np.int64), np.empty(0))
         sites = [
             init_site_state(full, 2, seed=1, site_id=0),

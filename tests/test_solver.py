@@ -21,7 +21,7 @@ from fedcp.tensor import SparseTensorCOO
 
 
 def _state(entries, dims, a, b, c, seed=0, site_id=0):
-    tensor = SparseTensorCOO.from_entries(dims, entries)
+    tensor = SparseTensorCOO(dims, [e[:3] for e in entries], [e[3] for e in entries])
     return SiteState(
         tensor=tensor,
         A=np.array(a, dtype=float),
@@ -248,7 +248,7 @@ class TestRunLocalEpoch:
             for k in range(3)
             if rng.random() < 0.6
         ]
-        tensor = SparseTensorCOO.from_entries((5, 4, 3), entries)
+        tensor = SparseTensorCOO((5, 4, 3), [e[:3] for e in entries], [e[3] for e in entries])
         init = (rng.random((5, 3)), rng.random((4, 3)), rng.random((3, 3)))
         fast = SiteState(tensor, *(m.copy() for m in init), rng_seed=31, site_id=0)
         slow = SiteState(tensor, *(m.copy() for m in init), rng_seed=31, site_id=0)
@@ -329,7 +329,7 @@ class TestRunLocalEpoch:
                 for k in range(6):
                     if rng.random() < 0.4:
                         entries.append((i, j, k, float(a[i] @ (b[j] * c[k]))))
-        tensor = SparseTensorCOO.from_entries((8, 5, 6), entries)
+        tensor = SparseTensorCOO((8, 5, 6), [e[:3] for e in entries], [e[3] for e in entries])
         init = (rng.random((8, 3)), rng.random((5, 3)), rng.random((6, 3)))
         counts = []
         for mu in (0.0, 0.5, 2.0, 8.0, 32.0):
@@ -371,12 +371,12 @@ class TestBetaLipschitz:
 
 class TestSiteStateValidation:
     def test_rejects_mismatched_factor_rows(self):
-        tensor = SparseTensorCOO.from_entries((2, 2, 2), [(0, 0, 0, 1.0)])
+        tensor = SparseTensorCOO((2, 2, 2), [(0, 0, 0)], [1.0])
         with pytest.raises(DimensionError):
             SiteState(tensor, np.ones((3, 2)), np.ones((2, 2)), np.ones((2, 2)), 0, 0)
 
     def test_rejects_mixed_ranks(self):
-        tensor = SparseTensorCOO.from_entries((2, 2, 2), [(0, 0, 0, 1.0)])
+        tensor = SparseTensorCOO((2, 2, 2), [(0, 0, 0)], [1.0])
         with pytest.raises(DimensionError):
             SiteState(tensor, np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)), 0, 0)
 

@@ -20,14 +20,15 @@ from fedcp.tensor import (
 
 
 def _tensor(dims, entries):
-    return SparseTensorCOO.from_entries(dims, entries)
+    return SparseTensorCOO(dims, [e[:3] for e in entries], [e[3] for e in entries])
 
 
 class TestSparseTensorCOO:
     def test_holds_entries(self):
         t = _tensor((2, 2, 2), [(0, 0, 0, 1.5), (1, 1, 1, -2.0)])
         assert t.nnz == 2
-        assert list(t.entries()) == [(0, 0, 0, 1.5), (1, 1, 1, -2.0)]
+        assert t.coords.tolist() == [[0, 0, 0], [1, 1, 1]]
+        assert t.values.tolist() == [1.5, -2.0]
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -36,6 +37,9 @@ class TestSparseTensorCOO:
     def test_rejects_duplicate_coordinates(self):
         with pytest.raises(ValueError, match="duplicate"):
             _tensor((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 2.0)])
+        # the message names the first record that repeats an earlier one
+        with pytest.raises(ValueError, match=r"coordinate \(1, 1, 1\)"):
+            _tensor((2, 2, 2), [(0, 0, 0, 1.0), (1, 1, 1, 1.0), (1, 1, 1, 2.0), (0, 0, 0, 2.0)])
 
     def test_rejects_stored_zeros_and_nonfinite(self):
         with pytest.raises(ValueError, match="zero"):
@@ -87,44 +91,55 @@ class TestRmse:
     def test_exact_fit_is_zero(self):
         t = _tensor((1, 1, 1), [(0, 0, 0, 30.0)])
         site = FactorizationResult([[2.0]], [[3.0]], [[5.0]])
-        assert rmse(t, [site]) == 0.0
+        assert rmse([t], [site]) == 0.0
 
     def test_zero_factors_hand_sum(self):
         t = _tensor((2, 1, 1), [(0, 0, 0, 4.0), (1, 0, 0, 3.0)])
         site = FactorizationResult(np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         # sqrt((16 + 9) / 2)
-        assert rmse(t, [site]) == pytest.approx(3.5355339059327378, abs=1e-12)
+        assert rmse([t], [site]) == pytest.approx(3.5355339059327378, abs=1e-12)
 
     def test_doubling_residuals_doubles_rmse(self):
         entries = [(0, 0, 0, 1.5), (1, 0, 0, -2.5)]
         t1 = _tensor((2, 1, 1), entries)
         t2 = _tensor((2, 1, 1), [(i, j, k, 2 * v) for i, j, k, v in entries])
         site = FactorizationResult(np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
-        assert rmse(t2, [site]) == pytest.approx(2 * rmse(t1, [site]), rel=1e-12)
+        assert rmse([t2], [site]) == pytest.approx(2 * rmse([t1], [site]), rel=1e-12)
 
     def test_routes_entries_to_owning_site(self):
-        t = _tensor((2, 1, 1), [(0, 0, 0, 6.0), (1, 0, 0, 10.0)])
+        shards = [_tensor((1, 1, 1), [(0, 0, 0, 6.0)]), _tensor((1, 1, 1), [(0, 0, 0, 10.0)])]
         site0 = FactorizationResult([[2.0]], [[3.0]], [[1.0]])
         site1 = FactorizationResult([[5.0]], [[2.0]], [[1.0]])
-        assert rmse(t, [site0, site1]) == 0.0
+        assert rmse(shards, [site0, site1]) == 0.0
 
     def test_positive_once_any_entry_deviates(self):
-        t = _tensor((2, 1, 1), [(0, 0, 0, 6.0), (1, 0, 0, 10.0 + 1e-6)])
+        shards = [
+            _tensor((1, 1, 1), [(0, 0, 0, 6.0)]),
+            _tensor((1, 1, 1), [(0, 0, 0, 10.0 + 1e-6)]),
+        ]
         site0 = FactorizationResult([[2.0]], [[3.0]], [[1.0]])
         site1 = FactorizationResult([[5.0]], [[2.0]], [[1.0]])
-        assert rmse(t, [site0, site1]) > 0.0
+        assert rmse(shards, [site0, site1]) > 0.0
 
     def test_dimension_mismatch(self):
         t = _tensor((2, 1, 1), [(0, 0, 0, 1.0)])
         short = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(DimensionError, match="shard 0"):
+            rmse([t], [short])
+
+    def test_list_length_mismatch(self):
+        t = _tensor((1, 1, 1), [(0, 0, 0, 1.0)])
+        site = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(DimensionError):
-            rmse(t, [short])
+            rmse([t, t], [site])
+        with pytest.raises(DimensionError):
+            rmse([t], [site, site])
 
     def test_empty_tensor_rejected(self):
         t = SparseTensorCOO((1, 1, 1), np.empty((0, 3), dtype=np.int64), np.empty(0))
         site = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(ValueError):
-            rmse(t, [site])
+            rmse([t], [site])
 
 
 class TestL21Norm:
