@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from . import data
 from .errors import ConfigError
 from .federation import RunResult, run_experiment
-from .privacy import PrivacyParams, compose_serial, rho_for_target, zcdp_to_dp, zcdp_to_dp_approx
-from .solver import SolverParams
+from .privacy import compose_serial, rho_for_target, zcdp_to_dp, zcdp_to_dp_approx
 from .tensor import FactorizationResult, fms_report, zero_column_count
 
 CSV_HEADER = "epoch,rmse,comm_bytes,comm_seconds,rho_total,eps_exact,eps_approx"
@@ -68,16 +67,7 @@ def write_metrics_csv(metrics, path):
 
 
 def cmd_generate(cfg: data.ExperimentConfig) -> int:
-    spec = data.SynthSpec(
-        dims=cfg.dims,
-        rank_true=cfg.rank_true,
-        sparsity=cfg.sparsity,
-        n_sites=cfg.sites,
-        heterogeneity=cfg.heterogeneity,
-        seed=cfg.seed,
-        value_noise_std=cfg.value_noise_std,
-    )
-    tensor, shards, truths = data.generate_synthetic(spec)
+    tensor, shards, truths = data.generate_synthetic(cfg.synth_spec())
     os.makedirs(cfg.data_dir, exist_ok=True)
     data.write_coo(tensor, cfg.tensor_path())
     print(f"global: {tensor.nnz} entries -> {cfg.tensor_path()}")
@@ -96,15 +86,8 @@ def cmd_run(cfg: data.ExperimentConfig) -> int:
     result = run_experiment(
         shards,
         rank=cfg.rank,
-        params=SolverParams(
-            eta=cfg.eta,
-            gamma=cfg.gamma,
-            mu=cfg.mu,
-            tau=cfg.tau,
-            clip=cfg.clip,
-            prox_threshold=cfg.prox_threshold,
-        ),
-        priv=PrivacyParams(rho=cfg.rho, delta=cfg.delta),
+        params=cfg.solver_params(),
+        priv=cfg.privacy_params(),
         seed=cfg.seed,
         max_epochs=cfg.max_epochs,
         tol=cfg.tol,

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .solver import PROX_PLAIN, PROX_SCALED
+from .privacy import PrivacyParams
+from .solver import SolverParams
 from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
 
 
@@ -35,13 +36,15 @@ class SynthSpec:
     value_noise_std: float = 0.0
 
     def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ValueError("dims must be positive")
         if not 0 < self.sparsity <= 1:
             raise ValueError("sparsity must lie in (0, 1]")
         if self.rank_true < 1:
             raise ValueError("rank_true must be at least 1")
         if not 1 <= self.n_sites <= self.dims[0]:
-            raise ValueError("site count must lie in [1, patient rows]")
-        if self.value_noise_std < 0:
+            raise ValueError("n_sites must lie in [1, patient rows]")
+        if not self.value_noise_std >= 0:
             raise ValueError("value_noise_std must be non-negative")
         for site, cols in self.heterogeneity.items():
             if not 0 <= site < self.n_sites:
@@ -230,6 +233,11 @@ def read_factors(path) -> FactorizationResult:
             raise ParseError("block header must carry two integers", line_no=no + 1) from None
         if n_rows < 0 or rank < 0:
             raise ParseError("block header counts must be non-negative", line_no=no + 1)
+        if blocks and rank != blocks[0].shape[1]:
+            raise ParseError(
+                f"block rank {rank} differs from the first block's {blocks[0].shape[1]}",
+                line_no=no + 1,
+            )
         block = np.empty((n_rows, rank))
         for r in range(n_rows):
             no += 1
@@ -256,38 +264,57 @@ def read_factors(path) -> FactorizationResult:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every knob of a run, with the documented defaults."""
+    """Every knob of a run. Generation, solver and privacy defaults and
+    domains belong to the objects the builders below make."""
 
     # generation
-    dims: tuple[int, int, int] = (5000, 300, 800)
-    rank_true: int = 50
-    sparsity: float = 1e-5
+    dims: tuple[int, int, int] = SynthSpec.dims
+    rank_true: int = SynthSpec.rank_true
+    sparsity: float = SynthSpec.sparsity
     heterogeneity: dict = field(default_factory=dict)
-    value_noise_std: float = 0.0
+    value_noise_std: float = SynthSpec.value_noise_std
     shuffle_rows: bool = False
     # factorization
     rank: int = 50
-    sites: int = 5
-    eta: float = 1e-2
-    gamma: float = 5.0
-    mu: float = 0.5
-    tau: int = 1
-    clip: float = 1.0
-    prox_threshold: str = PROX_SCALED
+    sites: int = SynthSpec.n_sites
+    eta: float = SolverParams.eta
+    gamma: float = SolverParams.gamma
+    mu: float = SolverParams.mu
+    tau: int = SolverParams.tau
+    clip: float = SolverParams.clip
     # privacy
-    rho: float = 1e-3
-    delta: float = 1e-4
+    rho: float = PrivacyParams.rho
+    delta: float = PrivacyParams.delta
     # run control
     tol: float = 1e-4
     max_epochs: int = 100
     fixed_epochs: int | None = None
     transfer_rate: float = 15e6
-    seed: int = 0
+    seed: int = SynthSpec.seed
     # paths
     data_dir: str = "data"
     metrics_csv: str = "metrics.csv"
     factors_out: str = "factors"
     reference_factors: str | None = None
+
+    def synth_spec(self) -> SynthSpec:
+        return SynthSpec(
+            dims=self.dims,
+            rank_true=self.rank_true,
+            sparsity=self.sparsity,
+            n_sites=self.sites,
+            heterogeneity=self.heterogeneity,
+            seed=self.seed,
+            value_noise_std=self.value_noise_std,
+        )
+
+    def solver_params(self) -> SolverParams:
+        return SolverParams(
+            eta=self.eta, gamma=self.gamma, mu=self.mu, tau=self.tau, clip=self.clip
+        )
+
+    def privacy_params(self) -> PrivacyParams:
+        return PrivacyParams(rho=self.rho, delta=self.delta)
 
     def tensor_path(self) -> str:
         return os.path.join(self.data_dir, "global.coo")
@@ -300,7 +327,7 @@ class ExperimentConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+    lowered = text.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
@@ -326,59 +353,24 @@ def _parse_heterogeneity(text: str) -> dict:
     return out
 
 
-def _parse_optional_int(text: str):
-    return None if text.strip() == "" else int(text)
-
-
-def _parse_optional_str(text: str):
-    return None if text.strip() == "" else text.strip()
-
-
+# value parsers by declared field type; every value arrives stripped
 _PARSERS = {
-    "dims": _parse_dims,
-    "rank_true": int,
-    "sparsity": float,
-    "heterogeneity": _parse_heterogeneity,
-    "value_noise_std": float,
-    "shuffle_rows": _parse_bool,
-    "rank": int,
-    "sites": int,
-    "eta": float,
-    "gamma": float,
-    "mu": float,
-    "tau": int,
-    "clip": float,
-    "prox_threshold": str.strip,
-    "rho": float,
-    "delta": float,
-    "tol": float,
-    "max_epochs": int,
-    "fixed_epochs": _parse_optional_int,
-    "transfer_rate": float,
-    "seed": int,
-    "data_dir": str.strip,
-    "metrics_csv": str.strip,
-    "factors_out": str.strip,
-    "reference_factors": _parse_optional_str,
+    tuple[int, int, int]: _parse_dims,
+    dict: _parse_heterogeneity,
+    bool: _parse_bool,
+    int: int,
+    float: float,
+    str: str,
+    int | None: lambda text: int(text) if text else None,
+    str | None: lambda text: text or None,
 }
 
 
 def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the run-control keys here and every other key by building the
+    object that owns it."""
     checks = [
-        ("dims", all(d >= 1 for d in cfg.dims)),
-        ("rank_true", cfg.rank_true >= 1),
-        ("sparsity", 0 < cfg.sparsity <= 1),
-        ("value_noise_std", cfg.value_noise_std >= 0),
         ("rank", cfg.rank >= 1),
-        ("sites", cfg.sites >= 1),
-        ("eta", cfg.eta > 0),
-        ("gamma", cfg.gamma >= 0),
-        ("mu", cfg.mu >= 0),
-        ("tau", cfg.tau >= 1),
-        ("clip", cfg.clip > 0),
-        ("prox_threshold", cfg.prox_threshold in (PROX_SCALED, PROX_PLAIN)),
-        ("rho", cfg.rho > 0),
-        ("delta", 0 < cfg.delta < 1),
         ("tol", cfg.tol > 0),
         ("max_epochs", cfg.max_epochs >= 0),
         ("fixed_epochs", cfg.fixed_epochs is None or cfg.fixed_epochs >= 0),
@@ -387,13 +379,19 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for key, ok in checks:
         if not ok:
             raise ConfigError(f"config key {key!r} is out of its domain")
+    try:
+        cfg.synth_spec()
+        cfg.solver_params()
+        cfg.privacy_params()
+    except ValueError as exc:  # each message starts with the field it checks
+        raise ConfigError(f"config: {exc}") from None
     return cfg
 
 
 def load_config(path) -> ExperimentConfig:
     """Read ``key = value`` lines; unknown keys and bad domains are rejected
     by name, and missing keys take the defaults."""
-    known = {f.name for f in fields(ExperimentConfig)}
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for no, line in enumerate(fh, start=1):
@@ -404,10 +402,10 @@ def load_config(path) -> ExperimentConfig:
             if not sep:
                 raise ConfigError(f"line {no}: expected 'key = value', got {text!r}")
             key = key.strip()
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"unknown config key {key!r}")
             try:
-                overrides[key] = _PARSERS[key](value.strip())
+                overrides[key] = _PARSERS[types[key]](value.strip())
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
     return _validate_config(replace(ExperimentConfig(), **overrides))

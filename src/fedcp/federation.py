@@ -176,16 +176,13 @@ def run_round(
     else:
         blobs = list(pool.map(site_work, sites))
     (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
-    messages = sorted(
-        (RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs),
-        key=lambda m: m.site_id,
-    )
+    messages = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs]
 
+    # the server checks the cohort before any release is recorded
+    server_update(server, messages, params.eta, params.gamma)
     for msg in messages:
         accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
         accountant.record(epoch, msg.site_id, "C", priv.rho, sigma, sensitivity)
-
-    server_update(server, messages, params.eta, params.gamma)
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()

@@ -29,10 +29,6 @@ class PrivacyParams:
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
 
-    @property
-    def noise_disabled(self) -> bool:
-        return math.isinf(self.rho)
-
 
 def l2_sensitivity(tau: int, lipschitz: float, eta: float) -> float:
     """Worst-case output shift of a tau-pass run with bounded entry gradients:

@@ -26,9 +26,6 @@ INIT_STREAM = 0
 SHUFFLE_STREAM = 1
 NOISE_STREAM = 2
 
-PROX_SCALED = "eta_mu"  # threshold = eta * mu (proximal-gradient form; default)
-PROX_PLAIN = "mu"       # threshold = mu (literal printed variant)
-
 
 def site_stream(seed: int, which: int) -> np.random.Generator:
     """The site-private generator for one of the three stream roles."""
@@ -55,28 +52,19 @@ class SolverParams:
     mu: float = 0.5
     tau: int = 1
     clip: float = 1.0
-    prox_threshold: str = PROX_SCALED
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be non-negative")
         if int(self.tau) != self.tau or self.tau < 1:
             raise ValueError("tau must be an integer >= 1")
         self.tau = int(self.tau)
-        if self.clip <= 0:
-            raise ValueError("clip bound must be positive")
-        if self.prox_threshold not in (PROX_SCALED, PROX_PLAIN):
-            raise ValueError(f"unknown prox_threshold mode {self.prox_threshold!r}")
-
-    def threshold(self) -> float:
-        """Shrinkage applied to patient-factor columns after each pass."""
-        if self.prox_threshold == PROX_SCALED:
-            return self.eta * self.mu
-        return self.mu
+        if not self.clip > 0:
+            raise ValueError("clip must be positive")
 
 
 @dataclass
@@ -170,7 +158,8 @@ _STEP_SIZE_WARNING = (
 
 
 def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteState:
-    """tau shuffled passes over the shard, each ending in the prox step.
+    """tau shuffled passes over the shard, each ending in the prox step with
+    threshold eta * mu.
 
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
     written. The state's factors and shuffle stream advance in place.
@@ -197,7 +186,7 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
     eta = params.eta
     gamma = params.gamma
     clip = params.clip
-    threshold = params.threshold()
+    threshold = eta * params.mu
     A, B, C = state.A, state.B, state.C
     for _ in range(params.tau):
         order = state.shuffle_rng.permutation(state.tensor.nnz).tolist()

@@ -1,6 +1,9 @@
 """Synthetic generation, COO files, partitioning, and config loading."""
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from fedcp.data import (
     write_factors,
 )
 from fedcp.errors import ConfigError, ParseError
+from fedcp.privacy import PrivacyParams
+from fedcp.solver import SolverParams
 from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
 
 
@@ -256,6 +261,12 @@ class TestFactorFiles:
         with pytest.raises(ParseError, match="line 3"):
             read_factors(path)
 
+    def test_rank_mismatch_rejected_with_line(self, tmp_path):
+        path = tmp_path / "f.factors"
+        path.write_text("# rows 1 2\n0.5 1.0\n# rows 1 1\n0.5\n# rows 1 1\n0.5\n")
+        with pytest.raises(ParseError, match="line 3: block rank 1"):
+            read_factors(path)
+
 
 class TestLoadConfig:
     def test_empty_file_gives_documented_defaults(self, tmp_path):
@@ -300,9 +311,10 @@ class TestLoadConfig:
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = tmp_path / "cfg.txt"
-        path.write_text("learning_rate = 0.1\n")
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_config(path)
+        for key, value in (("learning_rate", "0.1"), ("prox_threshold", "mu")):
+            path.write_text(f"{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                load_config(path)
 
     def test_type_mismatch_rejected_by_name(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -321,6 +333,77 @@ class TestLoadConfig:
         path.write_text("delta = 1\n")
         with pytest.raises(ConfigError, match="delta"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dims", "0 30 40"),  # reported as dims, not as a site count above dims[0]
+            ("rank_true", "0"),
+            ("sparsity", "0"),
+            ("heterogeneity", "7:0"),
+            ("value_noise_std", "-1"),
+            ("rank", "0"),
+            ("sites", "0"),
+            ("sites", "5001"),
+            ("eta", "0"),
+            ("eta", "nan"),
+            ("gamma", "-1"),
+            ("mu", "-1"),
+            ("tau", "0"),
+            ("clip", "0"),
+            ("rho", "0"),
+            ("delta", "1"),
+            ("tol", "0"),
+            ("max_epochs", "-1"),
+            ("fixed_epochs", "-1"),
+            ("transfer_rate", "0"),
+        ],
+    )
+    def test_out_of_domain_value_rejected_by_name(self, tmp_path, key, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_every_owned_key_reaches_its_object(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "dims = 60 20 30\nrank_true = 4\nsparsity = 0.01\nsites = 3\n"
+            "heterogeneity = 1:2\nseed = 5\nvalue_noise_std = 0.25\n"
+            "eta = 0.03\ngamma = 2\nmu = 0.25\ntau = 3\nclip = 0.5\n"
+            "rho = 0.5\ndelta = 1e-6\n"
+        )
+        cfg = load_config(path)
+        built = {
+            SynthSpec: cfg.synth_spec(),
+            SolverParams: cfg.solver_params(),
+            PrivacyParams: cfg.privacy_params(),
+        }
+        assert built[SynthSpec] == SynthSpec(
+            dims=(60, 20, 30), rank_true=4, sparsity=0.01, n_sites=3,
+            heterogeneity={1: (2,)}, seed=5, value_noise_std=0.25,
+        )
+        assert built[SolverParams] == SolverParams(eta=0.03, gamma=2.0, mu=0.25, tau=3, clip=0.5)
+        assert built[PrivacyParams] == PrivacyParams(rho=0.5, delta=1e-6)
+        for cls, obj in built.items():  # every field was moved off its default
+            default = cls()
+            assert all(getattr(obj, f.name) != getattr(default, f.name) for f in fields(cls))
+
+    def test_defaults_are_the_objects_defaults(self):
+        cfg = ExperimentConfig()
+        assert cfg.synth_spec() == SynthSpec()
+        assert cfg.solver_params() == SolverParams()
+        assert cfg.privacy_params() == PrivacyParams()
+
+    def test_readme_example_config_matches_the_fields(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        settings = [line.split("#")[0] for line in block.splitlines()]
+        keys = [text.split("=")[0].strip() for text in settings if "=" in text]
+        assert keys == [f.name for f in fields(ExperimentConfig)]
+        path = tmp_path / "cfg.txt"
+        path.write_text(block)
+        assert load_config(path) == ExperimentConfig()
 
     def test_overrides_revalidate(self):
         cfg = ExperimentConfig()

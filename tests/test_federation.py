@@ -163,6 +163,22 @@ class TestRunRound:
         assert len(decoded) == 3
         assert metrics.comm_bytes == 2 * sum(decoded)
 
+    @pytest.mark.parametrize("site_ids", [(0, 0), (0, 5)], ids=["duplicate", "outside_cohort"])
+    def test_bad_cohort_rejected_before_the_ledger_records(self, site_ids):
+        shards = _shards(n_sites=2)
+        sites = [
+            init_site_state(sh, 2, seed=t, site_id=i)
+            for t, (sh, i) in enumerate(zip(shards, site_ids))
+        ]
+        server = init_server(8, 9, 2, seed=1, n_sites=2)
+        acc = PrivacyAccountant(n_sites=2, delta=1e-4)
+        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
+        with pytest.raises(ProtocolError, match="expected one upload from each of 2 sites"):
+            run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        assert acc.ledger == []
+        assert acc.rho_total == 0.0
+        assert server.epoch == 0
+
     def test_zero_epochs_run_is_empty(self):
         shards = _shards(n_sites=2)
         result = run_experiment(

@@ -170,10 +170,9 @@ class TestPrivacyParams:
         p = PrivacyParams()
         assert p.rho == 1e-3
         assert p.delta == 1e-4
-        assert not p.noise_disabled
 
     def test_infinite_rho_means_no_noise(self):
-        assert PrivacyParams(rho=math.inf).noise_disabled
+        assert gaussian_sigma(1.0, PrivacyParams(rho=math.inf).rho) == 0.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
-    PROX_PLAIN,
     SiteState,
     SolverParams,
     beta_lipschitz,
@@ -272,7 +271,7 @@ class TestRunLocalEpoch:
                 slow.A[i] = a - params.eta * grads[0]
                 slow.B[j] = b - params.eta * grads[1]
                 slow.C[k] = c - params.eta * grads[2]
-            slow.A = prox_l21(slow.A, params.threshold())
+            slow.A = prox_l21(slow.A, params.eta * params.mu)
         assert clipped > 0
         assert np.array_equal(fast.A, slow.A)
         assert np.array_equal(fast.B, slow.B)
@@ -342,16 +341,17 @@ class TestRunLocalEpoch:
         assert counts == sorted(counts)
 
 
-class TestProxThresholdModes:
-    def test_literal_mode_uses_mu_alone(self):
-        scaled = SolverParams(eta=0.1, mu=0.5)
-        literal = SolverParams(eta=0.1, mu=0.5, prox_threshold=PROX_PLAIN)
-        assert scaled.threshold() == pytest.approx(0.05)
-        assert literal.threshold() == 0.5
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            SolverParams(prox_threshold="bogus")
+class TestProxThreshold:
+    def test_threshold_is_eta_times_mu(self):
+        # with no entries a pass is the prox step alone; columns of norm 0.5
+        # and sqrt(5) both survive eta * mu = 0.4, and neither would survive mu = 4
+        tensor = SparseTensorCOO((3, 2, 2), np.zeros((0, 3), dtype=np.int64), [])
+        a = np.array([[0.3, 2.0], [0.4, 0.0], [0.0, 1.0]])
+        state = SiteState(tensor, a.copy(), np.ones((2, 2)), np.ones((2, 2)), 0, 0)
+        params = SolverParams(eta=0.1, gamma=0.0, mu=4.0)
+        run_local_epoch(state, (np.ones((2, 2)), np.ones((2, 2))), params)
+        assert np.array_equal(state.A, prox_l21(a, 0.1 * 4.0))
+        assert np.count_nonzero(state.A) == 4
 
 
 class TestBetaLipschitz:
