@@ -4,7 +4,8 @@ This is the plain counterpart of the federated solver: one worker, no
 anchor penalties, no column shrinkage, no noise. It shares the seed-stream
 conventions so that a one-site, zero-penalty federated run and this loop
 walk the same trajectory; the update arithmetic below is written out
-independently of the site solver.
+independently of the site solver. Dot products are summed strictly left to
+right (``np.add.accumulate(x)[-1]``), the order both site kernels use.
 """
 
 import math
@@ -62,19 +63,19 @@ def run_centralized_sgd(
                 b = factors_b[j]
                 c = factors_c[k]
                 bc = b * c
-                resid = float(a @ bc) - vals[n]
+                resid = float(np.add.accumulate(a * bc)[-1]) - vals[n]
                 # all three steps use the pre-update rows
                 ga = resid * bc
                 gb = resid * (a * c)
                 gc = resid * (a * b)
                 if bounded:
-                    norm = math.sqrt(float(ga @ ga))
+                    norm = math.sqrt(float(np.add.accumulate(ga * ga)[-1]))
                     if norm > clip:
                         ga = ga * (clip / norm)
-                    norm = math.sqrt(float(gb @ gb))
+                    norm = math.sqrt(float(np.add.accumulate(gb * gb)[-1]))
                     if norm > clip:
                         gb = gb * (clip / norm)
-                    norm = math.sqrt(float(gc @ gc))
+                    norm = math.sqrt(float(np.add.accumulate(gc * gc)[-1]))
                     if norm > clip:
                         gc = gc * (clip / norm)
                 factors_a[i] = a - eta * ga

@@ -9,6 +9,7 @@ values. Config files are ``key = value`` lines.
 
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -388,14 +389,19 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
+# a comment starts at a '#' that opens the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config(path) -> ExperimentConfig:
     """Read ``key = value`` lines; unknown keys and bad domains are rejected
-    by name, and missing keys take the defaults."""
+    by name, and missing keys take the defaults. A ``#`` at the start of a
+    line or after whitespace starts a comment; one inside a value is kept."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     overrides = {}
     with open(path, "r", encoding="utf-8") as fh:
         for no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = _COMMENT.split(line, 1)[0].strip()
             if not text:
                 continue
             key, sep, value = text.partition("=")

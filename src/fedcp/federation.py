@@ -161,6 +161,8 @@ def run_round(
 
     ``pool`` may be any concurrent.futures.Executor; sites share no mutable
     state, and the reduction is ordered, so the result does not depend on it.
+    The compiled SGD pass runs without the GIL, so on a thread pool the
+    sites' local passes overlap.
     """
     epoch = server.epoch + 1
     sensitivity = l2_sensitivity(params.tau, params.clip, params.eta)

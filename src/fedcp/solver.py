@@ -4,8 +4,16 @@ The solver cycles through the shard's non-zeros in a shuffled order,
 updating one row of each factor per observation, then applies a grouped
 soft-threshold to the patient factor so that weak components are zeroed
 column by column. Feature-factor rows feel an elastic pull toward the
-server's broadcast anchors. ``entry_gradients`` is the one place that
-computes an observation's clipped row gradients; the pass applies them.
+server's broadcast anchors. ``entry_gradients`` computes an observation's
+clipped row gradients, and the Python pass applies them entry by entry.
+
+Each pass runs in the compiled ``_sgd.c`` when it built and loaded at
+import (``KERNEL == "c"``), else in the Python loop, which stays as the
+reference the compiled pass is tested against. The two agree bit for bit
+because every dot product in the Python loop is summed strictly left to
+right from the first product (``np.add.accumulate(x)[-1]``, the operation
+``np.cumsum`` wraps; ``@``, ``np.sum`` and ``sum`` reduce in other orders)
+and the C file is built without floating-point contraction.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -19,8 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .errors import DimensionError, NumericOverflowError
 from .tensor import SparseTensorCOO
+
+_SGD_PASS = _native.load()
+KERNEL = "python" if _SGD_PASS is None else "c"
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
@@ -60,7 +72,7 @@ class SolverParams:
             raise ValueError("gamma must be non-negative")
         if not self.mu >= 0:
             raise ValueError("mu must be non-negative")
-        if int(self.tau) != self.tau or self.tau < 1:
+        if not (math.isfinite(self.tau) and int(self.tau) == self.tau and self.tau >= 1):
             raise ValueError("tau must be an integer >= 1")
         self.tau = int(self.tau)
         if not self.clip > 0:
@@ -109,24 +121,25 @@ def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
 
     Only the residual terms are clipped, each to 2-norm <= clip (an infinite
     clip disables it); the quadratic anchor pull is added afterwards,
-    matching what the sensitivity bound covers. Raises NumericOverflowError
-    when the residual is not finite.
+    matching what the sensitivity bound covers. Dot products are summed
+    left to right. Raises NumericOverflowError when the residual is not
+    finite.
     """
     bc = b * c
-    resid = float(a @ bc) - value
+    resid = float(np.add.accumulate(a * bc)[-1]) - value
     if not math.isfinite(resid):
         raise NumericOverflowError("residual became non-finite")
     ga = resid * bc
     gb = resid * (a * c)
     gc = resid * (a * b)
     if math.isfinite(clip):
-        norm = math.sqrt(float(ga @ ga))
+        norm = math.sqrt(float(np.add.accumulate(ga * ga)[-1]))
         if norm > clip:
             ga = ga * (clip / norm)
-        norm = math.sqrt(float(gb @ gb))
+        norm = math.sqrt(float(np.add.accumulate(gb * gb)[-1]))
         if norm > clip:
             gb = gb * (clip / norm)
-        norm = math.sqrt(float(gc @ gc))
+        norm = math.sqrt(float(np.add.accumulate(gc * gc)[-1]))
         if norm > clip:
             gc = gc * (clip / norm)
     return ga, gb + gamma * (b - b_anchor), gc + gamma * (c - c_anchor)
@@ -164,11 +177,19 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
     written. The state's factors and shuffle stream advance in place.
 
-    Each entry's step comes from ``entry_gradients`` at the pre-update
-    rows; non-finite values are caught through the residual, which names
-    the entry, and a per-pass sweep.
+    Each entry's step is taken at the pre-update rows, by the compiled pass
+    or by ``entry_gradients`` in the Python loop, with equal bits. A
+    non-finite residual raises NumericOverflowError naming the entry, with
+    the entries before it in the pass applied; a per-pass sweep catches
+    any other non-finite row.
     """
     b_hat, c_hat = anchors
+    i_dim, j_dim, k_dim = state.tensor.dims
+    rank = state.A.shape[-1]
+    if rank < 1 or (state.A.shape, state.B.shape, state.C.shape) != (
+        (i_dim, rank), (j_dim, rank), (k_dim, rank)
+    ):
+        raise DimensionError("site factors must match the shard dims and share one rank >= 1")
     if b_hat.shape != state.B.shape or c_hat.shape != state.C.shape:
         raise DimensionError("anchor shapes do not match the site's feature factors")
     beta = max(
@@ -178,41 +199,67 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
     if beta > 0 and params.eta > 2.0 / beta:
         warnings.warn(_STEP_SIZE_WARNING, RuntimeWarning, stacklevel=2)
 
-    coords = state.tensor.coords
-    row_i = coords[:, 0].tolist()
-    row_j = coords[:, 1].tolist()
-    row_k = coords[:, 2].tolist()
-    vals = state.tensor.values.tolist()
-    eta = params.eta
-    gamma = params.gamma
-    clip = params.clip
-    threshold = eta * params.mu
-    A, B, C = state.A, state.B, state.C
+    coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
+    values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
+    threshold = params.eta * params.mu
     for _ in range(params.tau):
-        order = state.shuffle_rng.permutation(state.tensor.nnz).tolist()
-        try:
-            for n in order:
-                i = row_i[n]
-                j = row_j[n]
-                k = row_k[n]
-                a = A[i]
-                b = B[j]
-                c = C[k]
-                ga, gb, gc = entry_gradients(
-                    a, b, c, vals[n], b_hat[j], c_hat[k], gamma, clip
-                )
-                A[i] = a - eta * ga
-                B[j] = b - eta * gb
-                C[k] = c - eta * gc
-        except NumericOverflowError as exc:
-            raise NumericOverflowError(f"{exc} at entry ({i}, {j}, {k})") from None
-        for name, m in (("A", A), ("B", B), ("C", C)):
+        order = state.shuffle_rng.permutation(state.tensor.nnz)
+        factors = (state.A, state.B, state.C)
+        compiled = _SGD_PASS is not None and all(
+            m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
+            for m in factors
+        )
+        run_pass = _compiled_pass if compiled else _python_pass
+        stop = run_pass(order, coords, values, *factors, b_hat, c_hat, params)
+        if stop >= 0:
+            i, j, k = coords[order[stop]].tolist()
+            raise NumericOverflowError(f"residual became non-finite at entry ({i}, {j}, {k})")
+        for name, m in zip("ABC", factors):
             if not np.all(np.isfinite(m)):
                 bad = int(np.where(~np.isfinite(m).all(axis=1))[0][0])
                 raise NumericOverflowError(f"{name} row {bad} became non-finite")
         state.A = prox_l21(state.A, threshold)
-        A = state.A
     return state
+
+
+def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
+    """One pass in entry order; -1, or the position in ``order`` of the
+    entry whose residual is not finite. The reference for ``_sgd.c``."""
+    row_i, row_j, row_k = coords.T.tolist()
+    vals = values.tolist()
+    eta, gamma, clip = params.eta, params.gamma, params.clip
+    for p, n in enumerate(order.tolist()):
+        i = row_i[n]
+        j = row_j[n]
+        k = row_k[n]
+        a = A[i]
+        b = B[j]
+        c = C[k]
+        try:
+            ga, gb, gc = entry_gradients(a, b, c, vals[n], b_hat[j], c_hat[k], gamma, clip)
+        except NumericOverflowError:
+            return p
+        A[i] = a - eta * ga
+        B[j] = b - eta * gb
+        C[k] = c - eta * gc
+    return -1
+
+
+def _compiled_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
+    """``_python_pass`` in C. The caller has checked that A, B and C are
+    writeable C-contiguous float64 matrices matching the shard dims, so
+    every index in ``coords`` lies inside them."""
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
+    c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
+    rank = A.shape[1]
+    work = np.empty(3 * rank)  # per call: ctypes drops the GIL, so calls may overlap
+    return _SGD_PASS(
+        order.shape[0], order.ctypes.data, coords.ctypes.data, values.ctypes.data,
+        A.ctypes.data, B.ctypes.data, C.ctypes.data, b_hat.ctypes.data, c_hat.ctypes.data,
+        rank, params.eta, params.gamma, params.clip, math.isfinite(params.clip),
+        work.ctypes.data,
+    )
 
 
 def beta_lipschitz(A, C, gamma: float) -> float:

@@ -304,6 +304,20 @@ class TestLoadConfig:
         assert cfg.shuffle_rows is True
         assert cfg.seed == 17
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # '#' starts a comment only at the start of a line or after whitespace
+        path = tmp_path / "cfg.txt"
+        path.write_text(
+            "  # indented comment line\n"
+            "data_dir = run#1\n"
+            "metrics_csv = out#2.csv   # trailing comment\n"
+            "seed = 4\t# after a tab\n"
+        )
+        cfg = load_config(path)
+        assert cfg.data_dir == "run#1"
+        assert cfg.metrics_csv == "out#2.csv"
+        assert cfg.seed == 4
+
     def test_infinite_rho_allowed(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("rho = inf\n")

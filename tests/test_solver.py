@@ -1,10 +1,14 @@
-"""Site solver: entry-wise SGD, the grouped soft-threshold, and objectives."""
+"""Site solver: entry-wise SGD, its compiled pass, the grouped soft-threshold,
+and objectives."""
 
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+from fedcp import _native, solver
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
     SiteState,
@@ -354,6 +358,144 @@ class TestProxThreshold:
         assert np.count_nonzero(state.A) == 4
 
 
+def _random_shard(seed, dims, rank, density):
+    rng = np.random.default_rng(seed)
+    coords = np.argwhere(rng.random(dims) < density)
+    tensor = SparseTensorCOO(dims, coords, rng.uniform(0.5, 3.0, len(coords)))
+    factors = tuple(rng.random((d, rank)) for d in dims)
+    anchors = (rng.random((dims[1], rank)), rng.random((dims[2], rank)))
+    return tensor, factors, anchors
+
+
+def _run_both_kernels(monkeypatch, tensor, factors, anchors, params, epochs=1):
+    """(error message or None, A, B, C) after the compiled and then the
+    Python pass, each run from copies of ``factors`` with one seed."""
+    outcomes = []
+    for kernel in (solver._SGD_PASS, None):
+        state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=17, site_id=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_SGD_PASS", kernel)
+            try:
+                for _ in range(epochs):
+                    run_local_epoch(state, anchors, params)
+                error = None
+            except NumericOverflowError as exc:
+                error = str(exc)
+        outcomes.append((error, state.A, state.B, state.C))
+    return outcomes
+
+
+def _same_outcome(x, y):
+    return x[0] == y[0] and all(np.array_equal(p, q) for p, q in zip(x[1:], y[1:]))
+
+
+@pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled SGD pass loaded")
+class TestCompiledPass:
+    """The compiled pass must reproduce the Python pass bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("gamma", [0.0, 2.5])
+    @pytest.mark.parametrize("clip", [0.05, math.inf])
+    @pytest.mark.parametrize("rank", [1, 3, 50])
+    def test_matches_python_pass(self, monkeypatch, rank, clip, gamma):
+        tensor, factors, anchors = _random_shard(rank, (12, 7, 9), rank, 0.3)
+        if math.isfinite(clip):
+            # the clip fires: some residual gradient at the start exceeds it
+            i, j, k = tensor.coords.T
+            bc = factors[1][j] * factors[2][k]
+            resid = np.sum(factors[0][i] * bc, axis=1) - tensor.values
+            assert np.any(np.abs(resid) * np.linalg.norm(bc, axis=1) > clip)
+        params = SolverParams(eta=0.01, gamma=gamma, mu=0.3, tau=3, clip=clip)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        assert compiled[0] is None
+        assert _same_outcome(compiled, python)
+
+    def test_empty_shard(self, monkeypatch):
+        tensor, factors, anchors = _random_shard(4, (3, 2, 2), 2, 0.0)
+        assert tensor.nnz == 0
+        params = SolverParams(eta=0.1, gamma=1.0, mu=0.5, tau=3)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        assert _same_outcome(compiled, python)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dot_product_sums_left_to_right(self, monkeypatch):
+        # products [1e16, 1, -1e16, 1] then zeros: left to right the residual
+        # is 1 - value = 0 and nothing moves; pairwise order sums them to 0
+        # and BLAS to 2 (rank 16), and then every row would move
+        a = np.zeros((1, 16))
+        a[0, :4] = [1e16, 1.0, -1e16, 1.0]
+        tensor = SparseTensorCOO((1, 1, 1), [(0, 0, 0)], [1.0])
+        factors = (a, np.ones((1, 16)), np.ones((1, 16)))
+        params = SolverParams(eta=0.1, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
+        for outcome in _run_both_kernels(monkeypatch, tensor, factors, factors[1:], params):
+            assert _same_outcome(outcome, (None, *factors))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_residual_stops_both_at_the_same_entry(self, monkeypatch):
+        # only entry (3, 1, 2) overflows; the entries shuffled before it
+        # stay applied and it is not
+        tensor, factors, anchors = _random_shard(9, (5, 3, 4), 2, 0.7)
+        keep = (tensor.coords[:, 0] != 3) & (tensor.coords[:, 1] != 1)
+        coords = np.vstack([tensor.coords[keep], [(3, 1, 2)]])
+        tensor = SparseTensorCOO(tensor.dims, coords, np.append(tensor.values[keep], 1.0))
+        factors[0][3] = 1e300
+        factors[1][1] = 1e300
+        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1, clip=1.0)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        assert compiled[0] == "residual became non-finite at entry (3, 1, 2)"
+        assert _same_outcome(compiled, python)
+        assert not np.array_equal(compiled[3], factors[2])
+
+
+class TestNativeBuild:
+    def test_second_build_reuses_the_first(self, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        compiles = []
+        real_run = subprocess.run
+        monkeypatch.setattr(
+            _native.subprocess, "run", lambda *a, **k: compiles.append(a) or real_run(*a, **k)
+        )
+        first = _native.build(tmp_path)
+        stamp = first.stat().st_mtime_ns
+        assert _native.build(tmp_path) == first
+        assert len(compiles) == 1
+        assert first.stat().st_mtime_ns == stamp
+        assert list(tmp_path.iterdir()) == [first]
+
+    def test_half_written_library_is_never_loaded(self, tmp_path, monkeypatch):
+        # a compiler that dies after writing part of its output
+        def dying_compiler(argv, **kwargs):
+            with open(argv[argv.index("-o") + 1], "wb") as fh:
+                fh.write(b"\x7fELF\x02\x01\x01")
+            raise subprocess.CalledProcessError(1, argv)
+
+        monkeypatch.setattr(_native.shutil, "which", lambda name: "/bin/sh")
+        monkeypatch.setattr(_native.subprocess, "run", dying_compiler)
+        assert _native.build(tmp_path) is None
+        assert _native.load(tmp_path) is None
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_without_a_compiler_the_python_pass_runs_with_the_same_bits(
+        self, tmp_path, monkeypatch
+    ):
+        tensor, factors, anchors = _random_shard(5, (6, 4, 5), 3, 0.5)
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.3)
+
+        def run():
+            state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=3, site_id=0)
+            run_local_epoch(state, anchors, params)
+            return state.A, state.B, state.C
+
+        with_loaded_kernel = run()
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        monkeypatch.setattr(solver, "_SGD_PASS", _native.load(tmp_path))
+        assert solver._SGD_PASS is None
+        assert list(tmp_path.iterdir()) == []
+        assert all(np.array_equal(p, q) for p, q in zip(with_loaded_kernel, run()))
+
+
 class TestBetaLipschitz:
     def test_scalar_case(self):
         assert beta_lipschitz(np.array([[1.0]]), np.array([[1.0]]), 0.0) == 1.0
@@ -391,8 +533,11 @@ class TestSolverParamsValidation:
             {"mu": -0.1},
             {"tau": 0},
             {"clip": 0.0},
+            {"tau": math.inf},
+            {"tau": math.nan},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        # every message starts with the field it checks
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} "):
             SolverParams(**kwargs)
