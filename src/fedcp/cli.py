@@ -72,9 +72,8 @@ def cmd_generate(cfg: data.ExperimentConfig) -> int:
     data.write_coo(tensor, cfg.tensor_path())
     print(f"global: {tensor.nnz} entries -> {cfg.tensor_path()}")
     for t, (shard, truth) in enumerate(zip(shards, truths)):
-        data.write_coo(shard, cfg.shard_path(t))
         data.write_factors(truth, cfg.truth_path(t))
-        print(f"shard {t}: {shard.nnz} entries -> {cfg.shard_path(t)}")
+        print(f"site {t}: {shard.nnz} entries, truth factors -> {cfg.truth_path(t)}")
     return 0
 
 
@@ -172,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic tensor, shards, and truth factors")
+    gen = sub.add_parser("generate", help="write a synthetic tensor and per-site truth factors")
     gen.add_argument("--config", required=True)
     gen.add_argument("--seed", type=int, default=None)
 

@@ -2,7 +2,8 @@
 flat-text experiment configuration.
 
 COO file format: UTF-8 text, first line ``# dims I J K``, then one
-``i j k value`` record per line; ``#`` starts a comment. Factor files hold
+``i j k value`` record per line; a line whose first token starts with
+``#`` is a comment, and a ``#`` later in a record is an error. Factor files hold
 three blocks (A, B, C), each ``# rows <n> <R>`` followed by n rows of R
 values. Config files are ``key = value`` lines.
 """
@@ -10,6 +11,7 @@ values. Config files are ``key = value`` lines.
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -145,13 +147,18 @@ def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCO
     if n_sites > i_dim:
         raise ValueError(f"cannot split {i_dim} rows into {n_sites} non-empty blocks")
     starts = _block_starts(i_dim, n_sites)
+    # each entry's block; a stable sort by block keeps every block's entries
+    # in their stored order, which a sort by row would not
+    block = np.searchsorted(starts, tensor.coords[:, 0], side="right") - 1
+    order = np.argsort(block, kind="stable")
+    cuts = np.searchsorted(block[order], np.arange(n_sites + 1)).tolist()
     shards = []
     for t in range(n_sites):
         lo, hi = starts[t], starts[t + 1]
-        mask = (tensor.coords[:, 0] >= lo) & (tensor.coords[:, 0] < hi)
-        coords = tensor.coords[mask].copy()
+        take = order[cuts[t] : cuts[t + 1]]
+        coords = tensor.coords[take]
         coords[:, 0] -= lo
-        shards.append(SparseTensorCOO((hi - lo, j_dim, k_dim), coords, tensor.values[mask]))
+        shards.append(SparseTensorCOO((hi - lo, j_dim, k_dim), coords, tensor.values[take]))
     return shards
 
 
@@ -172,38 +179,70 @@ def write_coo(tensor: SparseTensorCOO, path):
             fh.write(f"{i} {j} {k} {v!r}\n")
 
 
+# one COO record as the bulk parse reads it: exact int64 indices, float64 value
+_COO_RECORD = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
+
+
 def read_coo(path) -> SparseTensorCOO:
-    """Parse a COO text file, reporting the offending line on any defect."""
+    """Parse a COO text file, reporting the offending line on any defect.
+
+    The body is parsed in one bulk call and checked by the tensor itself.
+    A body that the call or the checks reject (a comment line, a ``#``
+    inside a record, a token that is not a plain int64 or float, an index
+    out of range, a zero, non-finite or repeated entry) is parsed again
+    line by line. That parser accepts what the bulk call cannot (``1_0``,
+    comment lines) and names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        if head[:2] != ["#", "dims"] or len(head) != 5:
-            raise ParseError("first line must be '# dims I J K'", line_no=1)
+        dims = _coo_dims(fh.readline())
+        body_start = fh.tell()
         try:
-            dims = tuple(int(x) for x in head[2:])
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rec = np.loadtxt(fh, dtype=_COO_RECORD, comments=None, ndmin=1)
+            coords = np.stack([rec["i"], rec["j"], rec["k"]], axis=1)
+            return SparseTensorCOO(dims, coords, rec["v"].copy())
         except ValueError:
-            raise ParseError("dims must be integers", line_no=1) from None
-        if min(dims) < 1 or math.prod(dims) > np.iinfo(np.int64).max:
-            raise ParseError(f"dims {dims} must be positive with a product below 2**63", line_no=1)
-        index, values = [], []  # flat lists: exact int indices, no per-record object
-        for no, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 4:
-                raise ParseError(f"expected 'i j k value', got {line.strip()!r}", line_no=no)
-            try:
-                i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-                v = float(parts[3])
-            except ValueError:
-                raise ParseError(f"could not parse record {line.strip()!r}", line_no=no) from None
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                raise ParseError(f"index ({i}, {j}, {k}) outside dims {dims}", line_no=no)
-            if v == 0.0 or not math.isfinite(v):
-                raise ParseError(f"value {v!r} is not a finite non-zero number", line_no=no)
-            index.append(i)
-            index.append(j)
-            index.append(k)
-            values.append(v)
+            fh.seek(body_start)
+            return _read_coo_lines(fh, dims)
+
+
+def _coo_dims(head: str) -> tuple[int, int, int]:
+    head = head.split()
+    if head[:2] != ["#", "dims"] or len(head) != 5:
+        raise ParseError("first line must be '# dims I J K'", line_no=1)
+    try:
+        dims = tuple(int(x) for x in head[2:])
+    except ValueError:
+        raise ParseError("dims must be integers", line_no=1) from None
+    if min(dims) < 1 or math.prod(dims) > np.iinfo(np.int64).max:
+        raise ParseError(f"dims {dims} must be positive with a product below 2**63", line_no=1)
+    return dims
+
+
+def _read_coo_lines(fh, dims) -> SparseTensorCOO:
+    """The records from line 2 of ``fh`` on, one line at a time; a line whose
+    first token starts with ``#`` is a comment."""
+    index, values = [], []  # flat lists: exact int indices, no per-record object
+    for no, line in enumerate(fh, start=2):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 4:
+            raise ParseError(f"expected 'i j k value', got {line.strip()!r}", line_no=no)
+        try:
+            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+            v = float(parts[3])
+        except ValueError:
+            raise ParseError(f"could not parse record {line.strip()!r}", line_no=no) from None
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+            raise ParseError(f"index ({i}, {j}, {k}) outside dims {dims}", line_no=no)
+        if v == 0.0 or not math.isfinite(v):
+            raise ParseError(f"value {v!r} is not a finite non-zero number", line_no=no)
+        index.append(i)
+        index.append(j)
+        index.append(k)
+        values.append(v)
     return SparseTensorCOO(dims, np.array(index, dtype=np.int64), values)
 
 
@@ -211,8 +250,8 @@ def write_factors(result: FactorizationResult, path):
     with open(path, "w", encoding="utf-8") as fh:
         for m in (result.A, result.B, result.C):
             fh.write(f"# rows {m.shape[0]} {m.shape[1]}\n")
-            for row in m:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            for row in m.tolist():
+                fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def read_factors(path) -> FactorizationResult:
@@ -319,9 +358,6 @@ class ExperimentConfig:
 
     def tensor_path(self) -> str:
         return os.path.join(self.data_dir, "global.coo")
-
-    def shard_path(self, t: int) -> str:
-        return os.path.join(self.data_dir, f"shard_{t}.coo")
 
     def truth_path(self, t: int) -> str:
         return os.path.join(self.data_dir, f"truth_site_{t}.factors")

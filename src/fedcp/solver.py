@@ -10,10 +10,10 @@ clipped row gradients, and the Python pass applies them entry by entry.
 Each pass runs in the compiled ``_sgd.c`` when it built and loaded at
 import (``KERNEL == "c"``), else in the Python loop, which stays as the
 reference the compiled pass is tested against. The two agree bit for bit
-because every dot product in the Python loop is summed strictly left to
-right from the first product (``np.add.accumulate(x)[-1]``, the operation
-``np.cumsum`` wraps; ``@``, ``np.sum`` and ``sum`` reduce in other orders)
-and the C file is built without floating-point contraction.
+because the Python loop works in plain floats and sums every dot product
+strictly left to right from the first product (``@`` and ``np.sum`` reduce
+in other orders, and ``sum`` compensates from Python 3.12 on), and the C
+file is built without floating-point contraction.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -22,6 +22,7 @@ therefore produce identical trajectories.
 """
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -116,8 +117,28 @@ def init_site_state(tensor: SparseTensorCOO, rank: int, seed: int, site_id: int)
     return SiteState(tensor=tensor, A=a, B=b, C=c, rng_seed=seed, site_id=site_id)
 
 
+def _dot(x, y) -> float:
+    """x . y summed left to right from the first product, as ``_sgd.c`` does;
+    ``sum`` may reorder or compensate."""
+    products = map(operator.mul, x, y)
+    total = next(products)
+    for p in products:
+        total += p
+    return total
+
+
+def _clip(g: list, clip: float) -> list:
+    """g scaled to 2-norm clip when its norm exceeds clip."""
+    norm = math.sqrt(_dot(g, g))
+    if norm > clip:
+        scale = clip / norm
+        return [v * scale for v in g]
+    return g
+
+
 def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
-    """Row gradients at one observation, all taken at the current rows.
+    """Row gradients at one observation, all taken at the current rows, as
+    lists of floats; the rows are sequences of floats of one rank >= 1.
 
     Only the residual terms are clipped, each to 2-norm <= clip (an infinite
     clip disables it); the quadratic anchor pull is added afterwards,
@@ -125,24 +146,20 @@ def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
     left to right. Raises NumericOverflowError when the residual is not
     finite.
     """
-    bc = b * c
-    resid = float(np.add.accumulate(a * bc)[-1]) - value
+    bc = list(map(operator.mul, b, c))
+    resid = _dot(a, bc) - value
     if not math.isfinite(resid):
         raise NumericOverflowError("residual became non-finite")
-    ga = resid * bc
-    gb = resid * (a * c)
-    gc = resid * (a * b)
+    ga = [resid * v for v in bc]
+    gb = [resid * (x * z) for x, z in zip(a, c)]
+    gc = [resid * (x * y) for x, y in zip(a, b)]
     if math.isfinite(clip):
-        norm = math.sqrt(float(np.add.accumulate(ga * ga)[-1]))
-        if norm > clip:
-            ga = ga * (clip / norm)
-        norm = math.sqrt(float(np.add.accumulate(gb * gb)[-1]))
-        if norm > clip:
-            gb = gb * (clip / norm)
-        norm = math.sqrt(float(np.add.accumulate(gc * gc)[-1]))
-        if norm > clip:
-            gc = gc * (clip / norm)
-    return ga, gb + gamma * (b - b_anchor), gc + gamma * (c - c_anchor)
+        ga = _clip(ga, clip)
+        gb = _clip(gb, clip)
+        gc = _clip(gc, clip)
+    gb = [g + gamma * (y - h) for g, y, h in zip(gb, b, b_anchor)]
+    gc = [g + gamma * (z - h) for g, z, h in zip(gc, c, c_anchor)]
+    return ga, gb, gc
 
 
 def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
@@ -192,10 +209,7 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
         raise DimensionError("site factors must match the shard dims and share one rank >= 1")
     if b_hat.shape != state.B.shape or c_hat.shape != state.C.shape:
         raise DimensionError("anchor shapes do not match the site's feature factors")
-    beta = max(
-        beta_lipschitz(state.A, state.C, params.gamma),
-        beta_lipschitz(state.A, state.B, params.gamma),
-    )
+    beta = beta_lipschitz(state.A, state.B, state.C, params.gamma)
     if beta > 0 and params.eta > 2.0 / beta:
         warnings.warn(_STEP_SIZE_WARNING, RuntimeWarning, stacklevel=2)
 
@@ -224,25 +238,36 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
 
 def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
     """One pass in entry order; -1, or the position in ``order`` of the
-    entry whose residual is not finite. The reference for ``_sgd.c``."""
+    entry whose residual is not finite. The reference for ``_sgd.c``.
+
+    The rows are updated as lists of floats and written back into A, B and
+    C when the pass ends or stops, so the entries before a stop stay
+    applied."""
     row_i, row_j, row_k = coords.T.tolist()
     vals = values.tolist()
+    rows_a, rows_b, rows_c = A.tolist(), B.tolist(), C.tolist()
+    anchor_b, anchor_c = b_hat.tolist(), c_hat.tolist()
     eta, gamma, clip = params.eta, params.gamma, params.clip
+    stop = -1
     for p, n in enumerate(order.tolist()):
         i = row_i[n]
         j = row_j[n]
         k = row_k[n]
-        a = A[i]
-        b = B[j]
-        c = C[k]
+        a = rows_a[i]
+        b = rows_b[j]
+        c = rows_c[k]
         try:
-            ga, gb, gc = entry_gradients(a, b, c, vals[n], b_hat[j], c_hat[k], gamma, clip)
+            ga, gb, gc = entry_gradients(a, b, c, vals[n], anchor_b[j], anchor_c[k], gamma, clip)
         except NumericOverflowError:
-            return p
-        A[i] = a - eta * ga
-        B[j] = b - eta * gb
-        C[k] = c - eta * gc
-    return -1
+            stop = p
+            break
+        rows_a[i] = [x - eta * g for x, g in zip(a, ga)]
+        rows_b[j] = [y - eta * g for y, g in zip(b, gb)]
+        rows_c[k] = [z - eta * g for z, g in zip(c, gc)]
+    A[...] = rows_a
+    B[...] = rows_b
+    C[...] = rows_c
+    return stop
 
 
 def _compiled_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
@@ -262,16 +287,16 @@ def _compiled_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
     )
 
 
-def beta_lipschitz(A, C, gamma: float) -> float:
-    """Smoothness bound for a feature-factor subproblem.
+def beta_lipschitz(A, B, C, gamma: float) -> float:
+    """Smoothness bound for the feature-factor subproblems.
 
-    Frobenius norm of (A^T A) * (C^T C) + gamma I, elementwise product.
-    Step sizes above 2/beta lose the descent guarantee.
+    The larger of the Frobenius norms of (A^T A) * (C^T C) + gamma I and
+    (A^T A) * (B^T B) + gamma I (elementwise products), with A^T A formed
+    once. Step sizes above 2/beta lose the descent guarantee.
     """
-    A = np.asarray(A, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    if A.shape[1] != C.shape[1]:
+    A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
+    if not (A.shape[1] == B.shape[1] == C.shape[1]):
         raise DimensionError("factor matrices must share one rank")
-    r = A.shape[1]
-    g = (A.T @ A) * (C.T @ C) + gamma * np.eye(r)
-    return float(np.linalg.norm(g, "fro"))
+    gram_a = A.T @ A
+    penalty = gamma * np.eye(A.shape[1])
+    return max(float(np.linalg.norm(gram_a * (m.T @ m) + penalty, "fro")) for m in (C, B))

@@ -50,7 +50,9 @@ class SparseTensorCOO:
             if coords.min() < 0 or np.any(coords >= np.asarray(dims)):
                 raise ValueError("tensor entry index out of range")
             lin = np.ravel_multi_index((coords[:, 0], coords[:, 1], coords[:, 2]), dims)
-            if np.unique(lin).size != lin.size:
+            # strictly increasing (every generated file and its shards) has no
+            # repeat; any other order takes the sort
+            if not np.all(lin[1:] > lin[:-1]) and np.unique(lin).size != lin.size:
                 _, first = np.unique(lin, return_index=True)
                 n = np.setdiff1d(np.arange(lin.size), first)[0]
                 raise ValueError(f"duplicate tensor coordinate {tuple(coords[n].tolist())}")

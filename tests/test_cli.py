@@ -5,8 +5,8 @@ import pytest
 
 from fedcp.baseline import run_centralized_sgd
 from fedcp.cli import CSV_HEADER, main
-from fedcp.data import read_coo, read_factors, write_factors
-from fedcp.tensor import FactorizationResult
+from fedcp.data import partition_rows, read_coo, read_factors, write_factors
+from fedcp.tensor import FactorizationResult, rmse
 
 
 def _write_config(path, **overrides):
@@ -42,12 +42,18 @@ class TestGenerate:
     def test_writes_expected_files_deterministically(self, workspace):
         tmp_path, cfg = workspace
         assert main(["generate", "--config", str(cfg)]) == 0
+        # the global tensor and one truth file per site; a run re-partitions
+        # the global tensor, so no shard file is written
+        written = sorted(p.name for p in (tmp_path / "data").iterdir())
+        assert written == ["global.coo", "truth_site_0.factors", "truth_site_1.factors"]
         first = (tmp_path / "data" / "global.coo").read_bytes()
         tensor = read_coo(tmp_path / "data" / "global.coo")
-        shard0 = read_coo(tmp_path / "data" / "shard_0.coo")
-        shard1 = read_coo(tmp_path / "data" / "shard_1.coo")
-        assert tensor.nnz == shard0.nnz + shard1.nnz
-        read_factors(tmp_path / "data" / "truth_site_0.factors")
+        shards = partition_rows(tensor, 2)
+        assert [sh.dims[0] for sh in shards] == [20, 20]
+        assert sum(sh.nnz for sh in shards) == tensor.nnz
+        for t, shard in enumerate(shards):
+            truth = read_factors(tmp_path / "data" / f"truth_site_{t}.factors")
+            assert rmse([shard], [truth]) == 0.0
 
         assert main(["generate", "--config", str(cfg)]) == 0
         assert (tmp_path / "data" / "global.coo").read_bytes() == first

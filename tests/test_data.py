@@ -2,12 +2,16 @@
 
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedcp import data
 from fedcp.data import (
     ExperimentConfig,
     SynthSpec,
@@ -127,6 +131,18 @@ class TestPartitionRows:
         coords, values = shards[3].coords.tolist(), shards[3].values.tolist()
         assert values[coords.index([1, 0, 0])] == 8.0
 
+    def test_entries_keep_their_stored_order_within_a_block(self):
+        # rows not sorted, as after permute_rows: each shard lists its
+        # entries in the global tensor's order, not by row
+        rows = [7, 1, 9, 0, 2, 8, 4, 3, 6, 5]
+        t = SparseTensorCOO((10, 1, 1), [(i, 0, 0) for i in rows], [i + 1.0 for i in rows])
+        for n_sites in (1, 2, 3, 10):
+            starts = [site * (10 // n_sites) for site in range(n_sites)] + [10]
+            for shard, lo, hi in zip(partition_rows(t, n_sites), starts, starts[1:]):
+                mine = [i for i in rows if lo <= i < hi]
+                assert shard.coords[:, 0].tolist() == [i - lo for i in mine]
+                assert shard.values.tolist() == [i + 1.0 for i in mine]
+
     def test_too_many_partitions(self):
         with pytest.raises(ValueError):
             partition_rows(self._tensor(), 11)
@@ -224,6 +240,161 @@ class TestCooFiles:
         path.write_text("# dims 1 1 1\n0 0 0 1.0\n0 0 0 2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_coo(path)
+
+
+def _read_by_line(path):
+    """``read_coo`` with the bulk parse skipped: the line parser alone."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return data._read_coo_lines(fh, data._coo_dims(fh.readline()))
+
+
+def _outcome(read, path):
+    """The tensor a reader returns, as exact bits, or its error and message."""
+    try:
+        t = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return t.dims, t.coords.tolist(), t.values.tobytes()
+
+
+_DIFF_HEAD = "# dims 12 2 2\n"
+_FUZZ_DIMS = (12, 5, 5)
+_ODD_INDEX = st.sampled_from([
+    "-1", "12", "5", "+1", "007", "1_0", "1.0", "1e0", "-0", "0x1", "\uff19", "2**3",
+    "9223372036854775807", "9223372036854775808", "#", "#1",
+])
+_ODD_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([
+        "-0.0", "0", "nan", "-inf", "1e999", "1_0.5", "1.", ".5", "+.5e-3",
+        "0x10", "1,5", "1.5e", "Infinity", "1\x00", "#x", "1#",
+    ]),
+)
+_PLAIN_VALUE = st.floats(allow_nan=False, allow_infinity=False).filter(bool).flatmap(
+    lambda v: st.sampled_from([repr(v), format(v, ".25g")])
+)
+# beyond " " and "\t", separators that only str.split counts as whitespace
+_ODD_SEP = st.sampled_from(["  ", " \t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003"])
+_FAULTS = ["line", "repeat", "index", "value", "short", "long", "sep", "indent"]
+
+
+@st.composite
+def _coo_body_lines(draw):
+    """Well-formed records inside the dims with up to two faults: a blank or
+    comment line, a repeated coordinate, a strange index or value, a short
+    or long record, an odd separator or an indent. One fault anywhere sends
+    the whole body to the line parser, so bodies carry few."""
+    n_lines = draw(st.integers(0, 8))
+    records = [
+        [str(draw(st.integers(0, d - 1))) for d in _FUZZ_DIMS] + [draw(_PLAIN_VALUE)]
+        for _ in range(n_lines)
+    ]
+    seps = [[draw(st.sampled_from([" ", "\t"])) for _ in range(4)] for _ in range(n_lines)]
+    indent, fixed = [""] * n_lines, [None] * n_lines
+    for _ in range(draw(st.integers(0, 2)) if n_lines else 0):
+        n = draw(st.integers(0, n_lines - 1))
+        fault = draw(st.sampled_from(_FAULTS))
+        if fault == "line":
+            fixed[n] = draw(st.sampled_from(["", " ", "\t ", "# note", "  #x 1 2 3", "#"]))
+        elif fault == "repeat":
+            records[n][:3] = records[draw(st.integers(0, n_lines - 1))][:3]
+        elif fault == "index":
+            records[n][draw(st.integers(0, 2))] = draw(_ODD_INDEX)
+        elif fault == "value":
+            records[n][3] = draw(_ODD_VALUE)
+        elif fault == "short":
+            records[n][3] = ""
+        elif fault == "long":
+            records[n][3] += " " + draw(st.sampled_from(["# c", "1.0", "x"]))
+        elif fault == "sep":
+            seps[n][draw(st.integers(0, 2))] = draw(_ODD_SEP)
+        else:
+            indent[n] = draw(st.sampled_from([" ", "\t"]))
+    return [
+        fixed[n] if fixed[n] is not None
+        else indent[n] + "".join(tok + sep for tok, sep in zip(records[n], seps[n])).rstrip(" \t")
+        for n in range(n_lines)
+    ]
+
+
+class TestBulkMatchesLineParser:
+    """``read_coo`` parses in bulk and falls back to the line parser; either
+    way it must give what the line parser alone gives."""
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("0 0 0 1.0 # x\n", "line 2"),
+            ("  # indented comment\n0 0 0 1.0\n", [(0, 0, 0, 1.0)]),
+            ("#no space\n1 1 1 2.0\n", [(1, 1, 1, 2.0)]),
+            ("1.0 0 0 1.0\n", "line 2"),
+            ("1e3 0 0 1.0\n", "line 2"),
+            ("1_0 0 0 1.0\n", [(10, 0, 0, 1.0)]),
+            ("+1 0 0 1.0\n", [(1, 0, 0, 1.0)]),
+            ("007 0 0 1.0\n", [(7, 0, 0, 1.0)]),
+            ("9223372036854775808 0 0 1.0\n", "line 2"),
+            ("-9223372036854775808 0 0 1.0\n", "line 2"),
+            ("0 0 0 -0.0\n", "line 2"),
+            ("0 0 0 nan\n", "line 2"),
+            ("0 0 0 inf\n", "line 2"),
+            ("0 0 0 1e999\n", "line 2"),
+            ("0 0 0 1.234567890123456789012345\n", [(0, 0, 0, float("1.234567890123456789012345"))]),
+            ("0 0 0\n", "line 2"),
+            ("0 0 0 1.0 2.0\n", "line 2"),
+            ("0\t1\t1\t2.5\n", [(0, 1, 1, 2.5)]),
+            ("0 0 0 1.0\r\n1 0 0 2.0\r\n", [(0, 0, 0, 1.0), (1, 0, 0, 2.0)]),
+            ("0 0 0 1.0\r1 0 0 2.0\r", [(0, 0, 0, 1.0), (1, 0, 0, 2.0)]),
+            ("\n   \n0 0 0 1.0\n\t\n", [(0, 0, 0, 1.0)]),
+            ("0 0 0 1.0\n1 0 0 2.0\n2 0 0 nan\n", "line 4"),
+            ("0 0 0 1.0\n0 0 0 2.0\n", "duplicate tensor coordinate (0, 0, 0)"),
+            ("", []),
+        ],
+    )
+    def test_table(self, tmp_path, body, expected):
+        path = tmp_path / "t.coo"
+        path.write_bytes((_DIFF_HEAD + body).encode("utf-8"))
+        got = _outcome(read_coo, path)
+        assert got == _outcome(_read_by_line, path)
+        if isinstance(expected, str):
+            assert expected in got[1]
+        else:
+            coords = [list(e[:3]) for e in expected]
+            values = np.array([e[3] for e in expected], dtype=np.float64).tobytes()
+            assert got == ((12, 2, 2), coords, values)
+
+    def test_empty_body_warns_nothing(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_text("# dims 1 1 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_coo(path).nnz == 0
+
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
+        tensor, _, _ = generate_synthetic(spec)
+        path = tmp_path / "t.coo"
+        write_coo(tensor, path)
+
+        def no_line_parse(fh, dims):
+            raise AssertionError("the bulk parse rejected a file write_coo wrote")
+
+        monkeypatch.setattr(data, "_read_coo_lines", no_line_parse)
+        back = read_coo(path)
+        assert np.array_equal(back.coords, tensor.coords)
+        assert back.values.tobytes() == tensor.values.tobytes()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        lines=_coo_body_lines(),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        final=st.booleans(),
+    )
+    def test_generated_bodies(self, tmp_path_factory, lines, newline, final):
+        path = tmp_path_factory.getbasetemp() / "fuzz.coo"
+        body = newline.join(lines) + (newline if final and lines else "")
+        head = "# dims {} {} {}\n".format(*_FUZZ_DIMS)
+        path.write_bytes((head + body).encode("utf-8"))
+        assert _outcome(read_coo, path) == _outcome(_read_by_line, path)
 
 
 class TestFactorFiles:

@@ -272,9 +272,9 @@ class TestRunLocalEpoch:
                     a, b, c, value, b_hat[j], c_hat[k], params.gamma, math.inf
                 )
                 clipped += not np.array_equal(grads[0], free[0])
-                slow.A[i] = a - params.eta * grads[0]
-                slow.B[j] = b - params.eta * grads[1]
-                slow.C[k] = c - params.eta * grads[2]
+                slow.A[i] = a - params.eta * np.asarray(grads[0])
+                slow.B[j] = b - params.eta * np.asarray(grads[1])
+                slow.C[k] = c - params.eta * np.asarray(grads[2])
             slow.A = prox_l21(slow.A, params.eta * params.mu)
         assert clipped > 0
         assert np.array_equal(fast.A, slow.A)
@@ -299,10 +299,7 @@ class TestRunLocalEpoch:
         state = _exact_rank_one_state(seed=3)
         params = SolverParams(eta=0.02, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
         anchors = (np.zeros((2, 1)), np.zeros((2, 1)))
-        beta = max(
-            beta_lipschitz(state.A, state.C, 0.0),
-            beta_lipschitz(state.A, state.B, 0.0),
-        )
+        beta = beta_lipschitz(state.A, state.B, state.C, 0.0)
         assert params.eta < 2.0 / beta
         # with gamma = mu = 0 the site objective is 0.5 * nnz * rmse^2
         start = pooled_rmse([state])
@@ -498,17 +495,36 @@ class TestNativeBuild:
 
 class TestBetaLipschitz:
     def test_scalar_case(self):
-        assert beta_lipschitz(np.array([[1.0]]), np.array([[1.0]]), 0.0) == 1.0
+        one = np.array([[1.0]])
+        assert beta_lipschitz(one, one, one, 0.0) == 1.0
 
     def test_scalar_with_penalty(self):
-        assert beta_lipschitz(np.array([[1.0]]), np.array([[1.0]]), 5.0) == 6.0
+        one = np.array([[1.0]])
+        assert beta_lipschitz(one, one, one, 5.0) == 6.0
 
     def test_zero_factors_no_penalty(self):
-        assert beta_lipschitz(np.zeros((3, 2)), np.zeros((4, 2)), 0.0) == 0.0
+        assert beta_lipschitz(np.zeros((3, 2)), np.zeros((5, 2)), np.zeros((4, 2)), 0.0) == 0.0
 
     def test_rank_mismatch(self):
         with pytest.raises(DimensionError):
-            beta_lipschitz(np.ones((2, 1)), np.ones((2, 2)), 0.0)
+            beta_lipschitz(np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 2)), 0.0)
+        with pytest.raises(DimensionError):
+            beta_lipschitz(np.ones((2, 2)), np.ones((3, 1)), np.ones((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 3, 50])
+    def test_one_gram_of_a_matches_the_two_separate_bounds(self, rank):
+        # the bits of max(bound(A, C), bound(A, B)), each forming A^T A itself
+        rng = np.random.default_rng(rank)
+        a = rng.random((40, rank))
+        for b_scale, c_scale in ((1.0, 3.0), (3.0, 1.0)):  # each side the larger once
+            b = b_scale * rng.random((7, rank))
+            c = c_scale * rng.random((9, rank))
+            for gamma in (0.0, 2.5):
+                separate = [
+                    float(np.linalg.norm((a.T @ a) * (m.T @ m) + gamma * np.eye(rank), "fro"))
+                    for m in (c, b)
+                ]
+                assert beta_lipschitz(a, b, c, gamma) == max(separate)
 
 
 class TestSiteStateValidation:
