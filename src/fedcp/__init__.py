@@ -36,7 +36,6 @@ from .privacy import (
     LedgerEntry,
     PrivacyAccountant,
     PrivacyParams,
-    compose_parallel,
     compose_serial,
     gaussian_sigma,
     l2_sensitivity,
@@ -60,7 +59,6 @@ from .tensor import (
     factor_weights,
     fms,
     fms_report,
-    l21_norm,
     rmse,
     zero_column_count,
 )

@@ -56,15 +56,17 @@ class SynthSpec:
                 raise ValueError(f"heterogeneity column out of range for site {site}")
 
 
-def _sample_distinct(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
-    """First ``count`` distinct draws from uniform sampling of [0, total)."""
-    chosen = np.empty(0, dtype=np.int64)
-    while chosen.size < count:
-        batch = rng.integers(0, total, size=max(count, 2 * (count - chosen.size)))
+def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=None) -> np.ndarray:
+    """First ``count`` distinct draws from uniform sampling of [0, total)
+    that are not among the distinct cells ``taken``."""
+    chosen = np.empty(0, dtype=np.int64) if taken is None else taken
+    end = chosen.size + count
+    while chosen.size < end:
+        batch = rng.integers(0, total, size=max(count, 2 * (end - chosen.size)))
         acc = np.concatenate([chosen, batch])
         _, first = np.unique(acc, return_index=True)
         chosen = acc[np.sort(first)]
-    return chosen[:count]
+    return chosen[end - count : end]
 
 
 def generate_synthetic(spec: SynthSpec):
@@ -105,16 +107,7 @@ def generate_synthetic(spec: SynthSpec):
         need = int(dead.sum())
         if need == 0:
             break
-        taken = set(lin.tolist())
-        fresh = []
-        while len(fresh) < need:
-            for cand in rng.integers(0, total_cells, size=4 * need).tolist():
-                if cand not in taken:
-                    taken.add(cand)
-                    fresh.append(cand)
-                    if len(fresh) == need:
-                        break
-        lin[dead] = np.asarray(fresh, dtype=np.int64)
+        lin[dead] = _sample_distinct(rng, total_cells, need, taken=lin)
     else:
         raise RuntimeError("could not find non-zero cells; truth factors degenerate")
 

@@ -55,6 +55,11 @@ def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> S
     )
 
 
+def message_bytes(j_dim: int, k_dim: int, rank: int) -> int:
+    """Encoded length of one upload: the header, then the B and C values."""
+    return HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
+
+
 @dataclass(frozen=True)
 class RoundMessage:
     """One site's upload: the two noised feature factors, nothing else."""
@@ -75,7 +80,7 @@ class RoundMessage:
     @classmethod
     def from_bytes(cls, blob: bytes, j_dim: int, k_dim: int, rank: int) -> "RoundMessage":
         """Decode ``to_bytes`` output; the factors are read-only views of ``blob``."""
-        expected = HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
+        expected = message_bytes(j_dim, k_dim, rank)
         if len(blob) != expected:
             raise ProtocolError(f"message has {len(blob)} bytes, expected {expected}")
         site_id, epoch, tag = struct.unpack("<qqq", blob[:HEADER_BYTES])
@@ -104,8 +109,8 @@ class EpochMetrics:
     eps_approx: float
 
 
-def server_update(server: ServerState, uploads, eta: float, gamma: float) -> ServerState:
-    """One elastic step of the anchors toward the uploads.
+def server_update(server: ServerState, uploads, eta: float, gamma: float) -> None:
+    """One elastic step of the anchors toward the uploads, in place.
 
     Every site must appear exactly once, with an upload for the epoch after
     the server's. The sum runs in ascending site_id order against the
@@ -130,7 +135,6 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float) -> Ser
     server.B_hat = server.B_hat + eta * delta_b
     server.C_hat = server.C_hat + eta * delta_c
     server.epoch += 1
-    return server
 
 
 def pooled_rmse(sites) -> float:
@@ -156,8 +160,9 @@ def run_round(
     accountant: PrivacyAccountant,
     transfer_rate: float,
     pool=None,
-):
-    """One synchronous round; returns (sites, server, EpochMetrics).
+) -> EpochMetrics:
+    """One synchronous round; advances ``sites`` and ``server`` in place and
+    returns the round's EpochMetrics.
 
     ``pool`` may be any concurrent.futures.Executor; sites share no mutable
     state, and the reduction is ordered, so the result does not depend on it.
@@ -197,7 +202,7 @@ def run_round(
         eps_exact=eps_exact,
         eps_approx=eps_approx,
     )
-    return sites, server, metrics
+    return metrics
 
 
 def comm_cost(
@@ -207,7 +212,6 @@ def comm_cost(
     n_sites: int,
     epochs: int,
     transfer_rate: float,
-    header: int = HEADER_BYTES,
 ) -> tuple[int, float]:
     """Total round-trip traffic of a run: bytes and wall seconds at the rate.
 
@@ -215,8 +219,7 @@ def comm_cost(
     """
     if j_dim < 1 or k_dim < 1 or rank < 1 or n_sites < 1 or epochs < 0:
         raise ValueError("dims, rank and site count must be positive; epochs non-negative")
-    per_message = _VALUE_BYTES * (j_dim * rank + k_dim * rank) + header
-    total = epochs * n_sites * 2 * per_message
+    total = epochs * n_sites * 2 * message_bytes(j_dim, k_dim, rank)
     return total, total / transfer_rate
 
 
@@ -297,10 +300,9 @@ def run_experiment(
     converged = False
     prev = factor_snapshot(sites)
     for _ in range(rounds):
-        sites, server, m = run_round(
-            sites, server, params, priv, accountant, transfer_rate, pool=pool
+        metrics.append(
+            run_round(sites, server, params, priv, accountant, transfer_rate, pool=pool)
         )
-        metrics.append(m)
         curr = factor_snapshot(sites)
         converged = has_converged(prev, curr, tol)
         prev = curr

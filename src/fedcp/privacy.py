@@ -1,19 +1,19 @@
 """Gaussian output perturbation and the zero-concentrated DP ledger.
 
-Budgets are tracked as rho values: serial releases add, releases over the
-disjoint site partition average. Conversion to (epsilon, delta) reporting
-uses the exact form rho + sqrt(4 rho ln(1/delta)) and the square-root
-approximation sqrt(4 rho ln(1/delta)); natural logarithms throughout.
+Privacy is entry-level: neighbouring tensors differ in one replaced entry,
+and the noise is calibrated to that shift. Budgets are tracked as rho
+values; ``PrivacyAccountant`` composes them (serially within a site, by the
+maximum across the disjoint sites). Conversion to (epsilon, delta)
+reporting uses the exact form rho + sqrt(4 rho ln(1/delta)) and the
+square-root approximation sqrt(4 rho ln(1/delta)); natural logarithms
+throughout.
 """
 
 import math
 import threading
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,17 @@ def l2_sensitivity(tau: int, lipschitz: float, eta: float) -> float:
 
 
 def gaussian_sigma(sensitivity: float, rho: float) -> float:
-    """Noise scale sigma = sensitivity * sqrt(1 / (2 rho))."""
+    """Noise scale sigma = sensitivity * sqrt(1 / (2 rho)); 0 when rho is
+    infinite. An infinite sensitivity (an unbounded clip) admits no finite
+    rho."""
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     if rho <= 0:
         raise ValueError("rho must be positive")
     if math.isinf(rho):
         return 0.0
+    if math.isinf(sensitivity):
+        raise ValueError("infinite sensitivity (clip = inf) needs rho = inf")
     return sensitivity * math.sqrt(1.0 / (2.0 * rho))
 
 
@@ -67,14 +71,6 @@ def compose_serial(rhos) -> float:
             raise ValueError("rho values must be non-negative")
         total += r
     return total
-
-
-def compose_parallel(rhos_per_site, n_sites: int) -> float:
-    """Budget across a disjoint partition: the average of the per-site budgets."""
-    rhos = list(rhos_per_site)
-    if len(rhos) != n_sites:
-        raise DimensionError(f"expected {n_sites} per-site budgets, got {len(rhos)}")
-    return compose_serial(rhos) / n_sites
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
@@ -121,10 +117,14 @@ class LedgerEntry:
 class PrivacyAccountant:
     """Append-only record of every noised release, with the running total.
 
-    The total composes each site's releases serially and averages the
-    per-site sums over the ``n_sites`` disjoint shards. Appends may arrive
-    concurrently; the ledger is reported in (epoch, site_id, matrix_tag)
-    order regardless of arrival order.
+    This is the one place a run's budget is composed. Releases of one site
+    add serially: each site keeps a running sum, from 0.0 in arrival order
+    (the sum ``compose_serial`` forms). The sites hold disjoint patients, so
+    they compose in parallel: the total is the maximum of the per-site sums
+    (McSherry, SIGMOD 2009; Bun and Steinke, TCC 2016). The guarantee is
+    entry-level: one replaced tensor entry. Appends may arrive concurrently;
+    the ledger is reported in (epoch, site_id, matrix_tag) order regardless
+    of arrival order.
     """
 
     def __init__(self, n_sites: int, delta: float):
@@ -135,7 +135,7 @@ class PrivacyAccountant:
         self.n_sites = n_sites
         self.delta = delta
         self._entries: list[LedgerEntry] = []
-        self._rho_sum = 0.0
+        self._site_rho = [0.0] * n_sites
         self._lock = threading.Lock()
 
     def record(self, epoch, site_id, matrix_tag, rho, sigma, sensitivity):
@@ -146,7 +146,7 @@ class PrivacyAccountant:
         entry = LedgerEntry(epoch, site_id, matrix_tag, rho, sigma, sensitivity)
         with self._lock:
             self._entries.append(entry)
-            self._rho_sum += rho
+            self._site_rho[site_id] += rho
 
     @property
     def ledger(self) -> list[LedgerEntry]:
@@ -157,15 +157,7 @@ class PrivacyAccountant:
     @property
     def rho_total(self) -> float:
         with self._lock:
-            return self._rho_sum / self.n_sites
-
-    def replay_total(self) -> float:
-        """Recompute the total from the ledger alone."""
-        per_site = defaultdict(list)
-        for entry in self.ledger:
-            per_site[entry.site_id].append(entry.rho)
-        sums = [compose_serial(per_site.get(t, [])) for t in range(self.n_sites)]
-        return compose_parallel(sums, self.n_sites)
+            return max(self._site_rho)
 
     def epsilon(self) -> tuple[float, float]:
         """Current (exact, approximate) epsilon at the accountant's delta."""

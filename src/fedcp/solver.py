@@ -187,7 +187,7 @@ _STEP_SIZE_WARNING = (
 )
 
 
-def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteState:
+def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> None:
     """tau shuffled passes over the shard, each ending in the prox step with
     threshold eta * mu.
 
@@ -233,7 +233,6 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> SiteStat
                 bad = int(np.where(~np.isfinite(m).all(axis=1))[0][0])
                 raise NumericOverflowError(f"{name} row {bad} became non-finite")
         state.A = prox_l21(state.A, threshold)
-    return state
 
 
 def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:

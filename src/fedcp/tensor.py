@@ -135,12 +135,6 @@ def rmse(shards, factors) -> float:
     return float(np.sqrt(sq_sum / count))
 
 
-def l21_norm(w) -> float:
-    """Sum of row 2-norms. On a transposed patient matrix this sums column norms."""
-    w = np.asarray(w, dtype=np.float64)
-    return float(np.sqrt((w * w).sum(axis=1)).sum())
-
-
 def factor_weights(A, B, C) -> np.ndarray:
     """Per-component weight: product of the column norms of the three modes."""
     A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
@@ -172,7 +166,6 @@ class FmsReport:
     cosine_products: np.ndarray
     weights_x: np.ndarray
     weights_y: np.ndarray
-    column_scores: np.ndarray
 
 
 def _cosine_matrix(mx, my) -> np.ndarray:
@@ -227,7 +220,6 @@ def fms_report(x: FactorizationResult, y: FactorizationResult) -> FmsReport:
         cosine_products=cos,
         weights_x=xi,
         weights_y=xi_bar,
-        column_scores=column_scores,
     )
 
 

@@ -113,6 +113,35 @@ class TestRun:
             epoch, _, _, _, rho_total = line.split(",")[:5]
             assert float(rho_total) == pytest.approx(2 * int(epoch) * 1e-3, rel=1e-12)
 
+    def test_budget_calculator_prints_the_run_columns(self, workspace, capsys):
+        # one composition rule, two readers: a 5-site run's CSV and the
+        # calculator give the same strings at every epoch
+        tmp_path, cfg = workspace
+        _write_config(cfg, sites="5", rho="1e-3", delta="1e-4", fixed_epochs="4")
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert main(["run", "--config", str(cfg)]) in (0, 2)
+        rows = (tmp_path / "metrics.csv").read_text().splitlines()[1:]
+        from_run = [tuple(row.split(",")[4:]) for row in rows]
+        capsys.readouterr()
+        assert main(["budget", "--rho", "1e-3", "--delta", "1e-4", "--epochs", "4"]) == 0
+        from_budget = []
+        for line in capsys.readouterr().out.splitlines():
+            fields = dict(part.split("=") for part in line.split())
+            from_budget.append((fields["rho_total"], fields["eps_exact"], fields["eps_approx"]))
+        assert len(from_run) == 4
+        assert from_run == from_budget
+
+    def test_unbounded_clip_needs_infinite_rho(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        main(["generate", "--config", str(cfg)])
+        unclipped = tmp_path / "unclipped.txt"
+        _write_config(unclipped, clip="inf", max_epochs="2")
+        assert main(["run", "--config", str(unclipped)]) == 1
+        assert "clip = inf" in capsys.readouterr().err
+        # without noise an unbounded clip is a plain unclipped run
+        _write_config(unclipped, clip="inf", rho="inf", max_epochs="2")
+        assert main(["run", "--config", str(unclipped)]) in (0, 2)
+
     def test_zero_max_epochs_gives_empty_body_and_limit_code(self, workspace, tmp_path):
         _, cfg = workspace
         main(["generate", "--config", str(cfg)])

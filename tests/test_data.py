@@ -90,6 +90,14 @@ class TestGenerateSynthetic:
         assert np.array_equal(again.coords, tensor.coords)
         assert np.array_equal(again.values, tensor.values)
 
+    def test_resample_draws_distinct_cells_outside_taken(self):
+        # the zero-value resample uses the first draw's sampler, told which
+        # cells are held: 6 of 9 cells taken, 3 wanted leaves one answer
+        taken = np.array([4, 0, 7, 2, 5, 1], dtype=np.int64)
+        fresh = data._sample_distinct(np.random.default_rng(0), 9, 3, taken=taken)
+        assert sorted(fresh.tolist()) == [3, 6, 8]
+        assert taken.tolist() == [4, 0, 7, 2, 5, 1]
+
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
             generate_synthetic(SynthSpec(dims=(10, 10, 10), sparsity=1e-9, n_sites=1, rank_true=2))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fedcp import federation
 from fedcp.data import SynthSpec, generate_synthetic
 from fedcp.errors import DimensionError, ProtocolError
 from fedcp.federation import (
@@ -18,12 +19,13 @@ from fedcp.federation import (
     comm_cost,
     has_converged,
     init_server,
+    message_bytes,
     run_experiment,
     run_round,
     server_update,
 )
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
-from fedcp.solver import SolverParams, init_site_state
+from fedcp.solver import SolverParams, derive_site_seed, init_site_state
 
 
 def _message(site_id, b, c, epoch=1):
@@ -37,7 +39,9 @@ def _server(b, c, n_sites):
 class TestServerUpdate:
     def test_upload_equal_to_anchor_changes_nothing(self):
         server = _server([[1.0, 2.0]], [[3.0]], 1)
-        server_update(server, [_message(0, [[1.0, 2.0]], [[3.0]])], eta=0.3, gamma=4.0)
+        # the server advances in place; nothing is returned
+        upload = _message(0, [[1.0, 2.0]], [[3.0]])
+        assert server_update(server, [upload], eta=0.3, gamma=4.0) is None
         assert server.B_hat.tolist() == [[1.0, 2.0]]
         assert server.C_hat.tolist() == [[3.0]]
         assert server.epoch == 1
@@ -88,6 +92,10 @@ class TestRoundMessage:
     def test_byte_size_formula(self):
         msg = _message(3, np.ones((5, 2)), np.ones((7, 2)))
         assert len(msg.to_bytes()) == HEADER_BYTES + 8 * (10 + 14)
+        assert message_bytes(5, 7, 2) == HEADER_BYTES + 8 * (10 + 14)
+        for wrong in (message_bytes(5, 7, 2) - 8, message_bytes(5, 7, 2) + 8):
+            with pytest.raises(ProtocolError, match=f"expected {message_bytes(5, 7, 2)}"):
+                RoundMessage.from_bytes(bytes(wrong), 5, 7, 2)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
@@ -135,7 +143,8 @@ class TestRunRound:
         server = init_server(8, 9, 2, seed=1, n_sites=5)
         acc = PrivacyAccountant(n_sites=5, delta=1e-4)
         params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
-        _, _, metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        assert isinstance(metrics, EpochMetrics)
         assert len(acc.ledger) == 10
         per_message = HEADER_BYTES + 8 * (8 * 2 + 9 * 2)
         assert metrics.comm_bytes == 5 * 2 * per_message
@@ -159,7 +168,7 @@ class TestRunRound:
         server = init_server(8, 9, 2, seed=1, n_sites=3)
         acc = PrivacyAccountant(n_sites=3, delta=1e-4)
         params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
-        _, _, metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
         assert len(decoded) == 3
         assert metrics.comm_bytes == 2 * sum(decoded)
 
@@ -178,6 +187,33 @@ class TestRunRound:
         assert acc.ledger == []
         assert acc.rho_total == 0.0
         assert server.epoch == 0
+
+    def test_unbounded_clip_with_finite_rho_fails_before_site_work(self, monkeypatch):
+        # clip = inf makes the sensitivity and sigma infinite; the round must
+        # refuse before any site moves, not fail later on a non-finite residual
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(init_site_state(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(federation, "init_site_state", recording)
+        shards = _shards(n_sites=2)
+        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1, clip=math.inf)
+        with pytest.raises(ValueError, match="clip = inf"):
+            run_experiment(shards, rank=2, params=params, priv=PrivacyParams(rho=1e-3),
+                           seed=4, max_epochs=3)
+        assert len(made) == 2
+        for t, (state, shard) in enumerate(zip(made, shards)):
+            fresh = init_site_state(shard, 2, derive_site_seed(4, t), t)
+            assert np.array_equal(state.A, fresh.A)
+            assert np.array_equal(state.B, fresh.B)
+            assert np.array_equal(state.C, fresh.C)
+        # without noise an unbounded clip is a plain unclipped run
+        result = run_experiment(shards, rank=2, params=params, priv=PrivacyParams(rho=math.inf),
+                                seed=4, fixed_epochs=3)
+        assert [m.epoch for m in result.metrics] == [1, 2, 3]
+        assert all(math.isfinite(m.rmse) for m in result.metrics)
 
     def test_zero_epochs_run_is_empty(self):
         shards = _shards(n_sites=2)
@@ -215,7 +251,7 @@ class TestRunRound:
         acc = PrivacyAccountant(n_sites=2, delta=1e-4)
         params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
         before_anchor = server.B_hat.copy()
-        _, server, _ = run_round(sites, server, params, PrivacyParams(rho=math.inf), acc, 15e6)
+        run_round(sites, server, params, PrivacyParams(rho=math.inf), acc, 15e6)
         # anchors moved; local factors are not overwritten by the broadcast
         assert not np.array_equal(server.B_hat, before_anchor)
         assert not np.array_equal(sites[0].B, server.B_hat)
@@ -243,7 +279,7 @@ class TestRunRound:
         server = init_server(3, 3, 2, seed=0, n_sites=2)
         acc = PrivacyAccountant(n_sites=2, delta=1e-4)
         params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
-        _, _, metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
         assert np.array_equal(sites[1].B, before_b)  # nothing to learn from
         assert len(acc.ledger) == 4
         assert {e.site_id for e in acc.ledger} == {0, 1}
@@ -253,12 +289,11 @@ class TestRunRound:
 class TestCommCost:
     def test_reported_tensor_payload(self):
         # feature factor pair of a 202 x 316 feature grid at rank 50,
-        # 8-byte values, no header: 207,200 bytes one way
-        total, seconds = comm_cost(202, 316, 50, 1, 1, 15e6, header=0)
-        assert total == 2 * 207_200
-        one_way = total // 2
-        assert one_way == 207_200
-        assert one_way / 15e6 == pytest.approx(0.013813333333333334, abs=1e-9)
+        # 8-byte values: a 207,200-byte payload one way, plus the header
+        total, seconds = comm_cost(202, 316, 50, 1, 1, 15e6)
+        assert total == 2 * (207_200 + HEADER_BYTES)
+        assert seconds == total / 15e6
+        assert 207_200 / 15e6 == pytest.approx(0.013813333333333334, abs=1e-9)
 
     def test_linear_in_site_count(self):
         b1, s1 = comm_cost(202, 316, 50, 1, 10, 15e6)

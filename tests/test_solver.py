@@ -39,7 +39,8 @@ class TestSgdEntryUpdate:
     def test_stationary_point(self):
         state = _state([(0, 0, 0, 1.0)], (1, 1, 1), [[1.0]], [[1.0]], [[1.0]])
         params = SolverParams(eta=0.3, gamma=2.0, mu=0.0, tau=1, clip=math.inf)
-        run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params)
+        # the state advances in place; nothing is returned
+        assert run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params) is None
         assert state.A.tolist() == [[1.0]]
         assert state.B.tolist() == [[1.0]]
         assert state.C.tolist() == [[1.0]]

@@ -12,7 +12,6 @@ from fedcp.tensor import (
     factor_weights,
     fms,
     fms_report,
-    l21_norm,
     reconstruct_values,
     rmse,
     zero_column_count,
@@ -140,25 +139,6 @@ class TestRmse:
         site = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(ValueError):
             rmse([t], [site])
-
-
-class TestL21Norm:
-    def test_three_four_five(self):
-        assert l21_norm([[3.0, 4.0]]) == 5.0
-
-    def test_identity(self):
-        assert l21_norm(np.eye(2)) == 2.0
-
-    def test_direct_evaluation(self):
-        expected = math.sqrt(5.0) + math.sqrt(8.0)
-        assert l21_norm([[1.0, 2.0], [2.0, 2.0]]) == pytest.approx(expected, abs=1e-12)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            u = rng.standard_normal((4, 3))
-            v = rng.standard_normal((4, 3))
-            assert l21_norm(u + v) <= l21_norm(u) + l21_norm(v) + 1e-12
 
 
 class TestFactorWeights:
