@@ -1,4 +1,4 @@
-"""Build, cache and load the compiled SGD pass in ``_sgd.c`` through ctypes.
+"""Build, cache and load the compiled kernels in ``_sgd.c`` through ctypes.
 
 The library is compiled with the system ``cc`` on first import into this
 package's ``__pycache__`` directory, the place and trust boundary the
@@ -6,8 +6,8 @@ bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded. When there is no compiler, or
-compiling or loading fails, ``load`` returns None and the solver runs its
-Python loop instead.
+compiling or loading fails, ``load`` returns None: the solver runs its
+Python loop and ``rmse`` its einsum instead.
 """
 
 import ctypes
@@ -20,16 +20,21 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_sgd.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
-# no -ffast-math, no -march=native: the pass must round like the Python loop
+# no -ffast-math, no -march=native: the kernels must round like their Python references
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
 
 _P = ctypes.c_void_p
-_ARGTYPES = (
+_SGD_PASS_ARGTYPES = (
     ctypes.c_int64, _P, _P, _P,  # nnz, order, coords, values
     _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
     ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int,
     _P,  # work
+)
+_MODEL_VALUES_ARGTYPES = (
+    ctypes.c_int64, _P,  # nnz, coords
+    _P, _P, _P,  # A, B, C
+    ctypes.c_int64, _P,  # rank, out
 )
 
 
@@ -68,15 +73,22 @@ def build(directory: Path) -> Path | None:
     return target
 
 
-def load(directory: Path = CACHE_DIR):
-    """The compiled ``sgd_pass`` with its argument types declared, or None."""
+def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
+    """The library with ``sgd_pass`` and ``model_values`` declared, or None."""
     path = build(directory)
     if path is None:
         return None
     try:
-        fn = ctypes.CDLL(str(path)).sgd_pass
+        lib = ctypes.CDLL(str(path))
+        sgd_pass, model_values = lib.sgd_pass, lib.model_values
     except (OSError, AttributeError):
         return None
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    return fn
+    sgd_pass.argtypes = _SGD_PASS_ARGTYPES
+    sgd_pass.restype = ctypes.c_int64
+    model_values.argtypes = _MODEL_VALUES_ARGTYPES
+    model_values.restype = None
+    return lib
+
+
+# built and loaded once per process; the solver and rmse take their kernels from it
+LIBRARY = load()

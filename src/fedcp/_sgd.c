@@ -1,15 +1,17 @@
-/* One shuffled SGD pass over a site's shard, the compiled twin of the
- * Python loop in solver.py.
+/* The two per-entry loops of a run, compiled: one shuffled SGD pass over
+ * a site's shard (the twin of the Python loop in solver.py) and the model
+ * values that tensor.rmse scores (the twin of reconstruct_values).
  *
- * The arithmetic follows the Python reference operation for operation:
- * every dot product is summed strictly left to right starting from the
- * first product, and every row update is a separate multiply and subtract.
- * Build with -ffp-contract=off (no fused multiply-add) and without
- * -ffast-math, so the two paths agree bit for bit.
+ * The arithmetic follows each Python reference operation for operation.
+ * In the pass every dot product is summed strictly left to right starting
+ * from the first product, and every row update is a separate multiply and
+ * subtract; the model values are summed left to right from 0.0, the order
+ * numpy's einsum uses. Build with -ffp-contract=off (no fused
+ * multiply-add) and without -ffast-math, so the paths agree bit for bit.
  *
- * The caller checks shapes, dtypes and contiguity before the call; this
+ * The callers check shapes, dtypes and contiguity before a call; this
  * file trusts that every index in coords lies inside its factor matrix.
- * No Python object is touched, so the call may run without the GIL.
+ * No Python object is touched, so a call may run without the GIL.
  */
 
 #include <math.h>
@@ -85,4 +87,23 @@ int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords,
             c[r] = c[r] - eta * gc[r];
     }
     return -1;
+}
+
+/* out[n] = sum over r of (A[i][r] * B[j][r]) * C[k][r] for entry n at
+ * (i, j, k), summed left to right from 0.0. coords is (nnz, 3) row-major;
+ * the factors are row-major with rank columns.
+ */
+void model_values(int64_t nnz, const int64_t *coords, const double *A,
+                  const double *B, const double *C, int64_t rank, double *out)
+{
+    for (int64_t n = 0; n < nnz; n++) {
+        const int64_t *ijk = coords + 3 * n;
+        const double *a = A + ijk[0] * rank;
+        const double *b = B + ijk[1] * rank;
+        const double *c = C + ijk[2] * rank;
+        double sum = 0.0;
+        for (int64_t r = 0; r < rank; r++)
+            sum += (a[r] * b[r]) * c[r];
+        out[n] = sum;
+    }
 }

@@ -164,12 +164,18 @@ def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:
     return SparseTensorCOO(tensor.dims, coords, tensor.values)
 
 
+_COO_WRITE_CHUNK = 1 << 14  # records formatted per write
+
+
 def write_coo(tensor: SparseTensorCOO, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n")
-        # column lists, not coords.tolist(): no per-record list is held
-        for i, j, k, v in zip(*tensor.coords.T.tolist(), tensor.values.tolist()):
-            fh.write(f"{i} {j} {k} {v!r}\n")
+        # column lists of one chunk at a time: the Python objects of the
+        # whole tensor would set the process's peak memory
+        for start in range(0, tensor.nnz, _COO_WRITE_CHUNK):
+            stop = start + _COO_WRITE_CHUNK
+            rows = zip(*tensor.coords[start:stop].T.tolist(), tensor.values[start:stop].tolist())
+            fh.write("".join([f"{i} {j} {k} {v!r}\n" for i, j, k, v in rows]))
 
 
 # one COO record as the bulk parse reads it: exact int64 indices, float64 value
@@ -378,8 +384,9 @@ def _parse_heterogeneity(text: str) -> dict:
     for group in text.split():
         site_txt, _, cols_txt = group.partition(":")
         site = int(site_txt)
-        cols = tuple(int(c) for c in cols_txt.split(",") if c != "")
-        out[site] = cols
+        if site in out:
+            raise ValueError(f"site {site} is listed twice")
+        out[site] = tuple(int(c) for c in cols_txt.split(",") if c != "")
     return out
 
 

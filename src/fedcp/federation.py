@@ -13,6 +13,7 @@ Reductions are ordered by site id, so a run is bit-reproducible whether
 sites execute serially or on a worker pool.
 """
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -193,7 +194,7 @@ def run_round(
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()
-    metrics = EpochMetrics(
+    return EpochMetrics(
         epoch=epoch,
         rmse=pooled_rmse(sites),
         comm_bytes=comm_bytes,
@@ -202,7 +203,6 @@ def run_round(
         eps_exact=eps_exact,
         eps_approx=eps_approx,
     )
-    return metrics
 
 
 def comm_cost(
@@ -229,8 +229,8 @@ def factor_snapshot(sites) -> list:
 
 
 def has_converged(prev, curr, tol: float) -> bool:
-    """True iff the worst relative Frobenius change of any feature factor is
-    strictly below ``tol``."""
+    """True iff ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12) < tol`` for
+    every feature factor p -> c. np.sum (called as np.add.reduce) never uses threaded BLAS."""
     if len(prev) != len(curr):
         raise DimensionError("site counts differ between snapshots")
     worst = 0.0
@@ -238,8 +238,8 @@ def has_converged(prev, curr, tol: float) -> bool:
         for p, c in ((pb, cb), (pc, cc)):
             if p.shape != c.shape:
                 raise DimensionError("snapshot shapes differ")
-            denom = max(float(np.linalg.norm(p)), 1e-12)
-            worst = max(worst, float(np.linalg.norm(c - p)) / denom)
+            denom = max(math.sqrt(np.add.reduce(p ** 2, axis=None)), 1e-12)
+            worst = max(worst, math.sqrt(np.add.reduce((c - p) ** 2, axis=None)) / denom)
     return worst < tol
 
 

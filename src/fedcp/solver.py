@@ -32,7 +32,7 @@ from . import _native
 from .errors import DimensionError, NumericOverflowError
 from .tensor import SparseTensorCOO
 
-_SGD_PASS = _native.load()
+_SGD_PASS = None if _native.LIBRARY is None else _native.LIBRARY.sgd_pass
 KERNEL = "python" if _SGD_PASS is None else "c"
 
 INIT_STREAM = 0

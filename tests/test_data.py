@@ -249,6 +249,21 @@ class TestCooFiles:
         with pytest.raises(ValueError, match="duplicate"):
             read_coo(path)
 
+    @pytest.mark.parametrize("chunks", [0, 0.5, 1, 1.5])
+    def test_chunked_write_matches_one_record_at_a_time(self, tmp_path, chunks):
+        nnz = int(chunks * data._COO_WRITE_CHUNK)
+        rng = np.random.default_rng(nnz)
+        lin = np.sort(rng.choice(40 * 30 * 50, size=nnz, replace=False))
+        coords = np.stack(np.unravel_index(lin, (40, 30, 50)), axis=1)
+        values = rng.standard_normal(nnz) * 10.0 ** rng.integers(-20, 20, nnz)
+        tensor = SparseTensorCOO((40, 30, 50), coords, values)
+        path = tmp_path / "t.coo"
+        write_coo(tensor, path)
+        expected = "# dims 40 30 50\n" + "".join(
+            f"{i} {j} {k} {v!r}\n" for (i, j, k), v in zip(coords.tolist(), values.tolist())
+        )
+        assert path.read_bytes() == expected.encode()
+
 
 def _read_by_line(path):
     """``read_coo`` with the bulk parse skipped: the line parser alone."""
@@ -496,6 +511,12 @@ class TestLoadConfig:
         assert cfg.data_dir == "run#1"
         assert cfg.metrics_csv == "out#2.csv"
         assert cfg.seed == 4
+
+    def test_repeated_heterogeneity_site_rejected_by_name(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("heterogeneity = 0:1 2:0 0:2\n")
+        with pytest.raises(ConfigError, match="'heterogeneity': site 0 is listed twice"):
+            load_config(path)
 
     def test_infinite_rho_allowed(self, tmp_path):
         path = tmp_path / "cfg.txt"

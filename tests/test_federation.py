@@ -244,6 +244,29 @@ class TestRunRound:
             assert np.array_equal(s.B, p.B)
             assert np.array_equal(s.C, p.C)
 
+    @pytest.mark.filterwarnings("ignore:learning rate exceeds")
+    def test_serial_and_pooled_runs_match_at_the_readme_feature_dims(self):
+        # B and C hold 15,000 and 40,000 values, past BLAS ddot's threading size
+        shards = _shards(n_sites=2, dims=(12, 300, 800), sparsity=1e-4, rank_true=3)
+        kwargs = dict(
+            rank=50,
+            params=SolverParams(eta=0.01, gamma=1.0, mu=0.1, tau=1),
+            priv=PrivacyParams(rho=1e-3),
+            seed=2,
+            max_epochs=4,
+            tol=0.0062,  # the worst relative change falls below it in round 3
+        )
+        serial = run_experiment(shards, **kwargs)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = run_experiment(shards, **kwargs, pool=pool)
+        assert len(serial.metrics) == 3 and serial.converged
+        assert serial.metrics == pooled.metrics
+        assert pooled.converged
+        for s, p in zip(serial.sites, pooled.sites):
+            assert np.array_equal(s.A, p.A)
+            assert np.array_equal(s.B, p.B)
+            assert np.array_equal(s.C, p.C)
+
     def test_sites_keep_local_factors_but_adopt_anchors(self):
         shards = _shards(n_sites=2)
         sites = [init_site_state(sh, 2, seed=t, site_id=t) for t, sh in enumerate(shards)]
@@ -329,6 +352,17 @@ class TestHasConverged:
         # relative change exactly 0.25
         assert has_converged(prev, curr, 0.25) is False
         assert has_converged(prev, curr, 0.2500001) is True
+
+    def test_docstring_formula_bit_for_bit(self):
+        # 40,000 values: above the size where BLAS ddot splits over threads
+        rng = np.random.default_rng(11)
+        p = rng.standard_normal((800, 50))
+        c = p + 1e-3 * rng.standard_normal((800, 50))
+        small = np.ones((2, 2))
+        change = float(np.sqrt(np.sum((c - p) ** 2))) / max(float(np.sqrt(np.sum(p ** 2))), 1e-12)
+        prev, curr = [(small, p)], [(small, c)]
+        assert has_converged(prev, curr, change) is False
+        assert has_converged(prev, curr, math.nextafter(change, math.inf)) is True
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,11 +1,14 @@
 """Tensor type, CP algebra primitives, and the fit metrics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedcp import tensor
 from fedcp.errors import DimensionError
+from fedcp.solver import KERNEL
 from fedcp.tensor import (
     FactorizationResult,
     SparseTensorCOO,
@@ -126,6 +129,13 @@ class TestRmse:
         with pytest.raises(DimensionError, match="shard 0"):
             rmse([t], [short])
 
+    def test_rank_mismatch_names_the_shard(self):
+        t = _tensor((1, 1, 1), [(0, 0, 0, 1.0)])
+        good = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
+        mixed = SimpleNamespace(A=np.ones((1, 2)), B=np.ones((1, 2)), C=np.ones((1, 3)))
+        with pytest.raises(DimensionError, match=r"shard 1 differ: A, B, C have \(2, 2, 3\)"):
+            rmse([t, t], [good, mixed])
+
     def test_list_length_mismatch(self):
         t = _tensor((1, 1, 1), [(0, 0, 0, 1.0)])
         site = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
@@ -139,6 +149,57 @@ class TestRmse:
         site = FactorizationResult([[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(ValueError):
             rmse([t], [site])
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _random_factors(rng, dims, rank, nnz):
+    factors = [rng.standard_normal((d, rank)) for d in dims]
+    lin = rng.choice(math.prod(dims), size=nnz, replace=False)
+    return factors, np.stack(np.unravel_index(lin, dims), axis=1)
+
+
+@pytest.mark.skipif(KERNEL != "c", reason="no compiled kernels loaded")
+class TestCompiledModelValues:
+    @pytest.mark.parametrize("rank", [1, 3, 8, 50, 64])
+    def test_matches_reconstruct_values(self, rank):
+        (A, B, C), coords = _random_factors(np.random.default_rng(rank), (60, 30, 40), rank, 5000)
+        expected = reconstruct_values(A, B, C, coords)
+        assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
+
+    def test_fortran_ordered_and_sliced_factors(self):
+        rng = np.random.default_rng(7)
+        (A, B, C), coords = _random_factors(rng, (60, 30, 40), 6, 3000)
+        wide = rng.standard_normal((30, 12))
+        layouts = (np.asfortranarray(A), wide[:, ::2], np.repeat(C, 2, axis=0)[::2])
+        assert not any(m.flags.c_contiguous for m in layouts)
+        expected = reconstruct_values(*layouts, coords)
+        assert np.array_equal(_bits(tensor._model_values(*layouts, coords)), _bits(expected))
+
+    def test_empty_shard(self):
+        (A, B, C), coords = _random_factors(np.random.default_rng(1), (4, 3, 2), 5, 0)
+        assert coords.shape == (0, 3)
+        assert tensor._model_values(A, B, C, coords).shape == (0,)
+
+    def test_negative_zero_product_sums_from_positive_zero(self):
+        coords = np.zeros((1, 3), dtype=np.int64)
+        A, B, C = np.array([[-0.0]]), np.array([[3.0]]), np.array([[2.0]])
+        expected = reconstruct_values(A, B, C, coords)
+        assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
+        assert not np.signbit(expected[0])
+
+    def test_rmse_is_the_einsum_rmse(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        shards, sites = [], []
+        for nnz in (0, 200, 2500):
+            (A, B, C), coords = _random_factors(rng, (50, 20, 30), 8, nnz)
+            shards.append(SparseTensorCOO((50, 20, 30), coords, rng.random(nnz) + 0.5))
+            sites.append(FactorizationResult(A, B, C))
+        compiled = rmse(shards, sites)
+        monkeypatch.setattr(tensor, "_MODEL_VALUES", None)
+        assert rmse(shards, sites) == compiled
 
 
 class TestFactorWeights:
