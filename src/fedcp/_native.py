@@ -7,7 +7,8 @@ compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded. When there is no compiler, or
 compiling or loading fails, ``load`` returns None: the solver runs its
-Python loop and ``rmse`` its einsum instead.
+Python loop, ``rmse`` its einsum and ``read_coo`` its ``np.loadtxt`` call
+instead.
 """
 
 import ctypes
@@ -35,6 +36,10 @@ _MODEL_VALUES_ARGTYPES = (
     ctypes.c_int64, _P,  # nnz, coords
     _P, _P, _P,  # A, B, C
     ctypes.c_int64, _P,  # rank, out
+)
+_PARSE_COO_ARGTYPES = (
+    _P, ctypes.c_int64, ctypes.c_int64,  # buf, len, cap
+    _P, _P,  # coords, values
 )
 
 
@@ -74,21 +79,24 @@ def build(directory: Path) -> Path | None:
 
 
 def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
-    """The library with ``sgd_pass`` and ``model_values`` declared, or None."""
+    """The library with ``sgd_pass``, ``model_values`` and ``parse_coo``
+    declared, or None."""
     path = build(directory)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        sgd_pass, model_values = lib.sgd_pass, lib.model_values
+        sgd_pass, model_values, parse_coo = lib.sgd_pass, lib.model_values, lib.parse_coo
     except (OSError, AttributeError):
         return None
     sgd_pass.argtypes = _SGD_PASS_ARGTYPES
     sgd_pass.restype = ctypes.c_int64
     model_values.argtypes = _MODEL_VALUES_ARGTYPES
     model_values.restype = None
+    parse_coo.argtypes = _PARSE_COO_ARGTYPES
+    parse_coo.restype = ctypes.c_int64
     return lib
 
 
-# built and loaded once per process; the solver and rmse take their kernels from it
+# built and loaded once per process; the solver, rmse and read_coo take their kernels from it
 LIBRARY = load()

@@ -1,6 +1,7 @@
-/* The two per-entry loops of a run, compiled: one shuffled SGD pass over
- * a site's shard (the twin of the Python loop in solver.py) and the model
- * values that tensor.rmse scores (the twin of reconstruct_values).
+/* The three hot loops of a CLI run, compiled: one shuffled SGD pass over
+ * a site's shard (the twin of the Python loop in solver.py), the model
+ * values that tensor.rmse scores (the twin of reconstruct_values), and
+ * the parse of a COO file's body (the fast path of data.read_coo).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting
@@ -8,6 +9,8 @@
  * subtract; the model values are summed left to right from 0.0, the order
  * numpy's einsum uses. Build with -ffp-contract=off (no fused
  * multiply-add) and without -ffast-math, so the paths agree bit for bit.
+ * The parser reads each value with strtod, which glibc rounds correctly,
+ * as Python's float() does.
  *
  * The callers check shapes, dtypes and contiguity before a call; this
  * file trusts that every index in coords lies inside its factor matrix.
@@ -16,6 +19,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* Scale g to 2-norm clip when its norm exceeds clip. */
 static void clip_row(double *g, int64_t rank, double clip)
@@ -106,4 +111,74 @@ void model_values(int64_t nnz, const int64_t *coords, const double *A,
             sum += (a[r] * b[r]) * c[r];
         out[n] = sum;
     }
+}
+
+#define IS_BLANK(ch) ((ch) == ' ' || (ch) == '\t')
+#define IS_DIGIT(ch) ((ch) >= '0' && (ch) <= '9')
+#define IS_VALUE_CHAR(ch) \
+    (IS_DIGIT(ch) || (ch) == '.' || (ch) == 'e' || (ch) == 'E' || (ch) == '+' || (ch) == '-')
+#define MAX_INDEX_DIGITS 18 /* 10**18 - 1 < 2**63: no overflow */
+#define MAX_VALUE_BYTES 63
+
+/* Parse buf[0..len), the body of a COO file, into coords ((cap, 3),
+ * row-major) and values, one "i j k value" record per line. A line is
+ * optional blanks (spaces or tabs), three indices of 1 to 18 ASCII digits
+ * and a value token of [0-9.eE+-], at most 63 bytes, that strtod consumes
+ * whole, each separated by blanks, then optional blanks and "\n" or "\r\n";
+ * the last line may end without one. Ranges, zeros and non-finite values
+ * are not checked here. strtod follows LC_NUMERIC: under a locale whose
+ * decimal point is not '.', it stops at the '.' and the line is rejected,
+ * never misread.
+ *
+ * Returns the record count, or -1 - n when line n (from 0) is outside
+ * that grammar or would be record cap + 1: a comment, a blank line, a
+ * sign or "_" in an index, a lone "\r", inf, nan, hex, a decimal comma,
+ * a non-ASCII byte. Records before line n are written.
+ */
+int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
+                  double *values)
+{
+    const unsigned char *p = (const unsigned char *)buf, *end = p + len;
+    char token[MAX_VALUE_BYTES + 1];
+    int64_t n = 0;
+    for (; p < end; n++) {
+        if (n == cap)
+            return -1 - n;
+        while (p < end && IS_BLANK(*p))
+            p++;
+        for (int f = 0; f < 3; f++) {
+            int64_t index = 0;
+            int digits = 0;
+            for (; p < end && IS_DIGIT(*p); p++) {
+                if (++digits > MAX_INDEX_DIGITS)
+                    return -1 - n;
+                index = 10 * index + (*p - '0');
+            }
+            if (digits == 0 || p == end || !IS_BLANK(*p))
+                return -1 - n;
+            while (p < end && IS_BLANK(*p))
+                p++;
+            coords[3 * n + f] = index;
+        }
+        const unsigned char *start = p;
+        while (p < end && IS_VALUE_CHAR(*p))
+            p++;
+        size_t width = (size_t)(p - start);
+        if (width == 0 || width > MAX_VALUE_BYTES)
+            return -1 - n;
+        /* strtod reads a NUL-terminated copy, never past the token */
+        memcpy(token, start, width);
+        token[width] = '\0';
+        char *stop;
+        values[n] = strtod(token, &stop);
+        if (stop != token + width)
+            return -1 - n;
+        while (p < end && IS_BLANK(*p))
+            p++;
+        if (p < end && *p == '\r' && p + 1 < end && p[1] == '\n')
+            p++;
+        if (p < end && *p++ != '\n')
+            return -1 - n;
+    }
+    return n;
 }

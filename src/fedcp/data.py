@@ -8,6 +8,7 @@ three blocks (A, B, C), each ``# rows <n> <R>`` followed by n rows of R
 values. Config files are ``key = value`` lines.
 """
 
+import io
 import math
 import os
 import re
@@ -16,10 +17,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError, ParseError
 from .privacy import PrivacyParams
 from .solver import SolverParams
 from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
+
+_PARSE_COO = None if _native.LIBRARY is None else _native.LIBRARY.parse_coo
 
 
 @dataclass(frozen=True)
@@ -178,32 +182,60 @@ def write_coo(tensor: SparseTensorCOO, path):
             fh.write("".join([f"{i} {j} {k} {v!r}\n" for i, j, k, v in rows]))
 
 
-# one COO record as the bulk parse reads it: exact int64 indices, float64 value
+# one COO record as the loadtxt parse reads it: exact int64 indices, float64 value
 _COO_RECORD = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
+# the line ends a text-mode read splits at
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def read_coo(path) -> SparseTensorCOO:
     """Parse a COO text file, reporting the offending line on any defect.
 
-    The body is parsed in one bulk call and checked by the tensor itself.
-    A body that the call or the checks reject (a comment line, a ``#``
-    inside a record, a token that is not a plain int64 or float, an index
-    out of range, a zero, non-finite or repeated entry) is parsed again
-    line by line. That parser accepts what the bulk call cannot (``1_0``,
-    comment lines) and names the first bad line.
+    The body is parsed in one bulk call and checked by the tensor itself:
+    the compiled ``parse_coo`` when the library loaded, else one
+    ``np.loadtxt`` call. A body that the call or the checks reject (a
+    comment or blank line, a ``#`` inside a record, a token that is not a
+    plain index or float, an index out of range, a zero, non-finite or
+    repeated entry) is parsed again line by line. That parser accepts what
+    the bulk calls do not (``1_0``, comment lines) and names the first bad
+    line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        dims = _coo_dims(fh.readline())
-        body_start = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                rec = np.loadtxt(fh, dtype=_COO_RECORD, comments=None, ndmin=1)
-            coords = np.stack([rec["i"], rec["j"], rec["k"]], axis=1)
-            return SparseTensorCOO(dims, coords, rec["v"].copy())
-        except ValueError:
-            fh.seek(body_start)
-            return _read_coo_lines(fh, dims)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    newline = _LINE_END.search(raw)
+    head_end, body_start = newline.span() if newline else (len(raw), len(raw))
+    dims = _coo_dims(raw[:head_end].decode("utf-8"))
+    try:
+        coords, values = _bulk_parse(raw, body_start)
+        return SparseTensorCOO(dims, coords, values)
+    except ValueError:
+        return _read_coo_lines(_body_text(raw), dims)
+
+
+def _bulk_parse(raw: bytes, body_start: int):
+    """The coords and values of the body ``raw[body_start:]`` in one call;
+    ValueError when a line is outside the call's grammar."""
+    if _PARSE_COO is None:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rec = np.loadtxt(_body_text(raw), dtype=_COO_RECORD, comments=None, ndmin=1)
+        return np.stack([rec["i"], rec["j"], rec["k"]], axis=1), rec["v"].copy()
+    body = np.frombuffer(raw, dtype=np.uint8, offset=body_start)
+    cap = raw.count(b"\n", body_start) + 1  # every record but the last ends in one
+    coords = np.empty((cap, 3), dtype=np.int64)
+    values = np.empty(cap)
+    n = _PARSE_COO(body.ctypes.data, body.size, cap, coords.ctypes.data, values.ctypes.data)
+    if n < 0:
+        raise ValueError(f"line {1 - n} is outside the grammar of parse_coo")
+    return coords[:n], values[:n]
+
+
+def _body_text(raw: bytes) -> io.TextIOWrapper:
+    """The file's text from line 2 on, read as ``open(path, "r",
+    encoding="utf-8")`` would read it."""
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    text.readline()
+    return text
 
 
 def _coo_dims(head: str) -> tuple[int, int, int]:
@@ -277,21 +309,24 @@ def read_factors(path) -> FactorizationResult:
                 f"block rank {rank} differs from the first block's {blocks[0].shape[1]}",
                 line_no=no + 1,
             )
-        block = np.empty((n_rows, rank))
-        for r in range(n_rows):
+        # checked before anything is allocated: the header's counts are
+        # outside input, and each row must hold rank values
+        if n_rows > len(lines) - no - 1:
+            raise ParseError("factor block truncated", line_no=no + 1)
+        rows = []
+        for _ in range(n_rows):
             no += 1
-            if no >= len(lines):
-                raise ParseError("factor block truncated", line_no=no)
             vals = lines[no].split()
             if len(vals) != rank:
                 raise ParseError(f"expected {rank} values", line_no=no + 1)
             try:
-                block[r] = [float(v) for v in vals]
+                row = [float(v) for v in vals]
             except ValueError:
                 raise ParseError(f"could not parse values {lines[no]!r}", line_no=no + 1) from None
-            if not np.all(np.isfinite(block[r])):
+            if not all(map(math.isfinite, row)):
                 raise ParseError("factor values must be finite", line_no=no + 1)
-        blocks.append(block)
+            rows.append(row)
+        blocks.append(np.array(rows, dtype=np.float64).reshape(n_rows, rank))
         no += 1
     if len(blocks) != 3:
         raise ParseError(f"expected 3 factor blocks, found {len(blocks)}", line_no=len(lines))

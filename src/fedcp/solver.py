@@ -182,8 +182,10 @@ def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
     return A * scale[None, :]
 
 
+# constant text: the default filter then shows it once, not once per site and round
 _STEP_SIZE_WARNING = (
-    "learning rate exceeds the 2/beta stability bound for a feature-factor update"
+    "learning rate exceeds the 2/beta stability bound of the feature-factor updates; "
+    "lower the config key 'eta' (a larger 'rank' or 'gamma' raises beta)"
 )
 
 

@@ -1,8 +1,15 @@
 """End-to-end command-line behavior: files, CSV schema, and exit codes."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fedcp
 from fedcp.baseline import run_centralized_sgd
 from fedcp.cli import CSV_HEADER, main
 from fedcp.data import partition_rows, read_coo, read_factors, write_factors
@@ -184,6 +191,29 @@ class TestRun:
         )
         assert csv_rmse == [repr(v) for v in base.rmse_per_epoch]
 
+    def test_readme_default_run_warns_once_in_config_terms(self, tmp_path):
+        # a fresh process, so the default warning filter and stderr are the user's
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (tmp_path / "cfg.txt").write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        src = str(Path(fedcp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+
+        def fedcp_cli(*argv):
+            return subprocess.run(
+                [sys.executable, "-c", "import sys; from fedcp.cli import main; sys.exit(main())",
+                 *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        assert fedcp_cli("generate", "--config", "cfg.txt").returncode == 0
+        run = fedcp_cli("run", "--config", "cfg.txt", "--fixed-epochs", "2")
+        assert run.returncode == 2, run.stderr
+        warned = [line for line in run.stderr.splitlines() if "Warning" in line]
+        assert len(warned) <= 1
+        assert all("'eta'" in line and "stability" in line for line in warned)
+
     def test_fixed_epochs_flag_runs_exact_count(self, workspace, tmp_path):
         _, cfg = workspace
         main(["generate", "--config", str(cfg)])
@@ -260,6 +290,13 @@ class TestEvaluate:
             other,
         )
         assert main(["evaluate", str(path3), str(other)]) == 1
+
+    def test_oversized_block_header_is_an_error(self, tmp_path, capsys):
+        _, path = self._factors(tmp_path, seed=5)
+        huge = tmp_path / "huge.factors"
+        huge.write_text("# rows 100000000000 5\n0 0 0 0 0\n")
+        assert main(["evaluate", str(path), str(huge)]) == 1
+        assert "line 1: factor block truncated" in capsys.readouterr().err
 
 
 class TestBudget:

@@ -271,6 +271,20 @@ def _read_by_line(path):
         return data._read_coo_lines(fh, data._coo_dims(fh.readline()))
 
 
+def _read_by_loadtxt(path):
+    """``read_coo`` with the compiled parse switched off: ``np.loadtxt``
+    first, as on a host without a C compiler."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_PARSE_COO", None)
+        return read_coo(path)
+
+
+def _three_outcomes(path):
+    """What ``read_coo`` (compiled parse when loaded), its loadtxt tier and
+    the line parser alone give for one file."""
+    return [_outcome(read, path) for read in (read_coo, _read_by_loadtxt, _read_by_line)]
+
+
 def _outcome(read, path):
     """The tensor a reader returns, as exact bits, or its error and message."""
     try:
@@ -285,12 +299,14 @@ _FUZZ_DIMS = (12, 5, 5)
 _ODD_INDEX = st.sampled_from([
     "-1", "12", "5", "+1", "007", "1_0", "1.0", "1e0", "-0", "0x1", "\uff19", "2**3",
     "9223372036854775807", "9223372036854775808", "#", "#1",
+    "000000000000000001", "0000000000000000001",
 ])
 _ODD_VALUE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from([
         "-0.0", "0", "nan", "-inf", "1e999", "1_0.5", "1.", ".5", "+.5e-3",
         "0x10", "1,5", "1.5e", "Infinity", "1\x00", "#x", "1#",
+        "5e-324", "1e-400", "0x1p3", "infinity", "\u0661.5", "1" * 64,
     ]),
 )
 _PLAIN_VALUE = st.floats(allow_nan=False, allow_infinity=False).filter(bool).flatmap(
@@ -341,8 +357,9 @@ def _coo_body_lines(draw):
 
 
 class TestBulkMatchesLineParser:
-    """``read_coo`` parses in bulk and falls back to the line parser; either
-    way it must give what the line parser alone gives."""
+    """``read_coo`` parses in bulk, compiled or by ``np.loadtxt``, and falls
+    back to the line parser; every way it must give what the line parser
+    alone gives."""
 
     @pytest.mark.parametrize(
         "body, expected",
@@ -371,13 +388,29 @@ class TestBulkMatchesLineParser:
             ("0 0 0 1.0\n1 0 0 2.0\n2 0 0 nan\n", "line 4"),
             ("0 0 0 1.0\n0 0 0 2.0\n", "duplicate tensor coordinate (0, 0, 0)"),
             ("", []),
+            ("000000000000000001 0 0 1.0\n", [(1, 0, 0, 1.0)]),  # 18 digits
+            ("0000000000000000001 0 0 1.0\n", [(1, 0, 0, 1.0)]),  # 19 digits
+            ("0 0 0 1.0\n1 0 0 2.0", [(0, 0, 0, 1.0), (1, 0, 0, 2.0)]),
+            ("0\t1\t1\t2.5\r\n1\t0 \t0\t-3.5 \r\n", [(0, 1, 1, 2.5), (1, 0, 0, -3.5)]),
+            ("0 0 0 5e-324\n", [(0, 0, 0, 5e-324)]),
+            ("0 0 0 2.2250738585072011e-308\n", [(0, 0, 0, 2.2250738585072011e-308)]),
+            ("0 0 0 1e-400\n", "line 2"),
+            ("0 0 0 0x1p3\n", "line 2"),
+            ("0 0 0 infinity\n", "line 2"),
+            ("0 0 0 1,5\n", "line 2"),
+            ("0 0 0 1.5e\n", "line 2"),
+            ("0 0 0 " + "1" * 64 + "\n", [(0, 0, 0, float("1" * 64))]),
+            ("\uff11 0 0 1.0\n", [(1, 0, 0, 1.0)]),  # a fullwidth digit
+            ("0 0 0 \u0661.5\n", [(0, 0, 0, 1.5)]),  # an Arabic-Indic digit
+            ("0 0 0 1.5\u00b5\n", "line 2"),
+            ("0 1 1.5\n", "line 2"),
         ],
     )
     def test_table(self, tmp_path, body, expected):
         path = tmp_path / "t.coo"
         path.write_bytes((_DIFF_HEAD + body).encode("utf-8"))
-        got = _outcome(read_coo, path)
-        assert got == _outcome(_read_by_line, path)
+        got, by_loadtxt, by_line = _three_outcomes(path)
+        assert got == by_loadtxt == by_line
         if isinstance(expected, str):
             assert expected in got[1]
         else:
@@ -394,17 +427,81 @@ class TestBulkMatchesLineParser:
 
     def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
         spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
-        tensor, _, _ = generate_synthetic(spec)
+        generated, _, _ = generate_synthetic(spec)
+        # negative values and values whose repr takes exponent form
+        odd = [-1.5, 1e-05, 1.5e16, -2.5e-300, 5e-324, -1.7976931348623157e308, 1e22]
+        values = generated.values.copy()
+        values[: len(odd)] = odd
+        tensor = SparseTensorCOO(generated.dims, generated.coords, values)
         path = tmp_path / "t.coo"
         write_coo(tensor, path)
+        assert b" 1e-05\n" in path.read_bytes() and b" 1.5e+16\n" in path.read_bytes()
 
         def no_line_parse(fh, dims):
             raise AssertionError("the bulk parse rejected a file write_coo wrote")
 
         monkeypatch.setattr(data, "_read_coo_lines", no_line_parse)
-        back = read_coo(path)
-        assert np.array_equal(back.coords, tensor.coords)
-        assert back.values.tobytes() == tensor.values.tobytes()
+        # the compiled parse when it loaded, then the loadtxt parse
+        for parse in [None] if data._PARSE_COO is None else [data._PARSE_COO, None]:
+            monkeypatch.setattr(data, "_PARSE_COO", parse)
+            back = read_coo(path)
+            assert np.array_equal(back.coords, tensor.coords)
+            assert back.values.tobytes() == tensor.values.tobytes()
+
+    @pytest.mark.parametrize(
+        "body, rejected_line",
+        [
+            ("", None),
+            ("0 0 0 1.0", None),
+            (" \t0 \t0\t 0  1.0 \t\r\n", None),
+            ("000000000000000001 0 0 1.0\n", None),
+            ("0000000000000000001 0 0 1.0\n", 2),
+            ("0 0 0 +.5e-3\n", None),
+            ("0 0 0 1.0\n\n", 3),
+            ("0 0 0 1.0\r", 2),
+            ("0 0 0 1.0\r1 0 0 1.0\n", 2),
+            ("# c\n0 0 0 1.0\n", 2),
+            ("1 0 0 1.0\n+1 0 0 1.0\n", 3),
+            ("1_0 0 0 1.0\n", 2),
+            ("0 0 0 1.0 # c\n", 2),
+            ("0 0 0 1e\n", 2),
+            ("0 0 0 1.0.0\n", 2),
+            ("0 0 0 inf\n", 2),
+            ("0 0 0 1\x00\n", 2),
+            ("0 0 0 " + "1" * 63 + "\n", None),
+            ("0 0 0 " + "1" * 64 + "\n", 2),
+            ("0 0 0\n", 2),
+            ("0\x0b0 0 1.0\n", 2),
+        ],
+    )
+    def test_compiled_grammar(self, body, rejected_line):
+        if data._PARSE_COO is None:
+            pytest.skip("compiled parser not loaded")
+        raw = (_DIFF_HEAD + body).encode("utf-8")
+        if rejected_line is None:
+            coords, values = data._bulk_parse(raw, len(_DIFF_HEAD))
+            assert coords.shape == (values.shape[0], 3)
+        else:
+            with pytest.raises(ValueError, match=f"^line {rejected_line} is outside the grammar"):
+                data._bulk_parse(raw, len(_DIFF_HEAD))
+
+    def test_without_a_compiler_loadtxt_reads_the_same(self, tmp_path, monkeypatch):
+        spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
+        tensor, _, _ = generate_synthetic(spec)
+        good = tmp_path / "good.coo"
+        write_coo(tensor, good)
+        bad = []
+        for n, record in enumerate(["0 0 0 nan", "0 0 x 1.0", "99 0 0 1.0", "0 0 0 0.0"]):
+            bad.append(tmp_path / f"bad{n}.coo")
+            bad[-1].write_text(f"# dims 2 1 1\n1 0 0 2.0\n{record}\n")
+        paths = [good, *bad]
+        loaded = [_outcome(read_coo, path) for path in paths]
+        monkeypatch.setattr(data._native.shutil, "which", lambda name: None)
+        assert data._native.load(tmp_path / "lib") is None
+        monkeypatch.setattr(data, "_PARSE_COO", None)
+        assert [_outcome(read_coo, path) for path in paths] == loaded
+        assert loaded[0][2] == tensor.values.tobytes()
+        assert all(message.startswith("line 3: ") for _, message in loaded[1:])
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(
@@ -417,7 +514,8 @@ class TestBulkMatchesLineParser:
         body = newline.join(lines) + (newline if final and lines else "")
         head = "# dims {} {} {}\n".format(*_FUZZ_DIMS)
         path.write_bytes((head + body).encode("utf-8"))
-        assert _outcome(read_coo, path) == _outcome(_read_by_line, path)
+        got, by_loadtxt, by_line = _three_outcomes(path)
+        assert got == by_loadtxt == by_line
 
 
 class TestFactorFiles:
@@ -435,6 +533,20 @@ class TestFactorFiles:
         path = tmp_path / "f.factors"
         path.write_text("# rows 2 1\n0.5\n")
         with pytest.raises(ParseError):
+            read_factors(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# rows 0 5\n# rows 100000000000 5\n0 0 0 0 0\n", "line 2: factor block truncated"),
+            ("# rows 1 100000000000\n0.5\n", "line 2: expected 100000000000 values"),
+        ],
+    )
+    def test_huge_block_header_rejected_before_allocating(self, tmp_path, text, message):
+        # a block of the header's shape would take 3.6 TiB or 745 GiB
+        path = tmp_path / "f.factors"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{message}$"):
             read_factors(path)
 
     def test_malformed_number_rejected_with_line(self, tmp_path):

@@ -1,6 +1,7 @@
 """Site solver: entry-wise SGD, its compiled pass, the grouped soft-threshold,
 and objectives."""
 
+import ctypes
 import math
 import shutil
 import subprocess
@@ -460,6 +461,20 @@ class TestNativeBuild:
         assert len(compiles) == 1
         assert first.stat().st_mtime_ns == stamp
         assert list(tmp_path.iterdir()) == [first]
+
+    def test_load_declares_every_kernel(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        lib = _native.load(tmp_path)
+        declared = {
+            "sgd_pass": (_native._SGD_PASS_ARGTYPES, ctypes.c_int64),
+            "model_values": (_native._MODEL_VALUES_ARGTYPES, None),
+            "parse_coo": (_native._PARSE_COO_ARGTYPES, ctypes.c_int64),
+        }
+        for name, (argtypes, restype) in declared.items():
+            kernel = getattr(lib, name)
+            assert tuple(kernel.argtypes) == argtypes
+            assert kernel.restype is restype
 
     def test_half_written_library_is_never_loaded(self, tmp_path, monkeypatch):
         # a compiler that dies after writing part of its output
