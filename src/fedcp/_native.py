@@ -8,7 +8,7 @@ writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded. When there is no compiler, or
 compiling or loading fails, ``load`` returns None: the solver runs its
 Python loop, ``rmse`` its einsum and ``read_coo`` its ``np.loadtxt`` call
-instead.
+instead, and the COO and factor writers format with ``repr``.
 """
 
 import ctypes
@@ -41,6 +41,8 @@ _PARSE_COO_ARGTYPES = (
     _P, ctypes.c_int64, ctypes.c_int64,  # buf, len, cap
     _P, _P,  # coords, values
 )
+_FORMAT_ROWS_ARGTYPES = (_P, ctypes.c_int64, ctypes.c_int64, _P)  # values, n, rank, out
+_FORMAT_COO_ARGTYPES = (_P, _P, ctypes.c_int64, _P)  # coords, values, n, out
 
 
 def build(directory: Path) -> Path | None:
@@ -79,14 +81,15 @@ def build(directory: Path) -> Path | None:
 
 
 def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
-    """The library with ``sgd_pass``, ``model_values`` and ``parse_coo``
-    declared, or None."""
+    """The library with ``sgd_pass``, ``model_values``, ``parse_coo``,
+    ``format_rows`` and ``format_coo`` declared, or None."""
     path = build(directory)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
         sgd_pass, model_values, parse_coo = lib.sgd_pass, lib.model_values, lib.parse_coo
+        format_rows, format_coo = lib.format_rows, lib.format_coo
     except (OSError, AttributeError):
         return None
     sgd_pass.argtypes = _SGD_PASS_ARGTYPES
@@ -95,8 +98,13 @@ def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
     model_values.restype = None
     parse_coo.argtypes = _PARSE_COO_ARGTYPES
     parse_coo.restype = ctypes.c_int64
+    format_rows.argtypes = _FORMAT_ROWS_ARGTYPES
+    format_rows.restype = ctypes.c_int64
+    format_coo.argtypes = _FORMAT_COO_ARGTYPES
+    format_coo.restype = ctypes.c_int64
     return lib
 
 
-# built and loaded once per process; the solver, rmse and read_coo take their kernels from it
+# built and loaded once per process; the solver, rmse, read_coo, write_coo and
+# write_factors take their kernels from it
 LIBRARY = load()

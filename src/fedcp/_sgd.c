@@ -1,7 +1,9 @@
-/* The three hot loops of a CLI run, compiled: one shuffled SGD pass over
- * a site's shard (the twin of the Python loop in solver.py), the model
- * values that tensor.rmse scores (the twin of reconstruct_values), and
- * the parse of a COO file's body (the fast path of data.read_coo).
+/* The hot loops of a CLI run, compiled: one shuffled SGD pass over a
+ * site's shard (the twin of the Python loop in solver.py), the model
+ * values that tensor.rmse scores (the twin of reconstruct_values), the
+ * parse of a COO file's body (the fast path of data.read_coo), and the
+ * text of COO records and factor rows (the fast path of data.write_coo
+ * and data.write_factors, byte for byte what repr writes).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting
@@ -10,7 +12,9 @@
  * numpy's einsum uses. Build with -ffp-contract=off (no fused
  * multiply-add) and without -ffast-math, so the paths agree bit for bit.
  * The parser reads each value with strtod, which glibc rounds correctly,
- * as Python's float() does.
+ * as Python's float() does. The writers find each value's shortest
+ * round-trip digits with exact integer arithmetic and lay them out as
+ * repr does; a value outside their range is left to repr.
  *
  * The callers check shapes, dtypes and contiguity before a call; this
  * file trusts that every index in coords lies inside its factor matrix.
@@ -181,4 +185,228 @@ int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
             return -1 - n;
     }
     return n;
+}
+
+/* Shortest round-trip decimal of a double, as Python's repr writes it.
+ *
+ * x = f * 2^e with a 53-bit integer f. The free-format digit loop (Steele
+ * & White, PLDI 1990; Burger & Dybvig, PLDI 1996) keeps x = r / s and the
+ * half-gaps to its neighbours, mp / s above and mm / s below, as exact
+ * integers, scales them by a power of ten until (r + mp) / s lies in
+ * [0.1, 1), then takes digits until the digits so far, or those with the
+ * last one raised, read back as x. The gap ends count when f is even:
+ * float() rounds a decimal half way between two doubles to the even one.
+ * When both candidates read back, the nearer one is written, and on an
+ * exact tie the even digit, as the correctly rounded dtoa behind repr
+ * does. Every quantity stays below 2^120 for binary exponents e in
+ * [FMT_MIN_EXP, FMT_MAX_EXP] (about 3.5e-18 <= |x| < 2^63); the callers
+ * send any other value (subnormal, huge, inf, nan) to repr itself.
+ */
+typedef unsigned __int128 u128;
+
+#define FMT_MIN_EXP (-110)
+#define FMT_MAX_EXP 10
+#define FMT_MAX_BYTES 24 /* the longest repr of a double */
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* The digit loop on integers of type T, which must hold 21 * s: write the
+ * digits of r / s (with r + mp < s, or <= when even is 0) at digits and
+ * return their count, mp being mm << mp_shift. When s == 2^shift a digit
+ * is r >> shift and the remainder r & (s - 1); shift < 0 means s is no
+ * power of two. It is defined for 64 bits, which take s < 2^59 (0.03 <=
+ * |x| < 1e16 or so), and for 128 bits, which take the rest.
+ */
+#define DEFINE_DIGIT_LOOP(NAME, T)                                             \
+    static int NAME(T r, T s, T mm, int mp_shift, int shift, int even,         \
+                    char *digits)                                              \
+    {                                                                          \
+        T mask = s - 1, mp;                                                    \
+        int nd = 0, d, low, high;                                              \
+        for (;;) {                                                             \
+            r *= 10, mm *= 10, mp = mm << mp_shift;                            \
+            if (shift >= 0) {                                                  \
+                d = (int)(r >> shift);                                         \
+                r &= mask;                                                     \
+            } else {                                                           \
+                d = (int)(r / s);                                              \
+                r -= (T)d * s;                                                 \
+            }                                                                  \
+            low = even ? r <= mm : r < mm;                                     \
+            high = even ? r + mp >= s : r + mp > s;                            \
+            if (low || high)                                                   \
+                break;                                                         \
+            digits[nd++] = (char)('0' + d);                                    \
+        }                                                                      \
+        /* the nearer of d and d + 1, the even one on a tie */                 \
+        if (high && (!low || 2 * r > s || (2 * r == s && (d & 1))))            \
+            d++;                                                               \
+        digits[nd++] = (char)('0' + d);                                        \
+        return nd;                                                             \
+    }
+
+DEFINE_DIGIT_LOOP(digit_loop_64, uint64_t)
+DEFINE_DIGIT_LOOP(digit_loop_128, u128)
+
+/* Write repr(x) at out, at most FMT_MAX_BYTES bytes; return the byte
+ * count, or -1 (nothing written) when x is outside the range above. */
+static int format_double(double x, char *out)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    uint64_t frac = bits & ((1ULL << 52) - 1);
+    int biased = (int)((bits >> 52) & 0x7ff);
+    int e = biased - 1075;
+    char *p = out;
+    if (biased == 0 && frac == 0) {
+        if (bits >> 63)
+            *p++ = '-';
+        memcpy(p, "0.0", 3);
+        return (int)(p - out) + 3;
+    }
+    if (biased == 0 || e < FMT_MIN_EXP || e > FMT_MAX_EXP)
+        return -1;
+    if (bits >> 63)
+        *p++ = '-';
+
+    uint64_t f = frac | (1ULL << 52);
+    int even = (f & 1) == 0;
+    /* the gap below a power of two is half the gap above it: mp = 2 mm */
+    int h = frac == 0;
+    u128 r, s, mm;
+    if (e >= 0) {
+        r = (u128)f << (e + 1 + h);
+        s = (u128)2 << h;
+        mm = (u128)1 << e;
+    } else {
+        r = (u128)f << (1 + h);
+        s = (u128)1 << (1 - e + h);
+        mm = 1;
+    }
+
+    /* k = the decimal exponent with 10^(k-1) <= (r + mp) / s < 10^k.
+     * Start from floor((e + 52) * log10(2)) + 1, never above k (78913 /
+     * 2^18 is a hair below log10(2); the bias keeps the shifted operand
+     * non-negative), and scale r, mm or s by 10^|k| */
+    int k = (((e + 52) * 78913 + (64 << 18)) >> 18) - 64 + 1;
+    u128 R, S, MM;
+    for (;; k++) {
+        if (k >= 0)
+            R = r, S = s * POW10[k], MM = mm;
+        else
+            R = r * POW10[-k], S = s, MM = mm * POW10[-k];
+        if (even ? R + (MM << h) < S : R + (MM << h) <= S)
+            break;
+    }
+    /* s is still the power of two 2^shift when no 10^k scaled it */
+    int shift = e < 0 && k <= 0 ? 1 - e + h : -1;
+    char digits[20];
+    int nd = S >> 59 == 0
+        ? digit_loop_64((uint64_t)R, (uint64_t)S, (uint64_t)MM, h, shift, even, digits)
+        : digit_loop_128(R, S, MM, h, shift, even, digits);
+
+    /* the layout of repr: positional when the exponent k - 1 lies in
+     * [-4, 16), that is for 1e-4 <= |x| < 1e16, else d.ddde±XX */
+    if (k > -4 && k <= 16) {
+        if (k <= 0) {
+            memcpy(p, "0.000", 2 - k);
+            p += 2 - k;
+            memcpy(p, digits, nd);
+            p += nd;
+        } else if (k < nd) {
+            memcpy(p, digits, k);
+            p[k] = '.';
+            memcpy(p + k + 1, digits + k, nd - k);
+            p += nd + 1;
+        } else {
+            memcpy(p, digits, nd);
+            p += nd;
+            memset(p, '0', k - nd);
+            p += k - nd;
+            memcpy(p, ".0", 2);
+            p += 2;
+        }
+    } else {
+        int exp10 = k - 1;
+        *p++ = digits[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, digits + 1, nd - 1);
+            p += nd - 1;
+        }
+        *p++ = 'e';
+        *p++ = exp10 < 0 ? '-' : '+';
+        if (exp10 < 0)
+            exp10 = -exp10;
+        *p++ = (char)('0' + exp10 / 10);
+        *p++ = (char)('0' + exp10 % 10);
+    }
+    return (int)(p - out);
+}
+
+/* Write v in decimal at out; return the byte count (at most 20). */
+static int format_int(int64_t v, char *out)
+{
+    char tmp[20];
+    int n = 0, len = 0;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    do {
+        tmp[n++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        out[len++] = '-';
+    while (n)
+        out[len++] = tmp[--n];
+    return len;
+}
+
+/* Write the rows of values ((n, rank), row-major) at out, as
+ * " ".join(map(repr, row)) + "\n" per row; out holds n * rank
+ * * (FMT_MAX_BYTES + 1) + n bytes. Returns the byte count, or -1 - i
+ * when value i (row-major) is outside format_double's range; the text
+ * before it is written. */
+int64_t format_rows(const double *values, int64_t n, int64_t rank, char *out)
+{
+    char *p = out;
+    for (int64_t row = 0; row < n; row++) {
+        for (int64_t c = 0; c < rank; c++) {
+            int64_t i = row * rank + c;
+            if (c > 0)
+                *p++ = ' ';
+            int width = format_double(values[i], p);
+            if (width < 0)
+                return -1 - i;
+            p += width;
+        }
+        *p++ = '\n';
+    }
+    return p - out;
+}
+
+/* Write entries 0..n of coords ((n, 3), row-major) and values at out as
+ * f"{i} {j} {k} {v!r}\n" records; out holds n * (3 * 21 + FMT_MAX_BYTES
+ * + 1) bytes. Returns the byte count, or -1 - i when value i is outside
+ * format_double's range; the records before it are written. */
+int64_t format_coo(const int64_t *coords, const double *values, int64_t n, char *out)
+{
+    char *p = out;
+    for (int64_t i = 0; i < n; i++) {
+        for (int f = 0; f < 3; f++) {
+            p += format_int(coords[3 * i + f], p);
+            *p++ = ' ';
+        }
+        int width = format_double(values[i], p);
+        if (width < 0)
+            return -1 - i;
+        p += width;
+        *p++ = '\n';
+    }
+    return p - out;
 }

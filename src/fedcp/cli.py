@@ -8,6 +8,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import data
@@ -199,6 +200,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    shown = set()
+
+    def show_warning(message, *_location):
+        # the text once, without the library file and source line it was
+        # raised from: nothing there is a user's to change
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"fedcp: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():  # puts the caller's showwarning back
+        warnings.showwarning = show_warning
+        return _dispatch(args)
+
+
+def _dispatch(args) -> int:
     try:
         if args.command == "generate":
             cfg = _load(args)

@@ -5,7 +5,8 @@ COO file format: UTF-8 text, first line ``# dims I J K``, then one
 ``i j k value`` record per line; a line whose first token starts with
 ``#`` is a comment, and a ``#`` later in a record is an error. Factor files hold
 three blocks (A, B, C), each ``# rows <n> <R>`` followed by n rows of R
-values. Config files are ``key = value`` lines.
+values. The writers write each value as its ``repr``: the shortest decimal
+that reads back as the same float64. Config files are ``key = value`` lines.
 """
 
 import io
@@ -24,6 +25,12 @@ from .solver import SolverParams
 from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
 
 _PARSE_COO = None if _native.LIBRARY is None else _native.LIBRARY.parse_coo
+_FORMAT_ROWS = None if _native.LIBRARY is None else _native.LIBRARY.format_rows
+_FORMAT_COO = None if _native.LIBRARY is None else _native.LIBRARY.format_coo
+# bytes the compiled writers may write per value and per record: a float's
+# repr takes at most 24, an int64 at most 20, each with one separator
+_VALUE_BYTES = 25
+_COO_RECORD_BYTES = 3 * 21 + _VALUE_BYTES
 
 
 @dataclass(frozen=True)
@@ -172,13 +179,26 @@ _COO_WRITE_CHUNK = 1 << 14  # records formatted per write
 
 
 def write_coo(tensor: SparseTensorCOO, path):
+    """Write ``tensor`` as a COO file, one chunk of records per call: the
+    compiled ``format_coo`` when the library loaded, else, or for a chunk
+    with a value outside its range, ``repr``. Both write the same bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n")
-        # column lists of one chunk at a time: the Python objects of the
-        # whole tensor would set the process's peak memory
+        # the text of one chunk at a time: the text, or the Python objects,
+        # of the whole tensor would set the process's peak memory
+        out = None
+        if _FORMAT_COO is not None:
+            out = np.empty(min(tensor.nnz, _COO_WRITE_CHUNK) * _COO_RECORD_BYTES, np.uint8)
         for start in range(0, tensor.nnz, _COO_WRITE_CHUNK):
             stop = start + _COO_WRITE_CHUNK
-            rows = zip(*tensor.coords[start:stop].T.tolist(), tensor.values[start:stop].tolist())
+            coords = np.ascontiguousarray(tensor.coords[start:stop])
+            values = np.ascontiguousarray(tensor.values[start:stop])
+            if out is not None:
+                n = _FORMAT_COO(coords.ctypes.data, values.ctypes.data, len(values), out.ctypes.data)
+                if n >= 0:
+                    fh.write(str(out[:n], "ascii"))
+                    continue
+            rows = zip(*coords.T.tolist(), values.tolist())
             fh.write("".join([f"{i} {j} {k} {v!r}\n" for i, j, k, v in rows]))
 
 
@@ -278,9 +298,19 @@ def _read_coo_lines(fh, dims) -> SparseTensorCOO:
 
 
 def write_factors(result: FactorizationResult, path):
+    """Write the three factor blocks, each block's rows in one call: the
+    compiled ``format_rows`` when the library loaded, else, or for a block
+    with a value outside its range, ``repr``. Both write the same bytes."""
     with open(path, "w", encoding="utf-8") as fh:
         for m in (result.A, result.B, result.C):
             fh.write(f"# rows {m.shape[0]} {m.shape[1]}\n")
+            if _FORMAT_ROWS is not None:
+                m = np.ascontiguousarray(m)
+                out = np.empty(m.size * _VALUE_BYTES + m.shape[0], np.uint8)
+                n = _FORMAT_ROWS(m.ctypes.data, m.shape[0], m.shape[1], out.ctypes.data)
+                if n >= 0:
+                    fh.write(str(out[:n], "ascii"))
+                    continue
             for row in m.tolist():
                 fh.write(" ".join(map(repr, row)) + "\n")
 
@@ -290,6 +320,7 @@ def read_factors(path) -> FactorizationResult:
         lines = [ln.rstrip("\n") for ln in fh]
     blocks = []
     no = 0
+    first_header = None
     while no < len(lines):
         text = lines[no].strip()
         if not text:
@@ -304,6 +335,7 @@ def read_factors(path) -> FactorizationResult:
             raise ParseError("block header must carry two integers", line_no=no + 1) from None
         if n_rows < 0 or rank < 0:
             raise ParseError("block header counts must be non-negative", line_no=no + 1)
+        first_header = first_header or no + 1
         if blocks and rank != blocks[0].shape[1]:
             raise ParseError(
                 f"block rank {rank} differs from the first block's {blocks[0].shape[1]}",
@@ -330,6 +362,10 @@ def read_factors(path) -> FactorizationResult:
         no += 1
     if len(blocks) != 3:
         raise ParseError(f"expected 3 factor blocks, found {len(blocks)}", line_no=len(lines))
+    # a rank that no row confirms is the header's word alone, and the
+    # per-column work on these factors would be sized by it
+    if not any(len(b) for b in blocks):
+        raise ParseError("no factor block holds a row", line_no=first_header)
     return FactorizationResult(*blocks)
 
 

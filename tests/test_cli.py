@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedcp
+from fedcp import cli
 from fedcp.baseline import run_centralized_sgd
 from fedcp.cli import CSV_HEADER, main
 from fedcp.data import partition_rows, read_coo, read_factors, write_factors
@@ -210,9 +212,31 @@ class TestRun:
         assert fedcp_cli("generate", "--config", "cfg.txt").returncode == 0
         run = fedcp_cli("run", "--config", "cfg.txt", "--fixed-epochs", "2")
         assert run.returncode == 2, run.stderr
-        warned = [line for line in run.stderr.splitlines() if "Warning" in line]
+        warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
         assert len(warned) <= 1
         assert all("'eta'" in line and "stability" in line for line in warned)
+        # the text alone: no library file, line number or source line
+        assert run.stderr.splitlines() == warned
+        assert all(line.startswith("fedcp: warning: ") for line in warned)
+        assert "federation.py" not in run.stderr
+        assert "run_local_epoch(" not in run.stderr
+
+    def test_each_distinct_warning_is_printed_once(self, monkeypatch, capsys):
+        def warning_budget(*args):
+            for _ in range(2):  # the same text twice from one line, then from another
+                warnings.warn("step too large", RuntimeWarning)
+            warnings.warn("step too large", RuntimeWarning)
+            warnings.warn("budget spent", UserWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_budget", warning_budget)
+        shown = warnings.showwarning
+        assert main(["budget", "--rho", "1e-3"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "fedcp: warning: step too large",
+            "fedcp: warning: budget spent",
+        ]
+        assert warnings.showwarning is shown
 
     def test_fixed_epochs_flag_runs_exact_count(self, workspace, tmp_path):
         _, cfg = workspace
@@ -297,6 +321,13 @@ class TestEvaluate:
         huge.write_text("# rows 100000000000 5\n0 0 0 0 0\n")
         assert main(["evaluate", str(path), str(huge)]) == 1
         assert "line 1: factor block truncated" in capsys.readouterr().err
+
+    def test_blocks_without_rows_are_an_error(self, tmp_path, capsys):
+        # a rank no row confirms: per-column arrays of it would take 745 GiB
+        empty = tmp_path / "empty.factors"
+        empty.write_text("# rows 0 100000000000\n" * 3)
+        assert main(["evaluate", str(empty), str(empty)]) == 1
+        assert capsys.readouterr().err == "fedcp: line 1: no factor block holds a row\n"
 
 
 class TestBudget:

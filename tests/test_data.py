@@ -573,6 +573,141 @@ class TestFactorFiles:
         with pytest.raises(ParseError, match="line 3: block rank 1"):
             read_factors(path)
 
+    @pytest.mark.parametrize(
+        "text, line", [("# rows 0 100000000000\n" * 3, 1), ("\n# rows 0 0\n" * 3, 2)]
+    )
+    def test_blocks_without_rows_rejected_at_the_first_header(self, tmp_path, text, line):
+        path = tmp_path / "f.factors"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: no factor block holds a row$"):
+            read_factors(path)
+
+
+def _compiled_repr(value):
+    """``value`` as the compiled ``format_rows`` writes it alone, or None
+    when it leaves the value to ``repr``."""
+    one = np.array([value], dtype=np.float64)
+    out = np.empty(data._VALUE_BYTES + 1, dtype=np.uint8)
+    n = data._FORMAT_ROWS(one.ctypes.data, 1, 1, out.ctypes.data)
+    if n < 0:
+        assert n == -1
+        return None
+    assert out[n - 1] == ord("\n")
+    return out[: n - 1].tobytes().decode("ascii")
+
+
+def _in_compiled_range(value):
+    # binary exponents -110 to 10 of a 53-bit mantissa, and both zeros
+    return value == 0.0 or (math.isfinite(value) and 2.0**-58 <= abs(value) < 2.0**63)
+
+
+@pytest.mark.skipif(data._FORMAT_ROWS is None, reason="compiled writers not loaded")
+class TestCompiledFormatter:
+    """The compiled writers against ``repr``, value by value and file by file."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+    def test_hypothesis_floats_match_repr_or_fall_back(self, values):
+        for v in values:
+            got = _compiled_repr(v)
+            if _in_compiled_range(v):
+                assert got == repr(v)
+            else:  # subnormal, huge, inf and nan take repr
+                assert got is None
+
+    def test_every_power_of_two_and_its_neighbours(self):
+        powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+        values = [v for p in powers for v in (math.nextafter(p, 0), p, math.nextafter(p, math.inf))]
+        values += [-v for v in values]
+        got = [_compiled_repr(v) for v in values]
+        assert [g for g, v in zip(got, values) if g != repr(v)] == [
+            None for v in values if not _in_compiled_range(v)
+        ]
+        # both range ends are reached: 2^-58 and the float below 2^63
+        assert got[values.index(2.0**-58)] == repr(2.0**-58)
+        assert got[values.index(math.nextafter(2.0**63, 0.0))] == "9.223372036854775e+18"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (1743829569681555.25, "1743829569681555.2"),  # tie: the even digit
+            (2.9802322387695312e-08, "2.9802322387695312e-08"),
+            (1e-4, "0.0001"),
+            (1e-5, "1e-05"),
+            (9999999999999998.0, "9999999999999998.0"),
+            (1e16, "1e+16"),
+            (1.0, "1.0"),
+            (-2.5, "-2.5"),
+            (123456.0, "123456.0"),
+            (0.1, "0.1"),
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+        ],
+    )
+    def test_ties_and_layout_boundaries(self, value, text):
+        assert repr(value) == text
+        assert _compiled_repr(value) == text
+
+    def test_values_of_every_size_match_repr(self):
+        rng = np.random.default_rng(5)
+        # log-uniform over the compiled range, 4e-18 to 8e18, with both neighbours
+        logs = 10.0 ** rng.uniform(-17.4, 18.9, 4000)
+        values = np.concatenate([logs, np.nextafter(logs, 0.0), np.nextafter(logs, np.inf)])
+        values = values.tolist()
+        values += [k / 1000 for k in range(1, 3000)] + [float(k) for k in range(1, 3000)]
+        for v in values:
+            assert _compiled_repr(v) == repr(v)
+            assert _compiled_repr(-v) == repr(-v)
+
+    def test_rows_layout_and_the_index_of_an_out_of_range_value(self):
+        m = np.array([[0.5, -1.0, 3e-07], [2.0, 1e22, 0.1]])
+        out = np.empty(m.size * data._VALUE_BYTES + m.shape[0], dtype=np.uint8)
+        n = data._FORMAT_ROWS(m.ctypes.data, 1, 3, out.ctypes.data)
+        assert out[:n].tobytes() == b"0.5 -1.0 3e-07\n"
+        assert data._FORMAT_ROWS(m.ctypes.data, 2, 3, out.ctypes.data) == -1 - 4
+        assert data._FORMAT_ROWS(m.ctypes.data, 3, 0, out.ctypes.data) == 3  # "\n" a row
+
+    def test_coo_records_and_the_index_of_an_out_of_range_value(self):
+        coords = np.array([[0, 12, 345], [9223372036854775807, 0, 7]], dtype=np.int64)
+        values = np.array([1.5, -2e-05])
+        out = np.empty(2 * data._COO_RECORD_BYTES, dtype=np.uint8)
+        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data)
+        assert out[:n].tobytes() == b"0 12 345 1.5\n9223372036854775807 0 7 -2e-05\n"
+        values[1] = 5e-324
+        assert data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data) == -2
+
+    @pytest.mark.parametrize("odd", [None, 5e-324, 1e300, -2.0**63])
+    def test_writers_give_the_bytes_of_repr(self, tmp_path, monkeypatch, odd):
+        # with one value outside the compiled range, its block or chunk takes repr
+        rng = np.random.default_rng(3)
+        nnz = data._COO_WRITE_CHUNK + 100
+        lin = np.sort(rng.choice(60 * 30 * 50, size=nnz, replace=False))
+        coords = np.stack(np.unravel_index(lin, (60, 30, 50)), axis=1)
+        # inside the compiled range, 5e-18 to 5e18, unless odd is set
+        values = rng.choice([-1.0, 1.0], nnz) * rng.uniform(0.5, 5.0, nnz)
+        values *= 10.0 ** rng.integers(-17, 18, nnz)
+        factors = [rng.uniform(0.1, 1.0, (n, 4)) * 10.0 ** rng.integers(-5, 5, (n, 4))
+                   for n in (7, 5, 6)]
+        factors[2] = np.asfortranarray(factors[2])  # written row by row all the same
+        if odd is not None:
+            values[nnz - 50] = odd
+            factors[1][2, 3] = odd
+        tensor = SparseTensorCOO((60, 30, 50), coords, values)
+        result = FactorizationResult(*factors)
+
+        def written():
+            write_coo(tensor, tmp_path / "t.coo")
+            write_factors(result, tmp_path / "f.factors")
+            return (tmp_path / "t.coo").read_bytes(), (tmp_path / "f.factors").read_bytes()
+
+        compiled = written()
+        monkeypatch.setattr(data, "_FORMAT_COO", None)
+        monkeypatch.setattr(data, "_FORMAT_ROWS", None)
+        assert written() == compiled
+        records = zip(coords.tolist(), values.tolist())
+        body = "".join(f"{i} {j} {k} {v!r}\n" for (i, j, k), v in records)
+        assert compiled[0] == ("# dims 60 30 50\n" + body).encode()
+
 
 class TestLoadConfig:
     def test_empty_file_gives_documented_defaults(self, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedcp import _native, solver
+from fedcp.data import write_coo, write_factors
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
     SiteState,
@@ -21,7 +22,7 @@ from fedcp.solver import (
     run_local_epoch,
 )
 from fedcp.federation import pooled_rmse
-from fedcp.tensor import SparseTensorCOO, rmse
+from fedcp.tensor import FactorizationResult, SparseTensorCOO, rmse
 
 
 def _state(entries, dims, a, b, c, seed=0, site_id=0):
@@ -470,6 +471,8 @@ class TestNativeBuild:
             "sgd_pass": (_native._SGD_PASS_ARGTYPES, ctypes.c_int64),
             "model_values": (_native._MODEL_VALUES_ARGTYPES, None),
             "parse_coo": (_native._PARSE_COO_ARGTYPES, ctypes.c_int64),
+            "format_rows": (_native._FORMAT_ROWS_ARGTYPES, ctypes.c_int64),
+            "format_coo": (_native._FORMAT_COO_ARGTYPES, ctypes.c_int64),
         }
         for name, (argtypes, restype) in declared.items():
             kernel = getattr(lib, name)
@@ -491,7 +494,7 @@ class TestNativeBuild:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_without_a_compiler_the_python_pass_runs_with_the_same_bits(
-        self, tmp_path, monkeypatch
+        self, tmp_path, tmp_path_factory, monkeypatch
     ):
         tensor, factors, anchors = _random_shard(5, (6, 4, 5), 3, 0.5)
         params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.3)
@@ -499,17 +502,25 @@ class TestNativeBuild:
         def run():
             state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=3, site_id=0)
             run_local_epoch(state, anchors, params)
-            return (state.A, state.B, state.C), rmse([tensor], [state])
+            # the writers' files, as fedcp generate and fedcp run write them
+            write_coo(tensor, files / "t.coo")
+            write_factors(FactorizationResult(state.A, state.B, state.C), files / "f.factors")
+            written = [(files / name).read_bytes() for name in ("t.coo", "f.factors")]
+            return (state.A, state.B, state.C), rmse([tensor], [state]), written
 
-        loaded_factors, loaded_rmse = run()
+        files = tmp_path_factory.mktemp("files")
+        loaded_factors, loaded_rmse, loaded_files = run()
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.load(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
         monkeypatch.setattr(solver, "_SGD_PASS", None)
         monkeypatch.setattr("fedcp.tensor._MODEL_VALUES", None)  # rmse takes the einsum
-        python_factors, python_rmse = run()
+        monkeypatch.setattr("fedcp.data._FORMAT_COO", None)  # the writers take repr
+        monkeypatch.setattr("fedcp.data._FORMAT_ROWS", None)
+        python_factors, python_rmse, python_files = run()
         assert all(np.array_equal(p, q) for p, q in zip(loaded_factors, python_factors))
         assert python_rmse == loaded_rmse
+        assert python_files == loaded_files
 
 
 class TestBetaLipschitz:
