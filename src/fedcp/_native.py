@@ -41,8 +41,14 @@ _PARSE_COO_ARGTYPES = (
     _P, ctypes.c_int64, ctypes.c_int64,  # buf, len, cap
     _P, _P,  # coords, values
 )
-_FORMAT_ROWS_ARGTYPES = (_P, ctypes.c_int64, ctypes.c_int64, _P)  # values, n, rank, out
-_FORMAT_COO_ARGTYPES = (_P, _P, ctypes.c_int64, _P)  # coords, values, n, out
+_FORMAT_ROWS_ARGTYPES = (
+    _P, ctypes.c_int64, ctypes.c_int64,  # values, n, rank
+    _P, ctypes.c_int64,  # out, cap
+)
+_FORMAT_COO_ARGTYPES = (
+    _P, _P, ctypes.c_int64,  # coords, values, n
+    _P, ctypes.c_int64,  # out, cap
+)
 
 
 def build(directory: Path) -> Path | None:

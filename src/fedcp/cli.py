@@ -200,14 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    shown = set()
 
     def show_warning(message, *_location):
-        # the text once, without the library file and source line it was
-        # raised from: nothing there is a user's to change
-        if str(message) not in shown:
-            shown.add(str(message))
-            print(f"fedcp: warning: {message}", file=sys.stderr)
+        # the text alone, without the library file and source line it was
+        # raised from: nothing there is a user's to change. The default
+        # filter already shows a warning once per place it is raised from.
+        print(f"fedcp: warning: {message}", file=sys.stderr)
 
     with warnings.catch_warnings():  # puts the caller's showwarning back
         warnings.showwarning = show_warning

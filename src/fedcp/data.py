@@ -27,8 +27,10 @@ from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
 _PARSE_COO = None if _native.LIBRARY is None else _native.LIBRARY.parse_coo
 _FORMAT_ROWS = None if _native.LIBRARY is None else _native.LIBRARY.format_rows
 _FORMAT_COO = None if _native.LIBRARY is None else _native.LIBRARY.format_coo
-# bytes the compiled writers may write per value and per record: a float's
-# repr takes at most 24, an int64 at most 20, each with one separator
+# buffer bytes per value and per record that always hold the compiled
+# writers' text: a float's repr takes at most 24, an int64 at most 20, each
+# with one separator. A kernel that finds too little room left hands its
+# block or chunk to repr instead of writing past the buffer.
 _VALUE_BYTES = 25
 _COO_RECORD_BYTES = 3 * 21 + _VALUE_BYTES
 
@@ -194,7 +196,9 @@ def write_coo(tensor: SparseTensorCOO, path):
             coords = np.ascontiguousarray(tensor.coords[start:stop])
             values = np.ascontiguousarray(tensor.values[start:stop])
             if out is not None:
-                n = _FORMAT_COO(coords.ctypes.data, values.ctypes.data, len(values), out.ctypes.data)
+                n = _FORMAT_COO(
+                    coords.ctypes.data, values.ctypes.data, len(values), out.ctypes.data, out.size
+                )
                 if n >= 0:
                     fh.write(str(out[:n], "ascii"))
                     continue
@@ -307,7 +311,7 @@ def write_factors(result: FactorizationResult, path):
             if _FORMAT_ROWS is not None:
                 m = np.ascontiguousarray(m)
                 out = np.empty(m.size * _VALUE_BYTES + m.shape[0], np.uint8)
-                n = _FORMAT_ROWS(m.ctypes.data, m.shape[0], m.shape[1], out.ctypes.data)
+                n = _FORMAT_ROWS(m.ctypes.data, m.shape[0], m.shape[1], out.ctypes.data, out.size)
                 if n >= 0:
                     fh.write(str(out[:n], "ascii"))
                     continue

@@ -223,9 +223,8 @@ class TestRun:
 
     def test_each_distinct_warning_is_printed_once(self, monkeypatch, capsys):
         def warning_budget(*args):
-            for _ in range(2):  # the same text twice from one line, then from another
+            for _ in range(2):  # the same text twice from one line
                 warnings.warn("step too large", RuntimeWarning)
-            warnings.warn("step too large", RuntimeWarning)
             warnings.warn("budget spent", UserWarning)
             return 0
 

@@ -588,7 +588,7 @@ def _compiled_repr(value):
     when it leaves the value to ``repr``."""
     one = np.array([value], dtype=np.float64)
     out = np.empty(data._VALUE_BYTES + 1, dtype=np.uint8)
-    n = data._FORMAT_ROWS(one.ctypes.data, 1, 1, out.ctypes.data)
+    n = data._FORMAT_ROWS(one.ctypes.data, 1, 1, out.ctypes.data, out.size)
     if n < 0:
         assert n == -1
         return None
@@ -662,19 +662,58 @@ class TestCompiledFormatter:
     def test_rows_layout_and_the_index_of_an_out_of_range_value(self):
         m = np.array([[0.5, -1.0, 3e-07], [2.0, 1e22, 0.1]])
         out = np.empty(m.size * data._VALUE_BYTES + m.shape[0], dtype=np.uint8)
-        n = data._FORMAT_ROWS(m.ctypes.data, 1, 3, out.ctypes.data)
+        n = data._FORMAT_ROWS(m.ctypes.data, 1, 3, out.ctypes.data, out.size)
         assert out[:n].tobytes() == b"0.5 -1.0 3e-07\n"
-        assert data._FORMAT_ROWS(m.ctypes.data, 2, 3, out.ctypes.data) == -1 - 4
-        assert data._FORMAT_ROWS(m.ctypes.data, 3, 0, out.ctypes.data) == 3  # "\n" a row
+        assert data._FORMAT_ROWS(m.ctypes.data, 2, 3, out.ctypes.data, out.size) == -1 - 4
+        assert data._FORMAT_ROWS(m.ctypes.data, 3, 0, out.ctypes.data, out.size) == 3  # "\n" a row
 
     def test_coo_records_and_the_index_of_an_out_of_range_value(self):
         coords = np.array([[0, 12, 345], [9223372036854775807, 0, 7]], dtype=np.int64)
         values = np.array([1.5, -2e-05])
         out = np.empty(2 * data._COO_RECORD_BYTES, dtype=np.uint8)
-        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data)
+        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data, out.size)
         assert out[:n].tobytes() == b"0 12 345 1.5\n9223372036854775807 0 7 -2e-05\n"
         values[1] = 5e-324
-        assert data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data) == -2
+        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data, out.size)
+        assert n == -2
+
+    def test_the_writers_buffers_hold_the_longest_text_and_no_kernel_writes_past_cap(self):
+        # the longest reprs in range, and the longest int64s
+        longest = [-1.0000000000000002e-05, -1.2345678901234567e-17, -1.0000000000000002e16,
+                   -0.00012345678901234567, -1234567890123456.8]
+        assert max(len(repr(v)) for v in longest) == 23
+        m = np.array([longest] * 3)
+        coords = np.full((len(longest), 3), -(2**63), dtype=np.int64)
+        values = np.array(longest)
+        rows = "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist()).encode()
+        records = "".join(f"{-(2**63)} {-(2**63)} {-(2**63)} {v!r}\n" for v in longest).encode()
+        guard = 64  # bytes past cap that must stay as they were
+
+        def rows_into(cap):
+            out = np.full(cap + guard, 0xAA, dtype=np.uint8)
+            n = data._FORMAT_ROWS(m.ctypes.data, 3, len(longest), out.ctypes.data, cap)
+            assert (out[cap:] == 0xAA).all()
+            return n, out[: max(n, 0)].tobytes()
+
+        def records_into(cap):
+            out = np.full(cap + guard, 0xAA, dtype=np.uint8)
+            n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, len(values),
+                                 out.ctypes.data, cap)
+            assert (out[cap:] == 0xAA).all()
+            return n, out[: max(n, 0)].tobytes()
+
+        # the sizes write_factors and write_coo allocate take the compiled path
+        assert rows_into(m.size * data._VALUE_BYTES + m.shape[0]) == (len(rows), rows)
+        assert records_into(len(values) * data._COO_RECORD_BYTES) == (len(records), records)
+        # too little room: the first value without room is named, nothing is
+        # written past cap, and the caller hands the block or chunk to repr
+        for cap in range(0, len(rows), 7):
+            assert rows_into(cap)[0] < 0
+        for cap in range(0, len(records), 7):
+            assert records_into(cap)[0] < 0
+        # room is checked for a 24-byte text, one more than these values take
+        assert rows_into(len(rows))[0] == -1 - (m.size - 1)
+        assert records_into(data._COO_RECORD_BYTES - 1)[0] == -1
 
     @pytest.mark.parametrize("odd", [None, 5e-324, 1e300, -2.0**63])
     def test_writers_give_the_bytes_of_repr(self, tmp_path, monkeypatch, odd):
