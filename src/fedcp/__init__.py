@@ -45,6 +45,7 @@ from .privacy import (
     zcdp_to_dp_approx,
 )
 from .solver import (
+    RoundSums,
     SiteState,
     SolverParams,
     beta_lipschitz,

@@ -6,9 +6,10 @@ bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded. When there is no compiler, or
-compiling or loading fails, ``load`` returns None: the solver runs its
-Python loop, ``rmse`` its einsum and ``read_coo`` its ``np.loadtxt`` call
-instead, and the COO and factor writers format with ``repr``.
+compiling or loading fails, ``load`` returns None: the solver runs a
+site's round in Python, ``rmse`` its einsum and ``read_coo`` its
+``np.loadtxt`` call instead, and the COO and factor writers format with
+``repr``.
 """
 
 import ctypes
@@ -26,11 +27,12 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
 
 _P = ctypes.c_void_p
-_SGD_PASS_ARGTYPES = (
-    ctypes.c_int64, _P, _P, _P,  # nnz, order, coords, values
+_SITE_ROUND_ARGTYPES = (
+    ctypes.c_int64, ctypes.c_int64, _P, _P, _P,  # tau, nnz, orders, coords, values
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # i_dim, j_dim, k_dim
     _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
     ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int,
-    _P,  # work
+    ctypes.c_double, _P, _P,  # threshold, sums, where
 )
 _MODEL_VALUES_ARGTYPES = (
     ctypes.c_int64, _P,  # nnz, coords
@@ -87,19 +89,19 @@ def build(directory: Path) -> Path | None:
 
 
 def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
-    """The library with ``sgd_pass``, ``model_values``, ``parse_coo``,
+    """The library with ``site_round``, ``model_values``, ``parse_coo``,
     ``format_rows`` and ``format_coo`` declared, or None."""
     path = build(directory)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        sgd_pass, model_values, parse_coo = lib.sgd_pass, lib.model_values, lib.parse_coo
+        site_round, model_values, parse_coo = lib.site_round, lib.model_values, lib.parse_coo
         format_rows, format_coo = lib.format_rows, lib.format_coo
     except (OSError, AttributeError):
         return None
-    sgd_pass.argtypes = _SGD_PASS_ARGTYPES
-    sgd_pass.restype = ctypes.c_int64
+    site_round.argtypes = _SITE_ROUND_ARGTYPES
+    site_round.restype = ctypes.c_int
     model_values.argtypes = _MODEL_VALUES_ARGTYPES
     model_values.restype = None
     parse_coo.argtypes = _PARSE_COO_ARGTYPES

@@ -1,16 +1,20 @@
-/* The hot loops of a CLI run, compiled: one shuffled SGD pass over a
- * site's shard (the twin of the Python loop in solver.py), the model
- * values that tensor.rmse scores (the twin of reconstruct_values), the
- * parse of a COO file's body (the fast path of data.read_coo), and the
- * text of COO records and factor rows (the fast path of data.write_coo
- * and data.write_factors, byte for byte what repr writes).
+/* The hot loops of a CLI run, compiled: a site's round of shuffled SGD
+ * passes, each followed by the finiteness sweep and the prox step, and the
+ * sums for the round's RMSE and convergence check (the twin of the Python
+ * round in solver.run_local_epoch), the model values that tensor.rmse
+ * scores (the twin of reconstruct_values), the parse of a COO file's body
+ * (the fast path of data.read_coo), and the text of COO records and factor
+ * rows (the fast path of data.write_coo and data.write_factors, byte for
+ * byte what repr writes).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting
  * from the first product, and every row update is a separate multiply and
  * subtract; the model values are summed left to right from 0.0, the order
- * numpy's einsum uses. Build with -ffp-contract=off (no fused
- * multiply-add) and without -ffast-math, so the paths agree bit for bit.
+ * numpy's einsum uses; the round's norms and sums take numpy's pairwise or
+ * row order, as np.sum and np.linalg.norm do. Build with -ffp-contract=off
+ * (no fused multiply-add) and without -ffast-math, so the paths agree bit
+ * for bit.
  * The parser reads each value with strtod, which glibc rounds correctly,
  * as Python's float() does. The writers find each value's shortest
  * round-trip digits with exact integer arithmetic and lay them out as
@@ -51,11 +55,11 @@ static void clip_row(double *g, int64_t rank, double clip)
  * the first entry whose residual is not finite; the entries before it
  * stay applied and that entry is not.
  */
-int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords,
-                 const double *values, double *A, double *B, double *C,
-                 const double *b_hat, const double *c_hat, int64_t rank,
-                 double eta, double gamma, double clip, int clip_on,
-                 double *work)
+static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords,
+                        const double *values, double *A, double *B, double *C,
+                        const double *b_hat, const double *c_hat, int64_t rank,
+                        double eta, double gamma, double clip, int clip_on,
+                        double *work)
 {
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
     for (int64_t p = 0; p < nnz; p++) {
@@ -115,6 +119,157 @@ void model_values(int64_t nnz, const int64_t *coords, const double *A,
             sum += (a[r] * b[r]) * c[r];
         out[n] = sum;
     }
+}
+
+/* numpy's pairwise_sum for float64, which np.sum and np.add.reduce use on
+ * a contiguous run of values: fewer than 8 terms are summed in turn from
+ * 0.0, up to 128 in eight interleaved partial sums combined as a tree and
+ * then the leftover terms, and longer runs split in two halves at a
+ * multiple of 8. The sums in this file add 0.0 + this, as numpy does.
+ */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            sum += a[i];
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            sum += a[i];
+        return sum;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* np.add.reduce(x ** 2) and np.add.reduce((x - y) ** 2) over n values,
+ * y being NULL in the first case; sq holds n doubles of scratch. */
+static double sum_squares(const double *x, const double *y, int64_t n, double *sq)
+{
+    for (int64_t i = 0; i < n; i++) {
+        double d = y ? x[i] - y[i] : x[i];
+        sq[i] = d * d;
+    }
+    return 0.0 + pairwise_sum(sq, n);
+}
+
+/* The first row of m ((rows, rank), row-major) holding a non-finite
+ * value, or -1. */
+static int64_t non_finite_row(const double *m, int64_t rows, int64_t rank)
+{
+    for (int64_t i = 0; i < rows * rank; i++)
+        if (!isfinite(m[i]))
+            return i / rank;
+    return -1;
+}
+
+/* prox_l21 in place: scale column r of A ((rows, rank), row-major) by
+ * max(0, 1 - threshold / norm_r), or by 0 when norm_r is 0. The norms are
+ * np.linalg.norm(A, axis=0): numpy sums a rank-1 column pairwise and the
+ * columns of rank >= 2 each down the rows in order. scratch holds
+ * rows * rank doubles.
+ */
+static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold, double *scratch)
+{
+    double *norm = scratch;
+    if (rank == 1) {
+        norm[0] = sum_squares(A, NULL, rows, scratch);
+    } else {
+        for (int64_t r = 0; r < rank; r++)
+            norm[r] = 0.0;
+        for (int64_t i = 0; i < rows; i++)
+            for (int64_t r = 0; r < rank; r++)
+                norm[r] += A[i * rank + r] * A[i * rank + r];
+    }
+    for (int64_t r = 0; r < rank; r++) {
+        double n = sqrt(norm[r]);
+        double scale = n > 0.0 ? 1.0 - threshold / n : 0.0;
+        norm[r] = scale > 0.0 ? scale : 0.0;
+    }
+    for (int64_t i = 0; i < rows; i++)
+        for (int64_t r = 0; r < rank; r++)
+            A[i * rank + r] = A[i * rank + r] * norm[r];
+}
+
+/* One site's round, solver.run_local_epoch after its checks: for each of
+ * the tau rows of orders ((tau, nnz), row-major), sgd_pass over the shard,
+ * the finiteness sweep of A, B and C, then the prox step on A when
+ * threshold > 0. The factors are (i_dim, rank), (j_dim, rank) and
+ * (k_dim, rank), row-major.
+ *
+ * Returns ROUND_DONE with sums = {sum of squared residuals over the shard
+ * at the final factors, then for B and then C: sum p^2 and sum (c - p)^2,
+ * p being the factor at the start and c at the end}. Else, with the
+ * factors as the failing pass left them: ROUND_RESIDUAL with where the
+ * position in orders (pass * nnz + p) of the entry whose residual is not
+ * finite, or ROUND_ROW + m with where the first row of factor m (0 for A,
+ * 1 for B, 2 for C) holding a non-finite value after a pass; or
+ * ROUND_NO_MEMORY, before anything changed.
+ */
+enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
+
+int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *coords,
+               const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
+               double *A, double *B, double *C, const double *b_hat, const double *c_hat,
+               int64_t rank, double eta, double gamma, double clip, int clip_on,
+               double threshold, double *sums, int64_t *where)
+{
+    int64_t nb = j_dim * rank, nc = k_dim * rank, big = i_dim * rank;
+    if (big < nnz)
+        big = nnz;
+    if (big < nb)
+        big = nb;
+    if (big < nc)
+        big = nc;
+    double *work = malloc(sizeof(double) * (size_t)(3 * rank + nb + nc + big));
+    if (!work)
+        return ROUND_NO_MEMORY;
+    double *b0 = work + 3 * rank, *c0 = b0 + nb, *scratch = c0 + nc;
+    memcpy(b0, B, sizeof(double) * (size_t)nb);
+    memcpy(c0, C, sizeof(double) * (size_t)nc);
+
+    int status = ROUND_DONE;
+    double *factors[3] = {A, B, C};
+    int64_t rows[3] = {i_dim, j_dim, k_dim};
+    for (int64_t t = 0; t < tau && status == ROUND_DONE; t++) {
+        int64_t stop = sgd_pass(nnz, orders + t * nnz, coords, values, A, B, C, b_hat,
+                                c_hat, rank, eta, gamma, clip, clip_on, work);
+        if (stop >= 0) {
+            *where = t * nnz + stop;
+            status = ROUND_RESIDUAL;
+            break;
+        }
+        for (int m = 0; m < 3 && status == ROUND_DONE; m++) {
+            *where = non_finite_row(factors[m], rows[m], rank);
+            if (*where >= 0)
+                status = ROUND_ROW + m;
+        }
+        if (status == ROUND_DONE && threshold > 0.0)
+            prox_columns(A, i_dim, rank, threshold, scratch);
+    }
+    if (status == ROUND_DONE) {
+        model_values(nnz, coords, A, B, C, rank, scratch);
+        for (int64_t n = 0; n < nnz; n++)
+            scratch[n] = scratch[n] - values[n];
+        sums[0] = sum_squares(scratch, NULL, nnz, scratch);
+        sums[1] = sum_squares(b0, NULL, nb, scratch);
+        sums[2] = sum_squares(B, b0, nb, scratch);
+        sums[3] = sum_squares(c0, NULL, nc, scratch);
+        sums[4] = sum_squares(C, c0, nc, scratch);
+    }
+    free(work);
+    return status;
 }
 
 #define IS_BLANK(ch) ((ch) == ' ' || (ch) == '\t')

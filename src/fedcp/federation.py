@@ -9,8 +9,10 @@ round's traffic is the length of those encodings. Patient factors never
 leave a site: the upload message has no field for them. Sites keep their
 local feature factors; the broadcast only moves the penalty anchors.
 
-Reductions are ordered by site id, so a run is bit-reproducible whether
-sites execute serially or on a worker pool.
+A site's local epoch also returns its sums for the round's RMSE and
+convergence check, so the round combines them and never rescans a shard or
+copies a factor. Reductions are ordered by site id, so a run is
+bit-reproducible whether sites execute serially or on a worker pool.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ProtocolError
+from .errors import DimensionError, NumericOverflowError, ProtocolError
 from .privacy import (
     PrivacyAccountant,
     PrivacyParams,
@@ -28,8 +30,9 @@ from .privacy import (
     l2_sensitivity,
     perturb_matrix,
 )
-from .solver import SiteState, SolverParams, derive_site_seed, init_site_state, run_local_epoch
-from .tensor import rmse
+from .solver import SiteState, SolverParams, change_sums, derive_site_seed, init_site_state
+from .solver import run_local_epoch
+from .tensor import rmse, root_mean_square
 
 HEADER_BYTES = 24
 MESSAGE_TAG = 1  # combined B-then-C payload
@@ -99,7 +102,8 @@ class RoundMessage:
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    """Per-round outputs: fit, this round's traffic, and the running budget."""
+    """Per-round outputs: fit, this round's traffic, the running budget, and
+    the worst relative change of a feature factor (None where not known)."""
 
     epoch: int
     rmse: float
@@ -108,14 +112,15 @@ class EpochMetrics:
     rho_total: float
     eps_exact: float
     eps_approx: float
+    change: float | None = None
 
 
 def server_update(server: ServerState, uploads, eta: float, gamma: float) -> None:
     """One elastic step of the anchors toward the uploads, in place.
 
-    Every site must appear exactly once, with an upload for the epoch after
-    the server's. The sum runs in ascending site_id order against the
-    pre-update anchors.
+    Every site must appear exactly once, with a finite upload for the epoch
+    after the server's. The sum runs in ascending site_id order against the
+    pre-update anchors. A rejected cohort leaves the server unchanged.
     """
     ids = sorted(m.site_id for m in uploads)
     if ids != list(range(server.n_sites)):
@@ -133,13 +138,20 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float) -> Non
             raise DimensionError(f"upload from site {t} has wrong shape")
         delta_b += gamma * (msg.priv_B - server.B_hat)
         delta_c += gamma * (msg.priv_C - server.C_hat)
+    # one test per round; the uploads are scanned only to name the site
+    if not (np.isfinite(delta_b).all() and np.isfinite(delta_c).all()):
+        for t in range(server.n_sites):
+            if not (np.isfinite(by_id[t].priv_B).all() and np.isfinite(by_id[t].priv_C).all()):
+                raise ProtocolError(f"upload from site {t} holds a non-finite value")
+        raise NumericOverflowError("the anchor step overflowed")
     server.B_hat = server.B_hat + eta * delta_b
     server.C_hat = server.C_hat + eta * delta_c
     server.epoch += 1
 
 
 def pooled_rmse(sites) -> float:
-    """Fit over the union of all shards, each scored with its own factors."""
+    """Fit over the union of all shards, each scored with its own factors;
+    the reference the round's RMSE is tested against."""
     return rmse([s.tensor for s in sites], sites)
 
 
@@ -167,22 +179,20 @@ def run_round(
 
     ``pool`` may be any concurrent.futures.Executor; sites share no mutable
     state, and the reduction is ordered, so the result does not depend on it.
-    The compiled SGD pass runs without the GIL, so on a thread pool the
-    sites' local passes overlap.
+    The compiled site round runs without the GIL, so on a thread pool the
+    sites' local epochs overlap.
     """
     epoch = server.epoch + 1
     sensitivity = l2_sensitivity(params.tau, params.clip, params.eta)
     sigma = gaussian_sigma(sensitivity, priv.rho)
     anchors = (server.B_hat, server.C_hat)
 
-    def site_work(state: SiteState) -> bytes:
-        run_local_epoch(state, anchors, params)
-        return build_upload(state, epoch, sigma).to_bytes()
+    def site_work(state: SiteState):
+        sums = run_local_epoch(state, anchors, params)
+        return sums, build_upload(state, epoch, sigma).to_bytes()
 
-    if pool is None:
-        blobs = [site_work(s) for s in sites]
-    else:
-        blobs = list(pool.map(site_work, sites))
+    done = list(map(site_work, sites) if pool is None else pool.map(site_work, sites))
+    sums, blobs = [d[0] for d in done], [d[1] for d in done]
     (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
     messages = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs]
 
@@ -196,12 +206,13 @@ def run_round(
     eps_exact, eps_approx = accountant.epsilon()
     return EpochMetrics(
         epoch=epoch,
-        rmse=pooled_rmse(sites),
+        rmse=root_mean_square([s.sse for s in sums], [s.tensor.nnz for s in sites]),
         comm_bytes=comm_bytes,
         comm_seconds=comm_bytes / transfer_rate,
         rho_total=accountant.rho_total,
         eps_exact=eps_exact,
         eps_approx=eps_approx,
+        change=worst_relative_change(pair for s in sums for pair in s.changes),
     )
 
 
@@ -224,23 +235,30 @@ def comm_cost(
 
 
 def factor_snapshot(sites) -> list:
-    """Copies of each site's (B, C) pair, for convergence checks."""
+    """Copies of each site's (B, C) pair; with ``has_converged``, the
+    reference the round's change is tested against."""
     return [(s.B.copy(), s.C.copy()) for s in sites]
+
+
+def worst_relative_change(sums) -> float:
+    """The largest ``sqrt(d2) / max(sqrt(p2), 1e-12)`` over pairs
+    (p2, d2) = (sum p**2, sum (c - p)**2) of feature factors p -> c; 0.0 for none."""
+    worst = 0.0
+    for p2, d2 in sums:
+        worst = max(worst, math.sqrt(d2) / max(math.sqrt(p2), 1e-12))
+    return worst
 
 
 def has_converged(prev, curr, tol: float) -> bool:
     """True iff ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12) < tol`` for
-    every feature factor p -> c. np.sum (called as np.add.reduce) never uses threaded BLAS."""
+    every feature factor p -> c of two snapshots, summed by ``change_sums``: the
+    reference the round's change from the sites' sums is tested against."""
     if len(prev) != len(curr):
         raise DimensionError("site counts differ between snapshots")
-    worst = 0.0
-    for (pb, pc), (cb, cc) in zip(prev, curr):
-        for p, c in ((pb, cb), (pc, cc)):
-            if p.shape != c.shape:
-                raise DimensionError("snapshot shapes differ")
-            denom = max(math.sqrt(np.add.reduce(p ** 2, axis=None)), 1e-12)
-            worst = max(worst, math.sqrt(np.add.reduce((c - p) ** 2, axis=None)) / denom)
-    return worst < tol
+    pairs = [pc for prev_t, curr_t in zip(prev, curr) for pc in zip(prev_t, curr_t)]
+    if any(p.shape != c.shape for p, c in pairs):
+        raise DimensionError("snapshot shapes differ")
+    return worst_relative_change(change_sums(p, c) for p, c in pairs) < tol
 
 
 @dataclass
@@ -298,14 +316,11 @@ def run_experiment(
     rounds = fixed_epochs if fixed_epochs is not None else max_epochs
     metrics: list[EpochMetrics] = []
     converged = False
-    prev = factor_snapshot(sites)
     for _ in range(rounds):
         metrics.append(
             run_round(sites, server, params, priv, accountant, transfer_rate, pool=pool)
         )
-        curr = factor_snapshot(sites)
-        converged = has_converged(prev, curr, tol)
-        prev = curr
+        converged = metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
     return RunResult(

@@ -60,7 +60,13 @@ def perturb_matrix(m: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0.0:
         return m.copy()
-    return m + rng.normal(0.0, sigma, size=m.shape)
+    # the bits of m + rng.normal(0.0, sigma, m.shape) in one array: normal
+    # draws 0.0 + sigma * z, and the 0.0 turns a -0.0 product into +0.0
+    out = rng.standard_normal(m.shape)
+    out *= sigma
+    out += 0.0
+    out += m
+    return out
 
 
 def compose_serial(rhos) -> float:

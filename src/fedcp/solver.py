@@ -1,4 +1,4 @@
-"""One site's optimization pass.
+"""One site's round of local optimization.
 
 The solver cycles through the shard's non-zeros in a shuffled order,
 updating one row of each factor per observation, then applies a grouped
@@ -7,13 +7,16 @@ column by column. Feature-factor rows feel an elastic pull toward the
 server's broadcast anchors. ``entry_gradients`` computes an observation's
 clipped row gradients, and the Python pass applies them entry by entry.
 
-Each pass runs in the compiled ``_sgd.c`` when it built and loaded at
-import (``KERNEL == "c"``), else in the Python loop, which stays as the
-reference the compiled pass is tested against. The two agree bit for bit
-because the Python loop works in plain floats and sums every dot product
-strictly left to right from the first product (``@`` and ``np.sum`` reduce
-in other orders, and ``sum`` compensates from Python 3.12 on), and the C
-file is built without floating-point contraction.
+A round of tau passes, with the finiteness sweep and the prox step after
+each and the sums for the round's RMSE and convergence check at its end,
+is one call of ``site_round`` in ``_sgd.c`` when that built and loaded at
+import (``KERNEL == "c"``). Else it runs in Python: the pass loop, numpy's
+sweep, ``prox_l21``, ``reconstruct_values`` and ``change_sums``, which stay
+as the reference the compiled round is tested against. The two agree bit
+for bit: the Python loop works in plain floats and sums every dot product
+strictly left to right from the first product, the C file keeps numpy's
+summation order in its norms and sums, and it is built without
+floating-point contraction.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -30,10 +33,10 @@ import numpy as np
 
 from . import _native
 from .errors import DimensionError, NumericOverflowError
-from .tensor import SparseTensorCOO
+from .tensor import SparseTensorCOO, reconstruct_values
 
-_SGD_PASS = None if _native.LIBRARY is None else _native.LIBRARY.sgd_pass
-KERNEL = "python" if _SGD_PASS is None else "c"
+_SITE_ROUND = None if _native.LIBRARY is None else _native.LIBRARY.site_round
+KERNEL = "python" if _SITE_ROUND is None else "c"
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
@@ -189,18 +192,32 @@ _STEP_SIZE_WARNING = (
 )
 
 
-def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> None:
-    """tau shuffled passes over the shard, each ending in the prox step with
-    threshold eta * mu.
+@dataclass(frozen=True)
+class RoundSums:
+    """A site's round, summed: ``sse`` over the shard at the final factors,
+    as ``tensor.rmse`` sums it, and ``changes``, the ``change_sums`` of B
+    and then C from the start of the round to its end."""
+
+    sse: float
+    changes: tuple
+
+
+def change_sums(p, c) -> tuple:
+    """(sum p**2, sum (c - p)**2) by np.add.reduce, which never uses threaded BLAS."""
+    return float(np.add.reduce(p ** 2, axis=None)), float(np.add.reduce((c - p) ** 2, axis=None))
+
+
+def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSums:
+    """tau shuffled passes over the shard, each followed by a finiteness
+    sweep and the prox step with threshold eta * mu; returns the RoundSums.
 
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
-    written. The state's factors and shuffle stream advance in place.
-
-    Each entry's step is taken at the pre-update rows, by the compiled pass
-    or by ``entry_gradients`` in the Python loop, with equal bits. A
-    non-finite residual raises NumericOverflowError naming the entry, with
-    the entries before it in the pass applied; a per-pass sweep catches
-    any other non-finite row.
+    written. The state's factors and shuffle stream advance in place. All
+    tau permutations are drawn before the first pass, so a round that
+    raises has drawn every one. Each entry's step is taken at the
+    pre-update rows. A non-finite residual raises NumericOverflowError
+    naming the entry, with the entries before it in the pass applied; the
+    sweep names any other non-finite row.
     """
     b_hat, c_hat = anchors
     i_dim, j_dim, k_dim = state.tensor.dims
@@ -211,35 +228,49 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> None:
         raise DimensionError("site factors must match the shard dims and share one rank >= 1")
     if b_hat.shape != state.B.shape or c_hat.shape != state.C.shape:
         raise DimensionError("anchor shapes do not match the site's feature factors")
+    threshold = params.eta * params.mu
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite and non-negative")
     beta = beta_lipschitz(state.A, state.B, state.C, params.gamma)
     if beta > 0 and params.eta > 2.0 / beta:
         warnings.warn(_STEP_SIZE_WARNING, RuntimeWarning, stacklevel=2)
 
     coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
     values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
-    threshold = params.eta * params.mu
-    for _ in range(params.tau):
-        order = state.shuffle_rng.permutation(state.tensor.nnz)
+    # tau calls of permutation(nnz), in place: the same draws from the stream
+    orders = np.empty((params.tau, state.tensor.nnz), dtype=np.int64)
+    orders[:] = np.arange(state.tensor.nnz)
+    for order in orders:
+        state.shuffle_rng.shuffle(order)
+    if _SITE_ROUND is not None and all(
+        m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
+        for m in (state.A, state.B, state.C)
+    ):
+        return _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold)
+
+    start = (state.B.copy(), state.C.copy())
+    for order in orders:
         factors = (state.A, state.B, state.C)
-        compiled = _SGD_PASS is not None and all(
-            m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
-            for m in factors
-        )
-        run_pass = _compiled_pass if compiled else _python_pass
-        stop = run_pass(order, coords, values, *factors, b_hat, c_hat, params)
+        stop = _python_pass(order, coords, values, *factors, b_hat, c_hat, params)
         if stop >= 0:
-            i, j, k = coords[order[stop]].tolist()
-            raise NumericOverflowError(f"residual became non-finite at entry ({i}, {j}, {k})")
+            raise _residual_error(coords[order[stop]])
         for name, m in zip("ABC", factors):
             if not np.all(np.isfinite(m)):
                 bad = int(np.where(~np.isfinite(m).all(axis=1))[0][0])
                 raise NumericOverflowError(f"{name} row {bad} became non-finite")
         state.A = prox_l21(state.A, threshold)
+    resid = reconstruct_values(state.A, state.B, state.C, coords) - values
+    changes = tuple(map(change_sums, start, (state.B, state.C)))
+    return RoundSums(float(np.sum(resid * resid)), changes)
+
+
+def _residual_error(ijk) -> NumericOverflowError:
+    return NumericOverflowError("residual became non-finite at entry ({}, {}, {})".format(*ijk))
 
 
 def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
     """One pass in entry order; -1, or the position in ``order`` of the
-    entry whose residual is not finite. The reference for ``_sgd.c``.
+    entry whose residual is not finite. The reference for ``sgd_pass``.
 
     The rows are updated as lists of floats and written back into A, B and
     C when the pass ends or stops, so the entries before a stop stay
@@ -271,21 +302,31 @@ def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
     return stop
 
 
-def _compiled_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
-    """``_python_pass`` in C. The caller has checked that A, B and C are
-    writeable C-contiguous float64 matrices matching the shard dims, so
-    every index in ``coords`` lies inside them."""
-    order = np.ascontiguousarray(order, dtype=np.int64)
+_NO_MEMORY, _RESIDUAL, _ROW = 1, 2, 3  # site_round's return codes, 0 when it ran
+
+
+def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold):
+    """The Python round of ``run_local_epoch`` in one call of ``site_round``.
+    The caller has checked that A, B and C are writeable C-contiguous float64
+    matrices matching the shard dims, so every index in ``coords`` lies inside them."""
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
-    rank = A.shape[1]
-    work = np.empty(3 * rank)  # per call: ctypes drops the GIL, so calls may overlap
-    return _SGD_PASS(
-        order.shape[0], order.ctypes.data, coords.ctypes.data, values.ctypes.data,
-        A.ctypes.data, B.ctypes.data, C.ctypes.data, b_hat.ctypes.data, c_hat.ctypes.data,
-        rank, params.eta, params.gamma, params.clip, math.isfinite(params.clip),
-        work.ctypes.data,
+    sums = np.empty(5)
+    where = np.empty(1, dtype=np.int64)
+    status = _SITE_ROUND(
+        *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
+        *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
+        b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,
+        params.clip, math.isfinite(params.clip), threshold, sums.ctypes.data, where.ctypes.data,
     )
+    if status == _NO_MEMORY:
+        raise MemoryError("no memory for the site's round")
+    if status == _RESIDUAL:
+        raise _residual_error(coords[orders.flat[where[0]]])
+    if status >= _ROW:
+        raise NumericOverflowError(f"{'ABC'[status - _ROW]} row {where[0]} became non-finite")
+    sse, *changes = sums.tolist()
+    return RoundSums(sse, (tuple(changes[:2]), tuple(changes[2:])))
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:

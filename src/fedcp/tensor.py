@@ -8,7 +8,9 @@ r-th columns.
 The fit metric ``rmse`` scores a list of shards, each with its own factor
 triple; a centralized run is the one-shard case. It takes the model values
 from the compiled ``model_values`` in ``_sgd.c`` when that loaded, else from
-``reconstruct_values``; the two agree bit for bit.
+``reconstruct_values``; the two agree bit for bit. A federation round
+passes its sites' own sums of squared residuals to ``root_mean_square``,
+the step that ends ``rmse``.
 """
 
 from dataclasses import dataclass
@@ -143,8 +145,7 @@ def rmse(shards, factors) -> float:
     if len(shards) != len(factors):
         raise DimensionError(f"{len(shards)} shards but {len(factors)} factor triples")
     model_values = reconstruct_values if _MODEL_VALUES is None else _model_values
-    sq_sum = 0.0
-    count = 0
+    sq_sums = []
     for t, (shard, f) in enumerate(zip(shards, factors)):
         shapes = [np.shape(m) for m in (f.A, f.B, f.C)]
         if any(len(s) != 2 for s in shapes) or tuple(s[0] for s in shapes) != shard.dims:
@@ -153,8 +154,17 @@ def rmse(shards, factors) -> float:
         if len(set(ranks)) != 1:
             raise DimensionError(f"factor ranks of shard {t} differ: A, B, C have {ranks}")
         resid = model_values(f.A, f.B, f.C, shard.coords) - shard.values
-        sq_sum += float(np.sum(resid * resid))
-        count += shard.nnz
+        sq_sums.append(float(np.sum(resid * resid)))
+    return root_mean_square(sq_sums, [shard.nnz for shard in shards])
+
+
+def root_mean_square(sq_sums, counts) -> float:
+    """sqrt of the summed squared residuals over the summed entry counts,
+    each list added in shard order."""
+    sq_sum = 0.0
+    for s in sq_sums:
+        sq_sum += s
+    count = sum(counts)
     if count == 0:
         raise ValueError("rmse is undefined when no shard holds an entry")
     return float(np.sqrt(sq_sum / count))

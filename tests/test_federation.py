@@ -8,24 +8,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fedcp import federation
+from fedcp import federation, solver, tensor
 from fedcp.data import SynthSpec, generate_synthetic
-from fedcp.errors import DimensionError, ProtocolError
+from fedcp.errors import DimensionError, NumericOverflowError, ProtocolError
 from fedcp.federation import (
     HEADER_BYTES,
     EpochMetrics,
     RoundMessage,
     ServerState,
     comm_cost,
+    factor_snapshot,
     has_converged,
     init_server,
     message_bytes,
+    pooled_rmse,
     run_experiment,
     run_round,
     server_update,
 )
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
 from fedcp.solver import SolverParams, derive_site_seed, init_site_state
+from fedcp.tensor import SparseTensorCOO
 
 
 def _message(site_id, b, c, epoch=1):
@@ -86,6 +89,45 @@ class TestServerUpdate:
             server_update(server, uploads, 0.1, 1.0)
         assert server.epoch == 1
         assert server.B_hat.tolist() == [[0.0]]
+
+
+    @pytest.mark.parametrize(
+        "factor, bad", [("priv_B", math.nan), ("priv_C", math.inf)], ids=["nan_in_B", "inf_in_C"]
+    )
+    def test_non_finite_upload_is_rejected_before_anything_changes(self, monkeypatch, factor, bad):
+        # site 1 of 3 uploads one non-finite value
+        original = federation.build_upload
+
+        def poisoned(state, epoch, sigma):
+            msg = original(state, epoch, sigma)
+            if state.site_id != 1:
+                return msg
+            values = getattr(msg, factor).copy()
+            values[2, 1] = bad
+            return RoundMessage(**{**vars(msg), factor: values})
+
+        monkeypatch.setattr(federation, "build_upload", poisoned)
+        shards = _shards(n_sites=3)
+        sites = [init_site_state(sh, 2, seed=t, site_id=t) for t, sh in enumerate(shards)]
+        server = init_server(8, 9, 2, seed=1, n_sites=3)
+        anchors = (server.B_hat.copy(), server.C_hat.copy())
+        acc = PrivacyAccountant(n_sites=3, delta=1e-4)
+        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
+        with pytest.raises(ProtocolError, match="upload from site 1 holds a non-finite value"):
+            run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+        assert np.array_equal(server.B_hat, anchors[0])
+        assert np.array_equal(server.C_hat, anchors[1])
+        assert server.epoch == 0
+        assert acc.ledger == []
+        assert acc.rho_total == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_anchor_step_that_overflows_from_finite_uploads_is_rejected(self):
+        server = _server([[-1e308]], [[0.0]], 1)
+        with pytest.raises(NumericOverflowError, match="anchor step overflowed"):
+            server_update(server, [_message(0, [[1e308]], [[0.0]])], 0.1, 1.0)
+        assert server.B_hat.tolist() == [[-1e308]]
+        assert server.epoch == 0
 
 
 class TestRoundMessage:
@@ -290,8 +332,6 @@ class TestRunRound:
 
     def test_site_with_empty_shard_still_participates(self):
         # an empty shard uploads its (noised) unchanged factors and is billed
-        from fedcp.tensor import SparseTensorCOO
-
         full = SparseTensorCOO((4, 3, 3), [(0, 0, 0), (1, 1, 1)], [1.0, 2.0])
         empty = SparseTensorCOO((4, 3, 3), np.empty((0, 3), dtype=np.int64), np.empty(0))
         sites = [
@@ -307,6 +347,89 @@ class TestRunRound:
         assert len(acc.ledger) == 4
         assert {e.site_id for e in acc.ledger} == {0, 1}
         assert metrics.comm_bytes == comm_cost(3, 3, 2, 2, 1, 15e6)[0]
+
+
+def _worst_change(prev, curr):
+    """The has_converged formula, written out."""
+    return max(
+        float(np.sqrt(np.sum((c - p) ** 2))) / max(float(np.sqrt(np.sum(p ** 2))), 1e-12)
+        for prev_t, curr_t in zip(prev, curr)
+        for p, c in zip(prev_t, curr_t)
+    )
+
+
+class TestRoundSums:
+    """A round's rmse and change come from the sites' own sums; they must
+    equal pooled_rmse and the has_converged formula over snapshots, bit for
+    bit, serial and pooled, compiled and in Python."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    @pytest.mark.parametrize(
+        "rank, tau, mu, clip",
+        [(1, 1, 0.0, 1.0), (1, 3, 0.4, math.inf), (2, 2, 0.3, 0.5), (3, 3, 0.6, 1.0),
+         (50, 1, 0.1, 1.0), (50, 2, 0.0, math.inf)],
+    )
+    def test_round_figures_equal_the_references(self, monkeypatch, kernel, rank, tau, mu, clip):
+        if kernel == "python":
+            monkeypatch.setattr(solver, "_SITE_ROUND", None)
+        elif solver.KERNEL != "c":
+            pytest.skip("no compiled site round loaded")
+        shards = _shards(n_sites=3, dims=(30, 12, 14), sparsity=4e-2)
+        empty = SparseTensorCOO((5, 12, 14), np.empty((0, 3), dtype=np.int64), np.empty(0))
+        shards = [shards[0], empty, *shards[1:]]
+        params = SolverParams(eta=0.01, gamma=1.0, mu=mu, tau=tau, clip=clip)
+        priv = PrivacyParams(rho=1e-2 if math.isfinite(clip) else math.inf)
+
+        def three_rounds(pool):
+            sites = [init_site_state(sh, rank, seed=t, site_id=t) for t, sh in enumerate(shards)]
+            server = init_server(12, 14, rank, seed=1, n_sites=4)
+            acc = PrivacyAccountant(n_sites=4, delta=1e-4)
+            for _ in range(3):
+                prev = factor_snapshot(sites)
+                metrics = run_round(sites, server, params, priv, acc, 15e6, pool=pool)
+                curr = factor_snapshot(sites)
+                assert metrics.rmse == pooled_rmse(sites)
+                assert metrics.change == _worst_change(prev, curr)
+                assert not has_converged(prev, curr, metrics.change)
+                assert has_converged(prev, curr, math.nextafter(metrics.change, math.inf))
+
+        three_rounds(None)
+        with ThreadPoolExecutor(2) as pool:
+            three_rounds(pool)
+
+    @pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled kernels loaded")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", ["criterion_09", "rank_1"])
+    def test_run_without_kernels_equals_the_compiled_run(self, monkeypatch, shape):
+        if shape == "criterion_09":
+            spec = SynthSpec(dims=(45, 15, 18), rank_true=3, sparsity=5e-2, n_sites=3,
+                             heterogeneity={2: (1,)}, seed=21)
+            rank, params = 3, SolverParams(eta=0.035, gamma=5.0, mu=0.6, tau=3, clip=1.0)
+        else:
+            spec = SynthSpec(dims=(40, 10, 12), rank_true=1, sparsity=6e-2, n_sites=2, seed=8)
+            rank, params = 1, SolverParams(eta=0.02, gamma=2.0, mu=0.8, tau=2, clip=1.0)
+        _, shards, _ = generate_synthetic(spec)
+        kwargs = dict(rank=rank, params=params, priv=PrivacyParams(rho=math.inf), seed=3,
+                      max_epochs=12, tol=1e-3)
+
+        def both_ways():
+            serial = run_experiment(shards, **kwargs)
+            with ThreadPoolExecutor(2) as pool:
+                pooled = run_experiment(shards, **kwargs, pool=pool)
+            return serial, pooled
+
+        runs = both_ways()
+        monkeypatch.setattr(solver, "_SITE_ROUND", None)
+        monkeypatch.setattr(tensor, "_MODEL_VALUES", None)
+        runs += both_ways()
+        first = runs[0]
+        assert first.metrics[-1].change is not None
+        for other in runs[1:]:
+            assert other.metrics == first.metrics
+            assert other.converged == first.converged
+            for s, o in zip(first.sites, other.sites):
+                assert all(np.array_equal(x, y) for x, y in zip((s.A, s.B, s.C), (o.A, o.B, o.C)))
 
 
 class TestCommCost:

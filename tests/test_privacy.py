@@ -78,6 +78,17 @@ class TestPerturbMatrix:
         b = perturb_matrix(m, 2.0, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", [1e-320, 1e-300, 0.25, 3.0, 1e300])
+    @pytest.mark.parametrize("shape", [(1, 1), (15, 3), (800, 50), (0, 4)])
+    def test_same_bits_as_the_sum_of_a_normal_draw(self, shape, sigma):
+        # signed zeros in m, and sigma = 1e-320 rounds some products to -0.0
+        for seed in range(5):
+            m = np.random.default_rng(100 + seed).standard_normal(shape)
+            m.flat[::3] = -0.0
+            want = m + np.random.default_rng(seed).normal(0.0, sigma, size=m.shape)
+            got = perturb_matrix(m, sigma, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
     def test_noise_moments(self):
         sigma = 0.7
         m = np.zeros((1000, 1000))

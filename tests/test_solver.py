@@ -13,6 +13,7 @@ from fedcp import _native, solver
 from fedcp.data import write_coo, write_factors
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
+    RoundSums,
     SiteState,
     SolverParams,
     beta_lipschitz,
@@ -41,8 +42,9 @@ class TestSgdEntryUpdate:
     def test_stationary_point(self):
         state = _state([(0, 0, 0, 1.0)], (1, 1, 1), [[1.0]], [[1.0]], [[1.0]])
         params = SolverParams(eta=0.3, gamma=2.0, mu=0.0, tau=1, clip=math.inf)
-        # the state advances in place; nothing is returned
-        assert run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params) is None
+        # the state advances in place; the round's sums are returned
+        sums = run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params)
+        assert sums == RoundSums(sse=0.0, changes=((1.0, 0.0), (1.0, 0.0)))
         assert state.A.tolist() == [[1.0]]
         assert state.B.tolist() == [[1.0]]
         assert state.C.tolist() == [[1.0]]
@@ -368,30 +370,36 @@ def _random_shard(seed, dims, rank, density):
 
 
 def _run_both_kernels(monkeypatch, tensor, factors, anchors, params, epochs=1):
-    """(error message or None, A, B, C) after the compiled and then the
-    Python pass, each run from copies of ``factors`` with one seed."""
+    """(error message or None, A, B, C, the last round's sums) after the
+    compiled and then the Python round, each run from copies of ``factors``
+    with one seed."""
     outcomes = []
-    for kernel in (solver._SGD_PASS, None):
+    for kernel in (solver._SITE_ROUND, None):
         state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=17, site_id=0)
+        sums = error = None
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_SGD_PASS", kernel)
+            patch.setattr(solver, "_SITE_ROUND", kernel)
             try:
                 for _ in range(epochs):
-                    run_local_epoch(state, anchors, params)
-                error = None
+                    sums = run_local_epoch(state, anchors, params)
             except NumericOverflowError as exc:
                 error = str(exc)
-        outcomes.append((error, state.A, state.B, state.C))
+        outcomes.append((error, state.A, state.B, state.C, sums))
     return outcomes
 
 
 def _same_outcome(x, y):
-    return x[0] == y[0] and all(np.array_equal(p, q) for p, q in zip(x[1:], y[1:]))
+    return (
+        x[0] == y[0]
+        and all(np.array_equal(p, q) for p, q in zip(x[1:4], y[1:4]))
+        and x[4:] == y[4:]
+    )
 
 
-@pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled SGD pass loaded")
+@pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled site round loaded")
 class TestCompiledPass:
-    """The compiled pass must reproduce the Python pass bit for bit."""
+    """The compiled round must reproduce the Python round bit for bit: the
+    factors, the error and the sums it returns."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [0.0, 2.5])
@@ -410,12 +418,48 @@ class TestCompiledPass:
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    @pytest.mark.parametrize("tau", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 50])
+    def test_round_sums_match_the_python_round(self, monkeypatch, rank, tau, mu):
+        tensor, factors, anchors = _random_shard(10 + rank, (9, 6, 7), rank, 0.4)
+        params = SolverParams(eta=0.02, gamma=1.5, mu=mu, tau=tau, clip=0.1)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        assert compiled[0] is None
+        assert _same_outcome(compiled, python)
+        state = SiteState(tensor, compiled[1], compiled[2], compiled[3], rng_seed=0, site_id=0)
+        assert math.sqrt(compiled[4].sse / tensor.nnz) == rmse([tensor], [state])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rank", [1, 2, 50])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 1000, 4099])
+    def test_sums_keep_numpy_order_at_every_length(self, monkeypatch, rank, n):
+        # n entries down one mode make the residual sum, the column norms of
+        # the prox step and the change sums n or n * rank terms long, across
+        # the lengths where numpy's pairwise sum changes shape
+        rng = np.random.default_rng(n + rank)
+        for dims in ((n, 1, 1), (1, n, 1)):
+            coords = np.zeros((n, 3), dtype=np.int64)
+            coords[:, dims.index(n)] = np.arange(n)
+            tensor = SparseTensorCOO(dims, coords, rng.uniform(-3.0, 3.0, n))
+            factors = tuple(rng.uniform(-1.0, 1.0, (d, rank)) for d in dims)
+            anchors = (rng.random((dims[1], rank)), rng.random((dims[2], rank)))
+            # a threshold near half the smallest column norm, where the last
+            # bit of a norm reaches the scaled column
+            mu = 50.0 * np.linalg.norm(factors[0], axis=0).min()
+            params = SolverParams(eta=0.01, gamma=0.5, mu=mu, tau=1, clip=math.inf)
+            compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+            assert compiled[0] is None
+            assert _same_outcome(compiled, python)
+
     def test_empty_shard(self, monkeypatch):
         tensor, factors, anchors = _random_shard(4, (3, 2, 2), 2, 0.0)
         assert tensor.nnz == 0
         params = SolverParams(eta=0.1, gamma=1.0, mu=0.5, tau=3)
         compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
         assert _same_outcome(compiled, python)
+        assert compiled[4].sse == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dot_product_sums_left_to_right(self, monkeypatch):
@@ -428,7 +472,7 @@ class TestCompiledPass:
         factors = (a, np.ones((1, 16)), np.ones((1, 16)))
         params = SolverParams(eta=0.1, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
         for outcome in _run_both_kernels(monkeypatch, tensor, factors, factors[1:], params):
-            assert _same_outcome(outcome, (None, *factors))
+            assert _same_outcome(outcome[:4], (None, *factors))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_residual_stops_both_at_the_same_entry(self, monkeypatch):
@@ -445,6 +489,19 @@ class TestCompiledPass:
         assert compiled[0] == "residual became non-finite at entry (3, 1, 2)"
         assert _same_outcome(compiled, python)
         assert not np.array_equal(compiled[3], factors[2])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tau", [1, 3])
+    def test_non_finite_row_is_named_by_both_sweeps(self, monkeypatch, tau):
+        # the residual stays finite, but the anchor pull of gamma = 1e308
+        # sends row 2 of B to -inf in the pass's only entry
+        tensor = SparseTensorCOO((2, 3, 2), [(1, 2, 1)], [1.0])
+        factors = (np.full((2, 1), 0.5), np.full((3, 1), 2.0), np.full((2, 1), 0.5))
+        anchors = (np.zeros((3, 1)), np.full((2, 1), 0.5))
+        params = SolverParams(eta=0.5, gamma=1e308, mu=0.1, tau=tau, clip=math.inf)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        assert compiled[0] == "B row 2 became non-finite"
+        assert _same_outcome(compiled, python)
 
 
 class TestNativeBuild:
@@ -463,12 +520,24 @@ class TestNativeBuild:
         assert first.stat().st_mtime_ns == stamp
         assert list(tmp_path.iterdir()) == [first]
 
+    def test_source_compiles_without_warnings(self, tmp_path):
+        compiler = shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler")
+        strict = [*_native.FLAGS, "-Wall", "-Wextra", "-Werror"]
+        out = subprocess.run(
+            [compiler, *strict, "-o", str(tmp_path / "strict.so"), str(_native.SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+
     def test_load_declares_every_kernel(self, tmp_path):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         lib = _native.load(tmp_path)
         declared = {
-            "sgd_pass": (_native._SGD_PASS_ARGTYPES, ctypes.c_int64),
+            "site_round": (_native._SITE_ROUND_ARGTYPES, ctypes.c_int),
             "model_values": (_native._MODEL_VALUES_ARGTYPES, None),
             "parse_coo": (_native._PARSE_COO_ARGTYPES, ctypes.c_int64),
             "format_rows": (_native._FORMAT_ROWS_ARGTYPES, ctypes.c_int64),
@@ -513,7 +582,7 @@ class TestNativeBuild:
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.load(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(solver, "_SGD_PASS", None)
+        monkeypatch.setattr(solver, "_SITE_ROUND", None)
         monkeypatch.setattr("fedcp.tensor._MODEL_VALUES", None)  # rmse takes the einsum
         monkeypatch.setattr("fedcp.data._FORMAT_COO", None)  # the writers take repr
         monkeypatch.setattr("fedcp.data._FORMAT_ROWS", None)
