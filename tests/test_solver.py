@@ -1,4 +1,4 @@
-"""Site solver: entry-wise SGD, its compiled pass, the grouped soft-threshold,
+"""Site solver: entry-wise SGD, its compiled round, the grouped soft-threshold,
 and objectives."""
 
 import ctypes
