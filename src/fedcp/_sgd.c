@@ -14,7 +14,13 @@
  * numpy's einsum uses; the round's norms and sums take numpy's pairwise or
  * row order, as np.sum and np.linalg.norm do. Build with -ffp-contract=off
  * (no fused multiply-add) and without -ffast-math, so the paths agree bit
- * for bit.
+ * for bit. At -O3 the compiler vectorises the element-wise loops, whose
+ * lanes compute what the scalar loop did, and may not reorder any sum.
+ * The pass sums its three clip norms in one loop as three independent
+ * chains, each left to right, and prefetches the coords and value of the
+ * entry PREFETCH_ENTRY places ahead in the shuffled order and the rows of
+ * the entry PREFETCH_ROWS ahead (only under gcc or clang, which have
+ * __builtin_prefetch); a prefetch changes no value.
  * The parser reads each value with strtod, which glibc rounds correctly,
  * as Python's float() does. The writers find each value's shortest
  * round-trip digits with exact integer arithmetic and lay them out as
@@ -30,26 +36,34 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* Scale g to 2-norm clip when its norm exceeds clip. */
-static void clip_row(double *g, int64_t rank, double clip)
+/* Scale g to 2-norm clip when its norm sqrt(sq) exceeds clip; 1 when it
+ * did, else 0. */
+static int clip_row(double *g, int64_t rank, double sq, double clip)
 {
-    double sq = g[0] * g[0];
-    for (int64_t r = 1; r < rank; r++)
-        sq += g[r] * g[r];
     double norm = sqrt(sq);
-    if (norm > clip) {
-        double scale = clip / norm;
-        for (int64_t r = 0; r < rank; r++)
-            g[r] = g[r] * scale;
-    }
+    if (!(norm > clip))
+        return 0;
+    double scale = clip / norm;
+    for (int64_t r = 0; r < rank; r++)
+        g[r] = g[r] * scale;
+    return 1;
 }
+
+/* How far ahead in the shuffled order sgd_pass prefetches an entry's
+ * coords and value, and its rows of A, B and C: the coords must be in
+ * cache before the row addresses are read from them. */
+#define PREFETCH_ENTRY 16
+#define PREFETCH_ROWS 4
 
 /* Visit the entries order[0..nnz) in turn. For entry n at (i, j, k) with
  * value v, take the row gradients at the current rows A[i], B[j], C[k],
  * clip each residual gradient when clip_on, add the anchor pull on B and
  * C, then step all three rows by eta. coords is (nnz, 3) row-major; the
  * factors and anchors are row-major with rank columns; work holds 3 * rank
- * doubles of scratch.
+ * doubles of scratch. Adds to *clipped the number of residual gradients
+ * the clip scaled, up to three per entry. The three clip norms are summed
+ * in one loop as three independent chains, each left to right from its
+ * first square, as three separate loops would sum them.
  *
  * Returns -1 when every entry was applied, else the position in order of
  * the first entry whose residual is not finite; the entries before it
@@ -59,10 +73,24 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
                         const double *values, double *A, double *B, double *C,
                         const double *b_hat, const double *c_hat, int64_t rank,
                         double eta, double gamma, double clip, int clip_on,
-                        double *work)
+                        double *work, int64_t *clipped)
 {
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
+    int64_t count = 0;
     for (int64_t p = 0; p < nnz; p++) {
+#if defined(__GNUC__)
+        if (p + PREFETCH_ENTRY < nnz) {
+            int64_t ahead = order[p + PREFETCH_ENTRY];
+            __builtin_prefetch(coords + 3 * ahead);
+            __builtin_prefetch(values + ahead);
+        }
+        if (p + PREFETCH_ROWS < nnz) {
+            const int64_t *next = coords + 3 * order[p + PREFETCH_ROWS];
+            __builtin_prefetch(A + next[0] * rank);
+            __builtin_prefetch(B + next[1] * rank);
+            __builtin_prefetch(C + next[2] * rank);
+        }
+#endif
         const int64_t *ijk = coords + 3 * order[p];
         double *a = A + ijk[0] * rank;
         double *b = B + ijk[1] * rank;
@@ -74,8 +102,10 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
         for (int64_t r = 1; r < rank; r++)
             resid += a[r] * (b[r] * c[r]);
         resid = resid - values[order[p]];
-        if (!isfinite(resid))
+        if (!isfinite(resid)) {
+            *clipped += count;
             return p;
+        }
 
         for (int64_t r = 0; r < rank; r++) {
             ga[r] = resid * (b[r] * c[r]);
@@ -83,9 +113,14 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
             gc[r] = resid * (a[r] * b[r]);
         }
         if (clip_on) {
-            clip_row(ga, rank, clip);
-            clip_row(gb, rank, clip);
-            clip_row(gc, rank, clip);
+            double sa = ga[0] * ga[0], sb = gb[0] * gb[0], sc = gc[0] * gc[0];
+            for (int64_t r = 1; r < rank; r++) {
+                sa += ga[r] * ga[r];
+                sb += gb[r] * gb[r];
+                sc += gc[r] * gc[r];
+            }
+            count += clip_row(ga, rank, sa, clip) + clip_row(gb, rank, sb, clip)
+                + clip_row(gc, rank, sc, clip);
         }
         for (int64_t r = 0; r < rank; r++) {
             gb[r] = gb[r] + gamma * (b[r] - bh[r]);
@@ -99,6 +134,7 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
         for (int64_t r = 0; r < rank; r++)
             c[r] = c[r] - eta * gc[r];
     }
+    *clipped += count;
     return -1;
 }
 
@@ -210,12 +246,13 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
  *
  * Returns ROUND_DONE with sums = {sum of squared residuals over the shard
  * at the final factors, then for B and then C: sum p^2 and sum (c - p)^2,
- * p being the factor at the start and c at the end}. Else, with the
- * factors as the failing pass left them: ROUND_RESIDUAL with where the
- * position in orders (pass * nnz + p) of the entry whose residual is not
- * finite, or ROUND_ROW + m with where the first row of factor m (0 for A,
- * 1 for B, 2 for C) holding a non-finite value after a pass; or
- * ROUND_NO_MEMORY, before anything changed.
+ * p being the factor at the start and c at the end} and tally[0] the
+ * number of residual gradients the clip scaled in the tau passes. Else,
+ * with the factors as the failing pass left them: ROUND_RESIDUAL with
+ * tally[1] the position in orders (pass * nnz + p) of the entry whose
+ * residual is not finite, or ROUND_ROW + m with tally[1] the first row of
+ * factor m (0 for A, 1 for B, 2 for C) holding a non-finite value after a
+ * pass; or ROUND_NO_MEMORY, before anything changed.
  */
 enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
 
@@ -223,8 +260,9 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
                const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
                double *A, double *B, double *C, const double *b_hat, const double *c_hat,
                int64_t rank, double eta, double gamma, double clip, int clip_on,
-               double threshold, double *sums, int64_t *where)
+               double threshold, double *sums, int64_t *tally)
 {
+    int64_t *clipped = tally, *where = tally + 1;
     int64_t nb = j_dim * rank, nc = k_dim * rank, big = i_dim * rank;
     if (big < nnz)
         big = nnz;
@@ -240,11 +278,12 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
     memcpy(c0, C, sizeof(double) * (size_t)nc);
 
     int status = ROUND_DONE;
+    *clipped = 0;
     double *factors[3] = {A, B, C};
     int64_t rows[3] = {i_dim, j_dim, k_dim};
     for (int64_t t = 0; t < tau && status == ROUND_DONE; t++) {
         int64_t stop = sgd_pass(nnz, orders + t * nnz, coords, values, A, B, C, b_hat,
-                                c_hat, rank, eta, gamma, clip, clip_on, work);
+                                c_hat, rank, eta, gamma, clip, clip_on, work, clipped);
         if (stop >= 0) {
             *where = t * nnz + stop;
             status = ROUND_RESIDUAL;

@@ -102,8 +102,11 @@ class RoundMessage:
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    """Per-round outputs: fit, this round's traffic, the running budget, and
-    the worst relative change of a feature factor (None where not known)."""
+    """Per-round outputs: fit, this round's traffic, the running budget, the
+    worst relative change of a feature factor, and ``clipped``, the number
+    of residual gradients the clip scaled in the round, summed over the
+    sites in site order (``change`` and ``clipped`` are None where not
+    known; the metrics CSV writes neither)."""
 
     epoch: int
     rmse: float
@@ -113,6 +116,7 @@ class EpochMetrics:
     eps_exact: float
     eps_approx: float
     change: float | None = None
+    clipped: int | None = None
 
 
 def server_update(server: ServerState, uploads, eta: float, gamma: float) -> None:
@@ -213,6 +217,7 @@ def run_round(
         eps_exact=eps_exact,
         eps_approx=eps_approx,
         change=worst_relative_change(pair for s in sums for pair in s.changes),
+        clipped=sum(s.clipped for s in sums),
     )
 
 

@@ -105,10 +105,6 @@ class SiteState:
         self.shuffle_rng = site_stream(self.rng_seed, SHUFFLE_STREAM)
         self.noise_rng = site_stream(self.rng_seed, NOISE_STREAM)
 
-    @property
-    def rank(self) -> int:
-        return self.A.shape[1]
-
 
 def init_site_state(tensor: SparseTensorCOO, rank: int, seed: int, site_id: int) -> SiteState:
     """Fresh site with factors drawn i.i.d. uniform [0, 1) from stream 0."""
@@ -130,13 +126,13 @@ def _dot(x, y) -> float:
     return total
 
 
-def _clip(g: list, clip: float) -> list:
-    """g scaled to 2-norm clip when its norm exceeds clip."""
+def _clip(g: list, clip: float) -> tuple:
+    """(g scaled to 2-norm clip, 1) when its norm exceeds clip, else (g, 0)."""
     norm = math.sqrt(_dot(g, g))
     if norm > clip:
         scale = clip / norm
-        return [v * scale for v in g]
-    return g
+        return [v * scale for v in g], 1
+    return g, 0
 
 
 def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
@@ -149,6 +145,11 @@ def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
     left to right. Raises NumericOverflowError when the residual is not
     finite.
     """
+    return _clipped_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip)[:3]
+
+
+def _clipped_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
+    """``entry_gradients`` and the number of residual gradients the clip scaled."""
     bc = list(map(operator.mul, b, c))
     resid = _dot(a, bc) - value
     if not math.isfinite(resid):
@@ -156,13 +157,15 @@ def entry_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
     ga = [resid * v for v in bc]
     gb = [resid * (x * z) for x, z in zip(a, c)]
     gc = [resid * (x * y) for x, y in zip(a, b)]
+    clipped = 0
     if math.isfinite(clip):
-        ga = _clip(ga, clip)
-        gb = _clip(gb, clip)
-        gc = _clip(gc, clip)
+        ga, na = _clip(ga, clip)
+        gb, nb = _clip(gb, clip)
+        gc, nc = _clip(gc, clip)
+        clipped = na + nb + nc
     gb = [g + gamma * (y - h) for g, y, h in zip(gb, b, b_anchor)]
     gc = [g + gamma * (z - h) for g, z, h in zip(gc, c, c_anchor)]
-    return ga, gb, gc
+    return ga, gb, gc, clipped
 
 
 def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
@@ -195,11 +198,14 @@ _STEP_SIZE_WARNING = (
 @dataclass(frozen=True)
 class RoundSums:
     """A site's round, summed: ``sse`` over the shard at the final factors,
-    as ``tensor.rmse`` sums it, and ``changes``, the ``change_sums`` of B
-    and then C from the start of the round to its end."""
+    as ``tensor.rmse`` sums it, ``changes``, the ``change_sums`` of B and
+    then C from the start of the round to its end, and ``clipped``, the
+    number of residual gradients the clip scaled in the round's tau passes
+    (up to three per entry and pass; 0 when clip is infinite)."""
 
     sse: float
     changes: tuple
+    clipped: int
 
 
 def change_sums(p, c) -> tuple:
@@ -249,9 +255,11 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
         return _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold)
 
     start = (state.B.copy(), state.C.copy())
+    clipped = 0
     for order in orders:
         factors = (state.A, state.B, state.C)
-        stop = _python_pass(order, coords, values, *factors, b_hat, c_hat, params)
+        stop, count = _python_pass(order, coords, values, *factors, b_hat, c_hat, params)
+        clipped += count
         if stop >= 0:
             raise _residual_error(coords[order[stop]])
         for name, m in zip("ABC", factors):
@@ -261,16 +269,17 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
         state.A = prox_l21(state.A, threshold)
     resid = reconstruct_values(state.A, state.B, state.C, coords) - values
     changes = tuple(map(change_sums, start, (state.B, state.C)))
-    return RoundSums(float(np.sum(resid * resid)), changes)
+    return RoundSums(float(np.sum(resid * resid)), changes, clipped)
 
 
 def _residual_error(ijk) -> NumericOverflowError:
     return NumericOverflowError("residual became non-finite at entry ({}, {}, {})".format(*ijk))
 
 
-def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
-    """One pass in entry order; -1, or the position in ``order`` of the
-    entry whose residual is not finite. The reference for ``sgd_pass``.
+def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> tuple:
+    """One pass in entry order: (-1, or the position in ``order`` of the
+    entry whose residual is not finite; the number of residual gradients
+    the clip scaled). The reference for ``sgd_pass``.
 
     The rows are updated as lists of floats and written back into A, B and
     C when the pass ends or stops, so the entries before a stop stay
@@ -280,7 +289,7 @@ def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
     rows_a, rows_b, rows_c = A.tolist(), B.tolist(), C.tolist()
     anchor_b, anchor_c = b_hat.tolist(), c_hat.tolist()
     eta, gamma, clip = params.eta, params.gamma, params.clip
-    stop = -1
+    stop, clipped = -1, 0
     for p, n in enumerate(order.tolist()):
         i = row_i[n]
         j = row_j[n]
@@ -289,17 +298,20 @@ def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> int:
         b = rows_b[j]
         c = rows_c[k]
         try:
-            ga, gb, gc = entry_gradients(a, b, c, vals[n], anchor_b[j], anchor_c[k], gamma, clip)
+            ga, gb, gc, count = _clipped_gradients(
+                a, b, c, vals[n], anchor_b[j], anchor_c[k], gamma, clip
+            )
         except NumericOverflowError:
             stop = p
             break
+        clipped += count
         rows_a[i] = [x - eta * g for x, g in zip(a, ga)]
         rows_b[j] = [y - eta * g for y, g in zip(b, gb)]
         rows_c[k] = [z - eta * g for z, g in zip(c, gc)]
     A[...] = rows_a
     B[...] = rows_b
     C[...] = rows_c
-    return stop
+    return stop, clipped
 
 
 _NO_MEMORY, _RESIDUAL, _ROW = 1, 2, 3  # site_round's return codes, 0 when it ran
@@ -312,21 +324,21 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
     sums = np.empty(5)
-    where = np.empty(1, dtype=np.int64)
+    tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
     status = _SITE_ROUND(
         *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
         *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
         b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,
-        params.clip, math.isfinite(params.clip), threshold, sums.ctypes.data, where.ctypes.data,
+        params.clip, math.isfinite(params.clip), threshold, sums.ctypes.data, tally.ctypes.data,
     )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")
     if status == _RESIDUAL:
-        raise _residual_error(coords[orders.flat[where[0]]])
+        raise _residual_error(coords[orders.flat[tally[1]]])
     if status >= _ROW:
-        raise NumericOverflowError(f"{'ABC'[status - _ROW]} row {where[0]} became non-finite")
+        raise NumericOverflowError(f"{'ABC'[status - _ROW]} row {tally[1]} became non-finite")
     sse, *changes = sums.tolist()
-    return RoundSums(sse, (tuple(changes[:2]), tuple(changes[2:])))
+    return RoundSums(sse, (tuple(changes[:2]), tuple(changes[2:])), int(tally[0]))
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:

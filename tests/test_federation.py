@@ -1,5 +1,6 @@
 """Round orchestration, server aggregation, messages, and cost accounting."""
 
+import copy
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,7 @@ from fedcp.federation import (
     server_update,
 )
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
-from fedcp.solver import SolverParams, derive_site_seed, init_site_state
+from fedcp.solver import SolverParams, derive_site_seed, init_site_state, run_local_epoch
 from fedcp.tensor import SparseTensorCOO
 
 
@@ -385,18 +386,25 @@ class TestRoundSums:
             sites = [init_site_state(sh, rank, seed=t, site_id=t) for t, sh in enumerate(shards)]
             server = init_server(12, 14, rank, seed=1, n_sites=4)
             acc = PrivacyAccountant(n_sites=4, delta=1e-4)
+            rounds = []
             for _ in range(3):
                 prev = factor_snapshot(sites)
+                anchors = (server.B_hat, server.C_hat)
+                alone = [run_local_epoch(copy.deepcopy(s), anchors, params) for s in sites]
                 metrics = run_round(sites, server, params, priv, acc, 15e6, pool=pool)
                 curr = factor_snapshot(sites)
+                assert metrics.clipped == sum(s.clipped for s in alone)
                 assert metrics.rmse == pooled_rmse(sites)
                 assert metrics.change == _worst_change(prev, curr)
                 assert not has_converged(prev, curr, metrics.change)
                 assert has_converged(prev, curr, math.nextafter(metrics.change, math.inf))
+                assert math.isfinite(clip) or metrics.clipped == 0
+                rounds.append(metrics)
+            return rounds
 
-        three_rounds(None)
+        serial = three_rounds(None)
         with ThreadPoolExecutor(2) as pool:
-            three_rounds(pool)
+            assert three_rounds(pool) == serial
 
     @pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled kernels loaded")
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -425,6 +433,9 @@ class TestRoundSums:
         runs += both_ways()
         first = runs[0]
         assert first.metrics[-1].change is not None
+        # the clip fires in the criterion-09 run's first rounds, so the equal
+        # metrics below compare non-zero clip counts
+        assert shape == "rank_1" or first.metrics[0].clipped > 0
         for other in runs[1:]:
             assert other.metrics == first.metrics
             assert other.converged == first.converged

@@ -44,7 +44,7 @@ class TestSgdEntryUpdate:
         params = SolverParams(eta=0.3, gamma=2.0, mu=0.0, tau=1, clip=math.inf)
         # the state advances in place; the round's sums are returned
         sums = run_local_epoch(state, (np.array([[1.0]]), np.array([[1.0]])), params)
-        assert sums == RoundSums(sse=0.0, changes=((1.0, 0.0), (1.0, 0.0)))
+        assert sums == RoundSums(sse=0.0, changes=((1.0, 0.0), (1.0, 0.0)), clipped=0)
         assert state.A.tolist() == [[1.0]]
         assert state.B.tolist() == [[1.0]]
         assert state.C.tolist() == [[1.0]]
@@ -262,7 +262,7 @@ class TestRunLocalEpoch:
         slow = SiteState(tensor, *(m.copy() for m in init), rng_seed=31, site_id=0)
         params = SolverParams(eta=0.05, gamma=2.0, mu=0.3, tau=2, clip=0.2)
         b_hat, c_hat = rng.random((4, 3)), rng.random((3, 3))
-        run_local_epoch(fast, (b_hat, c_hat), params)
+        sums = run_local_epoch(fast, (b_hat, c_hat), params)
         clipped = 0
         for _ in range(params.tau):
             order = slow.shuffle_rng.permutation(tensor.nnz)
@@ -276,12 +276,13 @@ class TestRunLocalEpoch:
                 free = entry_gradients(
                     a, b, c, value, b_hat[j], c_hat[k], params.gamma, math.inf
                 )
-                clipped += not np.array_equal(grads[0], free[0])
+                clipped += sum(not np.array_equal(g, f) for g, f in zip(grads, free))
                 slow.A[i] = a - params.eta * np.asarray(grads[0])
                 slow.B[j] = b - params.eta * np.asarray(grads[1])
                 slow.C[k] = c - params.eta * np.asarray(grads[2])
             slow.A = prox_l21(slow.A, params.eta * params.mu)
         assert clipped > 0
+        assert sums.clipped == clipped
         assert np.array_equal(fast.A, slow.A)
         assert np.array_equal(fast.B, slow.B)
         assert np.array_equal(fast.C, slow.C)
@@ -404,7 +405,8 @@ class TestCompiledPass:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("gamma", [0.0, 2.5])
     @pytest.mark.parametrize("clip", [0.05, math.inf])
-    @pytest.mark.parametrize("rank", [1, 3, 50])
+    # the heads and tails of the vectorised loops
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 50, 64])
     def test_matches_python_pass(self, monkeypatch, rank, clip, gamma):
         tensor, factors, anchors = _random_shard(rank, (12, 7, 9), rank, 0.3)
         if math.isfinite(clip):
@@ -417,6 +419,41 @@ class TestCompiledPass:
         compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
+        assert compiled[4].clipped == python[4].clipped
+        assert (compiled[4].clipped > 0) == math.isfinite(clip)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rank", [1, 2, 3, 5, 50])
+    def test_clip_that_fires_for_some_gradients_of_an_entry(self, monkeypatch, rank):
+        # a is large, b and c small: ga = resid * (b * c) stays under the
+        # clip while gb and gc, which carry a, exceed it
+        tensor = SparseTensorCOO((1, 1, 1), [(0, 0, 0)], [-1.0])
+        factors = (np.full((1, rank), 4.0), np.full((1, rank), 0.5), np.full((1, rank), 0.5))
+        norms = np.sqrt(rank) * (1.0 + rank) * np.array([0.25, 2.0, 2.0])
+        params = SolverParams(eta=0.01, gamma=0.5, mu=0.0, tau=1, clip=float(np.mean(norms[:2])))
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, factors[1:], params)
+        assert compiled[0] is None
+        assert _same_outcome(compiled, python)
+        assert compiled[4].clipped == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("clip", [0.05, math.inf])
+    @pytest.mark.parametrize("rank", [2, 5, 50])
+    # up to, at and past the prefetch distances of 4 rows and 16 entries
+    @pytest.mark.parametrize("nnz", [1, 2, 4, 5, 15, 16, 17, 40])
+    def test_neighbours_sharing_one_row_of_b(self, monkeypatch, nnz, rank, clip):
+        # every entry has j = 0, so each step reads the row of B that the
+        # step before it wrote, while the rows ahead are prefetched
+        rng = np.random.default_rng(nnz * rank)
+        coords = np.column_stack([np.arange(nnz), np.zeros(nnz, int), np.arange(nnz) % 3])
+        tensor = SparseTensorCOO((nnz, 1, 3), coords, rng.uniform(0.5, 3.0, nnz))
+        factors = tuple(rng.random((d, rank)) for d in tensor.dims)
+        anchors = (rng.random((1, rank)), rng.random((3, rank)))
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=clip)
+        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        assert compiled[0] is None
+        assert _same_outcome(compiled, python)
+        assert not np.array_equal(compiled[2], factors[1])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("mu", [0.0, 0.3])
@@ -519,6 +556,14 @@ class TestNativeBuild:
         assert len(compiles) == 1
         assert first.stat().st_mtime_ns == stamp
         assert list(tmp_path.iterdir()) == [first]
+
+    def test_flags_keep_the_bits(self):
+        # the compiled kernels must round like their Python references: no
+        # fused multiply-add, no reassociated sum, no host-specific code
+        assert "-ffp-contract=off" in _native.FLAGS
+        unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                  "-fassociative-math", "-march=native"}
+        assert unsafe.isdisjoint(_native.FLAGS)
 
     def test_source_compiles_without_warnings(self, tmp_path):
         compiler = shutil.which("cc")
