@@ -5,11 +5,16 @@ package's ``__pycache__`` directory, the place and trust boundary the
 bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
-so a half-written library is never loaded. When there is no compiler, or
-compiling or loading fails, ``load`` returns None: the solver runs a
-site's round in Python, ``rmse`` its einsum and ``read_coo`` its
-``np.loadtxt`` call instead, and the COO and factor writers format with
-``repr``.
+so a half-written library is never loaded. ``SIGNATURES`` declares each
+of the four kernels the file exports.
+
+``LIBRARY`` is the one switch between the compiled and the Python code:
+the loaded library, or None when there is no compiler or compiling or
+loading fails. ``solver``, ``tensor`` and ``data`` read it at each call,
+never at import. When it is None the solver runs a site's round in
+Python, ``rmse`` its einsum and ``read_coo`` its ``np.loadtxt`` call
+instead, and the COO and factor writers format with ``repr``; setting it
+to None gives that path in a process that did load the library.
 """
 
 import ctypes
@@ -30,31 +35,31 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 _COMPILE_TIMEOUT_S = 120
 
-_P = ctypes.c_void_p
-_SITE_ROUND_ARGTYPES = (
-    ctypes.c_int64, ctypes.c_int64, _P, _P, _P,  # tau, nnz, orders, coords, values
-    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # i_dim, j_dim, k_dim
-    _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
-    ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_int,
-    ctypes.c_double, _P, _P,  # threshold, sums, tally
-)
-_MODEL_VALUES_ARGTYPES = (
-    ctypes.c_int64, _P,  # nnz, coords
-    _P, _P, _P,  # A, B, C
-    ctypes.c_int64, _P,  # rank, out
-)
-_PARSE_COO_ARGTYPES = (
-    _P, ctypes.c_int64, ctypes.c_int64,  # buf, len, cap
-    _P, _P,  # coords, values
-)
-_FORMAT_ROWS_ARGTYPES = (
-    _P, ctypes.c_int64, ctypes.c_int64,  # values, n, rank
-    _P, ctypes.c_int64,  # out, cap
-)
-_FORMAT_COO_ARGTYPES = (
-    _P, _P, ctypes.c_int64,  # coords, values, n
-    _P, ctypes.c_int64,  # out, cap
-)
+_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# name: (restype, argtypes) of each kernel that _sgd.c exports; load
+# declares every one, and a library without one of them is not loaded
+SIGNATURES = {
+    "site_round": (ctypes.c_int, (
+        _I64, _I64, _P, _P, _P,  # tau, nnz, orders, coords, values
+        _I64, _I64, _I64,  # i_dim, j_dim, k_dim
+        _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
+        _I64, _F64, _F64, _F64, ctypes.c_int,  # rank, eta, gamma, clip, clip_on
+        _F64, _P, _P,  # threshold, sums, tally
+    )),
+    "model_values": (None, (
+        _I64, _P,  # nnz, coords
+        _P, _P, _P,  # A, B, C
+        _I64, _P,  # rank, out
+    )),
+    "parse_coo": (_I64, (
+        _P, _I64, _I64,  # buf, len, cap
+        _P, _P,  # coords, values
+    )),
+    "format_records": (_I64, (
+        _P, _I64, _P, _I64,  # ints, n_ints, values, n_values
+        _I64, _P, _I64,  # n, out, cap
+    )),
+}
 
 
 def build(directory: Path) -> Path | None:
@@ -93,30 +98,19 @@ def build(directory: Path) -> Path | None:
 
 
 def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
-    """The library with ``site_round``, ``model_values``, ``parse_coo``,
-    ``format_rows`` and ``format_coo`` declared, or None."""
+    """The library with every kernel in ``SIGNATURES`` declared, or None."""
     path = build(directory)
     if path is None:
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        site_round, model_values, parse_coo = lib.site_round, lib.model_values, lib.parse_coo
-        format_rows, format_coo = lib.format_rows, lib.format_coo
+        for name, (restype, argtypes) in SIGNATURES.items():
+            kernel = getattr(lib, name)
+            kernel.restype, kernel.argtypes = restype, argtypes
     except (OSError, AttributeError):
         return None
-    site_round.argtypes = _SITE_ROUND_ARGTYPES
-    site_round.restype = ctypes.c_int
-    model_values.argtypes = _MODEL_VALUES_ARGTYPES
-    model_values.restype = None
-    parse_coo.argtypes = _PARSE_COO_ARGTYPES
-    parse_coo.restype = ctypes.c_int64
-    format_rows.argtypes = _FORMAT_ROWS_ARGTYPES
-    format_rows.restype = ctypes.c_int64
-    format_coo.argtypes = _FORMAT_COO_ARGTYPES
-    format_coo.restype = ctypes.c_int64
     return lib
 
 
-# built and loaded once per process; the solver, rmse, read_coo, write_coo and
-# write_factors take their kernels from it
+# built and loaded once per process
 LIBRARY = load()

@@ -1,11 +1,13 @@
-/* The hot loops of a CLI run, compiled: a site's round of shuffled SGD
- * passes, each followed by the finiteness sweep and the prox step, and the
- * sums for the round's RMSE and convergence check (the twin of the Python
- * round in solver.run_local_epoch), the model values that tensor.rmse
- * scores (the twin of reconstruct_values), the parse of a COO file's body
- * (the fast path of data.read_coo), and the text of COO records and factor
- * rows (the fast path of data.write_coo and data.write_factors, byte for
- * byte what repr writes).
+/* The hot loops of a CLI run, compiled. The four functions that are not
+ * static are the kernels _native.SIGNATURES declares: site_round, a site's
+ * round of shuffled SGD passes, each followed by the finiteness sweep and
+ * the prox step, and the sums for the round's RMSE and convergence check
+ * (the twin of the Python round in solver.run_local_epoch); model_values,
+ * the model values that tensor.rmse scores (the twin of
+ * reconstruct_values); parse_coo, the parse of a COO file's body (the fast
+ * path of data.read_coo); and format_records, the text of COO records and
+ * factor rows (the fast path of data.write_coo and data.write_factors,
+ * byte for byte what repr writes).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting
@@ -22,9 +24,9 @@
  * the entry PREFETCH_ROWS ahead (only under gcc or clang, which have
  * __builtin_prefetch); a prefetch changes no value.
  * The parser reads each value with strtod, which glibc rounds correctly,
- * as Python's float() does. The writers find each value's shortest
- * round-trip digits with exact integer arithmetic and lay them out as
- * repr does; a value outside their range is left to repr.
+ * as Python's float() does. The writer finds each value's shortest
+ * round-trip digits with exact integer arithmetic and lays them out as
+ * repr does; a value outside its range is left to repr.
  *
  * The callers check shapes, dtypes and contiguity before a call; this
  * file trusts that every index in coords lies inside its factor matrix.
@@ -393,8 +395,8 @@ int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
  * When both candidates read back, the nearer one is written, and on an
  * exact tie the even digit, as the correctly rounded dtoa behind repr
  * does. Every quantity stays below 2^120 for binary exponents e in
- * [FMT_MIN_EXP, FMT_MAX_EXP] (about 3.5e-18 <= |x| < 2^63); the callers
- * send any other value (subnormal, huge, inf, nan) to repr itself.
+ * [FMT_MIN_EXP, FMT_MAX_EXP] (about 3.5e-18 <= |x| < 2^63); the caller
+ * sends any other value (subnormal, huge, inf, nan) to repr itself.
  */
 typedef unsigned __int128 u128;
 
@@ -563,60 +565,42 @@ static int format_int(int64_t v, char *out)
     return len;
 }
 
-/* Write the rows of values ((n, rank), row-major) at out, which holds cap
- * bytes, as " ".join(map(repr, row)) + "\n" per row. Returns the byte
- * count, or -1 - i when value i (row-major) is outside format_double's
- * range or out has no room left for it, a blank and a newline; the text
- * before it is written. n * rank * (FMT_MAX_BYTES + 1) + n bytes are
- * always room enough.
+/* The room a record may take: each int64 up to 20 bytes and each value
+ * up to FMT_MAX_BYTES, each followed by its blank or the newline, and one
+ * byte more for the newline of a record with no field. data.py sizes the
+ * writers' buffers by the same rule. */
+#define RECORD_BYTES(n_ints, n_values) (21 * (n_ints) + (FMT_MAX_BYTES + 1) * (n_values) + 1)
+
+/* Write n records at out, which holds cap bytes. Record i is the n_ints
+ * int64s of ints ((n, n_ints), row-major), then the n_values values of
+ * values ((n, n_values), row-major), separated by blanks and ended by a
+ * newline: a COO record f"{i} {j} {k} {v!r}\n" is 3 ints and 1 value, a
+ * factor row " ".join(map(repr, row)) + "\n" is 0 ints and R values.
+ * Returns the byte count, or -1 - i when record i holds a value outside
+ * format_double's range or out has less than RECORD_BYTES left for it;
+ * the records before it are written.
  */
-int64_t format_rows(const double *values, int64_t n, int64_t rank, char *out, int64_t cap)
+int64_t format_records(const int64_t *ints, int64_t n_ints, const double *values,
+                       int64_t n_values, int64_t n, char *out, int64_t cap)
 {
     char *p = out, *end = out + cap;
-    int64_t i = 0;
-    for (int64_t row = 0; row < n; row++) {
-        for (int64_t c = 0; c < rank; c++, i++) {
-            if (end - p < FMT_MAX_BYTES + 2)
-                return -1 - i;
-            if (c > 0)
+    for (int64_t i = 0; i < n; i++) {
+        if (end - p < RECORD_BYTES(n_ints, n_values))
+            return -1 - i;
+        char *start = p;
+        for (int64_t f = 0; f < n_ints; f++) {
+            if (p != start)
                 *p++ = ' ';
-            int width = format_double(values[i], p);
+            p += format_int(*ints++, p);
+        }
+        for (int64_t f = 0; f < n_values; f++) {
+            if (p != start)
+                *p++ = ' ';
+            int width = format_double(*values++, p);
             if (width < 0)
                 return -1 - i;
             p += width;
         }
-        if (p == end) /* a row of rank 0 */
-            return -1 - i;
-        *p++ = '\n';
-    }
-    return p - out;
-}
-
-/* the longest record: three int64s of up to 20 bytes, each with its blank,
- * a value and its newline */
-#define COO_RECORD_BYTES (3 * 21 + FMT_MAX_BYTES + 1)
-
-/* Write entries 0..n of coords ((n, 3), row-major) and values at out,
- * which holds cap bytes, as f"{i} {j} {k} {v!r}\n" records. Returns the
- * byte count, or -1 - i when value i is outside format_double's range or
- * out has fewer than COO_RECORD_BYTES bytes left for its record; the
- * records before it are written.
- */
-int64_t format_coo(const int64_t *coords, const double *values, int64_t n, char *out,
-                   int64_t cap)
-{
-    char *p = out, *end = out + cap;
-    for (int64_t i = 0; i < n; i++) {
-        if (end - p < COO_RECORD_BYTES)
-            return -1 - i;
-        for (int f = 0; f < 3; f++) {
-            p += format_int(coords[3 * i + f], p);
-            *p++ = ' ';
-        }
-        int width = format_double(values[i], p);
-        if (width < 0)
-            return -1 - i;
-        p += width;
         *p++ = '\n';
     }
     return p - out;

@@ -147,6 +147,10 @@ def cmd_budget(epsilon, rho, delta, epochs) -> int:
     if (epsilon is None) == (rho is None):
         print("budget: give exactly one of --epsilon or --rho", file=sys.stderr)
         return 1
+    for flag, value in (("--epsilon", epsilon), ("--rho", rho)):
+        if value is not None and not value > 0:  # also rejects nan; inf stays valid
+            print(f"budget: {flag} must be positive, got {value}", file=sys.stderr)
+            return 1
     if not 0 < delta < 1:
         print(f"budget: delta must lie in (0, 1), got {delta}", file=sys.stderr)
         return 1

@@ -7,6 +7,10 @@ COO file format: UTF-8 text, first line ``# dims I J K``, then one
 three blocks (A, B, C), each ``# rows <n> <R>`` followed by n rows of R
 values. The writers write each value as its ``repr``: the shortest decimal
 that reads back as the same float64. Config files are ``key = value`` lines.
+
+``read_coo`` and the writers call the compiled ``parse_coo`` and
+``format_records`` when ``_native.LIBRARY`` holds the library at the call,
+else ``np.loadtxt`` and ``repr``, with the same results.
 """
 
 import io
@@ -23,16 +27,6 @@ from .errors import ConfigError, ParseError
 from .privacy import PrivacyParams
 from .solver import SolverParams
 from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
-
-_PARSE_COO = None if _native.LIBRARY is None else _native.LIBRARY.parse_coo
-_FORMAT_ROWS = None if _native.LIBRARY is None else _native.LIBRARY.format_rows
-_FORMAT_COO = None if _native.LIBRARY is None else _native.LIBRARY.format_coo
-# buffer bytes per value and per record that always hold the compiled
-# writers' text: a float's repr takes at most 24, an int64 at most 20, each
-# with one separator. A kernel that finds too little room left hands its
-# block or chunk to repr instead of writing past the buffer.
-_VALUE_BYTES = 25
-_COO_RECORD_BYTES = 3 * 21 + _VALUE_BYTES
 
 
 @dataclass(frozen=True)
@@ -177,33 +171,49 @@ def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:
     return SparseTensorCOO(tensor.dims, coords, tensor.values)
 
 
-_COO_WRITE_CHUNK = 1 << 14  # records formatted per write
-
-
 def write_coo(tensor: SparseTensorCOO, path):
-    """Write ``tensor`` as a COO file, one chunk of records per call: the
-    compiled ``format_coo`` when the library loaded, else, or for a chunk
-    with a value outside its range, ``repr``. Both write the same bytes."""
+    """Write ``tensor`` as a COO file: the dims line, then one record of 3
+    ints and 1 value per entry."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n")
-        # the text of one chunk at a time: the text, or the Python objects,
-        # of the whole tensor would set the process's peak memory
-        out = None
-        if _FORMAT_COO is not None:
-            out = np.empty(min(tensor.nnz, _COO_WRITE_CHUNK) * _COO_RECORD_BYTES, np.uint8)
-        for start in range(0, tensor.nnz, _COO_WRITE_CHUNK):
-            stop = start + _COO_WRITE_CHUNK
-            coords = np.ascontiguousarray(tensor.coords[start:stop])
-            values = np.ascontiguousarray(tensor.values[start:stop])
-            if out is not None:
-                n = _FORMAT_COO(
-                    coords.ctypes.data, values.ctypes.data, len(values), out.ctypes.data, out.size
-                )
-                if n >= 0:
-                    fh.write(str(out[:n], "ascii"))
-                    continue
-            rows = zip(*coords.T.tolist(), values.tolist())
-            fh.write("".join([f"{i} {j} {k} {v!r}\n" for i, j, k, v in rows]))
+        _write_records(fh, tensor.coords, tensor.values[:, None])
+
+
+def _record_bytes(n_ints: int, n_values: int) -> int:
+    """The room ``format_records`` checks for before each record: 20 bytes
+    an int64 and 24 a repr, each with its blank or newline, and a newline."""
+    return 21 * n_ints + 25 * n_values + 1
+
+
+_WRITE_CHUNK = 1 << 14  # records formatted per call
+
+
+def _write_records(fh, ints, values):
+    """Write row n of ``ints`` ((n, n_ints) int64), then of ``values`` ((n,
+    n_values) float64), as one line of blank-separated ints and ``repr``s.
+    The compiled ``format_records`` writes each chunk of rows when the
+    library loaded, else ``repr``, which also writes any chunk with a value
+    outside the kernel's range; both write the same bytes."""
+    n, n_ints = ints.shape
+    n_values = values.shape[1]
+    lib = _native.LIBRARY
+    # the text of one chunk at a time: the text, or the Python objects, of
+    # a whole tensor would set the process's peak memory
+    room = min(n, _WRITE_CHUNK) * _record_bytes(n_ints, n_values)
+    out = None if lib is None else np.empty(room, np.uint8)
+    for start in range(0, n, _WRITE_CHUNK):
+        chunk_ints = np.ascontiguousarray(ints[start : start + _WRITE_CHUNK], dtype=np.int64)
+        chunk_values = np.ascontiguousarray(values[start : start + _WRITE_CHUNK], dtype=np.float64)
+        if out is not None:
+            size = lib.format_records(
+                chunk_ints.ctypes.data, n_ints, chunk_values.ctypes.data, n_values,
+                len(chunk_values), out.ctypes.data, out.size,
+            )
+            if size >= 0:
+                fh.write(str(out[:size], "ascii"))
+                continue
+        rows = zip(chunk_ints.tolist(), chunk_values.tolist())
+        fh.write("".join([" ".join([*map(str, i), *map(repr, v)]) + "\n" for i, v in rows]))
 
 
 # one COO record as the loadtxt parse reads it: exact int64 indices, float64 value
@@ -239,7 +249,7 @@ def read_coo(path) -> SparseTensorCOO:
 def _bulk_parse(raw: bytes, body_start: int):
     """The coords and values of the body ``raw[body_start:]`` in one call;
     ValueError when a line is outside the call's grammar."""
-    if _PARSE_COO is None:
+    if _native.LIBRARY is None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rec = np.loadtxt(_body_text(raw), dtype=_COO_RECORD, comments=None, ndmin=1)
@@ -248,7 +258,9 @@ def _bulk_parse(raw: bytes, body_start: int):
     cap = raw.count(b"\n", body_start) + 1  # every record but the last ends in one
     coords = np.empty((cap, 3), dtype=np.int64)
     values = np.empty(cap)
-    n = _PARSE_COO(body.ctypes.data, body.size, cap, coords.ctypes.data, values.ctypes.data)
+    n = _native.LIBRARY.parse_coo(
+        body.ctypes.data, body.size, cap, coords.ctypes.data, values.ctypes.data
+    )
     if n < 0:
         raise ValueError(f"line {1 - n} is outside the grammar of parse_coo")
     return coords[:n], values[:n]
@@ -302,21 +314,12 @@ def _read_coo_lines(fh, dims) -> SparseTensorCOO:
 
 
 def write_factors(result: FactorizationResult, path):
-    """Write the three factor blocks, each block's rows in one call: the
-    compiled ``format_rows`` when the library loaded, else, or for a block
-    with a value outside its range, ``repr``. Both write the same bytes."""
+    """Write the three factor blocks, each a ``# rows <n> <R>`` line and
+    then one record of 0 ints and R values per row."""
     with open(path, "w", encoding="utf-8") as fh:
         for m in (result.A, result.B, result.C):
             fh.write(f"# rows {m.shape[0]} {m.shape[1]}\n")
-            if _FORMAT_ROWS is not None:
-                m = np.ascontiguousarray(m)
-                out = np.empty(m.size * _VALUE_BYTES + m.shape[0], np.uint8)
-                n = _FORMAT_ROWS(m.ctypes.data, m.shape[0], m.shape[1], out.ctypes.data, out.size)
-                if n >= 0:
-                    fh.write(str(out[:n], "ascii"))
-                    continue
-            for row in m.tolist():
-                fh.write(" ".join(map(repr, row)) + "\n")
+            _write_records(fh, np.empty((m.shape[0], 0), np.int64), m)
 
 
 def read_factors(path) -> FactorizationResult:

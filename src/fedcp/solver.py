@@ -9,8 +9,8 @@ clipped row gradients, and the Python pass applies them entry by entry.
 
 A round of tau passes, with the finiteness sweep and the prox step after
 each and the sums for the round's RMSE and convergence check at its end,
-is one call of ``site_round`` in ``_sgd.c`` when that built and loaded at
-import (``KERNEL == "c"``). Else it runs in Python: the pass loop, numpy's
+is one call of ``site_round`` in ``_sgd.c`` when ``_native.LIBRARY`` holds
+the compiled library. Else it runs in Python: the pass loop, numpy's
 sweep, ``prox_l21``, ``reconstruct_values`` and ``change_sums``, which stay
 as the reference the compiled round is tested against. The two agree bit
 for bit: the Python loop works in plain floats and sums every dot product
@@ -34,9 +34,6 @@ import numpy as np
 from . import _native
 from .errors import DimensionError, NumericOverflowError
 from .tensor import SparseTensorCOO, reconstruct_values
-
-_SITE_ROUND = None if _native.LIBRARY is None else _native.LIBRARY.site_round
-KERNEL = "python" if _SITE_ROUND is None else "c"
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
@@ -248,7 +245,7 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     orders[:] = np.arange(state.tensor.nnz)
     for order in orders:
         state.shuffle_rng.shuffle(order)
-    if _SITE_ROUND is not None and all(
+    if _native.LIBRARY is not None and all(
         m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
         for m in (state.A, state.B, state.C)
     ):
@@ -325,7 +322,7 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
     sums = np.empty(5)
     tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
-    status = _SITE_ROUND(
+    status = _native.LIBRARY.site_round(
         *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
         *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
         b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,

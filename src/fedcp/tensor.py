@@ -7,10 +7,10 @@ r-th columns.
 
 The fit metric ``rmse`` scores a list of shards, each with its own factor
 triple; a centralized run is the one-shard case. It takes the model values
-from the compiled ``model_values`` in ``_sgd.c`` when that loaded, else from
-``reconstruct_values``; the two agree bit for bit. A federation round
-passes its sites' own sums of squared residuals to ``root_mean_square``,
-the step that ends ``rmse``.
+from the compiled ``model_values`` in ``_sgd.c`` when ``_native.LIBRARY``
+holds the compiled library, else from ``reconstruct_values``; the two
+agree bit for bit. A federation round passes its sites' own sums of
+squared residuals to ``root_mean_square``, the step that ends ``rmse``.
 """
 
 from dataclasses import dataclass
@@ -19,8 +19,6 @@ import numpy as np
 
 from . import _native
 from .errors import DimensionError
-
-_MODEL_VALUES = None if _native.LIBRARY is None else _native.LIBRARY.model_values
 
 
 def as_factor(data) -> np.ndarray:
@@ -127,7 +125,7 @@ def _model_values(A, B, C, coords) -> np.ndarray:
     A, B, C = (np.ascontiguousarray(m, dtype=np.float64) for m in (A, B, C))
     coords = np.ascontiguousarray(coords, dtype=np.int64)
     out = np.empty(coords.shape[0])
-    _MODEL_VALUES(
+    _native.LIBRARY.model_values(
         out.shape[0], coords.ctypes.data, A.ctypes.data, B.ctypes.data, C.ctypes.data,
         A.shape[1], out.ctypes.data,
     )
@@ -144,7 +142,7 @@ def rmse(shards, factors) -> float:
     """
     if len(shards) != len(factors):
         raise DimensionError(f"{len(shards)} shards but {len(factors)} factor triples")
-    model_values = reconstruct_values if _MODEL_VALUES is None else _model_values
+    model_values = reconstruct_values if _native.LIBRARY is None else _model_values
     sq_sums = []
     for t, (shard, f) in enumerate(zip(shards, factors)):
         shapes = [np.shape(m) for m in (f.A, f.B, f.C)]

@@ -356,3 +356,16 @@ class TestBudget:
 
     def test_delta_one_rejected(self):
         assert main(["budget", "--rho", "1e-3", "--delta", "1", "--epochs", "5"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--rho"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_budget_that_is_not_positive_rejected_by_flag(self, capsys, flag, value):
+        assert main(["budget", flag, value, "--epochs", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"budget: {flag} must be positive, got {float(value)}\n"
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--rho"])
+    def test_infinite_budget_accepted(self, capsys, flag):
+        assert main(["budget", flag, "inf", "--epochs", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("epoch=2 rho_total=inf ")

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcp import data
+from fedcp import _native, data
 from fedcp.data import (
     ExperimentConfig,
     SynthSpec,
@@ -251,7 +252,7 @@ class TestCooFiles:
 
     @pytest.mark.parametrize("chunks", [0, 0.5, 1, 1.5])
     def test_chunked_write_matches_one_record_at_a_time(self, tmp_path, chunks):
-        nnz = int(chunks * data._COO_WRITE_CHUNK)
+        nnz = int(chunks * data._WRITE_CHUNK)
         rng = np.random.default_rng(nnz)
         lin = np.sort(rng.choice(40 * 30 * 50, size=nnz, replace=False))
         coords = np.stack(np.unravel_index(lin, (40, 30, 50)), axis=1)
@@ -271,18 +272,14 @@ def _read_by_line(path):
         return data._read_coo_lines(fh, data._coo_dims(fh.readline()))
 
 
-def _read_by_loadtxt(path):
-    """``read_coo`` with the compiled parse switched off: ``np.loadtxt``
-    first, as on a host without a C compiler."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_PARSE_COO", None)
-        return read_coo(path)
-
-
-def _three_outcomes(path):
-    """What ``read_coo`` (compiled parse when loaded), its loadtxt tier and
-    the line parser alone give for one file."""
-    return [_outcome(read, path) for read in (read_coo, _read_by_loadtxt, _read_by_line)]
+def _three_outcomes(path, without_library):
+    """What ``read_coo`` (compiled parse when loaded), its loadtxt tier (as
+    on a host without a C compiler) and the line parser alone give for one
+    file."""
+    got = _outcome(read_coo, path)
+    with without_library():
+        by_loadtxt = _outcome(read_coo, path)
+    return [got, by_loadtxt, _outcome(_read_by_line, path)]
 
 
 def _outcome(read, path):
@@ -406,10 +403,10 @@ class TestBulkMatchesLineParser:
             ("0 1 1.5\n", "line 2"),
         ],
     )
-    def test_table(self, tmp_path, body, expected):
+    def test_table(self, tmp_path, without_library, body, expected):
         path = tmp_path / "t.coo"
         path.write_bytes((_DIFF_HEAD + body).encode("utf-8"))
-        got, by_loadtxt, by_line = _three_outcomes(path)
+        got, by_loadtxt, by_line = _three_outcomes(path, without_library)
         assert got == by_loadtxt == by_line
         if isinstance(expected, str):
             assert expected in got[1]
@@ -425,7 +422,7 @@ class TestBulkMatchesLineParser:
             warnings.simplefilter("error")
             assert read_coo(path).nnz == 0
 
-    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch, without_library):
         spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
         generated, _, _ = generate_synthetic(spec)
         # negative values and values whose repr takes exponent form
@@ -442,9 +439,9 @@ class TestBulkMatchesLineParser:
 
         monkeypatch.setattr(data, "_read_coo_lines", no_line_parse)
         # the compiled parse when it loaded, then the loadtxt parse
-        for parse in [None] if data._PARSE_COO is None else [data._PARSE_COO, None]:
-            monkeypatch.setattr(data, "_PARSE_COO", parse)
-            back = read_coo(path)
+        for kernels in (nullcontext, without_library):
+            with kernels():
+                back = read_coo(path)
             assert np.array_equal(back.coords, tensor.coords)
             assert back.values.tobytes() == tensor.values.tobytes()
 
@@ -475,8 +472,8 @@ class TestBulkMatchesLineParser:
         ],
     )
     def test_compiled_grammar(self, body, rejected_line):
-        if data._PARSE_COO is None:
-            pytest.skip("compiled parser not loaded")
+        if _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
         raw = (_DIFF_HEAD + body).encode("utf-8")
         if rejected_line is None:
             coords, values = data._bulk_parse(raw, len(_DIFF_HEAD))
@@ -485,7 +482,9 @@ class TestBulkMatchesLineParser:
             with pytest.raises(ValueError, match=f"^line {rejected_line} is outside the grammar"):
                 data._bulk_parse(raw, len(_DIFF_HEAD))
 
-    def test_without_a_compiler_loadtxt_reads_the_same(self, tmp_path, monkeypatch):
+    def test_without_a_compiler_loadtxt_reads_the_same(
+        self, tmp_path, monkeypatch, without_library
+    ):
         spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
         tensor, _, _ = generate_synthetic(spec)
         good = tmp_path / "good.coo"
@@ -496,10 +495,10 @@ class TestBulkMatchesLineParser:
             bad[-1].write_text(f"# dims 2 1 1\n1 0 0 2.0\n{record}\n")
         paths = [good, *bad]
         loaded = [_outcome(read_coo, path) for path in paths]
-        monkeypatch.setattr(data._native.shutil, "which", lambda name: None)
-        assert data._native.load(tmp_path / "lib") is None
-        monkeypatch.setattr(data, "_PARSE_COO", None)
-        assert [_outcome(read_coo, path) for path in paths] == loaded
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        assert _native.load(tmp_path / "lib") is None
+        with without_library():
+            assert [_outcome(read_coo, path) for path in paths] == loaded
         assert loaded[0][2] == tensor.values.tobytes()
         assert all(message.startswith("line 3: ") for _, message in loaded[1:])
 
@@ -509,12 +508,12 @@ class TestBulkMatchesLineParser:
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
         final=st.booleans(),
     )
-    def test_generated_bodies(self, tmp_path_factory, lines, newline, final):
+    def test_generated_bodies(self, tmp_path_factory, without_library, lines, newline, final):
         path = tmp_path_factory.getbasetemp() / "fuzz.coo"
         body = newline.join(lines) + (newline if final and lines else "")
         head = "# dims {} {} {}\n".format(*_FUZZ_DIMS)
         path.write_bytes((head + body).encode("utf-8"))
-        got, by_loadtxt, by_line = _three_outcomes(path)
+        got, by_loadtxt, by_line = _three_outcomes(path, without_library)
         assert got == by_loadtxt == by_line
 
 
@@ -583,17 +582,34 @@ class TestFactorFiles:
             read_factors(path)
 
 
+def _format_records(ints, values, cap=None):
+    """(what ``format_records`` returns, the bytes it wrote) for the records
+    of the int64 matrix ``ints`` and the float64 matrix ``values``, into a
+    buffer of ``cap`` bytes, or of the size the writers allocate when cap
+    is None. The 64 bytes past cap must stay as they were."""
+    ints = np.array(ints, dtype=np.int64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    (n, n_ints), n_values = ints.shape, values.shape[1]
+    if cap is None:
+        cap = n * data._record_bytes(n_ints, n_values)
+    out = np.full(cap + 64, 0xAA, dtype=np.uint8)
+    size = _native.LIBRARY.format_records(
+        ints.ctypes.data, n_ints, values.ctypes.data, n_values, n, out.ctypes.data, cap
+    )
+    assert out[cap:].tobytes() == b"\xaa" * 64
+    return size, out[: max(size, 0)].tobytes()
+
+
 def _compiled_repr(value):
-    """``value`` as the compiled ``format_rows`` writes it alone, or None
-    when it leaves the value to ``repr``."""
-    one = np.array([value], dtype=np.float64)
-    out = np.empty(data._VALUE_BYTES + 1, dtype=np.uint8)
-    n = data._FORMAT_ROWS(one.ctypes.data, 1, 1, out.ctypes.data, out.size)
-    if n < 0:
-        assert n == -1
+    """``value`` as ``format_records`` writes it alone, in a factor row and
+    in a COO record, or None when it leaves the value to ``repr``."""
+    row = _format_records([[]], [[value]])
+    record = _format_records([[1, 22, 333]], [[value]])
+    if row[0] < 0:
+        assert row[0] == record[0] == -1
         return None
-    assert out[n - 1] == ord("\n")
-    return out[: n - 1].tobytes().decode("ascii")
+    assert row[1].endswith(b"\n") and record[1] == b"1 22 333 " + row[1]
+    return row[1][:-1].decode("ascii")
 
 
 def _in_compiled_range(value):
@@ -601,9 +617,10 @@ def _in_compiled_range(value):
     return value == 0.0 or (math.isfinite(value) and 2.0**-58 <= abs(value) < 2.0**63)
 
 
-@pytest.mark.skipif(data._FORMAT_ROWS is None, reason="compiled writers not loaded")
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledFormatter:
-    """The compiled writers against ``repr``, value by value and file by file."""
+    """``format_records`` against ``repr``, value by value in both record
+    shapes, and the writers file by file."""
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.lists(st.floats(width=64), min_size=1, max_size=40))
@@ -655,27 +672,27 @@ class TestCompiledFormatter:
         values = np.concatenate([logs, np.nextafter(logs, 0.0), np.nextafter(logs, np.inf)])
         values = values.tolist()
         values += [k / 1000 for k in range(1, 3000)] + [float(k) for k in range(1, 3000)]
-        for v in values:
-            assert _compiled_repr(v) == repr(v)
-            assert _compiled_repr(-v) == repr(-v)
+        values += [-v for v in values]
+        # all in range: one call per record shape
+        texts = [repr(v) + "\n" for v in values]
+        rows = _format_records([[]] * len(values), np.array(values)[:, None])
+        assert rows[1] == "".join(texts).encode()
+        records = _format_records([[1, 22, 333]] * len(values), np.array(values)[:, None])
+        assert records[1] == "".join("1 22 333 " + text for text in texts).encode()
 
     def test_rows_layout_and_the_index_of_an_out_of_range_value(self):
         m = np.array([[0.5, -1.0, 3e-07], [2.0, 1e22, 0.1]])
-        out = np.empty(m.size * data._VALUE_BYTES + m.shape[0], dtype=np.uint8)
-        n = data._FORMAT_ROWS(m.ctypes.data, 1, 3, out.ctypes.data, out.size)
-        assert out[:n].tobytes() == b"0.5 -1.0 3e-07\n"
-        assert data._FORMAT_ROWS(m.ctypes.data, 2, 3, out.ctypes.data, out.size) == -1 - 4
-        assert data._FORMAT_ROWS(m.ctypes.data, 3, 0, out.ctypes.data, out.size) == 3  # "\n" a row
+        assert _format_records([[]], m[:1]) == (15, b"0.5 -1.0 3e-07\n")
+        assert _format_records([[], []], m)[0] == -1 - 1  # the row holding 1e22
+        assert _format_records([[]] * 3, np.empty((3, 0))) == (3, b"\n\n\n")  # rank 0
 
     def test_coo_records_and_the_index_of_an_out_of_range_value(self):
-        coords = np.array([[0, 12, 345], [9223372036854775807, 0, 7]], dtype=np.int64)
-        values = np.array([1.5, -2e-05])
-        out = np.empty(2 * data._COO_RECORD_BYTES, dtype=np.uint8)
-        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data, out.size)
-        assert out[:n].tobytes() == b"0 12 345 1.5\n9223372036854775807 0 7 -2e-05\n"
+        coords = [[0, 12, 345], [9223372036854775807, 0, 7]]
+        values = np.array([[1.5], [-2e-05]])
+        text = b"0 12 345 1.5\n9223372036854775807 0 7 -2e-05\n"
+        assert _format_records(coords, values) == (len(text), text)
         values[1] = 5e-324
-        n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, 2, out.ctypes.data, out.size)
-        assert n == -2
+        assert _format_records(coords, values)[0] == -2
 
     def test_the_writers_buffers_hold_the_longest_text_and_no_kernel_writes_past_cap(self):
         # the longest reprs in range, and the longest int64s
@@ -683,53 +700,41 @@ class TestCompiledFormatter:
                    -0.00012345678901234567, -1234567890123456.8]
         assert max(len(repr(v)) for v in longest) == 23
         m = np.array([longest] * 3)
+        no_ints = [[]] * 3
         coords = np.full((len(longest), 3), -(2**63), dtype=np.int64)
-        values = np.array(longest)
+        values = np.array(longest)[:, None]
         rows = "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist()).encode()
         records = "".join(f"{-(2**63)} {-(2**63)} {-(2**63)} {v!r}\n" for v in longest).encode()
-        guard = 64  # bytes past cap that must stay as they were
-
-        def rows_into(cap):
-            out = np.full(cap + guard, 0xAA, dtype=np.uint8)
-            n = data._FORMAT_ROWS(m.ctypes.data, 3, len(longest), out.ctypes.data, cap)
-            assert (out[cap:] == 0xAA).all()
-            return n, out[: max(n, 0)].tobytes()
-
-        def records_into(cap):
-            out = np.full(cap + guard, 0xAA, dtype=np.uint8)
-            n = data._FORMAT_COO(coords.ctypes.data, values.ctypes.data, len(values),
-                                 out.ctypes.data, cap)
-            assert (out[cap:] == 0xAA).all()
-            return n, out[: max(n, 0)].tobytes()
-
         # the sizes write_factors and write_coo allocate take the compiled path
-        assert rows_into(m.size * data._VALUE_BYTES + m.shape[0]) == (len(rows), rows)
-        assert records_into(len(values) * data._COO_RECORD_BYTES) == (len(records), records)
-        # too little room: the first value without room is named, nothing is
-        # written past cap, and the caller hands the block or chunk to repr
+        assert _format_records(no_ints, m) == (len(rows), rows)
+        assert _format_records(coords, values) == (len(records), records)
+        # too little room: the first record without room is named, nothing is
+        # written past cap, and the caller hands the chunk to repr
         for cap in range(0, len(rows), 7):
-            assert rows_into(cap)[0] < 0
+            assert _format_records(no_ints, m, cap)[0] < 0
         for cap in range(0, len(records), 7):
-            assert records_into(cap)[0] < 0
-        # room is checked for a 24-byte text, one more than these values take
-        assert rows_into(len(rows))[0] == -1 - (m.size - 1)
-        assert records_into(data._COO_RECORD_BYTES - 1)[0] == -1
+            assert _format_records(coords, values, cap)[0] < 0
+        # room is checked for 24-byte texts, one more than these values take
+        assert _format_records(no_ints, m, len(rows))[0] == -1 - 2
+        assert _format_records(coords, values, data._record_bytes(3, 1) - 1)[0] == -1
 
     @pytest.mark.parametrize("odd", [None, 5e-324, 1e300, -2.0**63])
-    def test_writers_give_the_bytes_of_repr(self, tmp_path, monkeypatch, odd):
-        # with one value outside the compiled range, its block or chunk takes repr
+    def test_writers_give_the_bytes_of_repr(self, tmp_path, without_library, odd):
+        # with one value outside the compiled range, its chunk takes repr
         rng = np.random.default_rng(3)
-        nnz = data._COO_WRITE_CHUNK + 100
+        nnz = data._WRITE_CHUNK + 100
         lin = np.sort(rng.choice(60 * 30 * 50, size=nnz, replace=False))
         coords = np.stack(np.unravel_index(lin, (60, 30, 50)), axis=1)
         # inside the compiled range, 5e-18 to 5e18, unless odd is set
         values = rng.choice([-1.0, 1.0], nnz) * rng.uniform(0.5, 5.0, nnz)
         values *= 10.0 ** rng.integers(-17, 18, nnz)
+        # the rows of A take two chunks
         factors = [rng.uniform(0.1, 1.0, (n, 4)) * 10.0 ** rng.integers(-5, 5, (n, 4))
-                   for n in (7, 5, 6)]
+                   for n in (data._WRITE_CHUNK + 7, 5, 6)]
         factors[2] = np.asfortranarray(factors[2])  # written row by row all the same
         if odd is not None:
             values[nnz - 50] = odd
+            factors[0][-3, 1] = odd  # A's first chunk stays compiled
             factors[1][2, 3] = odd
         tensor = SparseTensorCOO((60, 30, 50), coords, values)
         result = FactorizationResult(*factors)
@@ -740,9 +745,8 @@ class TestCompiledFormatter:
             return (tmp_path / "t.coo").read_bytes(), (tmp_path / "f.factors").read_bytes()
 
         compiled = written()
-        monkeypatch.setattr(data, "_FORMAT_COO", None)
-        monkeypatch.setattr(data, "_FORMAT_ROWS", None)
-        assert written() == compiled
+        with without_library():
+            assert written() == compiled
         records = zip(coords.tolist(), values.tolist())
         body = "".join(f"{i} {j} {k} {v!r}\n" for (i, j, k), v in records)
         assert compiled[0] == ("# dims 60 30 50\n" + body).encode()

@@ -4,12 +4,13 @@ import copy
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fedcp import federation, solver, tensor
+from fedcp import _native, federation
 from fedcp.data import SynthSpec, generate_synthetic
 from fedcp.errors import DimensionError, NumericOverflowError, ProtocolError
 from fedcp.federation import (
@@ -371,11 +372,11 @@ class TestRoundSums:
         [(1, 1, 0.0, 1.0), (1, 3, 0.4, math.inf), (2, 2, 0.3, 0.5), (3, 3, 0.6, 1.0),
          (50, 1, 0.1, 1.0), (50, 2, 0.0, math.inf)],
     )
-    def test_round_figures_equal_the_references(self, monkeypatch, kernel, rank, tau, mu, clip):
-        if kernel == "python":
-            monkeypatch.setattr(solver, "_SITE_ROUND", None)
-        elif solver.KERNEL != "c":
-            pytest.skip("no compiled site round loaded")
+    def test_round_figures_equal_the_references(
+        self, without_library, kernel, rank, tau, mu, clip
+    ):
+        if kernel == "compiled" and _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
         shards = _shards(n_sites=3, dims=(30, 12, 14), sparsity=4e-2)
         empty = SparseTensorCOO((5, 12, 14), np.empty((0, 3), dtype=np.int64), np.empty(0))
         shards = [shards[0], empty, *shards[1:]]
@@ -402,14 +403,15 @@ class TestRoundSums:
                 rounds.append(metrics)
             return rounds
 
-        serial = three_rounds(None)
-        with ThreadPoolExecutor(2) as pool:
-            assert three_rounds(pool) == serial
+        with without_library() if kernel == "python" else nullcontext():
+            serial = three_rounds(None)
+            with ThreadPoolExecutor(2) as pool:
+                assert three_rounds(pool) == serial
 
-    @pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled kernels loaded")
+    @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shape", ["criterion_09", "rank_1"])
-    def test_run_without_kernels_equals_the_compiled_run(self, monkeypatch, shape):
+    def test_run_without_kernels_equals_the_compiled_run(self, without_library, shape):
         if shape == "criterion_09":
             spec = SynthSpec(dims=(45, 15, 18), rank_true=3, sparsity=5e-2, n_sites=3,
                              heterogeneity={2: (1,)}, seed=21)
@@ -428,9 +430,8 @@ class TestRoundSums:
             return serial, pooled
 
         runs = both_ways()
-        monkeypatch.setattr(solver, "_SITE_ROUND", None)
-        monkeypatch.setattr(tensor, "_MODEL_VALUES", None)
-        runs += both_ways()
+        with without_library():
+            runs += both_ways()
         first = runs[0]
         assert first.metrics[-1].change is not None
         # the clip fires in the criterion-09 run's first rounds, so the equal

@@ -1,16 +1,17 @@
 """Site solver: entry-wise SGD, its compiled round, the grouped soft-threshold,
 and objectives."""
 
-import ctypes
 import math
+import re
 import shutil
 import subprocess
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from fedcp import _native, solver
-from fedcp.data import write_coo, write_factors
+from fedcp import _native
+from fedcp.data import read_coo, write_coo, write_factors
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
     RoundSums,
@@ -370,16 +371,15 @@ def _random_shard(seed, dims, rank, density):
     return tensor, factors, anchors
 
 
-def _run_both_kernels(monkeypatch, tensor, factors, anchors, params, epochs=1):
+def _run_both_kernels(without_library, tensor, factors, anchors, params, epochs=1):
     """(error message or None, A, B, C, the last round's sums) after the
     compiled and then the Python round, each run from copies of ``factors``
     with one seed."""
     outcomes = []
-    for kernel in (solver._SITE_ROUND, None):
+    for kernels in (nullcontext, without_library):
         state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=17, site_id=0)
         sums = error = None
-        with monkeypatch.context() as patch:
-            patch.setattr(solver, "_SITE_ROUND", kernel)
+        with kernels():
             try:
                 for _ in range(epochs):
                     sums = run_local_epoch(state, anchors, params)
@@ -397,7 +397,7 @@ def _same_outcome(x, y):
     )
 
 
-@pytest.mark.skipif(solver.KERNEL != "c", reason="no compiled site round loaded")
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledPass:
     """The compiled round must reproduce the Python round bit for bit: the
     factors, the error and the sums it returns."""
@@ -407,7 +407,7 @@ class TestCompiledPass:
     @pytest.mark.parametrize("clip", [0.05, math.inf])
     # the heads and tails of the vectorised loops
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 50, 64])
-    def test_matches_python_pass(self, monkeypatch, rank, clip, gamma):
+    def test_matches_python_pass(self, without_library, rank, clip, gamma):
         tensor, factors, anchors = _random_shard(rank, (12, 7, 9), rank, 0.3)
         if math.isfinite(clip):
             # the clip fires: some residual gradient at the start exceeds it
@@ -416,7 +416,7 @@ class TestCompiledPass:
             resid = np.sum(factors[0][i] * bc, axis=1) - tensor.values
             assert np.any(np.abs(resid) * np.linalg.norm(bc, axis=1) > clip)
         params = SolverParams(eta=0.01, gamma=gamma, mu=0.3, tau=3, clip=clip)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params, 2)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         assert compiled[4].clipped == python[4].clipped
@@ -424,14 +424,14 @@ class TestCompiledPass:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rank", [1, 2, 3, 5, 50])
-    def test_clip_that_fires_for_some_gradients_of_an_entry(self, monkeypatch, rank):
+    def test_clip_that_fires_for_some_gradients_of_an_entry(self, without_library, rank):
         # a is large, b and c small: ga = resid * (b * c) stays under the
         # clip while gb and gc, which carry a, exceed it
         tensor = SparseTensorCOO((1, 1, 1), [(0, 0, 0)], [-1.0])
         factors = (np.full((1, rank), 4.0), np.full((1, rank), 0.5), np.full((1, rank), 0.5))
         norms = np.sqrt(rank) * (1.0 + rank) * np.array([0.25, 2.0, 2.0])
         params = SolverParams(eta=0.01, gamma=0.5, mu=0.0, tau=1, clip=float(np.mean(norms[:2])))
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, factors[1:], params)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, factors[1:], params)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         assert compiled[4].clipped == 2
@@ -441,7 +441,7 @@ class TestCompiledPass:
     @pytest.mark.parametrize("rank", [2, 5, 50])
     # up to, at and past the prefetch distances of 4 rows and 16 entries
     @pytest.mark.parametrize("nnz", [1, 2, 4, 5, 15, 16, 17, 40])
-    def test_neighbours_sharing_one_row_of_b(self, monkeypatch, nnz, rank, clip):
+    def test_neighbours_sharing_one_row_of_b(self, without_library, nnz, rank, clip):
         # every entry has j = 0, so each step reads the row of B that the
         # step before it wrote, while the rows ahead are prefetched
         rng = np.random.default_rng(nnz * rank)
@@ -450,7 +450,7 @@ class TestCompiledPass:
         factors = tuple(rng.random((d, rank)) for d in tensor.dims)
         anchors = (rng.random((1, rank)), rng.random((3, rank)))
         params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=clip)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params, 2)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         assert not np.array_equal(compiled[2], factors[1])
@@ -459,10 +459,10 @@ class TestCompiledPass:
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("tau", [1, 2, 3])
     @pytest.mark.parametrize("rank", [1, 2, 3, 50])
-    def test_round_sums_match_the_python_round(self, monkeypatch, rank, tau, mu):
+    def test_round_sums_match_the_python_round(self, without_library, rank, tau, mu):
         tensor, factors, anchors = _random_shard(10 + rank, (9, 6, 7), rank, 0.4)
         params = SolverParams(eta=0.02, gamma=1.5, mu=mu, tau=tau, clip=0.1)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params, 2)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params, 2)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         state = SiteState(tensor, compiled[1], compiled[2], compiled[3], rng_seed=0, site_id=0)
@@ -471,7 +471,7 @@ class TestCompiledPass:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("rank", [1, 2, 50])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 1000, 4099])
-    def test_sums_keep_numpy_order_at_every_length(self, monkeypatch, rank, n):
+    def test_sums_keep_numpy_order_at_every_length(self, without_library, rank, n):
         # n entries down one mode make the residual sum, the column norms of
         # the prox step and the change sums n or n * rank terms long, across
         # the lengths where numpy's pairwise sum changes shape
@@ -486,20 +486,20 @@ class TestCompiledPass:
             # bit of a norm reaches the scaled column
             mu = 50.0 * np.linalg.norm(factors[0], axis=0).min()
             params = SolverParams(eta=0.01, gamma=0.5, mu=mu, tau=1, clip=math.inf)
-            compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+            compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
             assert compiled[0] is None
             assert _same_outcome(compiled, python)
 
-    def test_empty_shard(self, monkeypatch):
+    def test_empty_shard(self, without_library):
         tensor, factors, anchors = _random_shard(4, (3, 2, 2), 2, 0.0)
         assert tensor.nnz == 0
         params = SolverParams(eta=0.1, gamma=1.0, mu=0.5, tau=3)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
         assert _same_outcome(compiled, python)
         assert compiled[4].sse == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_dot_product_sums_left_to_right(self, monkeypatch):
+    def test_dot_product_sums_left_to_right(self, without_library):
         # products [1e16, 1, -1e16, 1] then zeros: left to right the residual
         # is 1 - value = 0 and nothing moves; pairwise order sums them to 0
         # and BLAS to 2 (rank 16), and then every row would move
@@ -508,11 +508,11 @@ class TestCompiledPass:
         tensor = SparseTensorCOO((1, 1, 1), [(0, 0, 0)], [1.0])
         factors = (a, np.ones((1, 16)), np.ones((1, 16)))
         params = SolverParams(eta=0.1, gamma=0.0, mu=0.0, tau=1, clip=math.inf)
-        for outcome in _run_both_kernels(monkeypatch, tensor, factors, factors[1:], params):
+        for outcome in _run_both_kernels(without_library, tensor, factors, factors[1:], params):
             assert _same_outcome(outcome[:4], (None, *factors))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_residual_stops_both_at_the_same_entry(self, monkeypatch):
+    def test_non_finite_residual_stops_both_at_the_same_entry(self, without_library):
         # only entry (3, 1, 2) overflows; the entries shuffled before it
         # stay applied and it is not
         tensor, factors, anchors = _random_shard(9, (5, 3, 4), 2, 0.7)
@@ -522,40 +522,56 @@ class TestCompiledPass:
         factors[0][3] = 1e300
         factors[1][1] = 1e300
         params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1, clip=1.0)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
         assert compiled[0] == "residual became non-finite at entry (3, 1, 2)"
         assert _same_outcome(compiled, python)
         assert not np.array_equal(compiled[3], factors[2])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("tau", [1, 3])
-    def test_non_finite_row_is_named_by_both_sweeps(self, monkeypatch, tau):
+    def test_non_finite_row_is_named_by_both_sweeps(self, without_library, tau):
         # the residual stays finite, but the anchor pull of gamma = 1e308
         # sends row 2 of B to -inf in the pass's only entry
         tensor = SparseTensorCOO((2, 3, 2), [(1, 2, 1)], [1.0])
         factors = (np.full((2, 1), 0.5), np.full((3, 1), 2.0), np.full((2, 1), 0.5))
         anchors = (np.zeros((3, 1)), np.full((2, 1), 0.5))
         params = SolverParams(eta=0.5, gamma=1e308, mu=0.1, tau=tau, clip=math.inf)
-        compiled, python = _run_both_kernels(monkeypatch, tensor, factors, anchors, params)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
         assert compiled[0] == "B row 2 became non-finite"
         assert _same_outcome(compiled, python)
 
 
+@pytest.fixture(scope="module")
+def fresh_build(tmp_path_factory):
+    """(directory, library path) of one build into an empty directory, made
+    with exactly one compile, for the tests that need a build of their own."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    directory = tmp_path_factory.mktemp("lib")
+    compiles = []
+    real_run = subprocess.run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            _native.subprocess, "run", lambda *a, **k: compiles.append(a) or real_run(*a, **k)
+        )
+        path = _native.build(directory)
+    assert len(compiles) == 1
+    return directory, path
+
+
 class TestNativeBuild:
-    def test_second_build_reuses_the_first(self, tmp_path, monkeypatch):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
+    def test_second_build_reuses_the_first(self, fresh_build, monkeypatch):
+        directory, first = fresh_build
+        stamp = first.stat().st_mtime_ns
         compiles = []
         real_run = subprocess.run
         monkeypatch.setattr(
             _native.subprocess, "run", lambda *a, **k: compiles.append(a) or real_run(*a, **k)
         )
-        first = _native.build(tmp_path)
-        stamp = first.stat().st_mtime_ns
-        assert _native.build(tmp_path) == first
-        assert len(compiles) == 1
+        assert _native.build(directory) == first
+        assert compiles == []
         assert first.stat().st_mtime_ns == stamp
-        assert list(tmp_path.iterdir()) == [first]
+        assert list(directory.iterdir()) == [first]
 
     def test_flags_keep_the_bits(self):
         # the compiled kernels must round like their Python references: no
@@ -577,21 +593,20 @@ class TestNativeBuild:
         assert out.returncode == 0, out.stderr
         assert out.stderr == ""
 
-    def test_load_declares_every_kernel(self, tmp_path):
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
-        lib = _native.load(tmp_path)
-        declared = {
-            "site_round": (_native._SITE_ROUND_ARGTYPES, ctypes.c_int),
-            "model_values": (_native._MODEL_VALUES_ARGTYPES, None),
-            "parse_coo": (_native._PARSE_COO_ARGTYPES, ctypes.c_int64),
-            "format_rows": (_native._FORMAT_ROWS_ARGTYPES, ctypes.c_int64),
-            "format_coo": (_native._FORMAT_COO_ARGTYPES, ctypes.c_int64),
-        }
-        for name, (argtypes, restype) in declared.items():
+    def test_load_declares_every_kernel(self, fresh_build):
+        lib = _native.load(fresh_build[0])
+        for name, (restype, argtypes) in _native.SIGNATURES.items():
             kernel = getattr(lib, name)
-            assert tuple(kernel.argtypes) == argtypes
             assert kernel.restype is restype
+            assert tuple(kernel.argtypes) == argtypes
+
+    def test_every_exported_function_is_declared(self):
+        # a C function that is not static is one the library exports
+        source = _native.SOURCE.read_text()
+        exported = re.findall(r"^(?!static\b|typedef\b)(?:[A-Za-z_]\w*\s+\**)+(\w+)\(", source,
+                              re.MULTILINE)
+        assert set(exported) == set(_native.SIGNATURES)
+        assert len(exported) == len(set(exported))
 
     def test_half_written_library_is_never_loaded(self, tmp_path, monkeypatch):
         # a compiler that dies after writing part of its output
@@ -608,7 +623,7 @@ class TestNativeBuild:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_without_a_compiler_the_python_pass_runs_with_the_same_bits(
-        self, tmp_path, tmp_path_factory, monkeypatch
+        self, tmp_path, tmp_path_factory, monkeypatch, without_library
     ):
         tensor, factors, anchors = _random_shard(5, (6, 4, 5), 3, 0.5)
         params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.3)
@@ -616,25 +631,25 @@ class TestNativeBuild:
         def run():
             state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=3, site_id=0)
             run_local_epoch(state, anchors, params)
-            # the writers' files, as fedcp generate and fedcp run write them
+            # the writers' files, as fedcp generate and fedcp run write them,
+            # and the tensor read back, as fedcp run reads it
             write_coo(tensor, files / "t.coo")
             write_factors(FactorizationResult(state.A, state.B, state.C), files / "f.factors")
             written = [(files / name).read_bytes() for name in ("t.coo", "f.factors")]
-            return (state.A, state.B, state.C), rmse([tensor], [state]), written
+            back = read_coo(files / "t.coo")
+            read = (back.dims, back.coords.tobytes(), back.values.tobytes())
+            return (state.A, state.B, state.C), rmse([tensor], [state]), written, read
 
         files = tmp_path_factory.mktemp("files")
-        loaded_factors, loaded_rmse, loaded_files = run()
+        loaded = run()
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         assert _native.load(tmp_path) is None
         assert list(tmp_path.iterdir()) == []
-        monkeypatch.setattr(solver, "_SITE_ROUND", None)
-        monkeypatch.setattr("fedcp.tensor._MODEL_VALUES", None)  # rmse takes the einsum
-        monkeypatch.setattr("fedcp.data._FORMAT_COO", None)  # the writers take repr
-        monkeypatch.setattr("fedcp.data._FORMAT_ROWS", None)
-        python_factors, python_rmse, python_files = run()
-        assert all(np.array_equal(p, q) for p, q in zip(loaded_factors, python_factors))
-        assert python_rmse == loaded_rmse
-        assert python_files == loaded_files
+        with without_library():
+            python = run()
+        assert all(np.array_equal(p, q) for p, q in zip(loaded[0], python[0]))
+        assert python[1:] == loaded[1:]
+        assert loaded[3] == (tensor.dims, tensor.coords.tobytes(), tensor.values.tobytes())
 
 
 class TestBetaLipschitz:

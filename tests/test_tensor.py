@@ -6,9 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fedcp import tensor
+from fedcp import _native, tensor
 from fedcp.errors import DimensionError
-from fedcp.solver import KERNEL
 from fedcp.tensor import (
     FactorizationResult,
     SparseTensorCOO,
@@ -161,7 +160,7 @@ def _random_factors(rng, dims, rank, nnz):
     return factors, np.stack(np.unravel_index(lin, dims), axis=1)
 
 
-@pytest.mark.skipif(KERNEL != "c", reason="no compiled kernels loaded")
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledModelValues:
     @pytest.mark.parametrize("rank", [1, 3, 8, 50, 64])
     def test_matches_reconstruct_values(self, rank):
@@ -190,7 +189,7 @@ class TestCompiledModelValues:
         assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
         assert not np.signbit(expected[0])
 
-    def test_rmse_is_the_einsum_rmse(self, monkeypatch):
+    def test_rmse_is_the_einsum_rmse(self, without_library):
         rng = np.random.default_rng(3)
         shards, sites = [], []
         for nnz in (0, 200, 2500):
@@ -198,8 +197,8 @@ class TestCompiledModelValues:
             shards.append(SparseTensorCOO((50, 20, 30), coords, rng.random(nnz) + 0.5))
             sites.append(FactorizationResult(A, B, C))
         compiled = rmse(shards, sites)
-        monkeypatch.setattr(tensor, "_MODEL_VALUES", None)
-        assert rmse(shards, sites) == compiled
+        with without_library():
+            assert rmse(shards, sites) == compiled
 
 
 class TestFactorWeights:
