@@ -5,16 +5,16 @@ package's ``__pycache__`` directory, the place and trust boundary the
 bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
-so a half-written library is never loaded. ``SIGNATURES`` declares each
-of the four kernels the file exports.
+so a half-written library is never loaded; a build then deletes the other
+``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's four kernels.
 
 ``LIBRARY`` is the one switch between the compiled and the Python code:
 the loaded library, or None when there is no compiler or compiling or
 loading fails. ``solver``, ``tensor`` and ``data`` read it at each call,
 never at import. When it is None the solver runs a site's round in
-Python, ``rmse`` its einsum and ``read_coo`` its ``np.loadtxt`` call
-instead, and the COO and factor writers format with ``repr``; setting it
-to None gives that path in a process that did load the library.
+Python, ``rmse`` its einsum and ``read_coo`` its line parser instead,
+and the COO and factor writers format with ``repr``; setting it to None
+gives that path in a process that did load the library.
 """
 
 import ctypes
@@ -94,6 +94,12 @@ def build(directory: Path) -> Path | None:
                 os.unlink(tmp)
     except (OSError, subprocess.SubprocessError):
         return None
+    for stale in target.parent.glob("_sgd-*.so"):
+        if stale != target:
+            try:
+                stale.unlink()
+            except OSError:
+                pass
     return target
 
 

@@ -250,3 +250,7 @@ def _load(args) -> data.ExperimentConfig:
 
 def main_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

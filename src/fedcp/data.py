@@ -10,14 +10,13 @@ that reads back as the same float64. Config files are ``key = value`` lines.
 
 ``read_coo`` and the writers call the compiled ``parse_coo`` and
 ``format_records`` when ``_native.LIBRARY`` holds the library at the call,
-else ``np.loadtxt`` and ``repr``, with the same results.
+else the line parser and ``repr``, with the same results.
 """
 
 import io
 import math
 import os
 import re
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -216,8 +215,6 @@ def _write_records(fh, ints, values):
         fh.write("".join([" ".join([*map(str, i), *map(repr, v)]) + "\n" for i, v in rows]))
 
 
-# one COO record as the loadtxt parse reads it: exact int64 indices, float64 value
-_COO_RECORD = np.dtype([("i", "i8"), ("j", "i8"), ("k", "i8"), ("v", "f8")])
 # the line ends a text-mode read splits at
 _LINE_END = re.compile(rb"\r\n?|\n")
 
@@ -225,35 +222,34 @@ _LINE_END = re.compile(rb"\r\n?|\n")
 def read_coo(path) -> SparseTensorCOO:
     """Parse a COO text file, reporting the offending line on any defect.
 
-    The body is parsed in one bulk call and checked by the tensor itself:
-    the compiled ``parse_coo`` when the library loaded, else one
-    ``np.loadtxt`` call. A body that the call or the checks reject (a
-    comment or blank line, a ``#`` inside a record, a token that is not a
-    plain index or float, an index out of range, a zero, non-finite or
-    repeated entry) is parsed again line by line. That parser accepts what
-    the bulk calls do not (``1_0``, comment lines) and names the first bad
-    line.
+    When the library loaded, the body is parsed in one call of the compiled
+    ``parse_coo`` and checked by the tensor itself. A body that the call or
+    the checks reject (a comment or blank line, a ``#`` inside a record, a
+    token that is not a plain index or float, an index out of range, a
+    zero, non-finite or repeated entry), and any body when the library did
+    not load, is parsed line by line. That parser accepts what the compiled
+    one does not (``1_0``, comment lines) and names the first bad line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     newline = _LINE_END.search(raw)
     head_end, body_start = newline.span() if newline else (len(raw), len(raw))
     dims = _coo_dims(raw[:head_end].decode("utf-8"))
-    try:
-        coords, values = _bulk_parse(raw, body_start)
-        return SparseTensorCOO(dims, coords, values)
-    except ValueError:
-        return _read_coo_lines(_body_text(raw), dims)
+    if _native.LIBRARY is not None:
+        try:
+            coords, values = _bulk_parse(raw, body_start)
+            return SparseTensorCOO(dims, coords, values)
+        except ValueError:
+            pass
+    # the text from line 2 on, as open(path, encoding="utf-8") would read it
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    text.readline()
+    return _read_coo_lines(text, dims)
 
 
 def _bulk_parse(raw: bytes, body_start: int):
-    """The coords and values of the body ``raw[body_start:]`` in one call;
-    ValueError when a line is outside the call's grammar."""
-    if _native.LIBRARY is None:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rec = np.loadtxt(_body_text(raw), dtype=_COO_RECORD, comments=None, ndmin=1)
-        return np.stack([rec["i"], rec["j"], rec["k"]], axis=1), rec["v"].copy()
+    """The coords and values of the body ``raw[body_start:]`` in one call of
+    the compiled ``parse_coo``; ValueError when a line is outside its grammar."""
     body = np.frombuffer(raw, dtype=np.uint8, offset=body_start)
     cap = raw.count(b"\n", body_start) + 1  # every record but the last ends in one
     coords = np.empty((cap, 3), dtype=np.int64)
@@ -264,14 +260,6 @@ def _bulk_parse(raw: bytes, body_start: int):
     if n < 0:
         raise ValueError(f"line {1 - n} is outside the grammar of parse_coo")
     return coords[:n], values[:n]
-
-
-def _body_text(raw: bytes) -> io.TextIOWrapper:
-    """The file's text from line 2 on, read as ``open(path, "r",
-    encoding="utf-8")`` would read it."""
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
-    text.readline()
-    return text
 
 
 def _coo_dims(head: str) -> tuple[int, int, int]:
@@ -373,6 +361,8 @@ def read_factors(path) -> FactorizationResult:
     # per-column work on these factors would be sized by it
     if not any(len(b) for b in blocks):
         raise ParseError("no factor block holds a row", line_no=first_header)
+    if blocks[0].shape[1] < 1:
+        raise ParseError("factor rank must be at least 1", line_no=first_header)
     return FactorizationResult(*blocks)
 
 

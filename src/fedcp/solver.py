@@ -82,7 +82,9 @@ class SolverParams:
 
 @dataclass
 class SiteState:
-    """One site's shard, factor triple, id, and private random streams."""
+    """One site's shard, factor triple, id, and private random streams.
+    Each assignment to ``A``, ``B`` or ``C`` stores a writeable C-contiguous
+    float64 matrix, copying only a value that is not one already."""
 
     tensor: SparseTensorCOO
     A: np.ndarray
@@ -92,6 +94,11 @@ class SiteState:
     site_id: int
     shuffle_rng: np.random.Generator = field(init=False, repr=False)
     noise_rng: np.random.Generator = field(init=False, repr=False)
+
+    def __setattr__(self, name, value):
+        if name in ("A", "B", "C"):
+            value = np.require(value, np.float64, ("C", "W", "A"))
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         i_dim, j_dim, k_dim = self.tensor.dims
@@ -245,10 +252,7 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     orders[:] = np.arange(state.tensor.nnz)
     for order in orders:
         state.shuffle_rng.shuffle(order)
-    if _native.LIBRARY is not None and all(
-        m.dtype == np.float64 and m.flags.c_contiguous and m.flags.writeable
-        for m in (state.A, state.B, state.C)
-    ):
+    if _native.LIBRARY is not None:
         return _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold)
 
     start = (state.B.copy(), state.C.copy())
@@ -316,8 +320,8 @@ _NO_MEMORY, _RESIDUAL, _ROW = 1, 2, 3  # site_round's return codes, 0 when it ra
 
 def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold):
     """The Python round of ``run_local_epoch`` in one call of ``site_round``.
-    The caller has checked that A, B and C are writeable C-contiguous float64
-    matrices matching the shard dims, so every index in ``coords`` lies inside them."""
+    The caller has checked that the site's factors match the shard dims, so
+    every index in ``coords`` lies inside them."""
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
     sums = np.empty(5)

@@ -73,17 +73,6 @@ class SparseTensorCOO:
     def nnz(self) -> int:
         return self.values.shape[0]
 
-    def same_entries(self, other) -> bool:
-        """True if both tensors hold identical entries, ignoring storage order."""
-        if self.dims != other.dims or self.nnz != other.nnz:
-            return False
-        a = np.argsort(np.ravel_multi_index(self.coords.T, self.dims))
-        b = np.argsort(np.ravel_multi_index(other.coords.T, other.dims))
-        return bool(
-            np.array_equal(self.coords[a], other.coords[b])
-            and np.array_equal(self.values[a], other.values[b])
-        )
-
 
 @dataclass(frozen=True)
 class FactorizationResult:

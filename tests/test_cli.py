@@ -328,6 +328,13 @@ class TestEvaluate:
         assert main(["evaluate", str(empty), str(empty)]) == 1
         assert capsys.readouterr().err == "fedcp: line 1: no factor block holds a row\n"
 
+    def test_rank_zero_factors_are_an_error(self, tmp_path, capsys):
+        # rows of no values: the scores would be means of empty slices
+        zero = tmp_path / "zero.factors"
+        zero.write_text("# rows 1 0\n\n" * 3)
+        assert main(["evaluate", str(zero), str(zero)]) == 1
+        assert capsys.readouterr() == ("", "fedcp: line 1: factor rank must be at least 1\n")
+
 
 class TestBudget:
     def test_rho_mode_line_format(self, capsys):
@@ -364,6 +371,25 @@ class TestBudget:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"budget: {flag} must be positive, got {float(value)}\n"
+
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(fedcp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+
+        def budget(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "fedcp.cli", "budget", *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        ok = budget("--rho", "1e-3", "--epochs", "1")
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("epoch=1 rho_total=")
+        bad = budget("--epsilon", "nan")
+        assert bad.returncode == 1
+        assert bad.stderr == "budget: --epsilon must be positive, got nan\n"
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--rho"])
     def test_infinite_budget_accepted(self, capsys, flag):

@@ -3,7 +3,6 @@
 import math
 import re
 import warnings
-from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -168,7 +167,9 @@ class TestPartitionRows:
                 [sh.coords + [off, 0, 0] for sh, off in zip(shards, offsets)]
             )
             values = np.concatenate([sh.values for sh in shards])
-            assert SparseTensorCOO(tensor.dims, coords, values).same_entries(tensor)
+            # each block keeps its entries in stored order
+            assert np.array_equal(coords, tensor.coords)
+            assert values.tobytes() == tensor.values.tobytes()
 
     def test_permute_rows_keeps_entries(self):
         t = self._tensor()
@@ -273,13 +274,13 @@ def _read_by_line(path):
 
 
 def _three_outcomes(path, without_library):
-    """What ``read_coo`` (compiled parse when loaded), its loadtxt tier (as
-    on a host without a C compiler) and the line parser alone give for one
-    file."""
+    """What ``read_coo`` (compiled parse when loaded), ``read_coo`` without
+    the library (as on a host without a C compiler) and the line parser
+    alone give for one file."""
     got = _outcome(read_coo, path)
     with without_library():
-        by_loadtxt = _outcome(read_coo, path)
-    return [got, by_loadtxt, _outcome(_read_by_line, path)]
+        without_lib = _outcome(read_coo, path)
+    return [got, without_lib, _outcome(_read_by_line, path)]
 
 
 def _outcome(read, path):
@@ -354,9 +355,9 @@ def _coo_body_lines(draw):
 
 
 class TestBulkMatchesLineParser:
-    """``read_coo`` parses in bulk, compiled or by ``np.loadtxt``, and falls
-    back to the line parser; every way it must give what the line parser
-    alone gives."""
+    """``read_coo`` parses in bulk when the library loaded, and falls back
+    to the line parser; with or without the library it must give what the
+    line parser alone gives."""
 
     @pytest.mark.parametrize(
         "body, expected",
@@ -406,8 +407,8 @@ class TestBulkMatchesLineParser:
     def test_table(self, tmp_path, without_library, body, expected):
         path = tmp_path / "t.coo"
         path.write_bytes((_DIFF_HEAD + body).encode("utf-8"))
-        got, by_loadtxt, by_line = _three_outcomes(path, without_library)
-        assert got == by_loadtxt == by_line
+        got, without_lib, by_line = _three_outcomes(path, without_library)
+        assert got == without_lib == by_line
         if isinstance(expected, str):
             assert expected in got[1]
         else:
@@ -422,7 +423,9 @@ class TestBulkMatchesLineParser:
             warnings.simplefilter("error")
             assert read_coo(path).nnz == 0
 
-    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch, without_library):
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        if _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
         spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
         generated, _, _ = generate_synthetic(spec)
         # negative values and values whose repr takes exponent form
@@ -438,12 +441,23 @@ class TestBulkMatchesLineParser:
             raise AssertionError("the bulk parse rejected a file write_coo wrote")
 
         monkeypatch.setattr(data, "_read_coo_lines", no_line_parse)
-        # the compiled parse when it loaded, then the loadtxt parse
-        for kernels in (nullcontext, without_library):
-            with kernels():
-                back = read_coo(path)
-            assert np.array_equal(back.coords, tensor.coords)
-            assert back.values.tobytes() == tensor.values.tobytes()
+        back = read_coo(path)
+        assert np.array_equal(back.coords, tensor.coords)
+        assert back.values.tobytes() == tensor.values.tobytes()
+
+    def test_without_the_library_no_bulk_parse_is_tried(
+        self, tmp_path, monkeypatch, without_library
+    ):
+        path = tmp_path / "t.coo"
+        path.write_text(_DIFF_HEAD + "0 0 0 1.5\n11 1 1 -2.0\n")
+
+        def no_bulk_parse(raw, body_start):
+            raise AssertionError("read_coo tried the bulk parse without the library")
+
+        monkeypatch.setattr(data, "_bulk_parse", no_bulk_parse)
+        with without_library():
+            got = _outcome(read_coo, path)
+        assert got == ((12, 2, 2), [[0, 0, 0], [11, 1, 1]], np.array([1.5, -2.0]).tobytes())
 
     @pytest.mark.parametrize(
         "body, rejected_line",
@@ -482,7 +496,7 @@ class TestBulkMatchesLineParser:
             with pytest.raises(ValueError, match=f"^line {rejected_line} is outside the grammar"):
                 data._bulk_parse(raw, len(_DIFF_HEAD))
 
-    def test_without_a_compiler_loadtxt_reads_the_same(
+    def test_without_a_compiler_the_line_parser_reads_the_same(
         self, tmp_path, monkeypatch, without_library
     ):
         spec = SynthSpec(dims=(15, 6, 7), rank_true=2, sparsity=4e-2, n_sites=1, seed=8)
@@ -513,8 +527,8 @@ class TestBulkMatchesLineParser:
         body = newline.join(lines) + (newline if final and lines else "")
         head = "# dims {} {} {}\n".format(*_FUZZ_DIMS)
         path.write_bytes((head + body).encode("utf-8"))
-        got, by_loadtxt, by_line = _three_outcomes(path, without_library)
-        assert got == by_loadtxt == by_line
+        got, without_lib, by_line = _three_outcomes(path, without_library)
+        assert got == without_lib == by_line
 
 
 class TestFactorFiles:
@@ -579,6 +593,15 @@ class TestFactorFiles:
         path = tmp_path / "f.factors"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"^line {line}: no factor block holds a row$"):
+            read_factors(path)
+
+    @pytest.mark.parametrize(
+        "text, line", [("# rows 1 0\n\n" * 3, 1), ("\n# rows 2 0\n\n\n" * 3, 2)]
+    )
+    def test_rank_zero_rejected_at_the_first_header(self, tmp_path, text, line):
+        path = tmp_path / "f.factors"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line {line}: factor rank must be at least 1$"):
             read_factors(path)
 
 

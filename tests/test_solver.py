@@ -10,7 +10,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from fedcp import _native
+from fedcp import _native, solver
 from fedcp.data import read_coo, write_coo, write_factors
 from fedcp.errors import DimensionError, NumericOverflowError
 from fedcp.solver import (
@@ -548,6 +548,9 @@ def fresh_build(tmp_path_factory):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     directory = tmp_path_factory.mktemp("lib")
+    # a build of an older source, and a file that is not a build
+    for name in ("_sgd-0000000000000000.so", "keep.so"):
+        (directory / name).write_bytes(b"")
     compiles = []
     real_run = subprocess.run
     with pytest.MonkeyPatch.context() as patch:
@@ -571,7 +574,13 @@ class TestNativeBuild:
         assert _native.build(directory) == first
         assert compiles == []
         assert first.stat().st_mtime_ns == stamp
-        assert list(directory.iterdir()) == [first]
+        assert sorted(directory.iterdir()) == sorted([first, directory / "keep.so"])
+
+    def test_build_deletes_older_builds_only(self, fresh_build):
+        directory, first = fresh_build
+        assert first.is_file()
+        assert not (directory / "_sgd-0000000000000000.so").exists()
+        assert (directory / "keep.so").is_file()
 
     def test_flags_keep_the_bits(self):
         # the compiled kernels must round like their Python references: no
@@ -696,6 +705,93 @@ class TestSiteStateValidation:
         tensor = SparseTensorCOO((2, 2, 2), [(0, 0, 0)], [1.0])
         with pytest.raises(DimensionError):
             SiteState(tensor, np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)), 0, 0)
+
+
+_LAYOUTS = ["int64", "float32", "fortran", "strided", "read-only"]
+
+
+def _layout(m, layout):
+    """``m`` (integer-valued float64) as a factor the compiled round cannot
+    write in place: int64, float32, Fortran order, a strided view, read-only."""
+    if layout == "read-only":
+        m = m.copy()
+        m.setflags(write=False)
+        return m
+    if layout == "fortran":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        return np.repeat(m, 2, axis=0)[::2]
+    return m.astype(layout)
+
+
+def _no_python_pass(*args):
+    raise AssertionError("the Python pass ran with the compiled library loaded")
+
+
+class TestSiteStateFactors:
+    """A site holds writeable C-contiguous float64 factors whatever it is
+    given, so every round is the round of the plain float64 state."""
+
+    def _shard(self):
+        tensor, factors, anchors = _random_shard(9, (6, 4, 5), 2, 0.5)
+        rng = np.random.default_rng(9)
+        factors = tuple(rng.integers(0, 2, m.shape).astype(np.float64) for m in factors)
+        return tensor, factors, anchors
+
+    def _assert_fit(self, state, factors):
+        for m, want in zip((state.A, state.B, state.C), factors):
+            assert m.dtype == np.float64
+            assert m.flags.c_contiguous and m.flags.writeable
+            assert np.array_equal(m, want)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_factors_are_converted(self, layout):
+        tensor, factors, _ = self._shard()
+        odd = [_layout(m, layout) for m in factors]
+        state = SiteState(tensor, *odd, rng_seed=1, site_id=0)
+        self._assert_fit(state, factors)
+        assert not any(m is o for m, o in zip((state.A, state.B, state.C), odd))
+
+    def test_fitting_factors_are_not_copied(self):
+        tensor, factors, _ = self._shard()
+        state = SiteState(tensor, *factors, rng_seed=1, site_id=0)
+        assert all(m is f for m, f in zip((state.A, state.B, state.C), factors))
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_round_gives_the_bits_of_the_float64_round(
+        self, monkeypatch, without_library, kernel, layout
+    ):
+        if kernel == "compiled":
+            if _native.LIBRARY is None:
+                pytest.skip("no compiled library loaded")
+            monkeypatch.setattr(solver, "_python_pass", _no_python_pass)
+        tensor, factors, anchors = self._shard()
+        params = SolverParams(eta=0.01, gamma=0.5, mu=0.1, tau=2, clip=0.7)
+        with without_library() if kernel == "python" else nullcontext():
+            plain = SiteState(tensor, *(m.copy() for m in factors), rng_seed=1, site_id=0)
+            plain_sums = run_local_epoch(plain, anchors, params)
+            odd = SiteState(tensor, *(_layout(m, layout) for m in factors), rng_seed=1, site_id=0)
+            odd_sums = run_local_epoch(odd, anchors, params)
+        assert odd_sums == plain_sums
+        for m, want in zip((odd.A, odd.B, odd.C), (plain.A, plain.B, plain.C)):
+            assert m.tobytes() == want.tobytes()
+
+    def test_an_assigned_factor_is_converted_and_takes_the_compiled_round(self, monkeypatch):
+        if _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        tensor, factors, anchors = self._shard()
+        params = SolverParams(eta=0.01, gamma=0.5, mu=0.1, tau=2, clip=0.7)
+        plain = SiteState(tensor, *(m.copy() for m in factors), rng_seed=1, site_id=0)
+        run_local_epoch(plain, anchors, params)
+        state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=1, site_id=0)
+        state.A = np.asfortranarray(state.A)
+        state.B = state.B.astype(np.float32)
+        self._assert_fit(state, factors)
+        monkeypatch.setattr(solver, "_python_pass", _no_python_pass)
+        run_local_epoch(state, anchors, params)
+        for m, want in zip((state.A, state.B, state.C), (plain.A, plain.B, plain.C)):
+            assert m.tobytes() == want.tobytes()
 
 
 class TestSolverParamsValidation:

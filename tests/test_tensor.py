@@ -48,11 +48,6 @@ class TestSparseTensorCOO:
         with pytest.raises(ValueError, match="finite"):
             _tensor((2, 2, 2), [(0, 0, 0, math.nan)])
 
-    def test_same_entries_ignores_order(self):
-        a = _tensor((2, 2, 2), [(0, 0, 0, 1.0), (1, 1, 1, 2.0)])
-        b = _tensor((2, 2, 2), [(1, 1, 1, 2.0), (0, 0, 0, 1.0)])
-        assert a.same_entries(b)
-
 
 def _entry(a, b, c, i, j, k):
     return reconstruct_values(a, b, c, np.array([[i, j, k]]))[0]
