@@ -12,9 +12,10 @@ so a half-written library is never loaded; a build then deletes the other
 the loaded library, or None when there is no compiler or compiling or
 loading fails. ``solver``, ``tensor`` and ``data`` read it at each call,
 never at import. When it is None the solver runs a site's round in
-Python, ``rmse`` its einsum and ``read_coo`` its line parser instead,
-and the COO and factor writers format with ``repr``; setting it to None
-gives that path in a process that did load the library.
+Python, ``tensor.model_values`` (for ``rmse`` and ``generate_synthetic``)
+its einsum and ``read_coo`` its line parser instead, and the COO and
+factor writers format with ``repr``; setting it to None gives that path
+in a process that did load the library.
 """
 
 import ctypes

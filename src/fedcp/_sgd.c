@@ -3,11 +3,11 @@
  * round of shuffled SGD passes, each followed by the finiteness sweep and
  * the prox step, and the sums for the round's RMSE and convergence check
  * (the twin of the Python round in solver.run_local_epoch); model_values,
- * the model values that tensor.rmse scores (the twin of
- * reconstruct_values); parse_coo, the parse of a COO file's body (the fast
- * path of data.read_coo); and format_records, the text of COO records and
- * factor rows (the fast path of data.write_coo and data.write_factors,
- * byte for byte what repr writes).
+ * the model values that tensor.rmse scores and data.generate_synthetic
+ * stores (the twin of reconstruct_values); parse_coo, the parse of a COO
+ * file's body (the fast path of data.read_coo); and format_records, the
+ * text of COO records and factor rows (the fast path of data.write_coo
+ * and data.write_factors, byte for byte what repr writes).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting

@@ -11,6 +11,8 @@ that reads back as the same float64. Config files are ``key = value`` lines.
 ``read_coo`` and the writers call the compiled ``parse_coo`` and
 ``format_records`` when ``_native.LIBRARY`` holds the library at the call,
 else the line parser and ``repr``, with the same results.
+``generate_synthetic`` takes its values from ``tensor.model_values``,
+which picks the compiled ``model_values`` or the einsum by the same switch.
 """
 
 import io
@@ -25,7 +27,7 @@ from . import _native
 from .errors import ConfigError, ParseError
 from .privacy import PrivacyParams
 from .solver import SolverParams
-from .tensor import FactorizationResult, SparseTensorCOO, reconstruct_values
+from .tensor import FactorizationResult, SparseTensorCOO, model_values
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,25 @@ class SynthSpec:
 
 def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=None) -> np.ndarray:
     """First ``count`` distinct draws from uniform sampling of [0, total)
-    that are not among the distinct cells ``taken``."""
+    that are not among the distinct cells ``taken``. Raises RuntimeError,
+    before drawing, when fewer than ``count`` cells are left."""
     chosen = np.empty(0, dtype=np.int64) if taken is None else taken
     end = chosen.size + count
+    if end > total:
+        raise RuntimeError(
+            f"cannot draw {count} more distinct cells: {chosen.size} of {total} are taken"
+        )
     while chosen.size < end:
         batch = rng.integers(0, total, size=max(count, 2 * (end - chosen.size)))
         acc = np.concatenate([chosen, batch])
-        _, first = np.unique(acc, return_index=True)
+        # the first position of each distinct cell is the least position in
+        # its run of the sorted draws, so the sort need not be stable
+        perm = np.argsort(acc)
+        ordered = acc[perm]
+        starts = np.empty(acc.size, dtype=bool)
+        starts[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        first = np.minimum.reduceat(perm, np.flatnonzero(starts))
         chosen = acc[np.sort(first)]
     return chosen[end - count : end]
 
@@ -82,7 +96,12 @@ def generate_synthetic(spec: SynthSpec):
     the owning site's block. Coordinates are sampled uniformly without
     replacement; each stored value is the exact truth reconstruction
     (coordinates whose truth value is zero are resampled), plus optional
-    Gaussian observation noise.
+    Gaussian observation noise. The values come from ``tensor.model_values``,
+    so a host with or without the compiled library gives the same bytes.
+
+    Raises ValueError when the spec implies no entries or more entries than
+    cells, and RuntimeError when zero-valued cells cannot all be replaced:
+    too few cells are left to draw from, or 100 resamples still hit zeros.
     """
     i_dim, j_dim, k_dim = spec.dims
     total_cells = i_dim * j_dim * k_dim
@@ -107,8 +126,8 @@ def generate_synthetic(spec: SynthSpec):
 
     lin = _sample_distinct(rng, total_cells, target)
     for _ in range(101):  # the first draw, then up to 100 resamples of zero-valued cells
-        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64)
-        values = reconstruct_values(truth_a, truth_b, truth_c, coords)
+        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64, copy=False)
+        values = model_values(truth_a, truth_b, truth_c, coords)
         dead = values == 0.0
         need = int(dead.sum())
         if need == 0:

@@ -5,12 +5,16 @@ factorization of an I x J x K tensor is a triple (A, B, C) with shapes
 (I, R), (J, R), (K, R); component r is the outer product of the three
 r-th columns.
 
-The fit metric ``rmse`` scores a list of shards, each with its own factor
-triple; a centralized run is the one-shard case. It takes the model values
-from the compiled ``model_values`` in ``_sgd.c`` when ``_native.LIBRARY``
-holds the compiled library, else from ``reconstruct_values``; the two
-agree bit for bit. A federation round passes its sites' own sums of
-squared residuals to ``root_mean_square``, the step that ends ``rmse``.
+``model_values`` is the one place that picks how model values are
+computed: the compiled ``model_values`` in ``_sgd.c`` when
+``_native.LIBRARY`` holds the compiled library, else the einsum of
+``reconstruct_values``; the two agree bit for bit. The fit metric ``rmse``
+and ``data.generate_synthetic`` take their values from it.
+
+``rmse`` scores a list of shards, each with its own factor triple; a
+centralized run is the one-shard case. A federation round passes its
+sites' own sums of squared residuals to ``root_mean_square``, the step
+that ends ``rmse``.
 """
 
 from dataclasses import dataclass
@@ -121,6 +125,16 @@ def _model_values(A, B, C, coords) -> np.ndarray:
     return out
 
 
+def model_values(A, B, C, coords) -> np.ndarray:
+    """Model values at every (i, j, k) row of ``coords``: the compiled
+    kernel when the library loaded, else ``reconstruct_values``, with the
+    same bits. The caller has checked that the factors are 2-D, share one
+    rank and have a row for every index in ``coords``."""
+    if _native.LIBRARY is None:
+        return reconstruct_values(A, B, C, coords)
+    return _model_values(A, B, C, coords)
+
+
 def rmse(shards, factors) -> float:
     """Root mean square error over the union of the shards' stored entries.
 
@@ -131,7 +145,6 @@ def rmse(shards, factors) -> float:
     """
     if len(shards) != len(factors):
         raise DimensionError(f"{len(shards)} shards but {len(factors)} factor triples")
-    model_values = reconstruct_values if _native.LIBRARY is None else _model_values
     sq_sums = []
     for t, (shard, f) in enumerate(zip(shards, factors)):
         shapes = [np.shape(m) for m in (f.A, f.B, f.C)]

@@ -88,6 +88,15 @@ class TestGenerate:
         _write_config(cfg, sparsity="0")
         assert main(["generate", "--config", str(cfg)]) == 1
 
+    def test_too_few_cells_left_is_an_error(self, tmp_path, capsys):
+        # 4 x 2 x 2 at sparsity 1 draws every cell, and site 0's 8 are zero
+        cfg = tmp_path / "full.txt"
+        _write_config(cfg, dims="4 2 2", rank_true="1", sparsity="1", heterogeneity="0:0")
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "fedcp: cannot draw 8 more distinct cells: 16 of 16 are taken\n"
+        )
+
 
 class TestRun:
     def test_csv_schema_and_reproducibility(self, workspace):
@@ -378,18 +387,19 @@ class TestBudget:
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]
         )}
 
-        def budget(*argv):
+        def budget(module, *argv):
             return subprocess.run(
-                [sys.executable, "-m", "fedcp.cli", "budget", *argv],
+                [sys.executable, "-m", module, "budget", *argv],
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
             )
 
-        ok = budget("--rho", "1e-3", "--epochs", "1")
-        assert ok.returncode == 0, ok.stderr
-        assert ok.stdout.startswith("epoch=1 rho_total=")
-        bad = budget("--epsilon", "nan")
-        assert bad.returncode == 1
-        assert bad.stderr == "budget: --epsilon must be positive, got nan\n"
+        for module in ("fedcp.cli", "fedcp"):
+            ok = budget(module, "--rho", "1e-3", "--epochs", "1")
+            assert ok.returncode == 0, ok.stderr
+            assert ok.stdout.startswith("epoch=1 rho_total=")
+            bad = budget(module, "--epsilon", "nan")
+            assert bad.returncode == 1
+            assert bad.stderr == "budget: --epsilon must be positive, got nan\n"
 
     @pytest.mark.parametrize("flag", ["--epsilon", "--rho"])
     def test_infinite_budget_accepted(self, capsys, flag):

@@ -98,6 +98,40 @@ class TestGenerateSynthetic:
         assert sorted(fresh.tolist()) == [3, 6, 8]
         assert taken.tolist() == [4, 0, 7, 2, 5, 1]
 
+    def test_too_few_cells_left_is_an_error(self):
+        # every one of the 16 cells is drawn and site 0's 8 are zero-valued,
+        # so no cell is left to replace them
+        spec = SynthSpec(
+            dims=(4, 2, 2), rank_true=1, sparsity=1.0, n_sites=2, heterogeneity={0: (0,)},
+        )
+        with pytest.raises(RuntimeError, match="cannot draw 8 more distinct cells: 16 of 16 are taken"):
+            generate_synthetic(spec)
+
+    def test_sampler_with_too_few_cells_left_raises_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="cannot draw 4 more distinct cells: 6 of 9 are taken"):
+            data._sample_distinct(rng, 9, 4, taken=np.arange(6))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+    @pytest.mark.parametrize("spec", [
+        *(SynthSpec(dims=(40, 20, 30), rank_true=r, sparsity=0.05, n_sites=3, seed=r)
+          for r in (1, 3, 50, 70)),
+        # test_zero_valued_cells_are_resampled's spec: values decide the resample
+        SynthSpec(dims=(30, 6, 7), rank_true=2, sparsity=0.1, n_sites=3,
+                  heterogeneity={1: (0, 1)}, seed=0),
+        SynthSpec(dims=(40, 20, 30), rank_true=5, sparsity=0.05, n_sites=2, seed=2,
+                  value_noise_std=0.5),
+    ], ids=["rank1", "rank3", "rank50", "rank70", "resampled", "noisy"])
+    def test_same_output_with_and_without_the_library(self, without_library, spec):
+        compiled = _generated_arrays(generate_synthetic(spec))
+        with without_library():
+            python = _generated_arrays(generate_synthetic(spec))
+        assert len(compiled) == len(python)
+        for a, b in zip(compiled, python):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
             generate_synthetic(SynthSpec(dims=(10, 10, 10), sparsity=1e-9, n_sites=1, rank_true=2))
@@ -115,6 +149,56 @@ class TestGenerateSynthetic:
         )[0]
         assert np.array_equal(clean.coords, noisy.coords)
         assert not np.array_equal(clean.values, noisy.values)
+
+
+def _generated_arrays(generated):
+    """Every array of a ``generate_synthetic`` result, with the dims, in
+    one list: the global tensor, then each shard, then each truth."""
+    tensor, shards, truths = generated
+    arrays = []
+    for t in (tensor, *shards):
+        arrays += [np.array(t.dims), t.coords, t.values]
+    for truth in truths:
+        arrays += [truth.A, truth.B, truth.C]
+    return arrays
+
+
+def _sample_distinct_by_unique(rng, total, count, taken=None):
+    """The sampler with a stable sort, through ``np.unique``: the reference
+    that ``data._sample_distinct`` must match draw for draw."""
+    chosen = np.empty(0, dtype=np.int64) if taken is None else taken
+    end = chosen.size + count
+    while chosen.size < end:
+        batch = rng.integers(0, total, size=max(count, 2 * (end - chosen.size)))
+        acc = np.concatenate([chosen, batch])
+        _, first = np.unique(acc, return_index=True)
+        chosen = acc[np.sort(first)]
+    return chosen[end - count : end]
+
+
+@st.composite
+def _sampler_cases(draw):
+    # totals from a few cells, where a batch repeats cells and runs out of
+    # fresh ones, to ranges where a repeat is rare
+    total = draw(st.one_of(st.integers(1, 40), st.integers(41, 10**6), st.integers(10**6, 2**62)))
+    cells = st.integers(0, total - 1)
+    held = draw(st.lists(cells, max_size=min(total - 1, 60), unique=True))
+    taken = None if not held and draw(st.booleans()) else np.array(held, dtype=np.int64)
+    count = draw(st.integers(1, min(total - len(held), 3000)))
+    return draw(st.integers(0, 2**32 - 1)), total, count, taken
+
+
+class TestSampleDistinct:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sampler_cases())
+    def test_matches_the_stable_sort_reference(self, case):
+        seed, total, count, taken = case
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = data._sample_distinct(rng, total, count, taken)
+        expected = _sample_distinct_by_unique(ref_rng, total, count, taken)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        # the same draws were consumed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPartitionRows:

@@ -157,7 +157,7 @@ def _random_factors(rng, dims, rank, nnz):
 
 @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledModelValues:
-    @pytest.mark.parametrize("rank", [1, 3, 8, 50, 64])
+    @pytest.mark.parametrize("rank", [1, 3, 8, 50, 64, 65, 100, 128])
     def test_matches_reconstruct_values(self, rank):
         (A, B, C), coords = _random_factors(np.random.default_rng(rank), (60, 30, 40), rank, 5000)
         expected = reconstruct_values(A, B, C, coords)
