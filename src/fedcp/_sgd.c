@@ -23,8 +23,10 @@
  * entry PREFETCH_ENTRY places ahead in the shuffled order and the rows of
  * the entry PREFETCH_ROWS ahead (only under gcc or clang, which have
  * __builtin_prefetch); a prefetch changes no value.
- * The parser reads each value with strtod, which glibc rounds correctly,
- * as Python's float() does. The writer finds each value's shortest
+ * The parser reads each value with an exact fast path (a Clinger multiply
+ * or divide, or one 128-bit integer division) when the token allows it,
+ * and with strtod, which glibc rounds correctly, otherwise: both give the
+ * bits of Python's float(). The writer finds each value's shortest
  * round-trip digits with exact integer arithmetic and lays them out as
  * repr does; a value outside its range is left to repr.
  *
@@ -320,15 +322,114 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
 #define MAX_INDEX_DIGITS 18 /* 10**18 - 1 < 2**63: no overflow */
 #define MAX_VALUE_BYTES 63
 
+typedef unsigned __int128 u128;
+
+static const uint64_t POW10[20] = {
+    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
+    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
+    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
+    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
+    1000000000000000000ULL, 10000000000000000000ULL,
+};
+
+/* 1e0 to 1e22, the powers of ten a double holds exactly */
+static const double EXACT_POW10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* w / 10^d rounded to the nearest double, ties to even, for 1 <= w < 2^64
+ * and 1 <= d <= 19. With w shifted left by s so that w * 2^s has 63 bits
+ * more than 10^d, the quotient q = floor(w * 2^s / 10^d) has 63 or 64
+ * bits; its top 53 are rounded on the bits below them, with a non-zero
+ * remainder as the sticky bit. The result lies between 1e-19 and 2^64,
+ * so ldexp scales it exactly.
+ */
+static double divide_pow10(uint64_t w, int d)
+{
+    uint64_t ten = POW10[d];
+    int s = __builtin_clzll(w) - __builtin_clzll(ten) + 63;
+    u128 num = (u128)w << s;
+    uint64_t q = (uint64_t)(num / ten);
+    int sticky = num - (u128)q * ten != 0;
+    int cut = 64 - __builtin_clzll(q) - 53;
+    uint64_t mant = q >> cut, rest = q & ((1ULL << cut) - 1), half = 1ULL << (cut - 1);
+    if (rest > half || (rest == half && (sticky || (mant & 1))))
+        mant++;
+    return ldexp((double)mant, cut - s);
+}
+
+/* Read the value token [p, end) exactly without strtod when it can: 1 and
+ * *out set, else 0. The token must be an optional sign, digits with an
+ * optional '.' (at least one digit in all) and an optional exponent of
+ * 'e' or 'E', an optional sign and digits: strtod's grammar for these
+ * bytes, with '.' as the point under any locale. Leading zeros aside, at
+ * most 19 digits, so they fit w; q is the decimal exponent of w's last
+ * digit. When w <= 2^53 and |q| <= 22 both w and 10^|q| are doubles, and
+ * one multiply or divide rounds w * 10^q correctly (Clinger, PLDI 1990);
+ * when -19 <= q < 0, divide_pow10 does. Any other token returns 0.
+ */
+static int exact_value(const unsigned char *p, const unsigned char *end, double *out)
+{
+    int neg = 0, digits = 0, seen = 0;
+    if (p < end && (*p == '+' || *p == '-'))
+        neg = *p++ == '-';
+    uint64_t w = 0;
+    int64_t q = 0;
+    for (int frac = 0; p < end; p++) {
+        if (*p == '.' && !frac) {
+            frac = 1;
+            continue;
+        }
+        if (!IS_DIGIT(*p))
+            break;
+        seen = 1;
+        q -= frac;
+        if (w == 0 && *p == '0')
+            continue;
+        if (++digits > 19)
+            return 0;
+        w = 10 * w + (*p - '0');
+    }
+    if (!seen)
+        return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int eneg = 0;
+        if (++p < end && (*p == '+' || *p == '-'))
+            eneg = *p++ == '-';
+        if (p == end || !IS_DIGIT(*p))
+            return 0;
+        int64_t e = 0;
+        for (; p < end && IS_DIGIT(*p); p++)
+            if (e < 100000) /* past any exponent this path takes */
+                e = 10 * e + (*p - '0');
+        q += eneg ? -e : e;
+    }
+    if (p != end)
+        return 0;
+    double x;
+    if (w <= (1ULL << 53) && q >= -22 && q <= 22)
+        x = q < 0 ? (double)w / EXACT_POW10[-q] : (double)w * EXACT_POW10[q];
+    else if (q >= -19 && q < 0)
+        x = divide_pow10(w, (int)-q);
+    else
+        return 0;
+    *out = neg ? -x : x;
+    return 1;
+}
+
 /* Parse buf[0..len), the body of a COO file, into coords ((cap, 3),
  * row-major) and values, one "i j k value" record per line. A line is
  * optional blanks (spaces or tabs), three indices of 1 to 18 ASCII digits
  * and a value token of [0-9.eE+-], at most 63 bytes, that strtod consumes
  * whole, each separated by blanks, then optional blanks and "\n" or "\r\n";
  * the last line may end without one. Ranges, zeros and non-finite values
- * are not checked here. strtod follows LC_NUMERIC: under a locale whose
- * decimal point is not '.', it stops at the '.' and the line is rejected,
- * never misread.
+ * are not checked here. Each value is read by exact_value when it can, and
+ * by strtod otherwise; both round correctly, as Python's float() does, so
+ * the bits are the same either way. exact_value reads '.' as the point
+ * under any locale; strtod follows LC_NUMERIC, so under a locale whose
+ * decimal point is not '.' a line whose value falls to strtod is
+ * rejected, never misread, and the line parser reads it to the same value.
  *
  * Returns the record count, or -1 - n when line n (from 0) is outside
  * that grammar or would be record cap + 1: a comment, a blank line, a
@@ -366,13 +467,15 @@ int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
         size_t width = (size_t)(p - start);
         if (width == 0 || width > MAX_VALUE_BYTES)
             return -1 - n;
-        /* strtod reads a NUL-terminated copy, never past the token */
-        memcpy(token, start, width);
-        token[width] = '\0';
-        char *stop;
-        values[n] = strtod(token, &stop);
-        if (stop != token + width)
-            return -1 - n;
+        if (!exact_value(start, p, values + n)) {
+            /* strtod reads a NUL-terminated copy, never past the token */
+            memcpy(token, start, width);
+            token[width] = '\0';
+            char *stop;
+            values[n] = strtod(token, &stop);
+            if (stop != token + width)
+                return -1 - n;
+        }
         while (p < end && IS_BLANK(*p))
             p++;
         if (p < end && *p == '\r' && p + 1 < end && p[1] == '\n')
@@ -398,19 +501,9 @@ int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
  * [FMT_MIN_EXP, FMT_MAX_EXP] (about 3.5e-18 <= |x| < 2^63); the caller
  * sends any other value (subnormal, huge, inf, nan) to repr itself.
  */
-typedef unsigned __int128 u128;
-
 #define FMT_MIN_EXP (-110)
 #define FMT_MAX_EXP 10
 #define FMT_MAX_BYTES 24 /* the longest repr of a double */
-
-static const uint64_t POW10[20] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
-    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
-    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
-    1000000000000000000ULL, 10000000000000000000ULL,
-};
 
 /* The digit loop on integers of type T, which must hold 21 * s: write the
  * digits of r / s (with r + mp < s, or <= when even is 0) at digits and

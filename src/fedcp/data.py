@@ -158,7 +158,11 @@ def _block_starts(i_dim: int, n_sites: int) -> list[int]:
 
 def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCOO]:
     """Split mode 1 into contiguous blocks of floor(I/T) rows (last takes the
-    remainder), re-basing each shard's row indices to local coordinates."""
+    remainder), re-basing each shard's row indices to local coordinates.
+
+    A shard of the validated ``tensor`` is valid by construction (rows
+    rebased into its block, a subset of the coordinates and of the finite
+    non-zero values), so it is built without checking it again."""
     i_dim, j_dim, k_dim = tensor.dims
     if n_sites < 1:
         raise ValueError("need at least one partition")
@@ -176,7 +180,9 @@ def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCO
         take = order[cuts[t] : cuts[t + 1]]
         coords = tensor.coords[take]
         coords[:, 0] -= lo
-        shards.append(SparseTensorCOO((hi - lo, j_dim, k_dim), coords, tensor.values[take]))
+        shards.append(
+            SparseTensorCOO._unchecked((hi - lo, j_dim, k_dim), coords, tensor.values[take])
+        )
     return shards
 
 

@@ -73,6 +73,19 @@ class SparseTensorCOO:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _unchecked(cls, dims, coords, values) -> "SparseTensorCOO":
+        """A tensor that skips ``__post_init__``, for arrays valid by
+        construction: ``dims`` a tuple of three ints, ``coords`` (nnz, 3)
+        int64 inside them with no repeat, ``values`` (nnz,) finite non-zero
+        float64. ``data.partition_rows`` cuts shards from a validated
+        tensor with it."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "dims", dims)
+        object.__setattr__(tensor, "coords", coords)
+        object.__setattr__(tensor, "values", values)
+        return tensor
+
     @property
     def nnz(self) -> int:
         return self.values.shape[0]

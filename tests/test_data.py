@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,27 @@ class TestPartitionRows:
             # each block keeps its entries in stored order
             assert np.array_equal(coords, tensor.coords)
             assert values.tobytes() == tensor.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["plain", "shuffled", "heterogeneous"])
+    def test_cut_shards_are_what_validation_builds(self, kind):
+        # partition_rows skips the checks of SparseTensorCOO: each shard must
+        # pass them and come out of them unchanged
+        spec = SynthSpec(
+            dims=(41, 6, 7), rank_true=3, sparsity=0.1, n_sites=3, seed=3,
+            heterogeneity={1: (0, 2)} if kind == "heterogeneous" else {},
+        )
+        tensor, _, _ = generate_synthetic(spec)
+        if kind == "shuffled":
+            tensor = permute_rows(tensor, seed=9)
+        for n_sites in (1, 3, 4, 41):
+            for shard in partition_rows(tensor, n_sites):
+                checked = SparseTensorCOO(shard.dims, shard.coords, shard.values)
+                assert shard.dims == checked.dims
+                assert all(type(d) is int for d in shard.dims)
+                assert shard.coords.dtype == np.int64 and shard.coords.shape == (shard.nnz, 3)
+                assert shard.values.dtype == np.float64 and shard.values.shape == (shard.nnz,)
+                assert shard.coords.tobytes() == checked.coords.tobytes()
+                assert shard.values.tobytes() == checked.values.tobytes()
 
     def test_permute_rows_keeps_entries(self):
         t = self._tensor()
@@ -613,6 +635,103 @@ class TestBulkMatchesLineParser:
         path.write_bytes((head + body).encode("utf-8"))
         got, without_lib, by_line = _three_outcomes(path, without_library)
         assert got == without_lib == by_line
+
+
+def _assert_read_as_float(directory, without_library, tokens):
+    """Each token, the value of its own record, reads back with the bits of
+    ``float(token)``: through the compiled parse (zeros included, whose
+    sign must survive), and through ``read_coo`` with and without the
+    library (the finite non-zero tokens, the ones a tensor stores)."""
+    want = np.array([float(t) for t in tokens])
+    if _native.LIBRARY is not None:
+        body = "".join(f"0 0 0 {t}\n" for t in tokens).encode()
+        _, values = data._bulk_parse(b"# dims 1 1 1\n" + body, 13)
+        assert values.tobytes() == want.tobytes(), [
+            t for t, v, w in zip(tokens, values.tolist(), want.tolist()) if v != w
+        ]
+    kept = [t for t, v in zip(tokens, want.tolist()) if v != 0.0]
+    path = Path(directory) / "values.coo"
+    path.write_text(
+        f"# dims {max(len(kept), 1)} 1 1\n" + "".join(f"{n} 0 0 {t}\n" for n, t in enumerate(kept))
+    )
+    want = np.array([float(t) for t in kept]).tobytes()
+    assert read_coo(path).values.tobytes() == want
+    with without_library():
+        assert read_coo(path).values.tobytes() == want
+
+
+@st.composite
+def _digit_strings(draw):
+    """1 to 25 significant digits after up to three leading zeros, with an
+    optional sign, the point anywhere (or none) and an optional exponent
+    within +-30."""
+    n = draw(st.integers(1, 25))
+    digits = "0" * draw(st.integers(0, 3)) + str(draw(st.integers(10 ** (n - 1), 10**n - 1)))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    token = draw(st.sampled_from(["", "+", "-"]))
+    token += digits if point is None else digits[:point] + "." + digits[point:]
+    exponent = draw(st.one_of(st.none(), st.integers(-30, 30)))
+    if exponent is not None:
+        token += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+"] if exponent >= 0 else [""]))
+        token += str(exponent)
+    return token
+
+
+def _midpoints(count, seed):
+    """Decimal midpoints of adjacent doubles between 0.1 and 1e17, written
+    at 17, 18 and 19 significant digits: each lies within a small fraction
+    of an ulp of the tie, on either side of it or on it."""
+    rng = np.random.default_rng(seed)
+    lows = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-1, 17, count)
+    tokens = []
+    for low in lows.tolist():
+        mid = (Decimal(low) + Decimal(math.nextafter(low, math.inf))) / 2
+        tokens += [format(mid, f".{p - 1}e") for p in (17, 18, 19)]
+    return tokens
+
+
+class TestValuesReadAsFloat:
+    """The compiled parse reads most values with an exact fast path and the
+    rest with strtod; every value must carry the bits of ``float()``."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_repr_of_any_finite_double(self, tmp_path_factory, without_library, values):
+        _assert_read_as_float(
+            tmp_path_factory.getbasetemp(), without_library, [repr(v) for v in values]
+        )
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(_digit_strings(), min_size=1, max_size=40))
+    def test_digit_strings(self, tmp_path_factory, without_library, tokens):
+        _assert_read_as_float(tmp_path_factory.getbasetemp(), without_library, tokens)
+
+    def test_boundaries(self, tmp_path, without_library):
+        tokens = [
+            "0000.5", "007", "00012.50", "1.", ".5", "+1", "-1", "1e5", "1E+05", "1e-5",
+            "-0.0", "0.0", "+0e-7", "-.5e-3", "1e22", "1e23", "1e-22", "1e-23",
+            "5e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
+            "1.7976931348623157e308", "-1e-320", "1.00000000000000011102230246251565e0",
+            "9007199254740992", "9007199254740993", "9007199254740993.0",
+            "9007199254740992e-22", "9007199254740993e-22",
+            # 19 significant digits, then 20: the most that fit the fast path
+            "1234567890123456789", "12345678901234567890",
+            "0.1234567890123456789", "0.12345678901234567890",
+            "9999999999999999999", "99999999999999999999",
+            "9999999999999999999e-19", "9999999999999999999e-20",
+            "0.0000000001234567890123456789", "1234567890.123456789",
+            "1.000000000000000000", "1.0000000000000000000",
+            # exact ties that the division resolves to the even neighbour,
+            # and the same ties nudged by one unit in the last digit
+            "4503599627370496.5", "4503599627370497.5", "2251799813685248.25",
+            "2251799813685248.75", "9007199254740995.0", "18014398509481986.0",
+            "4503599627370496.499", "4503599627370496.501",
+            "2251799813685248.249", "2251799813685248.251",
+        ]
+        _assert_read_as_float(tmp_path, without_library, tokens)
+
+    def test_midpoints_between_adjacent_doubles(self, tmp_path, without_library):
+        _assert_read_as_float(tmp_path, without_library, _midpoints(3000, seed=16))
 
 
 class TestFactorFiles:
