@@ -37,7 +37,9 @@ def test_the_last_two_lines_are_the_machine_and_the_result():
         bench_file.parse_result(json.dumps(_result(0.1)))
 
 
-@pytest.mark.parametrize("text, seeds", [("61-64", [61, 62, 63, 64]), ("1,4,9", [1, 4, 9]), ("7", [7])])
+@pytest.mark.parametrize(
+    "text, seeds", [("61-64", [61, 62, 63, 64]), ("1,4,9", [1, 4, 9]), ("7", [7])]
+)
 def test_seed_lists(text, seeds):
     assert bench_file.parse_seeds(text) == seeds
 

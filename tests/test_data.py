@@ -672,8 +672,8 @@ def _digit_strings(draw):
     token += digits if point is None else digits[:point] + "." + digits[point:]
     exponent = draw(st.one_of(st.none(), st.integers(-30, 30)))
     if exponent is not None:
-        token += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+"] if exponent >= 0 else [""]))
-        token += str(exponent)
+        sign = draw(st.sampled_from(["", "+"])) if exponent >= 0 else ""
+        token += draw(st.sampled_from(["e", "E"])) + sign + str(exponent)
     return token
 
 

@@ -2,8 +2,8 @@
 
 Usage, from the root of a checkout:
 
-    python3 tools/bench_file.py --out BENCH_16.json --seeds 61-70 \
-        --parent /path/to/parent/checkout --tier1
+    python3 tools/bench_file.py --out BENCH_<n>.json --seeds 61-70 \
+        --parent ../parent-checkout --tier1
 
 For each seed and each workload that BENCHMARK.json declares, the script
 runs ``python3 perfbench/run.py --trace 0`` in this checkout and, given
@@ -88,9 +88,10 @@ def summarize(results, traced):
 
 def compare(change, parent, declared):
     """Per end-to-end metric, the pairs the change won, lost and tied (in
-    the direction BENCHMARK.json declares), the ratio of the medians, and
+    the direction BENCHMARK.json declares), the ratio of the medians,
     whether the change's median is better than the parent's by more than
-    the parent's quartile spread."""
+    the parent's quartile spread, and whether it is worse by more than the
+    metric's bound."""
     out = {}
     for metric in declared:
         name = metric["name"]
