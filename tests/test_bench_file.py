@@ -55,24 +55,3 @@ def test_summary_holds_quartiles_layer_medians_and_failures():
     one = bench_file.summarize([_result(5.0)], [])
     assert (one["end_to_end"]["run_s"]["median"], one["end_to_end"]["run_s"]["q1"]) == (5.0, 5.0)
     assert one["per_layer"] == {} and one["correct"]
-
-
-def test_pairs_count_in_the_declared_direction():
-    declared = [{"name": "run_s", "better": "lower", "bound": 0.25},
-                {"name": "peak_rss_mb", "better": "lower", "bound": 0.08},
-                {"name": "rmse_final", "better": "lower", "bound": 0.15}]
-    change = bench_file.summarize([_result(v, rss=r) for v, r in
-                                   [(0.9, 70.0), (0.8, 75.0), (1.2, 70.0), (0.7, 70.0)]], [])
-    parent = bench_file.summarize([_result(v) for v in [1.0, 1.0, 1.0, 1.0]], [])
-    pairs = bench_file.compare(change["end_to_end"], parent["end_to_end"], declared)
-    assert set(pairs) == {"run_s", "peak_rss_mb"}  # only metrics both sides report
-    assert (pairs["run_s"]["won"], pairs["run_s"]["lost"], pairs["run_s"]["tied"]) == (3, 1, 0)
-    assert pairs["run_s"]["median_ratio"] == pytest.approx(0.85)
-    # the parent's runs have no spread, so any better median is beyond it
-    assert pairs["run_s"]["gain_beyond_parent_spread"] and not pairs["run_s"]["worse_than_bound"]
-    assert (pairs["peak_rss_mb"]["won"], pairs["peak_rss_mb"]["lost"]) == (0, 1)
-    assert not pairs["peak_rss_mb"]["worse_than_bound"]  # median 70 against 70
-    higher = [{"name": "run_s", "better": "higher", "bound": 0.05}]
-    flipped = bench_file.compare(change["end_to_end"], parent["end_to_end"], higher)["run_s"]
-    assert (flipped["won"], flipped["lost"]) == (1, 3)
-    assert flipped["worse_than_bound"] and not flipped["gain_beyond_parent_spread"]

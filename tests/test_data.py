@@ -637,27 +637,16 @@ class TestBulkMatchesLineParser:
         assert got == without_lib == by_line
 
 
-def _assert_read_as_float(directory, without_library, tokens):
-    """Each token, the value of its own record, reads back with the bits of
-    ``float(token)``: through the compiled parse (zeros included, whose
-    sign must survive), and through ``read_coo`` with and without the
-    library (the finite non-zero tokens, the ones a tensor stores)."""
+def _assert_parsed_as_float(tokens):
+    """Each token, the value of its own record, comes out of the compiled
+    parse with the bits of ``float(token)``, zeros included (whose sign
+    must survive)."""
     want = np.array([float(t) for t in tokens])
-    if _native.LIBRARY is not None:
-        body = "".join(f"0 0 0 {t}\n" for t in tokens).encode()
-        _, values = data._bulk_parse(b"# dims 1 1 1\n" + body, 13)
-        assert values.tobytes() == want.tobytes(), [
-            t for t, v, w in zip(tokens, values.tolist(), want.tolist()) if v != w
-        ]
-    kept = [t for t, v in zip(tokens, want.tolist()) if v != 0.0]
-    path = Path(directory) / "values.coo"
-    path.write_text(
-        f"# dims {max(len(kept), 1)} 1 1\n" + "".join(f"{n} 0 0 {t}\n" for n, t in enumerate(kept))
-    )
-    want = np.array([float(t) for t in kept]).tobytes()
-    assert read_coo(path).values.tobytes() == want
-    with without_library():
-        assert read_coo(path).values.tobytes() == want
+    body = "".join(f"0 0 0 {t}\n" for t in tokens).encode()
+    _, values = data._bulk_parse(b"# dims 1 1 1\n" + body, 13)
+    assert values.tobytes() == want.tobytes(), [
+        t for t, v, w in zip(tokens, values.tolist(), want.tolist()) if v != w
+    ]
 
 
 @st.composite
@@ -690,48 +679,65 @@ def _midpoints(count, seed):
     return tokens
 
 
+_BOUNDARY_TOKENS = [
+    "0000.5", "007", "00012.50", "1.", ".5", "+1", "-1", "1e5", "1E+05", "1e-5",
+    "-0.0", "0.0", "+0e-7", "-.5e-3", "1e22", "1e23", "1e-22", "1e-23",
+    "5e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
+    "1.7976931348623157e308", "-1e-320", "1.00000000000000011102230246251565e0",
+    "9007199254740992", "9007199254740993", "9007199254740993.0",
+    "9007199254740992e-22", "9007199254740993e-22",
+    # 19 significant digits, then 20: the most that fit the fast path
+    "1234567890123456789", "12345678901234567890",
+    "0.1234567890123456789", "0.12345678901234567890",
+    "9999999999999999999", "99999999999999999999",
+    "9999999999999999999e-19", "9999999999999999999e-20",
+    "0.0000000001234567890123456789", "1234567890.123456789",
+    "1.000000000000000000", "1.0000000000000000000",
+    # exact ties that the division resolves to the even neighbour,
+    # and the same ties nudged by one unit in the last digit
+    "4503599627370496.5", "4503599627370497.5", "2251799813685248.25",
+    "2251799813685248.75", "9007199254740995.0", "18014398509481986.0",
+    "4503599627370496.499", "4503599627370496.501",
+    "2251799813685248.249", "2251799813685248.251",
+]
+_COMPILED = pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+
+
 class TestValuesReadAsFloat:
     """The compiled parse reads most values with an exact fast path and the
     rest with strtod; every value must carry the bits of ``float()``."""
 
+    @_COMPILED
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-    def test_repr_of_any_finite_double(self, tmp_path_factory, without_library, values):
-        _assert_read_as_float(
-            tmp_path_factory.getbasetemp(), without_library, [repr(v) for v in values]
-        )
+    def test_repr_of_any_finite_double(self, values):
+        _assert_parsed_as_float([repr(v) for v in values])
 
+    @_COMPILED
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.lists(_digit_strings(), min_size=1, max_size=40))
-    def test_digit_strings(self, tmp_path_factory, without_library, tokens):
-        _assert_read_as_float(tmp_path_factory.getbasetemp(), without_library, tokens)
+    def test_digit_strings(self, tokens):
+        _assert_parsed_as_float(tokens)
 
-    def test_boundaries(self, tmp_path, without_library):
-        tokens = [
-            "0000.5", "007", "00012.50", "1.", ".5", "+1", "-1", "1e5", "1E+05", "1e-5",
-            "-0.0", "0.0", "+0e-7", "-.5e-3", "1e22", "1e23", "1e-22", "1e-23",
-            "5e-324", "2.2250738585072014e-308", "2.225073858507201e-308",
-            "1.7976931348623157e308", "-1e-320", "1.00000000000000011102230246251565e0",
-            "9007199254740992", "9007199254740993", "9007199254740993.0",
-            "9007199254740992e-22", "9007199254740993e-22",
-            # 19 significant digits, then 20: the most that fit the fast path
-            "1234567890123456789", "12345678901234567890",
-            "0.1234567890123456789", "0.12345678901234567890",
-            "9999999999999999999", "99999999999999999999",
-            "9999999999999999999e-19", "9999999999999999999e-20",
-            "0.0000000001234567890123456789", "1234567890.123456789",
-            "1.000000000000000000", "1.0000000000000000000",
-            # exact ties that the division resolves to the even neighbour,
-            # and the same ties nudged by one unit in the last digit
-            "4503599627370496.5", "4503599627370497.5", "2251799813685248.25",
-            "2251799813685248.75", "9007199254740995.0", "18014398509481986.0",
-            "4503599627370496.499", "4503599627370496.501",
-            "2251799813685248.249", "2251799813685248.251",
-        ]
-        _assert_read_as_float(tmp_path, without_library, tokens)
+    @_COMPILED
+    def test_boundaries(self):
+        _assert_parsed_as_float(_BOUNDARY_TOKENS)
 
-    def test_midpoints_between_adjacent_doubles(self, tmp_path, without_library):
-        _assert_read_as_float(tmp_path, without_library, _midpoints(3000, seed=16))
+    @_COMPILED
+    def test_midpoints_between_adjacent_doubles(self):
+        _assert_parsed_as_float(_midpoints(3000, seed=16))
+
+    def test_read_coo_with_and_without_the_library(self, tmp_path, without_library):
+        # the finite non-zero tokens, the ones a tensor stores
+        kept = [t for t in _BOUNDARY_TOKENS if float(t) != 0.0]
+        path = tmp_path / "values.coo"
+        path.write_text(
+            f"# dims {len(kept)} 1 1\n" + "".join(f"{n} 0 0 {t}\n" for n, t in enumerate(kept))
+        )
+        want = np.array([float(t) for t in kept]).tobytes()
+        assert read_coo(path).values.tobytes() == want
+        with without_library():
+            assert read_coo(path).values.tobytes() == want
 
 
 class TestFactorFiles:

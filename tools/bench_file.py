@@ -3,22 +3,23 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_file.py --out BENCH_<n>.json --seeds 61-70 \
-        --parent ../parent-checkout --tier1
+        --parent ../parent-checkout
 
 For each seed and each workload that BENCHMARK.json declares, the script
-runs ``python3 perfbench/run.py --trace 0`` in this checkout and, given
-``--parent``, in the parent checkout too, as one pair whose order
-alternates from seed to seed. It then runs ``--trace 1`` once per
-workload and checkout, at the first seed. perfbench runs unchanged, as a
-subprocess, for the run length BENCHMARK.json sets.
+runs ``python3 perfbench/run.py --trace 0`` in this checkout and in the
+parent checkout, as one pair whose order alternates from seed to seed.
+It then runs ``--trace 1`` once per workload and checkout, at the first
+seed. perfbench runs unchanged, as a subprocess, for the run length
+BENCHMARK.json sets.
 
 The file holds, per workload and checkout: the median and quartiles of
-each end-to-end metric over the seeds, with every value; the per-layer
-metrics of the traced run; the counts of attempted and failed run steps;
-and, with a parent, how many pairs the change won on each end-to-end
-metric. It also holds the machine line perfbench prints, the load
-averages before and after, the CPUs this process may run on, and with
-``--tier1`` the wall time of the tier-1 suite in each checkout.
+each end-to-end metric over the seeds, with every value in seed order;
+the per-layer metrics of the traced run; and the counts of attempted and
+failed run steps. It also holds the machine line perfbench prints, the
+load averages before and after, the CPUs this process may run on, and
+the wall time of the tier-1 suite in each checkout. It records numbers
+and passes no verdict: whether a change is better or worse is for the
+benchmark's own rule to judge.
 """
 
 import argparse
@@ -86,32 +87,6 @@ def summarize(results, traced):
     }
 
 
-def compare(change, parent, declared):
-    """Per end-to-end metric, the pairs the change won, lost and tied (in
-    the direction BENCHMARK.json declares), the ratio of the medians,
-    whether the change's median is better than the parent's by more than
-    the parent's quartile spread, and whether it is worse by more than the
-    metric's bound."""
-    out = {}
-    for metric in declared:
-        name = metric["name"]
-        if name not in change or name not in parent:
-            continue
-        c, p = change[name], parent[name]
-        sign = 1 if metric["better"] == "lower" else -1
-        diffs = [sign * (b - a) for a, b in zip(c["values"], p["values"])]
-        gain = sign * (p["median"] - c["median"])
-        out[name] = {
-            "won": sum(d > 0 for d in diffs),
-            "lost": sum(d < 0 for d in diffs),
-            "tied": sum(d == 0 for d in diffs),
-            "median_ratio": c["median"] / p["median"] if p["median"] else None,
-            "gain_beyond_parent_spread": gain > p["q3"] - p["q1"],
-            "worse_than_bound": -gain > metric["bound"] * abs(p["median"]),
-        }
-    return out
-
-
 def run_bench(tree, workload, seed, seconds, trace):
     """Run perfbench once in checkout ``tree``; its machine and result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -143,15 +118,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="61-70 or 1,4,9")
-    parser.add_argument("--parent", help="a checkout of the parent commit, run in pairs")
-    parser.add_argument("--tier1", action="store_true", help="also time the tier-1 suite")
+    parser.add_argument("--parent", required=True,
+                        help="a checkout of the parent commit, run in pairs")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
-    trees = {"change": ROOT}
-    if args.parent:
-        trees["parent"] = os.path.abspath(args.parent)
+    trees = {"change": ROOT, "parent": os.path.abspath(args.parent)}
     names = list(trees)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -177,12 +150,8 @@ def main(argv=None):
         for side in names:
             _, traced = run_bench(trees[side], workload, args.seeds[0], seconds, 1)
             entry[side] = summarize(untraced[workload][side], [traced])
-        if "parent" in entry:
-            entry["pairs"] = compare(entry["change"]["end_to_end"],
-                                     entry["parent"]["end_to_end"], bench["end_to_end"])
         out["workloads"][workload] = entry
-    if args.tier1:
-        out["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
+    out["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     out["machine"] = dict(machine, loadavg_before=load_before, loadavg_after=os.getloadavg(),
                           affinity=sorted(os.sched_getaffinity(0)))
     with open(args.out, "w", encoding="utf-8") as fh:
