@@ -1,8 +1,11 @@
 """Collaborative CP factorization of horizontally partitioned sparse tensors,
 with elastic server aggregation, column-sparse patient factors, and
-differentially private uploads."""
+differentially private uploads.
 
-from .baseline import BaselineResult, run_centralized_sgd
+The package exports the entry points of a run and what their callers pass
+in or get back; everything else is imported from its submodule."""
+
+from .baseline import run_centralized_sgd
 from .data import (
     ExperimentConfig,
     SynthSpec,
@@ -21,47 +24,9 @@ from .errors import (
     ParseError,
     ProtocolError,
 )
-from .federation import (
-    EpochMetrics,
-    RoundMessage,
-    RunResult,
-    ServerState,
-    comm_cost,
-    has_converged,
-    run_experiment,
-    run_round,
-    server_update,
-)
-from .privacy import (
-    LedgerEntry,
-    PrivacyAccountant,
-    PrivacyParams,
-    compose_serial,
-    gaussian_sigma,
-    l2_sensitivity,
-    perturb_matrix,
-    rho_for_target,
-    zcdp_to_dp,
-    zcdp_to_dp_approx,
-)
-from .solver import (
-    RoundSums,
-    SiteState,
-    SolverParams,
-    beta_lipschitz,
-    init_site_state,
-    prox_l21,
-    run_local_epoch,
-)
-from .tensor import (
-    FactorizationResult,
-    FmsReport,
-    SparseTensorCOO,
-    factor_weights,
-    fms,
-    fms_report,
-    rmse,
-    zero_column_count,
-)
+from .federation import EpochMetrics, RunResult, run_experiment
+from .privacy import PrivacyParams
+from .solver import SolverParams
+from .tensor import FactorizationResult, SparseTensorCOO, fms, rmse
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@
  * The pass sums its three clip norms in one loop as three independent
  * chains, each left to right, and prefetches the coords and value of the
  * entry PREFETCH_ENTRY places ahead in the shuffled order and the rows of
- * the entry PREFETCH_ROWS ahead (only under gcc or clang, which have
- * __builtin_prefetch); a prefetch changes no value.
+ * the entry PREFETCH_ROWS ahead; a prefetch changes no value.
  * The parser reads each value with an exact fast path (a Clinger multiply
  * or divide, or one 128-bit integer division) when the token allows it,
  * and with strtod, which glibc rounds correctly, otherwise: both give the
@@ -82,7 +81,6 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
     int64_t count = 0;
     for (int64_t p = 0; p < nnz; p++) {
-#if defined(__GNUC__)
         if (p + PREFETCH_ENTRY < nnz) {
             int64_t ahead = order[p + PREFETCH_ENTRY];
             __builtin_prefetch(coords + 3 * ahead);
@@ -94,7 +92,6 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
             __builtin_prefetch(B + next[1] * rank);
             __builtin_prefetch(C + next[2] * rank);
         }
-#endif
         const int64_t *ijk = coords + 3 * order[p];
         double *a = A + ijk[0] * rank;
         double *b = B + ijk[1] * rank;

@@ -9,7 +9,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import data
 from .errors import ConfigError
@@ -20,37 +19,29 @@ from .tensor import FactorizationResult, fms_report, zero_column_count
 CSV_HEADER = "epoch,rmse,comm_bytes,comm_seconds,rho_total,eps_exact,eps_approx"
 
 
-@dataclass
-class RunReport:
-    """What a run prints: config echo, per-epoch rows, and the final budget."""
-
-    config: data.ExperimentConfig
-    result: RunResult
-    zero_columns: list
-    fms_vs_reference: float | None = None
-
-    def lines(self):
-        cfg = self.config
-        yield (
-            f"run: sites={cfg.sites} rank={cfg.rank} eta={cfg.eta} gamma={cfg.gamma} "
-            f"mu={cfg.mu} tau={cfg.tau} clip={cfg.clip} rho={cfg.rho} delta={cfg.delta} "
-            f"seed={cfg.seed}"
-        )
-        yield CSV_HEADER
-        for m in self.result.metrics:
-            yield _csv_row(m)
-        total = self.result.accountant.rho_total
-        eps_exact, eps_approx = self.result.accountant.epsilon()
-        yield (
-            f"total: epochs={len(self.result.metrics)} converged={self.result.converged} "
-            f"rho_total={total!r} eps_exact={eps_exact!r} eps_approx={eps_approx!r} "
-            f"delta={cfg.delta!r}"
-        )
-        yield "zero_columns_per_site: " + " ".join(
-            f"{t}:{z}" for t, z in enumerate(self.zero_columns)
-        )
-        if self.fms_vs_reference is not None:
-            yield f"fms_vs_reference={self.fms_vs_reference!r}"
+def report_lines(cfg: data.ExperimentConfig, result: RunResult, reference_fms=None):
+    """What a run prints: config echo, per-epoch rows, the final budget,
+    each site's zero columns and, when given, the FMS against a reference."""
+    yield (
+        f"run: sites={cfg.sites} rank={cfg.rank} eta={cfg.eta} gamma={cfg.gamma} "
+        f"mu={cfg.mu} tau={cfg.tau} clip={cfg.clip} rho={cfg.rho} delta={cfg.delta} "
+        f"seed={cfg.seed}"
+    )
+    yield CSV_HEADER
+    for m in result.metrics:
+        yield _csv_row(m)
+    total = result.accountant.rho_total
+    eps_exact, eps_approx = result.accountant.epsilon()
+    yield (
+        f"total: epochs={len(result.metrics)} converged={result.converged} "
+        f"rho_total={total!r} eps_exact={eps_exact!r} eps_approx={eps_approx!r} "
+        f"delta={cfg.delta!r}"
+    )
+    yield "zero_columns_per_site: " + " ".join(
+        f"{t}:{zero_column_count(site.A)}" for t, site in enumerate(result.sites)
+    )
+    if reference_fms is not None:
+        yield f"fms_vs_reference={reference_fms!r}"
 
 
 def _csv_row(m) -> str:
@@ -97,30 +88,19 @@ def cmd_run(cfg: data.ExperimentConfig) -> int:
     write_metrics_csv(result.metrics, cfg.metrics_csv)
 
     os.makedirs(cfg.factors_out, exist_ok=True)
-    for site in result.sites:
-        data.write_factors(
-            FactorizationResult(site.A, site.B, site.C),
-            os.path.join(cfg.factors_out, f"site_{site.site_id}.factors"),
-        )
+    factors = [FactorizationResult(site.A, site.B, site.C) for site in result.sites]
+    for t, mine in enumerate(factors):
+        data.write_factors(mine, os.path.join(cfg.factors_out, f"site_{t}.factors"))
 
     reference_fms = None
     if cfg.reference_factors is not None:
         scores = []
-        for site in result.sites:
-            ref = data.read_factors(
-                os.path.join(cfg.reference_factors, f"site_{site.site_id}.factors")
-            )
-            mine = FactorizationResult(site.A, site.B, site.C)
+        for t, mine in enumerate(factors):
+            ref = data.read_factors(os.path.join(cfg.reference_factors, f"site_{t}.factors"))
             scores.append(fms_report(mine, ref).score)
         reference_fms = sum(scores) / len(scores)
 
-    report = RunReport(
-        config=cfg,
-        result=result,
-        zero_columns=[zero_column_count(s.A) for s in result.sites],
-        fms_vs_reference=reference_fms,
-    )
-    for line in report.lines():
+    for line in report_lines(cfg, result, reference_fms):
         print(line)
     return 0 if result.converged else 2
 
@@ -219,17 +199,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     try:
         if args.command == "generate":
-            cfg = _load(args)
-            return cmd_generate(cfg)
+            return cmd_generate(_load(args))
         if args.command == "run":
-            cfg = _load(args)
-            if args.no_noise:
-                cfg = data.config_overrides(cfg, rho=math.inf)
-            if args.fixed_epochs is not None:
-                cfg = data.config_overrides(cfg, fixed_epochs=args.fixed_epochs)
-            if args.shuffle_rows:
-                cfg = data.config_overrides(cfg, shuffle_rows=True)
-            return cmd_run(cfg)
+            return cmd_run(_load(args))
         if args.command == "evaluate":
             return cmd_evaluate(args.factors_a, args.factors_b)
         return cmd_budget(args.epsilon, args.rho, args.delta, args.epochs)
@@ -243,9 +215,18 @@ def _load(args) -> data.ExperimentConfig:
         cfg = data.load_config(args.config)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {args.config}") from None
+    # the flags that override config keys; generate has only --seed
+    flags = vars(args)
+    changes = {}
     if args.seed is not None:
-        cfg = data.config_overrides(cfg, seed=args.seed)
-    return cfg
+        changes["seed"] = args.seed
+    if flags.get("no_noise"):
+        changes["rho"] = math.inf
+    if flags.get("fixed_epochs") is not None:
+        changes["fixed_epochs"] = args.fixed_epochs
+    if flags.get("shuffle_rows"):
+        changes["shuffle_rows"] = True
+    return data.config_overrides(cfg, **changes)
 
 
 def main_entry():

@@ -55,8 +55,8 @@ class SynthSpec:
             raise ValueError("rank_true must be at least 1")
         if not 1 <= self.n_sites <= self.dims[0]:
             raise ValueError("n_sites must lie in [1, patient rows]")
-        if not self.value_noise_std >= 0:
-            raise ValueError("value_noise_std must be non-negative")
+        if not 0 <= self.value_noise_std < math.inf:
+            raise ValueError("value_noise_std must be non-negative and finite")
         for site, cols in self.heterogeneity.items():
             if not 0 <= site < self.n_sites:
                 raise ValueError(f"heterogeneity names unknown site {site}")
@@ -187,12 +187,16 @@ def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCO
 
 
 def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:
-    """Relabel mode-1 rows with a seeded permutation (for IID partitions)."""
+    """Relabel mode-1 rows with a seeded permutation (for IID partitions).
+
+    A relabelling of the validated ``tensor`` is valid by construction (a
+    bijection of rows keeps every index in range and every coordinate
+    distinct), so it is built without checking it again."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
     perm = rng.permutation(tensor.dims[0])
     coords = tensor.coords.copy()
     coords[:, 0] = perm[coords[:, 0]]
-    return SparseTensorCOO(tensor.dims, coords, tensor.values)
+    return SparseTensorCOO._unchecked(tensor.dims, coords, tensor.values)
 
 
 def write_coo(tensor: SparseTensorCOO, path):

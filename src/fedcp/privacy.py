@@ -40,8 +40,8 @@ def l2_sensitivity(tau: int, lipschitz: float, eta: float) -> float:
 
 def gaussian_sigma(sensitivity: float, rho: float) -> float:
     """Noise scale sigma = sensitivity * sqrt(1 / (2 rho)); 0 when rho is
-    infinite. An infinite sensitivity (an unbounded clip) admits no finite
-    rho."""
+    infinite. An infinite sensitivity (an unbounded clip, or a product
+    2 * tau * clip * eta past the float range) admits no finite rho."""
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     if rho <= 0:
@@ -49,7 +49,10 @@ def gaussian_sigma(sensitivity: float, rho: float) -> float:
     if math.isinf(rho):
         return 0.0
     if math.isinf(sensitivity):
-        raise ValueError("infinite sensitivity (clip = inf) needs rho = inf")
+        raise ValueError(
+            "sensitivity 2 * tau * clip * eta is infinite (clip = inf, or the product "
+            "overflows) and needs rho = inf"
+        )
     return sensitivity * math.sqrt(1.0 / (2.0 * rho))
 
 

@@ -67,12 +67,12 @@ class SolverParams:
     clip: float = 1.0
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be non-negative")
-        if not self.mu >= 0:
-            raise ValueError("mu must be non-negative")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError("mu must be non-negative and finite")
         if not (math.isfinite(self.tau) and int(self.tau) == self.tau and self.tau >= 1):
             raise ValueError("tau must be an integer >= 1")
         self.tau = int(self.tau)

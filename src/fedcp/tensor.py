@@ -78,8 +78,9 @@ class SparseTensorCOO:
         """A tensor that skips ``__post_init__``, for arrays valid by
         construction: ``dims`` a tuple of three ints, ``coords`` (nnz, 3)
         int64 inside them with no repeat, ``values`` (nnz,) finite non-zero
-        float64. ``data.partition_rows`` cuts shards from a validated
-        tensor with it."""
+        float64. Its two callers build from a validated tensor:
+        ``data.partition_rows`` cuts shards and ``data.permute_rows``
+        relabels rows."""
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "dims", dims)
         object.__setattr__(tensor, "coords", coords)

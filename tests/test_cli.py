@@ -405,3 +405,28 @@ class TestBudget:
     def test_infinite_budget_accepted(self, capsys, flag):
         assert main(["budget", flag, "inf", "--epochs", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("epoch=2 rho_total=inf ")
+
+
+class TestPublicApi:
+    EXPORTS = {
+        # the README's library entry points
+        "SynthSpec", "generate_synthetic", "partition_rows", "SolverParams", "PrivacyParams",
+        "run_experiment", "run_centralized_sgd", "fms", "rmse",
+        # what their callers pass in or get back
+        "load_config", "ExperimentConfig", "read_coo", "write_coo", "read_factors",
+        "write_factors", "SparseTensorCOO", "FactorizationResult", "RunResult", "EpochMetrics",
+        # the error types
+        "ConfigError", "DimensionError", "NumericOverflowError", "ParseError", "ProtocolError",
+    }
+
+    def test_package_exports_the_run_api_and_the_readme_block_imports(self):
+        public = {
+            name for name, value in vars(fedcp).items()
+            if not name.startswith("_") and not isinstance(value, type(fedcp))
+        }
+        assert public == self.EXPORTS
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        statement = re.search(r"from fedcp import \(.*?\)", readme, re.S).group(0)
+        imported = {}
+        exec(statement, imported)
+        assert set(imported) - {"__builtins__"} <= self.EXPORTS

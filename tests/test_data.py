@@ -258,8 +258,9 @@ class TestPartitionRows:
 
     @pytest.mark.parametrize("kind", ["plain", "shuffled", "heterogeneous"])
     def test_cut_shards_are_what_validation_builds(self, kind):
-        # partition_rows skips the checks of SparseTensorCOO: each shard must
-        # pass them and come out of them unchanged
+        # permute_rows and partition_rows skip the checks of SparseTensorCOO:
+        # the permuted tensor and each shard must pass them and come out of
+        # them unchanged
         spec = SynthSpec(
             dims=(41, 6, 7), rank_true=3, sparsity=0.1, n_sites=3, seed=3,
             heterogeneity={1: (0, 2)} if kind == "heterogeneous" else {},
@@ -267,15 +268,17 @@ class TestPartitionRows:
         tensor, _, _ = generate_synthetic(spec)
         if kind == "shuffled":
             tensor = permute_rows(tensor, seed=9)
+        made = [tensor]
         for n_sites in (1, 3, 4, 41):
-            for shard in partition_rows(tensor, n_sites):
-                checked = SparseTensorCOO(shard.dims, shard.coords, shard.values)
-                assert shard.dims == checked.dims
-                assert all(type(d) is int for d in shard.dims)
-                assert shard.coords.dtype == np.int64 and shard.coords.shape == (shard.nnz, 3)
-                assert shard.values.dtype == np.float64 and shard.values.shape == (shard.nnz,)
-                assert shard.coords.tobytes() == checked.coords.tobytes()
-                assert shard.values.tobytes() == checked.values.tobytes()
+            made += partition_rows(tensor, n_sites)
+        for shard in made:
+            checked = SparseTensorCOO(shard.dims, shard.coords, shard.values)
+            assert shard.dims == checked.dims
+            assert all(type(d) is int for d in shard.dims)
+            assert shard.coords.dtype == np.int64 and shard.coords.shape == (shard.nnz, 3)
+            assert shard.values.dtype == np.float64 and shard.values.shape == (shard.nnz,)
+            assert shard.coords.tobytes() == checked.coords.tobytes()
+            assert shard.values.tobytes() == checked.values.tobytes()
 
     def test_permute_rows_keeps_entries(self):
         t = self._tensor()
@@ -1078,13 +1081,17 @@ class TestLoadConfig:
             ("sparsity", "0"),
             ("heterogeneity", "7:0"),
             ("value_noise_std", "-1"),
+            ("value_noise_std", "inf"),
             ("rank", "0"),
             ("sites", "0"),
             ("sites", "5001"),
             ("eta", "0"),
             ("eta", "nan"),
+            ("eta", "inf"),
             ("gamma", "-1"),
+            ("gamma", "inf"),
             ("mu", "-1"),
+            ("mu", "inf"),
             ("tau", "0"),
             ("clip", "0"),
             ("rho", "0"),
