@@ -44,8 +44,8 @@ SIGNATURES = {
         _I64, _I64, _P, _P, _P,  # tau, nnz, orders, coords, values
         _I64, _I64, _I64,  # i_dim, j_dim, k_dim
         _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
-        _I64, _F64, _F64, _F64, ctypes.c_int,  # rank, eta, gamma, clip, clip_on
-        _F64, _P, _P,  # threshold, sums, tally
+        _I64, _F64, _F64, _F64, _F64,  # rank, eta, gamma, clip, threshold
+        _P, _P,  # sums, tally
     )),
     "model_values": (None, (
         _I64, _P,  # nnz, coords

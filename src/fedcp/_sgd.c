@@ -18,6 +18,9 @@
  * (no fused multiply-add) and without -ffast-math, so the paths agree bit
  * for bit. At -O3 the compiler vectorises the element-wise loops, whose
  * lanes compute what the scalar loop did, and may not reorder any sum.
+ * Every residual gradient is clipped and every pass followed by the prox
+ * step; at clip = inf and threshold 0 they change no bit, so no value
+ * picks a path.
  * The pass sums its three clip norms in one loop as three independent
  * chains, each left to right, and prefetches the coords and value of the
  * entry PREFETCH_ENTRY places ahead in the shuffled order and the rows of
@@ -40,7 +43,8 @@
 #include <string.h>
 
 /* Scale g to 2-norm clip when its norm sqrt(sq) exceeds clip; 1 when it
- * did, else 0. */
+ * did, else 0. A clip of +inf scales and counts nothing, a NaN norm
+ * included. */
 static int clip_row(double *g, int64_t rank, double sq, double clip)
 {
     double norm = sqrt(sq);
@@ -54,14 +58,20 @@ static int clip_row(double *g, int64_t rank, double sq, double clip)
 
 /* How far ahead in the shuffled order sgd_pass prefetches an entry's
  * coords and value, and its rows of A, B and C: the coords must be in
- * cache before the row addresses are read from them. */
+ * cache before the row addresses are read from them. It pays where a
+ * shard outgrows the cache: on a 48k-entry, rank-5 site of the
+ * cli_large_io workload, site_round took 72-74 ns per entry against 87-94
+ * without it (6 of 6 alternations on each of two data seeds, one 2-vCPU
+ * x86-64 host). The readme_pooled sites (2.4k entries, rank 50) showed no
+ * difference, and a small_rounds site (200 entries, in L1) about 3 ns
+ * more per entry with it. */
 #define PREFETCH_ENTRY 16
 #define PREFETCH_ROWS 4
 
 /* Visit the entries order[0..nnz) in turn. For entry n at (i, j, k) with
  * value v, take the row gradients at the current rows A[i], B[j], C[k],
- * clip each residual gradient when clip_on, add the anchor pull on B and
- * C, then step all three rows by eta. coords is (nnz, 3) row-major; the
+ * clip each residual gradient to 2-norm clip, add the anchor pull on B
+ * and C, then step all three rows by eta. coords is (nnz, 3) row-major; the
  * factors and anchors are row-major with rank columns; work holds 3 * rank
  * doubles of scratch. Adds to *clipped the number of residual gradients
  * the clip scaled, up to three per entry. The three clip norms are summed
@@ -75,8 +85,8 @@ static int clip_row(double *g, int64_t rank, double sq, double clip)
 static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords,
                         const double *values, double *A, double *B, double *C,
                         const double *b_hat, const double *c_hat, int64_t rank,
-                        double eta, double gamma, double clip, int clip_on,
-                        double *work, int64_t *clipped)
+                        double eta, double gamma, double clip, double *work,
+                        int64_t *clipped)
 {
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
     int64_t count = 0;
@@ -113,16 +123,14 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
             gb[r] = resid * (a[r] * c[r]);
             gc[r] = resid * (a[r] * b[r]);
         }
-        if (clip_on) {
-            double sa = ga[0] * ga[0], sb = gb[0] * gb[0], sc = gc[0] * gc[0];
-            for (int64_t r = 1; r < rank; r++) {
-                sa += ga[r] * ga[r];
-                sb += gb[r] * gb[r];
-                sc += gc[r] * gc[r];
-            }
-            count += clip_row(ga, rank, sa, clip) + clip_row(gb, rank, sb, clip)
-                + clip_row(gc, rank, sc, clip);
+        double sa = ga[0] * ga[0], sb = gb[0] * gb[0], sc = gc[0] * gc[0];
+        for (int64_t r = 1; r < rank; r++) {
+            sa += ga[r] * ga[r];
+            sb += gb[r] * gb[r];
+            sc += gc[r] * gc[r];
         }
+        count += clip_row(ga, rank, sa, clip) + clip_row(gb, rank, sb, clip)
+            + clip_row(gc, rank, sc, clip);
         for (int64_t r = 0; r < rank; r++) {
             gb[r] = gb[r] + gamma * (b[r] - bh[r]);
             gc[r] = gc[r] + gamma * (c[r] - ch[r]);
@@ -212,10 +220,12 @@ static int64_t non_finite_row(const double *m, int64_t rows, int64_t rank)
 }
 
 /* prox_l21 in place: scale column r of A ((rows, rank), row-major) by
- * max(0, 1 - threshold / norm_r), or by 0 when norm_r is 0. The norms are
- * np.linalg.norm(A, axis=0): numpy sums a rank-1 column pairwise and the
- * columns of rank >= 2 each down the rows in order. scratch holds
- * rows * rank doubles.
+ * 1 - s when s = threshold / norm_r is below 1, else by 0 (s is inf on a
+ * zero norm). s is NaN only for 0 / 0, a zero threshold on a column whose
+ * norm is 0 (all zeros, or every square underflows): that column is scaled
+ * by 1 like every other, so a zero threshold keeps every bit. The norms are np.linalg.norm(A, axis=0): numpy sums a rank-1 column
+ * pairwise and the columns of rank >= 2 each down the rows in order.
+ * scratch holds rows * rank doubles.
  */
 static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold, double *scratch)
 {
@@ -230,9 +240,8 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
                 norm[r] += A[i * rank + r] * A[i * rank + r];
     }
     for (int64_t r = 0; r < rank; r++) {
-        double n = sqrt(norm[r]);
-        double scale = n > 0.0 ? 1.0 - threshold / n : 0.0;
-        norm[r] = scale > 0.0 ? scale : 0.0;
+        double s = threshold / sqrt(norm[r]);
+        norm[r] = s < 1.0 ? 1.0 - s : s >= 1.0 ? 0.0 : 1.0;
     }
     for (int64_t i = 0; i < rows; i++)
         for (int64_t r = 0; r < rank; r++)
@@ -241,8 +250,8 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
 
 /* One site's round, solver.run_local_epoch after its checks: for each of
  * the tau rows of orders ((tau, nnz), row-major), sgd_pass over the shard,
- * the finiteness sweep of A, B and C, then the prox step on A when
- * threshold > 0. The factors are (i_dim, rank), (j_dim, rank) and
+ * the finiteness sweep of A, B and C, then the prox step on A, which keeps
+ * every bit at threshold 0. The factors are (i_dim, rank), (j_dim, rank) and
  * (k_dim, rank), row-major.
  *
  * Returns ROUND_DONE with sums = {sum of squared residuals over the shard
@@ -260,8 +269,8 @@ enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
 int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *coords,
                const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
                double *A, double *B, double *C, const double *b_hat, const double *c_hat,
-               int64_t rank, double eta, double gamma, double clip, int clip_on,
-               double threshold, double *sums, int64_t *tally)
+               int64_t rank, double eta, double gamma, double clip, double threshold,
+               double *sums, int64_t *tally)
 {
     int64_t *clipped = tally, *where = tally + 1;
     int64_t nb = j_dim * rank, nc = k_dim * rank, big = i_dim * rank;
@@ -284,7 +293,7 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
     int64_t rows[3] = {i_dim, j_dim, k_dim};
     for (int64_t t = 0; t < tau && status == ROUND_DONE; t++) {
         int64_t stop = sgd_pass(nnz, orders + t * nnz, coords, values, A, B, C, b_hat,
-                                c_hat, rank, eta, gamma, clip, clip_on, work, clipped);
+                                c_hat, rank, eta, gamma, clip, work, clipped);
         if (stop >= 0) {
             *where = t * nnz + stop;
             status = ROUND_RESIDUAL;
@@ -295,7 +304,7 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
             if (*where >= 0)
                 status = ROUND_ROW + m;
         }
-        if (status == ROUND_DONE && threshold > 0.0)
+        if (status == ROUND_DONE)
             prox_columns(A, i_dim, rank, threshold, scratch);
     }
     if (status == ROUND_DONE) {

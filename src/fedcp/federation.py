@@ -303,7 +303,7 @@ def run_experiment(
     for sh in shards:
         if sh.dims[1] != j_dim or sh.dims[2] != k_dim:
             raise DimensionError("shards disagree on feature dims")
-    if params.eta * params.gamma * n_sites >= 1.0 and params.gamma > 0:
+    if params.eta * params.gamma * n_sites >= 1.0:
         warnings.warn(
             "eta * gamma * n_sites >= 1; the anchor update may be unstable",
             RuntimeWarning,

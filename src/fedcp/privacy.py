@@ -33,7 +33,7 @@ class PrivacyParams:
 def l2_sensitivity(tau: int, lipschitz: float, eta: float) -> float:
     """Worst-case output shift of a tau-pass run with bounded entry gradients:
     2 * tau * L * eta."""
-    if tau <= 0 or lipschitz <= 0 or eta <= 0:
+    if not (tau > 0 and lipschitz > 0 and eta > 0):
         raise ValueError("tau, lipschitz bound, and eta must all be positive")
     return 2.0 * tau * lipschitz * eta
 
@@ -42,9 +42,9 @@ def gaussian_sigma(sensitivity: float, rho: float) -> float:
     """Noise scale sigma = sensitivity * sqrt(1 / (2 rho)); 0 when rho is
     infinite. An infinite sensitivity (an unbounded clip, or a product
     2 * tau * clip * eta past the float range) admits no finite rho."""
-    if sensitivity < 0:
+    if not sensitivity >= 0:
         raise ValueError("sensitivity must be non-negative")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     if math.isinf(rho):
         return 0.0
@@ -58,7 +58,7 @@ def gaussian_sigma(sensitivity: float, rho: float) -> float:
 
 def perturb_matrix(m: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add independent N(0, sigma^2) noise per element, drawn from ``rng`` only."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0.0:
@@ -76,7 +76,7 @@ def compose_serial(rhos) -> float:
     """Budget of a sequence of releases on the same data: the plain sum."""
     total = 0.0
     for r in rhos:
-        if r < 0:
+        if not r >= 0:
             raise ValueError("rho values must be non-negative")
         total += r
     return total
@@ -84,7 +84,7 @@ def compose_serial(rhos) -> float:
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
     """Exact conversion: epsilon = rho + sqrt(4 rho ln(1/delta))."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be non-negative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -93,7 +93,7 @@ def zcdp_to_dp(rho: float, delta: float) -> float:
 
 def zcdp_to_dp_approx(rho: float, delta: float) -> float:
     """Square-root approximation: epsilon = sqrt(4 rho ln(1/delta))."""
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be non-negative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -104,11 +104,11 @@ def rho_for_target(epsilon: float, delta: float, epochs: int) -> float:
     """Per-epoch, per-matrix budget whose 2E-fold serial composition meets the
     (epsilon, delta) target under the approximate conversion:
     rho = epsilon^2 / (8 E ln(1/delta))."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if epochs <= 0:
+    if not epochs > 0:
         raise ValueError("epochs must be positive")
     return epsilon * epsilon / (8.0 * epochs * math.log(1.0 / delta))
 
@@ -148,7 +148,7 @@ class PrivacyAccountant:
         self._lock = threading.Lock()
 
     def record(self, epoch, site_id, matrix_tag, rho, sigma, sensitivity):
-        if rho < 0:
+        if not rho >= 0:
             raise ValueError("rho must be non-negative")
         if not 0 <= site_id < self.n_sites:
             raise ValueError(f"site_id {site_id} outside [0, {self.n_sites})")

@@ -6,6 +6,9 @@ soft-threshold to the patient factor so that weak components are zeroed
 column by column. Feature-factor rows feel an elastic pull toward the
 server's broadcast anchors. ``entry_gradients`` computes an observation's
 clipped row gradients, and the Python pass applies them entry by entry.
+Every gradient goes through the clip and every pass through the prox
+step: ``clip = math.inf`` and a zero threshold are values of those
+operators that change no bit, so neither selects code.
 
 A round of tau passes, with the finiteness sweep and the prox step after
 each and the sums for the round's RMSE and convergence check at its end,
@@ -131,7 +134,8 @@ def _dot(x, y) -> float:
 
 
 def _clip(g: list, clip: float) -> tuple:
-    """(g scaled to 2-norm clip, 1) when its norm exceeds clip, else (g, 0)."""
+    """(g scaled to 2-norm clip, 1) when its norm exceeds clip, else (g, 0);
+    an infinite clip, or a NaN norm, keeps g."""
     norm = math.sqrt(_dot(g, g))
     if norm > clip:
         scale = clip / norm
@@ -161,34 +165,29 @@ def _clipped_gradients(a, b, c, value, b_anchor, c_anchor, gamma, clip):
     ga = [resid * v for v in bc]
     gb = [resid * (x * z) for x, z in zip(a, c)]
     gc = [resid * (x * y) for x, y in zip(a, b)]
-    clipped = 0
-    if math.isfinite(clip):
-        ga, na = _clip(ga, clip)
-        gb, nb = _clip(gb, clip)
-        gc, nc = _clip(gc, clip)
-        clipped = na + nb + nc
+    ga, na = _clip(ga, clip)
+    gb, nb = _clip(gb, clip)
+    gc, nc = _clip(gc, clip)
     gb = [g + gamma * (y - h) for g, y, h in zip(gb, b, b_anchor)]
     gc = [g + gamma * (z - h) for g, z, h in zip(gc, c, c_anchor)]
-    return ga, gb, gc, clipped
+    return ga, gb, gc, na + nb + nc
 
 
 def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
-    """Columnwise group soft-threshold.
+    """Columnwise group soft-threshold, as a new array.
 
     Each column is scaled by (1 - threshold/norm)+, so a column whose norm
-    is at or below the threshold comes back exactly zero. Zero threshold is
-    the identity.
+    is at or below a positive threshold comes back exactly zero. Zero
+    threshold is the identity: threshold/norm is 0, or NaN on a column
+    whose norm is 0 (all zeros, or every square underflows), and a NaN
+    ratio scales by 1.
     """
     if not np.isfinite(threshold) or threshold < 0:
         raise ValueError("threshold must be finite and non-negative")
     A = np.asarray(A, dtype=np.float64)
-    if threshold == 0.0:
-        return A.copy()
-    norms = np.linalg.norm(A, axis=0)
-    scale = np.zeros_like(norms)
-    np.divide(threshold, norms, out=scale, where=norms > 0)
-    scale = np.maximum(0.0, 1.0 - scale)
-    scale[norms == 0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = threshold / np.linalg.norm(A, axis=0)
+    scale = np.where(ratio < 1.0, 1.0 - ratio, np.where(ratio >= 1.0, 0.0, 1.0))
     return A * scale[None, :]
 
 
@@ -330,7 +329,7 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
         *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
         *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
         b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,
-        params.clip, math.isfinite(params.clip), threshold, sums.ctypes.data, tally.ctypes.data,
+        params.clip, threshold, sums.ctypes.data, tally.ctypes.data,
     )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")

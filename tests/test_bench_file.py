@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,31 @@ def test_summary_holds_quartiles_layer_medians_and_failures():
     one = bench_file.summarize([_result(5.0)], [])
     assert (one["end_to_end"]["run_s"]["median"], one["end_to_end"]["run_s"]["q1"]) == (5.0, 5.0)
     assert one["per_layer"] == {} and one["correct"]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="no git")
+def test_a_tree_records_its_commit_and_whether_tracked_files_changed(tmp_path, monkeypatch):
+    # git never looks above tmp_path for a repository
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    assert bench_file.commit_of(outside) == {"commit": None, "dirty": None}
+
+    tree = tmp_path / "tree"
+    tree.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               "-c", "commit.gpgsign=false", *args], cwd=tree,
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tree / "f.txt").write_text("1\n")
+    git("add", "f.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    assert bench_file.commit_of(tree) == {"commit": head, "dirty": False}
+    (tree / "untracked.txt").write_text("x\n")
+    assert bench_file.commit_of(tree) == {"commit": head, "dirty": False}
+    (tree / "f.txt").write_text("2\n")
+    assert bench_file.commit_of(tree) == {"commit": head, "dirty": True}

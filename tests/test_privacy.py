@@ -20,6 +20,27 @@ from fedcp.privacy import (
 )
 
 
+@pytest.mark.parametrize("fn, args", [
+    pytest.param(l2_sensitivity, (math.nan, 1.0, 0.01), id="sensitivity-tau"),
+    pytest.param(l2_sensitivity, (1, math.nan, 0.01), id="sensitivity-lipschitz"),
+    pytest.param(l2_sensitivity, (1, 1.0, math.nan), id="sensitivity-eta"),
+    pytest.param(gaussian_sigma, (math.nan, 1e-3), id="sigma-sensitivity"),
+    pytest.param(gaussian_sigma, (1.0, math.nan), id="sigma-rho"),
+    pytest.param(perturb_matrix, (np.zeros(2), math.nan, np.random.default_rng(0)), id="perturb"),
+    pytest.param(compose_serial, ([1e-3, math.nan],), id="compose"),
+    pytest.param(zcdp_to_dp, (math.nan, 1e-4), id="exact"),
+    pytest.param(zcdp_to_dp_approx, (math.nan, 1e-4), id="approx"),
+    pytest.param(rho_for_target, (math.nan, 1e-4, 10), id="target-epsilon"),
+    pytest.param(rho_for_target, (1.0, 1e-4, math.nan), id="target-epochs"),
+    # a NaN spend would leave max() over the sites' sums to the order they sit in
+    pytest.param(PrivacyAccountant(2, 1e-4).record, (1, 0, "B", math.nan, 0.1, 0.04),
+                 id="record"),
+])
+def test_nan_is_rejected(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 class TestL2Sensitivity:
     def test_direct_values(self):
         assert l2_sensitivity(1, 1.0, 0.5) == 1.0

@@ -1,6 +1,7 @@
 """Site solver: entry-wise SGD, its compiled round, the grouped soft-threshold,
 and objectives."""
 
+import ctypes
 import math
 import re
 import shutil
@@ -126,7 +127,12 @@ class TestProxL21:
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((4, 3))
-        assert np.array_equal(prox_l21(a, 0.0), a)
+        # two columns whose norm reads 0: signed zeros, and squares that underflow
+        a[:, 1] = [-0.0, 0.0, -0.0, -0.0]
+        a[:, 2] = [1e-170, -2e-170, 3e-170, -0.0]
+        out = prox_l21(a, 0.0)
+        assert out.tobytes() == a.tobytes()
+        assert not np.shares_memory(out, a)
 
     def test_column_shrinks_by_threshold(self):
         a = np.array([[3.0], [4.0]])
@@ -403,11 +409,12 @@ class TestCompiledPass:
     factors, the error and the sums it returns."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("gamma", [0.0, 2.5])
     @pytest.mark.parametrize("clip", [0.05, math.inf])
     # the heads and tails of the vectorised loops
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33, 50, 64])
-    def test_matches_python_pass(self, without_library, rank, clip, gamma):
+    def test_matches_python_pass(self, without_library, rank, clip, gamma, mu):
         tensor, factors, anchors = _random_shard(rank, (12, 7, 9), rank, 0.3)
         if math.isfinite(clip):
             # the clip fires: some residual gradient at the start exceeds it
@@ -415,7 +422,7 @@ class TestCompiledPass:
             bc = factors[1][j] * factors[2][k]
             resid = np.sum(factors[0][i] * bc, axis=1) - tensor.values
             assert np.any(np.abs(resid) * np.linalg.norm(bc, axis=1) > clip)
-        params = SolverParams(eta=0.01, gamma=gamma, mu=0.3, tau=3, clip=clip)
+        params = SolverParams(eta=0.01, gamma=gamma, mu=mu, tau=3, clip=clip)
         compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params, 2)
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
@@ -435,6 +442,18 @@ class TestCompiledPass:
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         assert compiled[4].clipped == 2
+
+    def test_zero_threshold_keeps_a_column_whose_squares_underflow(self, without_library):
+        # with column 0 of B and C zero and no anchor pull, every gradient in
+        # column 0 is zero, so no step moves A's column 0, whose norm reads 0
+        tensor, factors, anchors = _random_shard(4, (12, 7, 9), 3, 0.3)
+        a, b, c = (m.copy() for m in factors)
+        a[:, 0] = np.where(np.arange(12) % 2, -1e-170, 2e-170)
+        b[:, 0] = c[:, 0] = 0.0
+        params = SolverParams(eta=0.01, gamma=0.0, mu=0.0, tau=2, clip=0.05)
+        compiled, python = _run_both_kernels(without_library, tensor, (a, b, c), anchors, params)
+        assert _same_outcome(compiled, python)
+        assert compiled[1][:, 0].tobytes() == a[:, 0].tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("clip", [0.05, math.inf])
@@ -608,6 +627,22 @@ class TestNativeBuild:
             kernel = getattr(lib, name)
             assert kernel.restype is restype
             assert tuple(kernel.argtypes) == argtypes
+
+    def test_prototypes_match_the_declared_signatures(self):
+        # a parameter left in only one of the two places shifts every later
+        # ctypes argument without an error
+        kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int,
+                 "void": None}
+        source = _native.SOURCE.read_text()
+        for name, (restype, argtypes) in _native.SIGNATURES.items():
+            ret, params = re.search(rf"^(\w+) {name}\(([^)]*)\)", source, re.MULTILINE).groups()
+            declared = tuple(
+                ctypes.c_void_p if "*" in param else kinds[param.split()[-2]]
+                for param in params.split(",")
+            )
+            assert len(declared) == len(argtypes), name
+            assert declared == argtypes, name
+            assert kinds[ret] is restype, name
 
     def test_every_exported_function_is_declared(self):
         # a C function that is not static is one the library exports

@@ -108,10 +108,24 @@ def tier1(tree):
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "exit": proc.returncode}
 
 
+def _git(tree, *args):
+    """The stripped output of ``git args`` in ``tree``, or None when it fails."""
+    try:
+        proc = subprocess.run(["git", *args], cwd=tree, capture_output=True, text=True,
+                              check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def commit_of(tree):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True,
-                          text=True, check=False)
-    return proc.stdout.strip() or None
+    """``{"commit": HEAD, "dirty": whether a tracked file differs from it}``
+    for checkout ``tree``; both None outside git."""
+    commit = _git(tree, "rev-parse", "HEAD")
+    if commit is None:
+        return {"commit": None, "dirty": None}
+    status = _git(tree, "status", "--porcelain", "--untracked-files=no")
+    return {"commit": commit, "dirty": None if status is None else status != ""}
 
 
 def main(argv=None):
@@ -142,7 +156,7 @@ def main(argv=None):
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "seeds": args.seeds,
         "run_seconds": seconds,
-        "trees": {side: {"commit": commit_of(tree)} for side, tree in trees.items()},
+        "trees": {side: commit_of(tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in workloads:
