@@ -250,8 +250,7 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
 
 /* One site's round, solver.run_local_epoch after its checks: for each of
  * the tau rows of orders ((tau, nnz), row-major), sgd_pass over the shard,
- * the finiteness sweep of A, B and C, then the prox step on A, which keeps
- * every bit at threshold 0. The factors are (i_dim, rank), (j_dim, rank) and
+ * the finiteness sweep of A, B and C, then the prox step on A. The factors are (i_dim, rank), (j_dim, rank) and
  * (k_dim, rank), row-major.
  *
  * Returns ROUND_DONE with sums = {sum of squared residuals over the shard
