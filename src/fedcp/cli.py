@@ -14,7 +14,7 @@ from . import data
 from .errors import ConfigError
 from .federation import RunResult, run_experiment
 from .privacy import compose_serial, rho_for_target, zcdp_to_dp, zcdp_to_dp_approx
-from .tensor import FactorizationResult, fms_report, zero_column_count
+from .tensor import FactorizationResult, fms_report, zero_column_count, zero_columns
 
 CSV_HEADER = "epoch,rmse,comm_bytes,comm_seconds,rho_total,eps_exact,eps_approx"
 
@@ -109,12 +109,15 @@ def cmd_evaluate(path_a, path_b) -> int:
     x = data.read_factors(path_a)
     y = data.read_factors(path_b)
     report = fms_report(x, y)
+    # a component whose column is zero in some mode; its weight, a product of
+    # three norms, may also read 0 for columns that are merely tiny
+    zero_x, zero_y = (zero_columns(f.A) | zero_columns(f.B) | zero_columns(f.C) for f in (x, y))
     print(f"fms={report.score!r}")
     print("permutation: " + " ".join(str(int(p)) for p in report.permutation))
     for r in range(x.rank):
         xi, xi_bar = float(report.weights_x[r]), float(report.weights_y[r])
         ratio = xi / xi_bar if xi_bar > 0 else math.inf
-        flag = " zero-column" if xi == 0 or xi_bar == 0 else ""
+        flag = " zero-column" if zero_x[r] or zero_y[report.permutation[r]] else ""
         print(
             f"column {r}: match={int(report.permutation[r])} "
             f"cosine_product={float(report.cosine_products[r])!r} "

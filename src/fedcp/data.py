@@ -15,6 +15,7 @@ else the line parser and ``repr``, with the same results.
 which picks the compiled ``model_values`` or the einsum by the same switch.
 """
 
+import bisect
 import io
 import math
 import os
@@ -27,7 +28,7 @@ from . import _native
 from .errors import ConfigError, ParseError
 from .privacy import PrivacyParams
 from .solver import SolverParams
-from .tensor import FactorizationResult, SparseTensorCOO, model_values
+from .tensor import FactorizationResult, SparseTensorCOO, first_repeat, model_values
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ class SynthSpec:
             raise ValueError("n_sites must lie in [1, patient rows]")
         if not 0 <= self.value_noise_std < math.inf:
             raise ValueError("value_noise_std must be non-negative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for site, cols in self.heterogeneity.items():
             if not 0 <= site < self.n_sites:
                 raise ValueError(f"heterogeneity names unknown site {site}")
@@ -248,6 +251,17 @@ def _write_records(fh, ints, values):
 _LINE_END = re.compile(rb"\r\n?|\n")
 
 
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """The text of a UTF-8 file as ``open(path, encoding="utf-8")`` reads it;
+    a byte that is not UTF-8 is a ParseError naming its line."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = 1 + len(_LINE_END.findall(raw, 0, exc.start))
+        raise ParseError(f"byte {raw[exc.start]:#04x} is not UTF-8", line_no=line_no) from None
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
 def read_coo(path) -> SparseTensorCOO:
     """Parse a COO text file, reporting the offending line on any defect.
 
@@ -263,15 +277,14 @@ def read_coo(path) -> SparseTensorCOO:
         raw = fh.read()
     newline = _LINE_END.search(raw)
     head_end, body_start = newline.span() if newline else (len(raw), len(raw))
-    dims = _coo_dims(raw[:head_end].decode("utf-8"))
+    dims = _coo_dims(_text(raw[:head_end]).read())
     if _native.LIBRARY is not None:
         try:
             coords, values = _bulk_parse(raw, body_start)
             return SparseTensorCOO(dims, coords, values)
         except ValueError:
             pass
-    # the text from line 2 on, as open(path, encoding="utf-8") would read it
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+    text = _text(raw)
     text.readline()
     return _read_coo_lines(text, dims)
 
@@ -308,9 +321,11 @@ def _read_coo_lines(fh, dims) -> SparseTensorCOO:
     """The records from line 2 of ``fh`` on, one line at a time; a line whose
     first token starts with ``#`` is a comment."""
     index, values = [], []  # flat lists: exact int indices, no per-record object
+    skipped = []  # the number of records read before each comment or blank line
     for no, line in enumerate(fh, start=2):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
+            skipped.append(len(values))
             continue
         if len(parts) != 4:
             raise ParseError(f"expected 'i j k value', got {line.strip()!r}", line_no=no)
@@ -327,7 +342,12 @@ def _read_coo_lines(fh, dims) -> SparseTensorCOO:
         index.append(j)
         index.append(k)
         values.append(v)
-    return SparseTensorCOO(dims, np.array(index, dtype=np.int64), values)
+    coords = np.array(index, dtype=np.int64).reshape(-1, 3)
+    try:
+        return SparseTensorCOO(dims, coords, values)
+    except ValueError as exc:  # a repeated coordinate: each line passed the other checks
+        n = first_repeat(np.ravel_multi_index(tuple(coords.T), dims))
+        raise ParseError(str(exc), line_no=n + 2 + bisect.bisect_right(skipped, n)) from None
 
 
 def write_factors(result: FactorizationResult, path):
@@ -340,8 +360,8 @@ def write_factors(result: FactorizationResult, path):
 
 
 def read_factors(path) -> FactorizationResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    with open(path, "rb") as fh:
+        lines = [ln.rstrip("\n") for ln in _text(fh.read())]
     blocks = []
     no = 0
     first_header = None
@@ -385,7 +405,9 @@ def read_factors(path) -> FactorizationResult:
         blocks.append(np.array(rows, dtype=np.float64).reshape(n_rows, rank))
         no += 1
     if len(blocks) != 3:
-        raise ParseError(f"expected 3 factor blocks, found {len(blocks)}", line_no=len(lines))
+        raise ParseError(
+            f"expected 3 factor blocks, found {len(blocks)}", line_no=max(len(lines), 1)
+        )
     # a rank that no row confirms is the header's word alone, and the
     # per-column work on these factors would be sized by it
     if not any(len(b) for b in blocks):
@@ -532,21 +554,25 @@ def load_config(path) -> ExperimentConfig:
     line or after whitespace starts a comment; one inside a value is kept."""
     types = {f.name: f.type for f in fields(ExperimentConfig)}
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            text = _COMMENT.split(line, 1)[0].strip()
-            if not text:
-                continue
-            key, sep, value = text.partition("=")
-            if not sep:
-                raise ConfigError(f"line {no}: expected 'key = value', got {text!r}")
-            key = key.strip()
-            if key not in types:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                overrides[key] = _PARSERS[types[key]](value.strip())
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
+    try:
+        with open(path, "rb") as fh:
+            text = _text(fh.read())
+    except ParseError as exc:
+        raise ConfigError(str(exc)) from None
+    for no, line in enumerate(text, start=1):
+        text = _COMMENT.split(line, 1)[0].strip()
+        if not text:
+            continue
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ConfigError(f"line {no}: expected 'key = value', got {text!r}")
+        key = key.strip()
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            overrides[key] = _PARSERS[types[key]](value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from None
     return _validate_config(replace(ExperimentConfig(), **overrides))
 
 

@@ -84,11 +84,7 @@ def compose_serial(rhos) -> float:
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
     """Exact conversion: epsilon = rho + sqrt(4 rho ln(1/delta))."""
-    if not rho >= 0:
-        raise ValueError("rho must be non-negative")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    return rho + math.sqrt(4.0 * rho * math.log(1.0 / delta))
+    return rho + zcdp_to_dp_approx(rho, delta)
 
 
 def zcdp_to_dp_approx(rho: float, delta: float) -> float:
@@ -152,6 +148,10 @@ class PrivacyAccountant:
             raise ValueError("rho must be non-negative")
         if not 0 <= site_id < self.n_sites:
             raise ValueError(f"site_id {site_id} outside [0, {self.n_sites})")
+        if not sigma >= 0:
+            raise ValueError("sigma must be non-negative")
+        if not sensitivity >= 0:
+            raise ValueError("sensitivity must be non-negative")
         entry = LedgerEntry(epoch, site_id, matrix_tag, rho, sigma, sensitivity)
         with self._lock:
             self._entries.append(entry)

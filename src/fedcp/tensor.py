@@ -35,6 +35,13 @@ def as_factor(data) -> np.ndarray:
     return m
 
 
+def first_repeat(lin) -> int:
+    """The index of the first value of ``lin`` that equals an earlier one;
+    ``lin`` must hold such a value."""
+    _, first = np.unique(lin, return_index=True)
+    return int(np.setdiff1d(np.arange(lin.size), first)[0])
+
+
 @dataclass(frozen=True)
 class SparseTensorCOO:
     """Observed 3-mode tensor stored as (i, j, k, value) records.
@@ -62,8 +69,7 @@ class SparseTensorCOO:
             # strictly increasing (every generated file and its shards) has no
             # repeat; any other order takes the sort
             if not np.all(lin[1:] > lin[:-1]) and np.unique(lin).size != lin.size:
-                _, first = np.unique(lin, return_index=True)
-                n = np.setdiff1d(np.arange(lin.size), first)[0]
+                n = first_repeat(lin)
                 raise ValueError(f"duplicate tensor coordinate {tuple(coords[n].tolist())}")
         if not np.all(np.isfinite(values)):
             raise ValueError("tensor values must be finite")
@@ -196,9 +202,18 @@ def factor_weights(A, B, C) -> np.ndarray:
     )
 
 
+def zero_columns(M) -> np.ndarray:
+    """Mask of the columns that hold no non-zero entry (-0.0 counts as zero).
+
+    Judged by the entries, not by a norm: the squares of a column of values
+    below about 1e-162 underflow to a norm of 0.
+    """
+    return ~np.any(np.asarray(M, dtype=np.float64), axis=0)
+
+
 def zero_column_count(A) -> int:
     """Number of exactly-zero columns (components shrunk away entirely)."""
-    return int(np.sum(np.linalg.norm(np.asarray(A, dtype=np.float64), axis=0) == 0.0))
+    return int(np.count_nonzero(zero_columns(A)))
 
 
 @dataclass(frozen=True)

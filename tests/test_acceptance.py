@@ -7,7 +7,6 @@ criteria execute.
 import math
 import struct
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -185,12 +184,10 @@ def test_criterion_05_noise_free_convergence():
     spec = SynthSpec(dims=(100, 30, 40), rank_true=5, sparsity=1e-3, n_sites=5, seed=7)
     _, shards, _ = generate_synthetic(spec)
     params = SolverParams(eta=0.02, gamma=5.0, mu=0.0, tau=5, clip=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = run_experiment(
-            shards, rank=5, params=params, priv=PrivacyParams(rho=math.inf),
-            seed=3, max_epochs=50, tol=1e-9,
-        )
+    result = run_experiment(
+        shards, rank=5, params=params, priv=PrivacyParams(rho=math.inf),
+        seed=3, max_epochs=50, tol=1e-9,
+    )
     ratio = result.metrics[-1].rmse / result.initial_rmse
     elapsed = time.perf_counter() - start
     _criterion(
@@ -207,12 +204,10 @@ def test_criterion_06_centralized_equivalence():
     spec = SynthSpec(dims=(50, 16, 18), rank_true=3, sparsity=5e-3, n_sites=1, seed=5)
     tensor, shards, _ = generate_synthetic(spec)
     params = SolverParams(eta=0.02, gamma=0.0, mu=0.0, tau=2, clip=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        federated = run_experiment(
-            shards, rank=3, params=params, priv=PrivacyParams(rho=math.inf),
-            seed=9, max_epochs=10, tol=1e-15,
-        )
+    federated = run_experiment(
+        shards, rank=3, params=params, priv=PrivacyParams(rho=math.inf),
+        seed=9, max_epochs=10, tol=1e-15,
+    )
     baseline = run_centralized_sgd(
         tensor, rank=3, eta=0.02, tau=2, epochs=len(federated.metrics), seed=9, clip=1.0
     )
@@ -240,35 +235,33 @@ def test_criterion_07_privacy_utility_trend():
     fixed_epochs = 10
     params = SolverParams(eta=0.02, gamma=5.0, mu=0.0, tau=1, clip=1.0)
     pairs = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for seed in range(5):
-            spec = SynthSpec(
-                dims=(60, 20, 24), rank_true=4, sparsity=2e-3, n_sites=2, seed=100 + seed
-            )
-            _, shards, _ = generate_synthetic(spec)
-            reference = run_experiment(
-                shards, rank=4, params=params, priv=PrivacyParams(rho=math.inf, delta=delta),
+    for seed in range(5):
+        spec = SynthSpec(
+            dims=(60, 20, 24), rank_true=4, sparsity=2e-3, n_sites=2, seed=100 + seed
+        )
+        _, shards, _ = generate_synthetic(spec)
+        reference = run_experiment(
+            shards, rank=4, params=params, priv=PrivacyParams(rho=math.inf, delta=delta),
+            seed=seed, fixed_epochs=fixed_epochs,
+        )
+        ref_factors = [
+            FactorizationResult(s.A, s.B, s.C) for s in reference.sites
+        ]
+        for eps in eps_grid:
+            rho = rho_for_target(eps, delta, fixed_epochs)
+            private = run_experiment(
+                shards, rank=4, params=params, priv=PrivacyParams(rho=rho, delta=delta),
                 seed=seed, fixed_epochs=fixed_epochs,
             )
-            ref_factors = [
-                FactorizationResult(s.A, s.B, s.C) for s in reference.sites
-            ]
-            for eps in eps_grid:
-                rho = rho_for_target(eps, delta, fixed_epochs)
-                private = run_experiment(
-                    shards, rank=4, params=params, priv=PrivacyParams(rho=rho, delta=delta),
-                    seed=seed, fixed_epochs=fixed_epochs,
+            score = float(
+                np.mean(
+                    [
+                        fms(FactorizationResult(s.A, s.B, s.C), ref)
+                        for s, ref in zip(private.sites, ref_factors)
+                    ]
                 )
-                score = float(
-                    np.mean(
-                        [
-                            fms(FactorizationResult(s.A, s.B, s.C), ref)
-                            for s, ref in zip(private.sites, ref_factors)
-                        ]
-                    )
-                )
-                pairs.append((eps, score))
+            )
+            pairs.append((eps, score))
     correlation = float(spearmanr([p[0] for p in pairs], [p[1] for p in pairs]).statistic)
     means = {e: np.mean([s for ee, s in pairs if ee == e]) for e in eps_grid}
     shape_ok = means[eps_grid[-1]] == max(means.values()) and means[eps_grid[-1]] > 0.9
@@ -320,17 +313,15 @@ def test_criterion_09_heterogeneity_capture():
     calibrated_mu = 0.6
     counts = []
     calibrated_site = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for mu in mu_grid:
-            params = SolverParams(eta=0.035, gamma=5.0, mu=mu, tau=3, clip=1.0)
-            result = run_experiment(
-                shards, rank=3, params=params, priv=PrivacyParams(rho=math.inf),
-                seed=3, fixed_epochs=350,
-            )
-            counts.append(zero_column_count(result.sites[site].A))
-            if mu == calibrated_mu:
-                calibrated_site = result.sites[site]
+    for mu in mu_grid:
+        params = SolverParams(eta=0.035, gamma=5.0, mu=mu, tau=3, clip=1.0)
+        result = run_experiment(
+            shards, rank=3, params=params, priv=PrivacyParams(rho=math.inf),
+            seed=3, fixed_epochs=350,
+        )
+        counts.append(zero_column_count(result.sites[site].A))
+        if mu == calibrated_mu:
+            calibrated_site = result.sites[site]
 
     # identify which solver column tracks the suppressed truth component by
     # cosine agreement of the shared feature modes

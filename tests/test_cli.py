@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, CSV schema, and exit codes."""
 
+import math
 import os
 import re
 import subprocess
@@ -183,7 +184,6 @@ class TestRun:
         _, cfg = workspace
         assert main(["run", "--config", str(cfg)]) == 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_noise_single_site_matches_standalone_sgd(self, workspace, tmp_path):
         _, cfg = workspace
         single = tmp_path / "single.txt"
@@ -230,6 +230,8 @@ class TestRun:
         assert "federation.py" not in run.stderr
         assert "run_local_epoch(" not in run.stderr
 
+    # "default" shows a warning once per place it is raised from, as outside pytest
+    @pytest.mark.filterwarnings("default:step too large:RuntimeWarning")
     def test_each_distinct_warning_is_printed_once(self, monkeypatch, capsys):
         def warning_budget(*args):
             for _ in range(2):  # the same text twice from one line
@@ -312,6 +314,16 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert float(out.splitlines()[0].split("=")[1]) < 1.0
         assert "zero-column" in out
+
+    def test_tiny_columns_are_not_flagged(self, tmp_path, capsys):
+        # every weight, a product of three norms of 1e-110, underflows to 0
+        tiny = FactorizationResult(*(np.full((n, 3), 1e-110 / math.sqrt(n)) for n in (5, 4, 6)))
+        path = tmp_path / "tiny.factors"
+        write_factors(tiny, path)
+        assert main(["evaluate", str(path), str(path)]) == 0
+        columns = capsys.readouterr().out.splitlines()[2:]
+        assert len(columns) == 3 and all("lambda=0.0 " in line for line in columns)
+        assert not any("zero-column" in line for line in columns)
 
     def test_rank_mismatch_is_an_error(self, tmp_path):
         _, path3 = self._factors(tmp_path, seed=3)

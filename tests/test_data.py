@@ -511,6 +511,8 @@ class TestBulkMatchesLineParser:
             ("0 0 0 \u0661.5\n", [(0, 0, 0, 1.5)]),  # an Arabic-Indic digit
             ("0 0 0 1.5\u00b5\n", "line 2"),
             ("0 1 1.5\n", "line 2"),
+            ("0 0 0 1.0\n# note\n\n1 0 0 2.0\n0 0 0 2.0\n# note\n",
+             "line 6: duplicate tensor coordinate (0, 0, 0)"),
         ],
     )
     def test_table(self, tmp_path, without_library, body, expected):
@@ -1100,6 +1102,7 @@ class TestLoadConfig:
             ("max_epochs", "-1"),
             ("fixed_epochs", "-1"),
             ("transfer_rate", "0"),
+            ("seed", "-1"),
         ],
     )
     def test_out_of_domain_value_rejected_by_name(self, tmp_path, key, value):

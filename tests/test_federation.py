@@ -258,6 +258,7 @@ class TestRunRound:
                                 seed=4, fixed_epochs=3)
         assert [m.epoch for m in result.metrics] == [1, 2, 3]
         assert all(math.isfinite(m.rmse) for m in result.metrics)
+        assert {(e.sigma, e.sensitivity) for e in result.accountant.ledger} == {(0.0, math.inf)}
 
     def test_zero_epochs_run_is_empty(self):
         shards = _shards(n_sites=2)
@@ -288,7 +289,6 @@ class TestRunRound:
             assert np.array_equal(s.B, p.B)
             assert np.array_equal(s.C, p.C)
 
-    @pytest.mark.filterwarnings("ignore:learning rate exceeds")
     def test_serial_and_pooled_runs_match_at_the_readme_feature_dims(self):
         # B and C hold 15,000 and 40,000 values, past BLAS ddot's threading size
         shards = _shards(n_sites=2, dims=(12, 300, 800), sparsity=1e-4, rank_true=3)
@@ -323,7 +323,6 @@ class TestRunRound:
         assert not np.array_equal(server.B_hat, before_anchor)
         assert not np.array_equal(sites[0].B, server.B_hat)
 
-    @pytest.mark.filterwarnings("ignore:learning rate exceeds")
     def test_warns_on_unstable_anchor_step(self):
         shards = _shards(n_sites=3)
         with pytest.warns(RuntimeWarning, match="unstable"):
@@ -365,7 +364,6 @@ class TestRoundSums:
     equal pooled_rmse and the has_converged formula over snapshots, bit for
     bit, serial and pooled, compiled and in Python."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("kernel", ["compiled", "python"])
     @pytest.mark.parametrize(
         "rank, tau, mu, clip",
@@ -409,7 +407,6 @@ class TestRoundSums:
                 assert three_rounds(pool) == serial
 
     @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("shape", ["criterion_09", "rank_1"])
     def test_run_without_kernels_equals_the_compiled_run(self, without_library, shape):
         if shape == "criterion_09":

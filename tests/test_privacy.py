@@ -35,6 +35,10 @@ from fedcp.privacy import (
     # a NaN spend would leave max() over the sites' sums to the order they sit in
     pytest.param(PrivacyAccountant(2, 1e-4).record, (1, 0, "B", math.nan, 0.1, 0.04),
                  id="record"),
+    pytest.param(PrivacyAccountant(2, 1e-4).record, (1, 0, "B", 1e-3, math.nan, 0.04),
+                 id="record-sigma"),
+    pytest.param(PrivacyAccountant(2, 1e-4).record, (1, 0, "B", 1e-3, 0.1, math.nan),
+                 id="record-sensitivity"),
 ])
 def test_nan_is_rejected(fn, args):
     with pytest.raises(ValueError):

@@ -306,3 +306,11 @@ def test_zero_column_count():
     m = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 0.0]])
     assert zero_column_count(m) == 1
     assert zero_column_count(np.zeros((2, 3))) == 3
+
+
+def test_a_column_of_tiny_values_is_not_zero():
+    # the norm of a 1e-170 column underflows to 0; its entries do not
+    m = np.array([[1.0, 1e-170], [2.0, 1e-170], [3.0, 0.0], [4.0, 0.0]])
+    assert np.linalg.norm(m, axis=0)[1] == 0.0
+    assert zero_column_count(m) == 0
+    assert zero_column_count(np.array([[1.0, -0.0], [2.0, 0.0]])) == 1
