@@ -208,7 +208,7 @@ def _dispatch(args) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args.factors_a, args.factors_b)
         return cmd_budget(args.epsilon, args.rho, args.delta, args.epochs)
-    except (OSError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (OSError, ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"fedcp: {exc}", file=sys.stderr)
         return 1
 

@@ -193,8 +193,8 @@ def prox_l21(A: np.ndarray, threshold: float) -> np.ndarray:
 
 # constant text: the default filter then shows it once, not once per site and round
 _STEP_SIZE_WARNING = (
-    "learning rate exceeds the 2/beta stability bound of the feature-factor updates; "
-    "lower the config key 'eta' (a larger 'rank' or 'gamma' raises beta)"
+    "learning rate exceeds the 2/beta stability bound of an entry's steps on its A, B "
+    "and C rows; lower the config key 'eta' (a larger 'rank' or 'gamma' raises beta)"
 )
 
 
@@ -342,15 +342,31 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:
-    """Smoothness bound for the feature-factor subproblems.
+    """Upper bound on the curvature of any one entry's step.
 
-    The larger of the Frobenius norms of (A^T A) * (C^T C) + gamma I and
-    (A^T A) * (B^T B) + gamma I (elementwise products), with A^T A formed
-    once. Step sizes above 2/beta lose the descent guarantee.
+    For an entry's rows a, b, c the step on a has curvature ||b o c||^2,
+    the step on b ||a o c||^2 + gamma and the step on c ||a o b||^2 + gamma
+    (o the elementwise product). For factors X and Y every pair of rows
+    has ||x o y||^2 <= min(n_X e_Y, e_X n_Y), with n a factor's largest
+    squared row norm and e its largest squared entry; beta is the largest
+    of the three pair bounds. Step sizes above 2/beta lose the descent
+    guarantee of an entry's step. Only maxima and einsum row sums, no
+    BLAS, so the thread count cannot change it. Factors whose squares
+    could overflow, or that hold NaN, give inf.
     """
     A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
-    if not (A.shape[1] == B.shape[1] == C.shape[1]):
-        raise DimensionError("factor matrices must share one rank")
-    gram_a = A.T @ A
-    penalty = gamma * np.eye(A.shape[1])
-    return max(float(np.linalg.norm(gram_a * (m.T @ m) + penalty, "fro")) for m in (C, B))
+    rank = A.shape[1]
+    if not (rank == B.shape[1] == C.shape[1]) or 0 in (rank, len(A), len(B), len(C)):
+        raise DimensionError("factor matrices must be non-empty and share one rank")
+    # |A|, |B| and |C| in one array, so each factor's maximum below is one
+    # reduceat; abs in place, as a second large temporary costs more than the bound
+    rows = np.concatenate((A, B, C))
+    np.abs(rows, out=rows)
+    starts = np.array([0, len(A), len(A) + len(B)])
+    tops = np.maximum.reduceat(rows.ravel(), starts * rank).tolist()
+    # a Python float product overflows to inf without a warning; NaN < inf is False
+    if not all(t * t * rank < math.inf for t in tops):
+        return math.inf
+    na, nb, nc = np.maximum.reduceat(np.einsum("ij,ij->i", rows, rows), starts).tolist()
+    ea, eb, ec = (t * t for t in tops)
+    return max(min(nb * ec, eb * nc), min(na * ec, ea * nc) + gamma, min(na * eb, ea * nb) + gamma)

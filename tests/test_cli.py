@@ -98,6 +98,18 @@ class TestGenerate:
             "fedcp: cannot draw 8 more distinct cells: 16 of 16 are taken\n"
         )
 
+    def test_out_of_memory_is_an_error(self, workspace, monkeypatch, capsys):
+        # raised, not allocated: a real allocation this large could fill the host
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 7.3 TiB for an array with shape (1000000000000,)")
+
+        _, cfg = workspace
+        monkeypatch.setattr(cli.data, "generate_synthetic", no_memory)
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "fedcp: Unable to allocate 7.3 TiB for an array with shape (1000000000000,)\n"
+        )
+
 
 class TestRun:
     def test_csv_schema_and_reproducibility(self, workspace):
@@ -177,6 +189,17 @@ class TestRun:
         _write_config(easy, tol="1e6", max_epochs="5")
         assert main(["run", "--config", str(easy)]) == 0
 
+    def test_out_of_memory_is_an_error(self, workspace, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("no memory for the site's round")
+
+        _, cfg = workspace
+        assert main(["generate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "run_experiment", no_memory)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "fedcp: no memory for the site's round\n"
+
     def test_missing_config_is_an_error(self):
         assert main(["run", "--config", "no-such-file.txt"]) == 1
 
@@ -202,7 +225,7 @@ class TestRun:
         )
         assert csv_rmse == [repr(v) for v in base.rmse_per_epoch]
 
-    def test_readme_default_run_warns_once_in_config_terms(self, tmp_path):
+    def test_readme_default_run_prints_no_warning(self, tmp_path):
         # a fresh process, so the default warning filter and stderr are the user's
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         (tmp_path / "cfg.txt").write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
@@ -220,15 +243,20 @@ class TestRun:
 
         assert fedcp_cli("generate", "--config", "cfg.txt").returncode == 0
         run = fedcp_cli("run", "--config", "cfg.txt", "--fixed-epochs", "2")
-        assert run.returncode == 2, run.stderr
-        warned = [line for line in run.stderr.splitlines() if "warning" in line.lower()]
-        assert len(warned) <= 1
-        assert all("'eta'" in line and "stability" in line for line in warned)
+        assert (run.returncode, run.stderr) == (2, "")
+
+    @pytest.mark.filterwarnings("default:learning rate exceeds:RuntimeWarning")
+    def test_step_size_warning_is_one_line_in_config_terms(self, workspace, capsys):
+        # rank-3 rows drawn from [0, 1) give some entry's step a curvature above 2/eta = 0.4
+        tmp_path, cfg = workspace
+        _write_config(cfg, eta="5.0", gamma="0.0", max_epochs="1")
+        assert main(["generate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        warned = capsys.readouterr().err.splitlines()
         # the text alone: no library file, line number or source line
-        assert run.stderr.splitlines() == warned
-        assert all(line.startswith("fedcp: warning: ") for line in warned)
-        assert "federation.py" not in run.stderr
-        assert "run_local_epoch(" not in run.stderr
+        assert len(warned) == 1 and warned[0].startswith("fedcp: warning: learning rate")
+        assert "'eta'" in warned[0] and "stability" in warned[0]
 
     # "default" shows a warning once per place it is raised from, as outside pytest
     @pytest.mark.filterwarnings("default:step too large:RuntimeWarning")
