@@ -45,7 +45,7 @@ SIGNATURES = {
         _I64, _I64, _I64,  # i_dim, j_dim, k_dim
         _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
         _I64, _F64, _F64, _F64, _F64,  # rank, eta, gamma, clip, threshold
-        _P, _P,  # sums, tally
+        _P, _P,  # sse, tally
     )),
     "model_values": (None, (
         _I64, _P,  # nnz, coords

@@ -1,8 +1,8 @@
 /* The hot loops of a CLI run, compiled. The four functions that are not
  * static are the kernels _native.SIGNATURES declares: site_round, a site's
  * round of shuffled SGD passes, each followed by the finiteness sweep and
- * the prox step, and the sums for the round's RMSE and convergence check
- * (the twin of the Python round in solver.run_local_epoch); model_values,
+ * the prox step, and the sum for the round's RMSE (the twin of the Python
+ * round in solver.run_local_epoch); model_values,
  * the model values that tensor.rmse scores and data.generate_synthetic
  * stores (the twin of reconstruct_values); parse_coo, the parse of a COO
  * file's body (the fast path of data.read_coo); and format_records, the
@@ -198,14 +198,12 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
-/* np.add.reduce(x ** 2) and np.add.reduce((x - y) ** 2) over n values,
- * y being NULL in the first case; sq holds n doubles of scratch. */
-static double sum_squares(const double *x, const double *y, int64_t n, double *sq)
+/* np.add.reduce(x ** 2) over n values; sq holds n doubles of scratch and
+ * may be x itself. */
+static double sum_squares(const double *x, int64_t n, double *sq)
 {
-    for (int64_t i = 0; i < n; i++) {
-        double d = y ? x[i] - y[i] : x[i];
-        sq[i] = d * d;
-    }
+    for (int64_t i = 0; i < n; i++)
+        sq[i] = x[i] * x[i];
     return 0.0 + pairwise_sum(sq, n);
 }
 
@@ -231,7 +229,7 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
 {
     double *norm = scratch;
     if (rank == 1) {
-        norm[0] = sum_squares(A, NULL, rows, scratch);
+        norm[0] = sum_squares(A, rows, scratch);
     } else {
         for (int64_t r = 0; r < rank; r++)
             norm[r] = 0.0;
@@ -253,11 +251,10 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
  * the finiteness sweep of A, B and C, then the prox step on A. The factors are (i_dim, rank), (j_dim, rank) and
  * (k_dim, rank), row-major.
  *
- * Returns ROUND_DONE with sums = {sum of squared residuals over the shard
- * at the final factors, then for B and then C: sum p^2 and sum (c - p)^2,
- * p being the factor at the start and c at the end} and tally[0] the
- * number of residual gradients the clip scaled in the tau passes. Else,
- * with the factors as the failing pass left them: ROUND_RESIDUAL with
+ * Returns ROUND_DONE with *sse the sum of squared residuals over the shard
+ * at the final factors and tally[0] the number of residual gradients the
+ * clip scaled in the tau passes. Else, with the factors as the failing
+ * pass left them: ROUND_RESIDUAL with
  * tally[1] the position in orders (pass * nnz + p) of the entry whose
  * residual is not finite, or ROUND_ROW + m with tally[1] the first row of
  * factor m (0 for A, 1 for B, 2 for C) holding a non-finite value after a
@@ -269,22 +266,14 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
                const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
                double *A, double *B, double *C, const double *b_hat, const double *c_hat,
                int64_t rank, double eta, double gamma, double clip, double threshold,
-               double *sums, int64_t *tally)
+               double *sse, int64_t *tally)
 {
     int64_t *clipped = tally, *where = tally + 1;
-    int64_t nb = j_dim * rank, nc = k_dim * rank, big = i_dim * rank;
-    if (big < nnz)
-        big = nnz;
-    if (big < nb)
-        big = nb;
-    if (big < nc)
-        big = nc;
-    double *work = malloc(sizeof(double) * (size_t)(3 * rank + nb + nc + big));
+    int64_t big = i_dim * rank > nnz ? i_dim * rank : nnz;
+    double *work = malloc(sizeof(double) * (size_t)(3 * rank + big));
     if (!work)
         return ROUND_NO_MEMORY;
-    double *b0 = work + 3 * rank, *c0 = b0 + nb, *scratch = c0 + nc;
-    memcpy(b0, B, sizeof(double) * (size_t)nb);
-    memcpy(c0, C, sizeof(double) * (size_t)nc);
+    double *scratch = work + 3 * rank;
 
     int status = ROUND_DONE;
     *clipped = 0;
@@ -310,11 +299,7 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
         model_values(nnz, coords, A, B, C, rank, scratch);
         for (int64_t n = 0; n < nnz; n++)
             scratch[n] = scratch[n] - values[n];
-        sums[0] = sum_squares(scratch, NULL, nnz, scratch);
-        sums[1] = sum_squares(b0, NULL, nb, scratch);
-        sums[2] = sum_squares(B, b0, nb, scratch);
-        sums[3] = sum_squares(c0, NULL, nc, scratch);
-        sums[4] = sum_squares(C, c0, nc, scratch);
+        *sse = sum_squares(scratch, nnz, scratch);
     }
     free(work);
     return status;

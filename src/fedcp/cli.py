@@ -1,7 +1,8 @@
 """Command-line entry points: generate, run, evaluate, budget.
 
-Exit codes: 0 success/converged, 2 epoch or budget limit reached,
-1 any error.
+Exit codes: 0 success, or a run that converged; 2 epoch or budget limit
+reached; 1 any error. A run converges on its decoded uploads alone, never
+in round 1 (see ``federation.run_experiment``).
 """
 
 import argparse
@@ -112,11 +113,14 @@ def cmd_evaluate(path_a, path_b) -> int:
     # a component whose column is zero in some mode; its weight, a product of
     # three norms, may also read 0 for columns that are merely tiny
     zero_x, zero_y = (zero_columns(f.A) | zero_columns(f.B) | zero_columns(f.C) for f in (x, y))
+    # the weight ratio mode by mode, from norms that do not underflow
+    norms = [[[math.hypot(*col) for col in m.T.tolist()] for m in (f.A, f.B, f.C)] for f in (x, y)]
     print(f"fms={report.score!r}")
     print("permutation: " + " ".join(str(int(p)) for p in report.permutation))
     for r in range(x.rank):
         xi, xi_bar = float(report.weights_x[r]), float(report.weights_y[r])
-        ratio = xi / xi_bar if xi_bar > 0 else math.inf
+        pairs = [(nx[r], ny[report.permutation[r]]) for nx, ny in zip(*norms)]
+        ratio = math.prod(n / m for n, m in pairs) if all(m > 0 for _, m in pairs) else math.inf
         flag = " zero-column" if zero_x[r] or zero_y[report.permutation[r]] else ""
         print(
             f"column {r}: match={int(report.permutation[r])} "

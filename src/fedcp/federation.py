@@ -9,10 +9,11 @@ round's traffic is the length of those encodings. Patient factors never
 leave a site: the upload message has no field for them. Sites keep their
 local feature factors; the broadcast only moves the penalty anchors.
 
-A site's local epoch also returns its sums for the round's RMSE and
-convergence check, so the round combines them and never rescans a shard or
-copies a factor. Reductions are ordered by site id, so a run is
-bit-reproducible whether sites execute serially or on a worker pool.
+A site's local epoch also returns its sum for the round's RMSE, so the
+round never rescans a shard. The server takes the round's change from the
+decoded uploads alone, which spends no budget. Reductions are ordered by
+site id, so a run is bit-reproducible whether sites execute serially or on
+a worker pool.
 """
 
 import math
@@ -30,7 +31,7 @@ from .privacy import (
     l2_sensitivity,
     perturb_matrix,
 )
-from .solver import SiteState, SolverParams, change_sums, derive_site_seed, init_site_state
+from .solver import SiteState, SolverParams, derive_site_seed, init_site_state
 from .solver import run_local_epoch
 from .tensor import rmse, root_mean_square
 
@@ -41,12 +42,14 @@ _VALUE_BYTES = 8
 
 @dataclass
 class ServerState:
-    """Global anchor pair plus the round counter and expected cohort size."""
+    """Global anchor pair, round counter and expected cohort size; during a
+    run, also the last round's decoded uploads as (B, C) pairs in site order."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
     n_sites: int
     epoch: int = 0
+    uploads: list | None = None
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -102,11 +105,11 @@ class RoundMessage:
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    """Per-round outputs: fit, this round's traffic, the running budget, the
-    worst relative change of a feature factor, and ``clipped``, the number
-    of residual gradients the clip scaled in the round, summed over the
-    sites in site order (``change`` and ``clipped`` are None where not
-    known; the metrics CSV writes neither)."""
+    """Per-round outputs: fit (the evaluator's view, from unreleased factors),
+    this round's traffic, the running budget, the worst relative change from
+    a site's previous decoded upload to this one (None in round 1), and
+    ``clipped``, the number of residual gradients the clip scaled, summed over
+    the sites in site order (None where not known; the CSV writes neither)."""
 
     epoch: int
     rmse: float
@@ -205,6 +208,9 @@ def run_round(
     for msg in messages:
         accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
         accountant.record(epoch, msg.site_id, "C", priv.rho, sigma, sensitivity)
+    cohort = [(m.priv_B, m.priv_C) for m in sorted(messages, key=lambda m: m.site_id)]
+    change = None if server.uploads is None else worst_change(server.uploads, cohort)
+    server.uploads = cohort
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()
@@ -216,7 +222,7 @@ def run_round(
         rho_total=accountant.rho_total,
         eps_exact=eps_exact,
         eps_approx=eps_approx,
-        change=worst_relative_change(pair for s in sums for pair in s.changes),
+        change=change,
         clipped=sum(s.clipped for s in sums),
     )
 
@@ -240,30 +246,36 @@ def comm_cost(
 
 
 def factor_snapshot(sites) -> list:
-    """Copies of each site's (B, C) pair; with ``has_converged``, the
-    reference the round's change is tested against."""
+    """Copies of each site's (B, C) pair: at rho = inf, the uploads that the
+    server's change is tested against. No run calls it."""
     return [(s.B.copy(), s.C.copy()) for s in sites]
 
 
-def worst_relative_change(sums) -> float:
-    """The largest ``sqrt(d2) / max(sqrt(p2), 1e-12)`` over pairs
-    (p2, d2) = (sum p**2, sum (c - p)**2) of feature factors p -> c; 0.0 for none."""
-    worst = 0.0
-    for p2, d2 in sums:
-        worst = max(worst, math.sqrt(d2) / max(math.sqrt(p2), 1e-12))
-    return worst
+def change_sums(p, c) -> tuple:
+    """(sum p**2, sum (c - p)**2) by np.add.reduce, which never uses threaded BLAS."""
+    return float(np.add.reduce(p ** 2, axis=None)), float(np.add.reduce((c - p) ** 2, axis=None))
 
 
-def has_converged(prev, curr, tol: float) -> bool:
-    """True iff ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12) < tol`` for
-    every feature factor p -> c of two snapshots, summed by ``change_sums``: the
-    reference the round's change from the sites' sums is tested against."""
+def worst_change(prev, curr) -> float:
+    """The largest ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12)``
+    over the feature factors p -> c of two cohorts of (B, C) pairs in site
+    order, summed by ``change_sums``; 0.0 for none."""
     if len(prev) != len(curr):
         raise DimensionError("site counts differ between snapshots")
     pairs = [pc for prev_t, curr_t in zip(prev, curr) for pc in zip(prev_t, curr_t)]
     if any(p.shape != c.shape for p, c in pairs):
         raise DimensionError("snapshot shapes differ")
-    return worst_relative_change(change_sums(p, c) for p, c in pairs) < tol
+    worst = 0.0
+    for p, c in pairs:
+        p2, d2 = change_sums(p, c)
+        worst = max(worst, math.sqrt(d2) / max(math.sqrt(p2), 1e-12))
+    return worst
+
+
+def has_converged(prev, curr, tol: float) -> bool:
+    """True iff ``worst_change(prev, curr) < tol``: the reference the server's
+    change between cohorts of decoded uploads is tested against."""
+    return worst_change(prev, curr) < tol
 
 
 @dataclass
@@ -292,9 +304,11 @@ def run_experiment(
 ) -> RunResult:
     """Drive rounds until convergence or the epoch limit.
 
-    With ``fixed_epochs`` set, exactly that many rounds run regardless of
-    convergence (budget-first mode); the convergence flag then reports
-    whether the final round met the criterion.
+    A round converges when its ``change`` is below ``tol``; round 1 never
+    does, and under noise the change sits near the noise floor. With
+    ``fixed_epochs`` set, exactly that many rounds run regardless of
+    convergence (budget-first mode, the private way to run); the
+    convergence flag then reports whether the final round met the criterion.
     """
     n_sites = len(shards)
     if n_sites < 1:
@@ -325,9 +339,10 @@ def run_experiment(
         metrics.append(
             run_round(sites, server, params, priv, accountant, transfer_rate, pool=pool)
         )
-        converged = metrics[-1].change < tol
+        converged = metrics[-1].change is not None and metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
+    server.uploads = None  # needed only between rounds
     return RunResult(
         metrics=metrics,
         sites=sites,

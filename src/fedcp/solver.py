@@ -11,15 +11,14 @@ step: ``clip = math.inf`` and a zero threshold are values of those
 operators that change no bit, so neither selects code.
 
 A round of tau passes, with the finiteness sweep and the prox step after
-each and the sums for the round's RMSE and convergence check at its end,
-is one call of ``site_round`` in ``_sgd.c`` when ``_native.LIBRARY`` holds
-the compiled library. Else it runs in Python: the pass loop, numpy's
-sweep, ``prox_l21``, ``reconstruct_values`` and ``change_sums``, which stay
-as the reference the compiled round is tested against. The two agree bit
-for bit: the Python loop works in plain floats and sums every dot product
-strictly left to right from the first product, the C file keeps numpy's
-summation order in its norms and sums, and it is built without
-floating-point contraction.
+each and the sum for the round's RMSE at its end, is one call of
+``site_round`` in ``_sgd.c`` when ``_native.LIBRARY`` holds the compiled
+library. Else it runs in Python: the pass loop, numpy's sweep,
+``prox_l21`` and ``reconstruct_values``, which stay as the reference the
+compiled round is tested against. The two agree bit for bit: the Python
+loop works in plain floats and sums every dot product strictly left to
+right from the first product, the C file keeps numpy's summation order in
+its norms and sums, and it is built without floating-point contraction.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -201,19 +200,12 @@ _STEP_SIZE_WARNING = (
 @dataclass(frozen=True)
 class RoundSums:
     """A site's round, summed: ``sse`` over the shard at the final factors,
-    as ``tensor.rmse`` sums it, ``changes``, the ``change_sums`` of B and
-    then C from the start of the round to its end, and ``clipped``, the
-    number of residual gradients the clip scaled in the round's tau passes
-    (up to three per entry and pass; 0 when clip is infinite)."""
+    as ``tensor.rmse`` sums it, and ``clipped``, the number of residual
+    gradients the clip scaled in the round's tau passes (up to three per
+    entry and pass; 0 when clip is infinite)."""
 
     sse: float
-    changes: tuple
     clipped: int
-
-
-def change_sums(p, c) -> tuple:
-    """(sum p**2, sum (c - p)**2) by np.add.reduce, which never uses threaded BLAS."""
-    return float(np.add.reduce(p ** 2, axis=None)), float(np.add.reduce((c - p) ** 2, axis=None))
 
 
 def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSums:
@@ -254,7 +246,6 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     if _native.LIBRARY is not None:
         return _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold)
 
-    start = (state.B.copy(), state.C.copy())
     clipped = 0
     for order in orders:
         factors = (state.A, state.B, state.C)
@@ -268,8 +259,7 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
                 raise NumericOverflowError(f"{name} row {bad} became non-finite")
         state.A = prox_l21(state.A, threshold)
     resid = reconstruct_values(state.A, state.B, state.C, coords) - values
-    changes = tuple(map(change_sums, start, (state.B, state.C)))
-    return RoundSums(float(np.sum(resid * resid)), changes, clipped)
+    return RoundSums(float(np.sum(resid * resid)), clipped)
 
 
 def _residual_error(ijk) -> NumericOverflowError:
@@ -323,13 +313,13 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
     every index in ``coords`` lies inside them."""
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
-    sums = np.empty(5)
+    sse = np.empty(1)
     tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
     status = _native.LIBRARY.site_round(
         *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
         *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
         b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,
-        params.clip, threshold, sums.ctypes.data, tally.ctypes.data,
+        params.clip, threshold, sse.ctypes.data, tally.ctypes.data,
     )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")
@@ -337,8 +327,7 @@ def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, thresho
         raise _residual_error(coords[orders.flat[tally[1]]])
     if status >= _ROW:
         raise NumericOverflowError(f"{'ABC'[status - _ROW]} row {tally[1]} became non-finite")
-    sse, *changes = sums.tolist()
-    return RoundSums(sse, (tuple(changes[:2]), tuple(changes[2:])), int(tally[0]))
+    return RoundSums(float(sse[0]), int(tally[0]))
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, CSV schema, and exit codes."""
 
+import hashlib
 import math
 import os
 import re
@@ -306,6 +307,52 @@ class TestRun:
         assert float(line[0].split("=")[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+_PINNED_RUNS = {
+    # the criterion-09 shape without noise: it stops by convergence after 4 rounds
+    "criterion_09": (
+        "dims = 45 15 18\nrank_true = 3\nsparsity = 5e-2\nheterogeneity = 2:1\nrank = 3\n"
+        "sites = 3\neta = 0.035\ngamma = 5\nmu = 0.6\ntau = 3\nclip = 1\nrho = inf\n"
+        "tol = 1e-2\nmax_epochs = 100\nseed = 21\n",
+        [], 0, {
+            "metrics.csv": "fe509fdb9130ae274af52d65a31db91c1d4cf09e37fd37c0c0ddbabaf1418eb1",
+            "site_0.factors": "403acecd93a5ddeb38632e182f3d2a9b6d761be19e2041e7e6ccadd77728cdc2",
+            "site_1.factors": "b8c17f9746d6769f4fec11c19dcaf5ae2a0335d1941eb590ef338b0c0197fe02",
+            "site_2.factors": "d23e9ded3406aa65b6b051f2cba7a465a8d5389e6ff08f157aa1f6b0fd122a16",
+        },
+    ),
+    # the README's default config, budget-first
+    "readme_default": (
+        "dims = 5000 300 800\nrank_true = 50\nsparsity = 1e-5\nrank = 50\nsites = 5\n"
+        "eta = 1e-2\ngamma = 5\nmu = 0.5\ntau = 1\nclip = 1\nrho = 1e-3\ndelta = 1e-4\n"
+        "tol = 1e-4\nmax_epochs = 100\nseed = 0\n",
+        ["--fixed-epochs", "3"], 2, {
+            "metrics.csv": "f88434a775dbccdda5dfb0e95b0d2cadc7a1c32af6c7e93d52bd17de381b8fe2",
+            "site_0.factors": "5071a403c9fc75e14fda378cc61b91f914c51e564b3c430753a18509f017f5e8",
+            "site_1.factors": "d08f723ce83a9b91860beacaec13ff98942c3eeeb05b3fdb2d8eb486984f9d5a",
+            "site_2.factors": "bbeb13b6cf1009e83f1c767dd2354e7ddeff88d10393ab0d87522e7a3f9f5e1d",
+            "site_3.factors": "1fe103221973907afcc467f9efa4a8e216f2f86c08118667dbc4d7edbd011761",
+            "site_4.factors": "7deb5d0dc74f461b6d6d5a7b8b6011f922451085da43eb5b88960c84deae247d",
+        },
+    ),
+}
+
+
+class TestPinnedBytes:
+    """The metrics CSV and factor files of a budget-first run, and of a
+    noise-free run that stops after round 2 or later, keep the bytes they had
+    when the stop rule still read the sites' own factors."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+    def test_files_match_their_digests(self, name, tmp_path, monkeypatch, capsys):
+        config, flags, code, digests = _PINNED_RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(config)
+        assert main(["generate", "--config", "cfg.txt"]) == 0
+        assert main(["run", "--config", "cfg.txt", *flags]) == code
+        written = [tmp_path / "metrics.csv", *sorted((tmp_path / "factors").iterdir())]
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == digests
+
+
 class TestEvaluate:
     def _factors(self, tmp_path, seed=0):
         rng = np.random.default_rng(seed)
@@ -342,6 +389,9 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert float(out.splitlines()[0].split("=")[1]) < 1.0
         assert "zero-column" in out
+        # the reference's zero column, and only it, makes a ratio infinite
+        columns = out.splitlines()[2:]
+        assert [" ratio=inf" in ln for ln in columns] == ["zero-column" in ln for ln in columns]
 
     def test_tiny_columns_are_not_flagged(self, tmp_path, capsys):
         # every weight, a product of three norms of 1e-110, underflows to 0
@@ -352,6 +402,8 @@ class TestEvaluate:
         columns = capsys.readouterr().out.splitlines()[2:]
         assert len(columns) == 3 and all("lambda=0.0 " in line for line in columns)
         assert not any("zero-column" in line for line in columns)
+        # the ratio is taken mode by mode, so the underflowed weights do not reach it
+        assert all(line.endswith(" ratio=1.0") for line in columns)
 
     def test_rank_mismatch_is_an_error(self, tmp_path):
         _, path3 = self._factors(tmp_path, seed=3)

@@ -295,10 +295,10 @@ class TestRunRound:
         kwargs = dict(
             rank=50,
             params=SolverParams(eta=0.01, gamma=1.0, mu=0.1, tau=1),
-            priv=PrivacyParams(rho=1e-3),
+            priv=PrivacyParams(rho=math.inf),
             seed=2,
             max_epochs=4,
-            tol=0.0062,  # the worst relative change falls below it in round 3
+            tol=0.0062,  # the worst change between uploads falls below it in round 3
         )
         serial = run_experiment(shards, **kwargs)
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -351,7 +351,7 @@ class TestRunRound:
 
 
 def _worst_change(prev, curr):
-    """The has_converged formula, written out."""
+    """The worst_change formula, written out."""
     return max(
         float(np.sqrt(np.sum((c - p) ** 2))) / max(float(np.sqrt(np.sum(p ** 2))), 1e-12)
         for prev_t, curr_t in zip(prev, curr)
@@ -360,9 +360,10 @@ def _worst_change(prev, curr):
 
 
 class TestRoundSums:
-    """A round's rmse and change come from the sites' own sums; they must
-    equal pooled_rmse and the has_converged formula over snapshots, bit for
-    bit, serial and pooled, compiled and in Python."""
+    """A round's rmse comes from the sites' own sums and its change from the
+    decoded uploads; they must equal pooled_rmse and the has_converged
+    formula over consecutive cohorts of uploads, bit for bit, serial and
+    pooled, compiled and in Python."""
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"])
     @pytest.mark.parametrize(
@@ -371,7 +372,7 @@ class TestRoundSums:
          (50, 1, 0.1, 1.0), (50, 2, 0.0, math.inf)],
     )
     def test_round_figures_equal_the_references(
-        self, without_library, kernel, rank, tau, mu, clip
+        self, without_library, monkeypatch, kernel, rank, tau, mu, clip
     ):
         if kernel == "compiled" and _native.LIBRARY is None:
             pytest.skip("no compiled library loaded")
@@ -380,13 +381,22 @@ class TestRoundSums:
         shards = [shards[0], empty, *shards[1:]]
         params = SolverParams(eta=0.01, gamma=1.0, mu=mu, tau=tau, clip=clip)
         priv = PrivacyParams(rho=1e-2 if math.isfinite(clip) else math.inf)
+        cohorts = []  # the decoded uploads of each round, as (B, C) pairs in site order
+
+        def recording(server, uploads, eta, gamma):
+            ordered = sorted(uploads, key=lambda m: m.site_id)
+            cohorts.append([(m.priv_B.copy(), m.priv_C.copy()) for m in ordered])
+            return server_update(server, uploads, eta, gamma)
+
+        monkeypatch.setattr(federation, "server_update", recording)
 
         def three_rounds(pool):
             sites = [init_site_state(sh, rank, seed=t, site_id=t) for t, sh in enumerate(shards)]
             server = init_server(12, 14, rank, seed=1, n_sites=4)
             acc = PrivacyAccountant(n_sites=4, delta=1e-4)
+            cohorts.clear()
             rounds = []
-            for _ in range(3):
+            for epoch in (1, 2, 3):
                 prev = factor_snapshot(sites)
                 anchors = (server.B_hat, server.C_hat)
                 alone = [run_local_epoch(copy.deepcopy(s), anchors, params) for s in sites]
@@ -394,11 +404,18 @@ class TestRoundSums:
                 curr = factor_snapshot(sites)
                 assert metrics.clipped == sum(s.clipped for s in alone)
                 assert metrics.rmse == pooled_rmse(sites)
-                assert metrics.change == _worst_change(prev, curr)
-                assert not has_converged(prev, curr, metrics.change)
-                assert has_converged(prev, curr, math.nextafter(metrics.change, math.inf))
                 assert math.isfinite(clip) or metrics.clipped == 0
                 rounds.append(metrics)
+                if epoch == 1:
+                    assert metrics.change is None
+                    continue
+                before, after = cohorts[-2:]
+                assert metrics.change == _worst_change(before, after)
+                assert not has_converged(before, after, metrics.change)
+                assert has_converged(before, after, math.nextafter(metrics.change, math.inf))
+                if priv.rho == math.inf:
+                    # an upload is a copy of B and C: the old local-state figure
+                    assert metrics.change == _worst_change(prev, curr)
             return rounds
 
         with without_library() if kernel == "python" else nullcontext():
@@ -439,6 +456,40 @@ class TestRoundSums:
             assert other.converged == first.converged
             for s, o in zip(first.sites, other.sites):
                 assert all(np.array_equal(x, y) for x, y in zip((s.A, s.B, s.C), (o.A, o.B, o.C)))
+
+
+class TestStopRule:
+    """The stop rule reads decoded uploads only, so when a run stops does not
+    depend on values that no site releases."""
+
+    def test_neighbours_stop_in_the_same_round(self):
+        # at the old local-state rule these stopped after 6 and 5 rounds
+        _, shards, _ = generate_synthetic(
+            SynthSpec(dims=(200, 30, 40), rank_true=5, sparsity=2e-2, n_sites=5, seed=4)
+        )
+        values = shards[0].values.copy()
+        values[0] += 10.0
+        neighbour = [SparseTensorCOO(shards[0].dims, shards[0].coords, values), *shards[1:]]
+        runs = [
+            run_experiment(s, rank=5, params=SolverParams(), priv=PrivacyParams(rho=0.1),
+                           seed=9, tol=0.009619, max_epochs=10)
+            for s in (shards, neighbour)
+        ]
+        assert len(runs[0].metrics) == len(runs[1].metrics)
+        assert runs[0].converged == runs[1].converged
+        # the last cohort of uploads does not outlive the run
+        assert runs[0].server.uploads is None
+
+    def test_round_one_never_converges(self):
+        shards = _shards(n_sites=2)
+        kwargs = dict(rank=2, params=SolverParams(gamma=1.0), priv=PrivacyParams(rho=math.inf),
+                      seed=4, tol=1e6)
+        one = run_experiment(shards, **kwargs, fixed_epochs=1)
+        assert one.metrics[0].change is None and not one.converged
+        # the first round with an earlier upload to compare meets any tolerance
+        result = run_experiment(shards, **kwargs, max_epochs=5)
+        assert [m.change is None for m in result.metrics] == [True, False]
+        assert result.converged
 
 
 class TestCommCost:
