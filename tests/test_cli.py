@@ -186,7 +186,7 @@ class TestRun:
         _, cfg = workspace
         main(["generate", "--config", str(cfg)])
         easy = tmp_path / "easy.txt"
-        # a huge tolerance converges after the first round
+        # a huge tolerance converges in round 2, the first with an earlier upload to compare
         _write_config(easy, tol="1e6", max_epochs="5")
         assert main(["run", "--config", str(easy)]) == 0
 
