@@ -1,8 +1,9 @@
 /* The hot loops of a CLI run, compiled. The four functions that are not
  * static are the kernels _native.SIGNATURES declares: site_round, a site's
- * round of shuffled SGD passes, each followed by the finiteness sweep and
- * the prox step, and the sum for the round's RMSE (the twin of the Python
- * round in solver.run_local_epoch); model_values,
+ * round: the step-size bound's inputs, the draw of its shuffled orders from
+ * the site's numpy stream, the SGD passes, each followed by the finiteness
+ * sweep and the prox step, and the sum for the round's RMSE (the twin of
+ * the Python round in solver.run_local_epoch); model_values,
  * the model values that tensor.rmse scores and data.generate_synthetic
  * stores (the twin of reconstruct_values); parse_coo, the parse of a COO
  * file's body (the fast path of data.read_coo); and format_records, the
@@ -14,10 +15,13 @@
  * from the first product, and every row update is a separate multiply and
  * subtract; the model values are summed left to right from 0.0, the order
  * numpy's einsum uses; the round's norms and sums take numpy's pairwise or
- * row order, as np.sum and np.linalg.norm do. Build with -ffp-contract=off
- * (no fused multiply-add) and without -ffast-math, so the paths agree bit
- * for bit. At -O3 the compiler vectorises the element-wise loops, whose
- * lanes compute what the scalar loop did, and may not reorder any sum.
+ * row order, as np.sum, np.add.reduce and np.linalg.norm do. The orders
+ * are drawn as numpy's Generator.shuffle draws them, through the
+ * generator's bitgen_t, so the stream ends where the Python round leaves
+ * it. Build with -ffp-contract=off (no fused multiply-add) and without
+ * -ffast-math, so the paths agree bit for bit. At -O3 the compiler
+ * vectorises the element-wise loops, whose lanes compute what the scalar
+ * loop did, and may not reorder any sum.
  * Every residual gradient is clipped and every pass followed by the prox
  * step; at clip = inf and threshold 0 they change no bit, so no value
  * picks a path.
@@ -246,44 +250,140 @@ static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold
             A[i * rank + r] = A[i * rank + r] * norm[r];
 }
 
-/* One site's round, solver.run_local_epoch after its checks: for each of
- * the tau rows of orders ((tau, nnz), row-major), sgd_pass over the shard,
- * the finiteness sweep of A, B and C, then the prox step on A. The factors are (i_dim, rank), (j_dim, rank) and
- * (k_dim, rank), row-major.
+/* numpy's bitgen_t (numpy/random/bitgen.h): the struct whose address a
+ * BitGenerator's ctypes.bit_generator holds, its state and the functions
+ * that draw from it. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's random_interval: a uniform draw from [0, max], the low bits of
+ * one 32-bit draw (a 64-bit one when max needs more) under the smallest
+ * mask of all ones that covers max, drawn again while above max. */
+static uint64_t random_interval(bitgen_t *bitgen, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffULL) {
+        while ((value = (bitgen->next_uint32(bitgen->state) & mask)) > max)
+            ;
+    } else {
+        while ((value = (bitgen->next_uint64(bitgen->state) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* order = Generator.shuffle of arange(n), which Generator.permutation(n)
+ * also is: from the last place down to the second, swap each with a place
+ * drawn from [0, i] by random_interval. Fewer than two places draw
+ * nothing. */
+static void shuffled_range(bitgen_t *bitgen, int64_t n, int64_t *order)
+{
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(bitgen, (uint64_t)i);
+        int64_t held = order[i];
+        order[i] = order[j];
+        order[j] = held;
+    }
+}
+
+/* The larger of m and x, and NaN once either is, as np.maximum gives. */
+static double max_nan(double m, double x)
+{
+    return x > m || isnan(x) ? x : m;
+}
+
+/* The inputs of solver.beta_lipschitz for one factor m ((rows, rank),
+ * row-major): *top its largest |entry| and *norm its largest squared row
+ * norm, each row summed as np.add.reduce sums it; both NaN when m holds
+ * NaN, as np.maximum gives. The largest |entry| is taken in eight chains
+ * whose compares overlap, about twice as fast as one chain at rank 50. A
+ * NaN loses every compare there, but it makes its row's sum NaN, the only
+ * way such a sum can be NaN (each square is >= 0 or +inf), and *norm
+ * keeps it. sq holds rank doubles of scratch. */
+static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *top,
+                          double *norm, double *sq)
+{
+    double t[8] = {0.0}, n = 0.0;
+    int64_t size = rows * rank, i = 0;
+    for (; i + 8 <= size; i += 8)
+        for (int j = 0; j < 8; j++)
+            t[j] = fabs(m[i + j]) > t[j] ? fabs(m[i + j]) : t[j];
+    for (; i < size; i++)
+        t[0] = fabs(m[i]) > t[0] ? fabs(m[i]) : t[0];
+    for (int j = 1; j < 8; j++)
+        t[0] = t[j] > t[0] ? t[j] : t[0];
+    for (int64_t r = 0; r < rows; r++)
+        n = max_nan(n, sum_squares(m + r * rank, rank, sq));
+    *top = isnan(n) ? n : t[0];
+    *norm = n;
+}
+
+/* One site's round, solver.run_local_epoch after its checks. It first
+ * writes the step-size bound's inputs, out[1 + m] the largest |entry| and
+ * out[4 + m] the largest squared row norm of factor m (0 for A, 1 for B,
+ * 2 for C), and draws all tau orders of the shard's entries from the
+ * site's shuffle stream bitgen, each as Generator.permutation(nnz) draws
+ * it. Then for each order, sgd_pass over the shard, the finiteness sweep
+ * of A, B and C, and the prox step on A. The factors are (i_dim, rank),
+ * (j_dim, rank) and (k_dim, rank), row-major.
  *
- * Returns ROUND_DONE with *sse the sum of squared residuals over the shard
- * at the final factors and tally[0] the number of residual gradients the
- * clip scaled in the tau passes. Else, with the factors as the failing
- * pass left them: ROUND_RESIDUAL with
- * tally[1] the position in orders (pass * nnz + p) of the entry whose
- * residual is not finite, or ROUND_ROW + m with tally[1] the first row of
- * factor m (0 for A, 1 for B, 2 for C) holding a non-finite value after a
- * pass; or ROUND_NO_MEMORY, before anything changed.
+ * Returns ROUND_DONE with out[0] the sum of squared residuals over the
+ * shard at the final factors and tally[0] the number of residual
+ * gradients the clip scaled in the tau passes. Else, with the factors as
+ * the failing pass left them and every order drawn: ROUND_RESIDUAL with
+ * tally[1] the index in coords of the entry whose residual is not finite,
+ * or ROUND_ROW + m with tally[1] the first row of factor m holding a
+ * non-finite value after a pass; or ROUND_NO_MEMORY, before anything is
+ * written or drawn.
  */
 enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
 
-int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *coords,
+int site_round(int64_t tau, int64_t nnz, bitgen_t *bitgen, const int64_t *coords,
                const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
                double *A, double *B, double *C, const double *b_hat, const double *c_hat,
                int64_t rank, double eta, double gamma, double clip, double threshold,
-               double *sse, int64_t *tally)
+               double *out, int64_t *tally)
 {
     int64_t *clipped = tally, *where = tally + 1;
     int64_t big = i_dim * rank > nnz ? i_dim * rank : nnz;
-    double *work = malloc(sizeof(double) * (size_t)(3 * rank + big));
+    /* the doubles, then the tau orders; both types are 8 bytes wide */
+    double *work = malloc(sizeof(double) * (size_t)(3 * rank + big)
+                          + sizeof(int64_t) * (size_t)(tau * nnz));
     if (!work)
         return ROUND_NO_MEMORY;
     double *scratch = work + 3 * rank;
+    int64_t *orders = (int64_t *)(scratch + big);
+
+    double *factors[3] = {A, B, C};
+    int64_t rows[3] = {i_dim, j_dim, k_dim};
+    for (int m = 0; m < 3; m++)
+        factor_bounds(factors[m], rows[m], rank, out + 1 + m, out + 4 + m, work);
+    for (int64_t t = 0; t < tau; t++)
+        shuffled_range(bitgen, nnz, orders + t * nnz);
 
     int status = ROUND_DONE;
     *clipped = 0;
-    double *factors[3] = {A, B, C};
-    int64_t rows[3] = {i_dim, j_dim, k_dim};
     for (int64_t t = 0; t < tau && status == ROUND_DONE; t++) {
-        int64_t stop = sgd_pass(nnz, orders + t * nnz, coords, values, A, B, C, b_hat,
-                                c_hat, rank, eta, gamma, clip, work, clipped);
+        const int64_t *order = orders + t * nnz;
+        int64_t stop = sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, rank,
+                                eta, gamma, clip, work, clipped);
         if (stop >= 0) {
-            *where = t * nnz + stop;
+            *where = order[stop];
             status = ROUND_RESIDUAL;
             break;
         }
@@ -299,7 +399,7 @@ int site_round(int64_t tau, int64_t nnz, const int64_t *orders, const int64_t *c
         model_values(nnz, coords, A, B, C, rank, scratch);
         for (int64_t n = 0; n < nnz; n++)
             scratch[n] = scratch[n] - values[n];
-        *sse = sum_squares(scratch, nnz, scratch);
+        out[0] = sum_squares(scratch, nnz, scratch);
     }
     free(work);
     return status;

@@ -43,7 +43,8 @@ _VALUE_BYTES = 8
 @dataclass
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
-    run, also the last round's decoded uploads as (B, C) pairs in site order."""
+    run, also the value vectors of the last round's decoded uploads (each B
+    then C, row-major, a view of its message) in site order."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
@@ -65,6 +66,12 @@ def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> S
 def message_bytes(j_dim: int, k_dim: int, rank: int) -> int:
     """Encoded length of one upload: the header, then the B and C values."""
     return HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
+
+
+def _upload_values(blob: bytes) -> np.ndarray:
+    """The values of an encoded upload, B then C row-major, as a read-only
+    view of ``blob``."""
+    return np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
 
 
 @dataclass(frozen=True)
@@ -93,7 +100,7 @@ class RoundMessage:
         site_id, epoch, tag = struct.unpack("<qqq", blob[:HEADER_BYTES])
         if tag != MESSAGE_TAG:
             raise ProtocolError(f"unknown message tag {tag}")
-        flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
+        flat = _upload_values(blob)
         split = j_dim * rank
         return cls(
             site_id=site_id,
@@ -208,8 +215,9 @@ def run_round(
     for msg in messages:
         accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
         accountant.record(epoch, msg.site_id, "C", priv.rho, sigma, sensitivity)
-    cohort = [(m.priv_B, m.priv_C) for m in sorted(messages, key=lambda m: m.site_id)]
-    change = None if server.uploads is None else worst_change(server.uploads, cohort)
+    by_site = sorted(zip(messages, blobs), key=lambda mb: mb[0].site_id)
+    cohort = [_upload_values(blob) for _, blob in by_site]
+    change = None if server.uploads is None else upload_change(server.uploads, cohort, j_dim * rank)
     server.uploads = cohort
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
@@ -251,15 +259,16 @@ def factor_snapshot(sites) -> list:
     return [(s.B.copy(), s.C.copy()) for s in sites]
 
 
-def change_sums(p, c) -> tuple:
-    """(sum p**2, sum (c - p)**2) by np.add.reduce, which never uses threaded BLAS."""
-    return float(np.add.reduce(p ** 2, axis=None)), float(np.add.reduce((c - p) ** 2, axis=None))
+def _relative_change(p2, d2) -> float:
+    """sqrt(d2) / max(sqrt(p2), 1e-12) for the sums of p**2 and (c - p)**2."""
+    return math.sqrt(d2) / max(math.sqrt(p2), 1e-12)
 
 
 def worst_change(prev, curr) -> float:
     """The largest ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12)``
     over the feature factors p -> c of two cohorts of (B, C) pairs in site
-    order, summed by ``change_sums``; 0.0 for none."""
+    order, each sum an np.add.reduce, which never uses threaded BLAS; 0.0
+    for none."""
     if len(prev) != len(curr):
         raise DimensionError("site counts differ between snapshots")
     pairs = [pc for prev_t, curr_t in zip(prev, curr) for pc in zip(prev_t, curr_t)]
@@ -267,8 +276,27 @@ def worst_change(prev, curr) -> float:
         raise DimensionError("snapshot shapes differ")
     worst = 0.0
     for p, c in pairs:
-        p2, d2 = change_sums(p, c)
-        worst = max(worst, math.sqrt(d2) / max(math.sqrt(p2), 1e-12))
+        p2 = np.add.reduce(p ** 2, axis=None)
+        worst = max(worst, _relative_change(p2, np.add.reduce((c - p) ** 2, axis=None)))
+    return worst
+
+
+def upload_change(prev, curr, split: int) -> float:
+    """``worst_change`` of two cohorts of upload value vectors in site order,
+    B's ``split`` values then C's in each: its bits, since a block of a
+    vector sums as the contiguous matrix does. Each site's squares, then its
+    squared differences, are taken over its whole vector and summed block by
+    block, all in one buffer that the sites share: allocating one per site
+    made it slower than per-matrix sums at the README default's size."""
+    blocks = (slice(None, split), slice(split, None))
+    worst, work = 0.0, None
+    for p, c in zip(prev, curr):
+        work = np.multiply(p, p, out=work)
+        p2 = [np.add.reduce(work[block]) for block in blocks]
+        np.subtract(c, p, out=work)
+        np.multiply(work, work, out=work)
+        for block, norm2 in zip(blocks, p2):
+            worst = max(worst, _relative_change(norm2, np.add.reduce(work[block])))
     return worst
 
 

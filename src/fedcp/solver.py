@@ -10,15 +10,18 @@ Every gradient goes through the clip and every pass through the prox
 step: ``clip = math.inf`` and a zero threshold are values of those
 operators that change no bit, so neither selects code.
 
-A round of tau passes, with the finiteness sweep and the prox step after
-each and the sum for the round's RMSE at its end, is one call of
-``site_round`` in ``_sgd.c`` when ``_native.LIBRARY`` holds the compiled
-library. Else it runs in Python: the pass loop, numpy's sweep,
-``prox_l21`` and ``reconstruct_values``, which stay as the reference the
-compiled round is tested against. The two agree bit for bit: the Python
-loop works in plain floats and sums every dot product strictly left to
-right from the first product, the C file keeps numpy's summation order in
-its norms and sums, and it is built without floating-point contraction.
+A round is one call of ``site_round`` in ``_sgd.c`` when
+``_native.LIBRARY`` holds the compiled library: the inputs of the
+step-size bound, the draw of the tau orders from the shuffle stream, the
+tau passes with the finiteness sweep and the prox step after each, and
+the sum for the round's RMSE at its end. Else it runs in Python:
+``beta_lipschitz``, ``Generator.permutation``, the pass loop, numpy's
+sweep, ``prox_l21`` and ``reconstruct_values``, which stay as the
+reference the compiled round is tested against. The two agree bit for
+bit: the Python loop works in plain floats and sums every dot product
+strictly left to right from the first product, the C file keeps numpy's
+summation order in its norms and sums and numpy's shuffle algorithm in
+its draws, and it is built without floating-point contraction.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
@@ -213,12 +216,17 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     sweep and the prox step with threshold eta * mu; returns the RoundSums.
 
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
-    written. The state's factors and shuffle stream advance in place. All
-    tau permutations are drawn before the first pass, so a round that
-    raises has drawn every one. Each entry's step is taken at the
-    pre-update rows. A non-finite residual raises NumericOverflowError
-    naming the entry, with the entries before it in the pass applied; the
-    sweep names any other non-finite row.
+    written. The state's factors and shuffle stream advance in place. With
+    the compiled library, everything after the shape checks is one call of
+    ``site_round``, which also draws the orders and takes the inputs of the
+    step-size bound; a round without memory for its scratch raises
+    MemoryError having drawn and changed nothing. The step-size check reads
+    the factors the round starts from and warns at the caller, before any
+    error of the round is raised. All tau permutations are drawn before the
+    first pass, so a round that raises has drawn every one. Each entry's
+    step is taken at the pre-update rows. A non-finite residual raises
+    NumericOverflowError naming the entry, with the entries before it in
+    the pass applied; the sweep names any other non-finite row.
     """
     b_hat, c_hat = anchors
     i_dim, j_dim, k_dim = state.tensor.dims
@@ -232,20 +240,17 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     threshold = params.eta * params.mu
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite and non-negative")
-    beta = beta_lipschitz(state.A, state.B, state.C, params.gamma)
-    if beta > 0 and params.eta > 2.0 / beta:
-        warnings.warn(_STEP_SIZE_WARNING, RuntimeWarning, stacklevel=2)
-
     coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
     values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
-    # tau calls of permutation(nnz), in place: the same draws from the stream
-    orders = np.empty((params.tau, state.tensor.nnz), dtype=np.int64)
-    orders[:] = np.arange(state.tensor.nnz)
-    for order in orders:
-        state.shuffle_rng.shuffle(order)
     if _native.LIBRARY is not None:
-        return _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold)
+        beta, outcome = _compiled_round(state, coords, values, b_hat, c_hat, params, threshold)
+        _check_step_size(beta, params.eta)
+        if isinstance(outcome, NumericOverflowError):
+            raise outcome
+        return outcome
+    _check_step_size(beta_lipschitz(state.A, state.B, state.C, params.gamma), params.eta)
 
+    orders = [state.shuffle_rng.permutation(state.tensor.nnz) for _ in range(params.tau)]
     clipped = 0
     for order in orders:
         factors = (state.A, state.B, state.C)
@@ -260,6 +265,13 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
         state.A = prox_l21(state.A, threshold)
     resid = reconstruct_values(state.A, state.B, state.C, coords) - values
     return RoundSums(float(np.sum(resid * resid)), clipped)
+
+
+def _check_step_size(beta: float, eta: float) -> None:
+    """Warn when eta exceeds 2/beta; run_local_epoch calls this, so the
+    warning names the line that called run_local_epoch."""
+    if beta > 0 and eta > 2.0 / beta:
+        warnings.warn(_STEP_SIZE_WARNING, RuntimeWarning, stacklevel=3)
 
 
 def _residual_error(ijk) -> NumericOverflowError:
@@ -307,27 +319,36 @@ def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> tuple:
 _NO_MEMORY, _RESIDUAL, _ROW = 1, 2, 3  # site_round's return codes, 0 when it ran
 
 
-def _compiled_round(state, orders, coords, values, b_hat, c_hat, params, threshold):
-    """The Python round of ``run_local_epoch`` in one call of ``site_round``.
-    The caller has checked that the site's factors match the shard dims, so
-    every index in ``coords`` lies inside them."""
+def _compiled_round(state, coords, values, b_hat, c_hat, params, threshold) -> tuple:
+    """``run_local_epoch`` after its checks, in one call of ``site_round``:
+    (beta of the factors the round started from, the RoundSums or the
+    NumericOverflowError the round stopped with). ``site_round`` draws the
+    orders from the shuffle stream's bit generator, under the lock that
+    numpy's own draws take. The caller has checked that the site's factors
+    match the shard dims, so every index in ``coords`` lies inside them."""
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
-    sse = np.empty(1)
+    # the sse, then each factor's largest |entry|, then its largest squared row norm
+    out = np.empty(7)
     tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
-    status = _native.LIBRARY.site_round(
-        *orders.shape, orders.ctypes.data, coords.ctypes.data, values.ctypes.data,
-        *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data,
-        b_hat.ctypes.data, c_hat.ctypes.data, state.A.shape[1], params.eta, params.gamma,
-        params.clip, threshold, sse.ctypes.data, tally.ctypes.data,
-    )
+    stream = state.shuffle_rng.bit_generator
+    rank = state.A.shape[1]
+    with stream.lock:
+        status = _native.LIBRARY.site_round(
+            params.tau, state.tensor.nnz, stream.ctypes.bit_generator, coords.ctypes.data,
+            values.ctypes.data, *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data,
+            state.C.ctypes.data, b_hat.ctypes.data, c_hat.ctypes.data, rank, params.eta,
+            params.gamma, params.clip, threshold, out.ctypes.data, tally.ctypes.data,
+        )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")
+    sse, *bounds = out.tolist()
+    beta = _step_bound(bounds[:3], bounds[3:], rank, params.gamma)
     if status == _RESIDUAL:
-        raise _residual_error(coords[orders.flat[tally[1]]])
+        return beta, _residual_error(coords[tally[1]])
     if status >= _ROW:
-        raise NumericOverflowError(f"{'ABC'[status - _ROW]} row {tally[1]} became non-finite")
-    return RoundSums(float(sse[0]), int(tally[0]))
+        return beta, NumericOverflowError(f"{'ABC'[status - _ROW]} row {tally[1]} became non-finite")
+    return beta, RoundSums(sse, int(tally[0]))
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:
@@ -338,24 +359,36 @@ def beta_lipschitz(A, B, C, gamma: float) -> float:
     (o the elementwise product). For factors X and Y every pair of rows
     has ||x o y||^2 <= min(n_X e_Y, e_X n_Y), with n a factor's largest
     squared row norm and e its largest squared entry; beta is the largest
-    of the three pair bounds. Step sizes above 2/beta lose the descent
-    guarantee of an entry's step. Only maxima and einsum row sums, no
-    BLAS, so the thread count cannot change it. Factors whose squares
-    could overflow, or that hold NaN, give inf.
+    of the three pair bounds. Only maxima and ``np.add.reduce`` row sums,
+    whose pairwise order ``site_round`` reproduces, and no BLAS, so the
+    thread count cannot change it. Factors whose squares could overflow,
+    or that hold NaN, give inf.
     """
     A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
     rank = A.shape[1]
     if not (rank == B.shape[1] == C.shape[1]) or 0 in (rank, len(A), len(B), len(C)):
         raise DimensionError("factor matrices must be non-empty and share one rank")
     # |A|, |B| and |C| in one array, so each factor's maximum below is one
-    # reduceat; abs in place, as a second large temporary costs more than the bound
+    # reduceat; abs and squares in place, as a second large temporary costs
+    # more than the bound
     rows = np.concatenate((A, B, C))
     np.abs(rows, out=rows)
     starts = np.array([0, len(A), len(A) + len(B)])
     tops = np.maximum.reduceat(rows.ravel(), starts * rank).tolist()
+    # squares that overflow give inf norms, which _step_bound never reads
+    with np.errstate(over="ignore"):
+        np.multiply(rows, rows, out=rows)
+    norms = np.maximum.reduceat(np.add.reduce(rows, axis=1), starts).tolist()
+    return _step_bound(tops, norms, rank, gamma)
+
+
+def _step_bound(tops, norms, rank: int, gamma: float) -> float:
+    """beta from each factor's largest |entry| and largest squared row norm,
+    A, B and C in turn; inf, without reading the norms, when a factor's
+    squares could overflow or a top is NaN."""
     # a Python float product overflows to inf without a warning; NaN < inf is False
     if not all(t * t * rank < math.inf for t in tops):
         return math.inf
-    na, nb, nc = np.maximum.reduceat(np.einsum("ij,ij->i", rows, rows), starts).tolist()
+    na, nb, nc = norms
     ea, eb, ec = (t * t for t in tops)
     return max(min(nb * ec, eb * nc), min(na * ec, ea * nc) + gamma, min(na * eb, ea * nb) + gamma)

@@ -27,6 +27,8 @@ from fedcp.federation import (
     run_experiment,
     run_round,
     server_update,
+    upload_change,
+    worst_change,
 )
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
 from fedcp.solver import SolverParams, derive_site_seed, init_site_state, run_local_epoch
@@ -546,6 +548,29 @@ class TestHasConverged:
         prev, curr = [(small, p)], [(small, c)]
         assert has_converged(prev, curr, change) is False
         assert has_converged(prev, curr, math.nextafter(change, math.inf)) is True
+
+    # blocks across the lengths where numpy's pairwise sum changes shape, and
+    # the README default's 300 x 50 and 800 x 50
+    @pytest.mark.parametrize("j_dim, k_dim, rank",
+                             [(1, 7, 1), (8, 9, 1), (127, 129, 1), (136, 4099, 1), (15, 18, 3),
+                              (300, 800, 50)])
+    def test_upload_change_has_the_bits_of_worst_change(self, j_dim, k_dim, rank):
+        # the server's figure over whole value vectors, against the same
+        # values as (B, C) pairs; B changes most at some sites, C at others
+        rng = np.random.default_rng(j_dim + k_dim + rank)
+        split, size = j_dim * rank, (j_dim + k_dim) * rank
+        prev = [rng.standard_normal(size) for _ in range(4)]
+        curr = [p + np.repeat(rng.uniform(1e-3, 1.0, 2), (split, size - split))
+                * rng.standard_normal(size) for p in prev]
+
+        def pairs(cohort):
+            return [(v[:split].reshape(j_dim, rank), v[split:].reshape(k_dim, rank)) for v in cohort]
+
+        for t in range(len(prev)):
+            site = slice(t, t + 1)
+            want = worst_change(pairs(prev[site]), pairs(curr[site]))
+            assert upload_change(prev[site], curr[site], split) == want
+        assert upload_change(prev, curr, split) == worst_change(pairs(prev), pairs(curr))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

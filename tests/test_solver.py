@@ -338,6 +338,28 @@ class TestRunLocalEpoch:
         with pytest.warns(RuntimeWarning, match="stability"):
             run_local_epoch(state, (np.zeros((2, 1)), np.zeros((2, 1))), params)
 
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_warning_names_the_caller(self, without_library, kernel, raises):
+        # the compiled round warns after its call, and before the error it
+        # returns is raised; both rounds point at the line that called them
+        if kernel == "compiled" and _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        if raises:  # test_overflow_names_row's round
+            state = _state(
+                [(1, 0, 2, 1.0)], (2, 1, 3), [[1.0], [1e300]], [[1e300]], [[1.0], [1.0], [1.0]]
+            )
+            anchors = (np.zeros((1, 1)), np.zeros((3, 1)))
+        else:
+            state = _exact_rank_one_state()
+            anchors = (np.zeros((2, 1)), np.zeros((2, 1)))
+        params = SolverParams(eta=10.0, gamma=0.0, mu=0.0, tau=1, clip=1.0)
+        with without_library() if kernel == "python" else nullcontext():
+            with _warns_step_size() as record:
+                with pytest.raises(NumericOverflowError) if raises else nullcontext():
+                    run_local_epoch(state, anchors, params)
+        assert [w.filename for w in record] == [__file__]
+
     def test_zero_column_count_nondecreasing_in_mu(self):
         rng = np.random.default_rng(15)
         a = rng.random((8, 3))
@@ -385,9 +407,9 @@ def _random_shard(seed, dims, rank, density):
 
 
 def _run_both_kernels(without_library, tensor, factors, anchors, params, epochs=1):
-    """(error message or None, A, B, C, the last round's sums) after the
-    compiled and then the Python round, each run from copies of ``factors``
-    with one seed."""
+    """(error message or None, A, B, C, the last round's sums, the shuffle
+    stream's state) after the compiled and then the Python round, each run
+    from copies of ``factors`` with one seed."""
     outcomes = []
     for kernels in (nullcontext, without_library):
         state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=17, site_id=0)
@@ -398,7 +420,7 @@ def _run_both_kernels(without_library, tensor, factors, anchors, params, epochs=
                     sums = run_local_epoch(state, anchors, params)
             except NumericOverflowError as exc:
                 error = str(exc)
-        outcomes.append((error, state.A, state.B, state.C, sums))
+        outcomes.append((error, state.A, state.B, state.C, sums, state.shuffle_rng.bit_generator.state))
     return outcomes
 
 
@@ -555,6 +577,37 @@ class TestCompiledPass:
         assert _same_outcome(compiled, python)
         assert not np.array_equal(compiled[3], factors[2])
 
+    @pytest.mark.parametrize("stop", ["none", "residual", "row"])
+    def test_every_order_is_drawn_before_the_first_pass(self, without_library, stop):
+        # six entries in distinct rows of B and C; a round that stops in its
+        # first pass has still drawn all three orders, in both rounds
+        coords = [(t % 2, t, t) for t in range(6)]
+        tensor = SparseTensorCOO((2, 6, 6), coords, [1.0] * 6)
+        factors = (np.full((2, 1), 0.5), np.full((6, 1), 2.0), np.full((6, 1), 0.5))
+        b_hat, c_hat = factors[1].copy(), factors[2].copy()
+        gamma, error = 1.0, None
+        if stop == "residual":
+            factors[0][1] = factors[1][3] = 1e300
+            error = "residual became non-finite at entry (1, 3, 3)"
+        elif stop == "row":
+            # the anchor pull of gamma = 1e308 sends row 2 of B to -inf; the
+            # other rows sit on their anchors and feel no pull
+            b_hat[2], gamma = 0.0, 1e308
+            error = "B row 2 became non-finite"
+        params = SolverParams(eta=0.5 if stop == "row" else 0.01, gamma=gamma, mu=0.1, tau=3,
+                              clip=math.inf)
+        # the residual entry's curvature is 1e600, the B steps' at least 1e308
+        with _warns_step_size() if stop != "none" else nullcontext():
+            compiled, python = _run_both_kernels(
+                without_library, tensor, factors, (b_hat, c_hat), params
+            )
+        assert compiled[0] == error
+        assert _same_outcome(compiled, python)
+        stream = solver.site_stream(17, solver.SHUFFLE_STREAM)
+        for _ in range(params.tau):
+            stream.permutation(tensor.nnz)
+        assert compiled[5] == stream.bit_generator.state
+
     @pytest.mark.parametrize("tau", [1, 3])
     def test_non_finite_row_is_named_by_both_sweeps(self, without_library, tau):
         # the residual stays finite, but the anchor pull of gamma = 1e308
@@ -568,6 +621,80 @@ class TestCompiledPass:
             compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
         assert compiled[0] == "B row 2 became non-finite"
         assert _same_outcome(compiled, python)
+
+
+def _visit_order(nnz, stream):
+    """The order of the single pass of a compiled round over ``nnz`` entries,
+    each in its own row of A and all in row 0 of B and C, drawn from
+    ``stream``. Each step scales B's row by 1 - eta * gamma and sets the
+    entry's row of A, zero before, to -eta times it; so A grows with the
+    step that visited each row, and its argsort is the order."""
+    dims = (max(nnz, 1), 1, 1)
+    coords = np.zeros((nnz, 3), dtype=np.int64)
+    coords[:, 0] = np.arange(nnz)
+    tensor = SparseTensorCOO(dims, coords, -np.ones(nnz))
+    state = SiteState(tensor, np.zeros((dims[0], 1)), np.ones((1, 1)), np.ones((1, 1)), 0, 0)
+    state.shuffle_rng = stream
+    params = SolverParams(eta=1e-3, gamma=1.0, mu=0.0, tau=1, clip=math.inf)
+    run_local_epoch(state, (np.zeros((1, 1)), np.ones((1, 1))), params)
+    assert len(np.unique(state.A[:nnz, 0])) == nnz
+    return np.argsort(state.A[:nnz, 0])
+
+
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+class TestCompiledDraws:
+    """``site_round`` draws its orders and takes the step-size bound's inputs
+    itself: the permutations numpy would draw, and beta_lipschitz's bits."""
+
+    @pytest.mark.parametrize("nnz", [0, 1, 2, 3, 17, 200, 48_000])
+    def test_orders_are_numpy_permutations(self, nnz):
+        for seed in range(100):
+            compiled = np.random.default_rng(seed)
+            order = _visit_order(nnz, compiled)
+            permuted, shuffled = np.random.default_rng(seed), np.random.default_rng(seed)
+            arange = np.arange(nnz)
+            shuffled.shuffle(arange)
+            assert np.array_equal(order, permuted.permutation(nnz))
+            assert np.array_equal(order, arange)
+            # the stream ends where numpy's draw leaves it
+            assert compiled.bit_generator.state == permuted.bit_generator.state
+            assert compiled.integers(2**62) == permuted.integers(2**62)
+
+    def _compiled_beta(self, factors, gamma):
+        tensor = SparseTensorCOO(tuple(len(m) for m in factors), [(0, 0, 0)], [1.0])
+        state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=0, site_id=0)
+        params = SolverParams(eta=1e-3, gamma=gamma, mu=0.0, tau=1, clip=math.inf)
+        anchors = (np.zeros_like(state.B), np.zeros_like(state.C))
+        return solver._compiled_round(state, tensor.coords, tensor.values, *anchors, params, 0.0)[0]
+
+    @pytest.mark.parametrize("rank", range(1, 65))
+    def test_bound_has_the_bits_of_beta_lipschitz(self, rank):
+        # factors of mixed scale, so the products of norms and tops pick
+        # different factors, and each row's sum order shows in its last bits
+        rng = np.random.default_rng(rank)
+        for _ in range(10):
+            factors = [rng.standard_normal((n, rank)) * rng.uniform(0.1, 10.0, (n, 1))
+                       for n in rng.integers(1, 12, 3)]
+            for gamma in (0.0, 2.5):
+                assert self._compiled_beta(factors, gamma) == beta_lipschitz(*factors, gamma)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e154, 1e300, 0.0])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_bound_of_special_factors(self, value, where):
+        # NaN anywhere in a factor gives inf, as np.maximum does and fmax
+        # does not; 1e154 squares to 1e308, and times rank 8 overflows
+        rng = np.random.default_rng(where)
+        factors = [rng.uniform(-1.0, 1.0, (n, 8)) for n in (3, 4, 5)]
+        for place in ((0, 0), (-1, -1), (1, 3)):
+            special = [m.copy() for m in factors]
+            special[where][place] = value
+            for gamma in (0.0, 1.5):
+                want = beta_lipschitz(*special, gamma)
+                assert self._compiled_beta(special, gamma) == want
+                assert (want == math.inf) == (value != 0.0)
+        zeros = [np.zeros_like(m) for m in factors]
+        for gamma in (0.0, 1.5):
+            assert self._compiled_beta(zeros, gamma) == beta_lipschitz(*zeros, gamma) == gamma
 
 
 @pytest.fixture(scope="module")
