@@ -6,7 +6,7 @@ bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded; a build then deletes the other
-``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's four kernels.
+``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's five kernels.
 
 ``LIBRARY`` is the one switch between the compiled and the Python code:
 the loaded library, or None when there is no compiler or compiling or
@@ -52,6 +52,7 @@ SIGNATURES = {
         _P, _P, _P,  # A, B, C
         _I64, _P,  # rank, out
     )),
+    "count_newlines": (_I64, (_P, _I64)),  # buf, len
     "parse_coo": (_I64, (
         _P, _I64, _I64,  # buf, len, cap
         _P, _P,  # coords, values

@@ -291,14 +291,18 @@ def read_coo(path) -> SparseTensorCOO:
 
 def _bulk_parse(raw: bytes, body_start: int):
     """The coords and values of the body ``raw[body_start:]`` in one call of
-    the compiled ``parse_coo``; ValueError when a line is outside its grammar."""
+    the compiled ``parse_coo``; ValueError when a line is outside its grammar.
+
+    The arrays hold one record per newline, plus one for a last line
+    without one, as the compiled ``count_newlines`` counts them.
+    """
+    lib = _native.LIBRARY
     body = np.frombuffer(raw, dtype=np.uint8, offset=body_start)
-    cap = raw.count(b"\n", body_start) + 1  # every record but the last ends in one
+    address, size = body.ctypes.data, body.size
+    cap = lib.count_newlines(address, size) + 1
     coords = np.empty((cap, 3), dtype=np.int64)
     values = np.empty(cap)
-    n = _native.LIBRARY.parse_coo(
-        body.ctypes.data, body.size, cap, coords.ctypes.data, values.ctypes.data
-    )
+    n = lib.parse_coo(address, size, cap, coords.ctypes.data, values.ctypes.data)
     if n < 0:
         raise ValueError(f"line {1 - n} is outside the grammar of parse_coo")
     return coords[:n], values[:n]

@@ -2,6 +2,8 @@
 
 import math
 import re
+import shutil
+import subprocess
 import warnings
 from dataclasses import fields
 from decimal import Decimal
@@ -463,6 +465,54 @@ def _coo_body_lines(draw):
     ]
 
 
+# bodies (after the header) and the line parse_coo rejects, or None
+_GRAMMAR_CASES = [
+    ("", None),
+    ("0 0 0 1.0", None),
+    (" \t0 \t0\t 0  1.0 \t\r\n", None),
+    ("000000000000000001 0 0 1.0\n", None),
+    ("0000000000000000001 0 0 1.0\n", 2),
+    ("0 0 0 +.5e-3\n", None),
+    ("0 0 0 1.0\n\n", 3),
+    ("0 0 0 1.0\r", 2),
+    ("0 0 0 1.0\r1 0 0 1.0\n", 2),
+    ("# c\n0 0 0 1.0\n", 2),
+    ("1 0 0 1.0\n+1 0 0 1.0\n", 3),
+    ("1_0 0 0 1.0\n", 2),
+    ("0 0 0 1.0 # c\n", 2),
+    ("0 0 0 1e\n", 2),
+    ("0 0 0 1.0.0\n", 2),
+    ("0 0 0 inf\n", 2),
+    ("0 0 0 1\x00\n", 2),
+    ("0 0 0 " + "1" * 63 + "\n", None),
+    ("0 0 0 " + "1" * 64 + "\n", 2),
+    ("0 0 0\n", 2),
+    ("0\x0b0 0 1.0\n", 2),
+    # an 8-digit group followed by a value byte, a non-value byte or the
+    # end of the body; trailing blanks leave 0 to 8 bytes after the token
+    ("0 0 0 12345678e3\n", None),
+    ("0 0 0 0.12345678E-3", None),
+    ("0 0 0 12345678.5\n", None),
+    ("0 0 0 0.12345678.\n", 2),
+    ("0 0 0 0.12345678+\n", 2),
+    ("0 0 0 0.12345678x\n", 2),
+    ("0 0 0 0.12345678e\n", 2),
+    ("0 0 0 0.12345678.", 2),
+    ("0 0 0 0.12345678x", 2),
+    ("0 0 0 0.1234567812345678", None),
+    ("0 0 0 0.1234567812345678        ", None),
+    ("0 0 0 0.1234567812345678       x", 2),
+    # a 20th significant digit, read by strtod
+    ("0 0 0 12345678901234567890", None),
+    ("0 0 0 0.00000000000000001234567890123456789012\n", None),
+    # leading zeros are not significant, but they count toward 63 bytes
+    ("0 0 0 " + "0" * 62 + "1", None),
+    ("0 0 0 " + "0" * 63 + "1\n", 2),
+    ("0 0 0 0." + "0" * 60 + "1\n", None),
+    ("0 0 0 0." + "0" * 61 + "1", 2),
+]
+
+
 class TestBulkMatchesLineParser:
     """``read_coo`` parses in bulk when the library loaded, and falls back
     to the line parser; with or without the library it must give what the
@@ -570,39 +620,16 @@ class TestBulkMatchesLineParser:
             got = _outcome(read_coo, path)
         assert got == ((12, 2, 2), [[0, 0, 0], [11, 1, 1]], np.array([1.5, -2.0]).tobytes())
 
-    @pytest.mark.parametrize(
-        "body, rejected_line",
-        [
-            ("", None),
-            ("0 0 0 1.0", None),
-            (" \t0 \t0\t 0  1.0 \t\r\n", None),
-            ("000000000000000001 0 0 1.0\n", None),
-            ("0000000000000000001 0 0 1.0\n", 2),
-            ("0 0 0 +.5e-3\n", None),
-            ("0 0 0 1.0\n\n", 3),
-            ("0 0 0 1.0\r", 2),
-            ("0 0 0 1.0\r1 0 0 1.0\n", 2),
-            ("# c\n0 0 0 1.0\n", 2),
-            ("1 0 0 1.0\n+1 0 0 1.0\n", 3),
-            ("1_0 0 0 1.0\n", 2),
-            ("0 0 0 1.0 # c\n", 2),
-            ("0 0 0 1e\n", 2),
-            ("0 0 0 1.0.0\n", 2),
-            ("0 0 0 inf\n", 2),
-            ("0 0 0 1\x00\n", 2),
-            ("0 0 0 " + "1" * 63 + "\n", None),
-            ("0 0 0 " + "1" * 64 + "\n", 2),
-            ("0 0 0\n", 2),
-            ("0\x0b0 0 1.0\n", 2),
-        ],
-    )
+    @pytest.mark.parametrize("body, rejected_line", _GRAMMAR_CASES)
     def test_compiled_grammar(self, body, rejected_line):
         if _native.LIBRARY is None:
             pytest.skip("no compiled library loaded")
         raw = (_DIFF_HEAD + body).encode("utf-8")
         if rejected_line is None:
             coords, values = data._bulk_parse(raw, len(_DIFF_HEAD))
-            assert coords.shape == (values.shape[0], 3)
+            want = np.array([float(line.split()[3]) for line in body.split("\n") if line.strip()])
+            assert coords.shape == (want.size, 3)
+            assert values.tobytes() == want.tobytes()
         else:
             with pytest.raises(ValueError, match=f"^line {rejected_line} is outside the grammar"):
                 data._bulk_parse(raw, len(_DIFF_HEAD))
@@ -645,13 +672,19 @@ class TestBulkMatchesLineParser:
 def _assert_parsed_as_float(tokens):
     """Each token, the value of its own record, comes out of the compiled
     parse with the bits of ``float(token)``, zeros included (whose sign
-    must survive)."""
+    must survive): in a body of one record per token, and as the last
+    token of a body without a final newline, followed by 0 to 8 blanks,
+    where fewer than 8 bytes may be left to load."""
     want = np.array([float(t) for t in tokens])
     body = "".join(f"0 0 0 {t}\n" for t in tokens).encode()
     _, values = data._bulk_parse(b"# dims 1 1 1\n" + body, 13)
     assert values.tobytes() == want.tobytes(), [
         t for t, v, w in zip(tokens, values.tolist(), want.tolist()) if v != w
     ]
+    for t, w in zip(tokens, want.tolist()):
+        for blanks in range(9):
+            _, last = data._bulk_parse(f"# dims 1 1 1\n0 0 0 {t}{' ' * blanks}".encode(), 13)
+            assert last.tobytes() == np.array([w]).tobytes(), (t, blanks)
 
 
 @st.composite
@@ -704,6 +737,24 @@ _BOUNDARY_TOKENS = [
     "2251799813685248.75", "9007199254740995.0", "18014398509481986.0",
     "4503599627370496.499", "4503599627370496.501",
     "2251799813685248.249", "2251799813685248.251",
+    # 1 to 20 significant digits with the point at every place or none;
+    # the parse reads whole groups of eight digits, and a 20th falls to strtod
+    *(
+        digits if point is None else digits[:point] + "." + digits[point:]
+        for source in ("31415926535897932384", "90000000100000002000")
+        for digits in (source[:n] for n in range(1, 21))
+        for point in (None, *range(len(digits) + 1))
+    ),
+    # runs of leading zeros that end inside, at or past an 8-byte group
+    *(
+        token
+        for z in (7, 8, 9, 15, 16, 17)
+        for token in ("0" * z + "123456789", "0." + "0" * z + "123456789012",
+                      "0" * z + "." + "0" * z + "1", "0" * z + "1234567890123456789")
+    ),
+    # an 8-digit group followed directly by the exponent or the point
+    "12345678e3", "0.12345678e-3", "0.1234567812345678E+2", "12345678.5",
+    "1234567812345678.5e-7",
 ]
 _COMPILED = pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 
@@ -743,6 +794,71 @@ class TestValuesReadAsFloat:
         assert read_coo(path).values.tobytes() == want
         with without_library():
             assert read_coo(path).values.tobytes() == want
+
+
+_SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
+_DRIVER = Path(__file__).with_name("sanitize_driver.c")
+
+
+def _float_bits(values):
+    return " ".join(f"{b:016x}" for b in np.array(values, dtype=np.float64).view(np.uint64))
+
+
+class TestKernelsUnderSanitizers:
+    """``parse_coo`` and ``format_records`` built with AddressSanitizer and
+    UndefinedBehaviorSanitizer, run by tests/sanitize_driver.c on buffers
+    of exactly the size of their contents: a load of a word past the end
+    of a body, or a write past a formatting buffer, stops the driver."""
+
+    def test_parse_and_format_stay_inside_their_buffers(self, tmp_path):
+        compiler = shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler")
+        flags = [f for f in _native.FLAGS if f not in ("-shared", "-fPIC")] + list(_SANITIZE)
+        probe = tmp_path / "probe"
+        made = subprocess.run(
+            [compiler, *flags, "-o", str(probe), "-x", "c", "-"],
+            input=b"int main(void) { return 0; }\n", capture_output=True, timeout=120,
+        )
+        if made.returncode != 0 or subprocess.run([str(probe)], capture_output=True).returncode:
+            pytest.skip(f"no sanitizer runtime for {compiler}: {made.stderr.decode()[-200:]}")
+        driver = tmp_path / "driver"
+        built = subprocess.run(
+            [compiler, *flags, "-o", str(driver), str(_DRIVER), str(_native.SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert built.returncode == 0, built.stderr
+
+        # (body, what the driver prints for it): the grammar table, and every
+        # boundary token as the last token of a body, with 0 to 8 blanks left
+        cases = []
+        for body, rejected_line in _GRAMMAR_CASES:
+            if rejected_line is None:
+                values = [float(line.split()[3]) for line in body.split("\n") if line.strip()]
+                cases.append((body, f"{len(values)} {_float_bits(values)}".rstrip()))
+            else:
+                cases.append((body, str(1 - rejected_line)))
+        for token in _BOUNDARY_TOKENS:
+            for blanks in range(9):
+                cases.append((f"0 0 0 {token}{' ' * blanks}", f"1 {_float_bits([float(token)])}"))
+        bodies = [body.encode("utf-8") for body, _ in cases]
+        out = subprocess.run(
+            [str(driver)], input=b"".join(b"%d\n%s" % (len(b), b) for b in bodies),
+            capture_output=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr.decode()[:3000]
+        lines = out.stdout.decode().splitlines()
+        assert lines[: len(cases)] == [want for _, want in cases]
+
+        # two records of three INT64_MIN and -1.2345678901234567e-10 each,
+        # into buffers of 0 to 256 bytes: each record needs its full room
+        record = len(f"{-2**63} {-2**63} {-2**63} {-1.2345678901234567e-10!r}\n")
+        room = data._record_bytes(3, 1)
+        want = [
+            f"{cap} {-1 if cap < room else -2 if cap < record + room else 2 * record}"
+            for cap in range(257)
+        ]
+        assert lines[len(cases):] == want
 
 
 class TestFactorFiles:
