@@ -513,6 +513,11 @@ _GRAMMAR_CASES = [
 ]
 
 
+def _grammar_values(body):
+    """The float() of each record's value in an accepted body of the table."""
+    return [float(line.split()[3]) for line in body.split("\n") if line.strip()]
+
+
 class TestBulkMatchesLineParser:
     """``read_coo`` parses in bulk when the library loaded, and falls back
     to the line parser; with or without the library it must give what the
@@ -627,7 +632,7 @@ class TestBulkMatchesLineParser:
         raw = (_DIFF_HEAD + body).encode("utf-8")
         if rejected_line is None:
             coords, values = data._bulk_parse(raw, len(_DIFF_HEAD))
-            want = np.array([float(line.split()[3]) for line in body.split("\n") if line.strip()])
+            want = np.array(_grammar_values(body))
             assert coords.shape == (want.size, 3)
             assert values.tobytes() == want.tobytes()
         else:
@@ -820,7 +825,9 @@ class TestKernelsUnderSanitizers:
             [compiler, *flags, "-o", str(probe), "-x", "c", "-"],
             input=b"int main(void) { return 0; }\n", capture_output=True, timeout=120,
         )
-        if made.returncode != 0 or subprocess.run([str(probe)], capture_output=True).returncode:
+        if made.returncode == 0:
+            made = subprocess.run([str(probe)], capture_output=True, timeout=60)
+        if made.returncode != 0:
             pytest.skip(f"no sanitizer runtime for {compiler}: {made.stderr.decode()[-200:]}")
         driver = tmp_path / "driver"
         built = subprocess.run(
@@ -834,7 +841,7 @@ class TestKernelsUnderSanitizers:
         cases = []
         for body, rejected_line in _GRAMMAR_CASES:
             if rejected_line is None:
-                values = [float(line.split()[3]) for line in body.split("\n") if line.strip()]
+                values = _grammar_values(body)
                 cases.append((body, f"{len(values)} {_float_bits(values)}".rstrip()))
             else:
                 cases.append((body, str(1 - rejected_line)))
