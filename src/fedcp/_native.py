@@ -41,11 +41,12 @@ _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # declares every one, and a library without one of them is not loaded
 SIGNATURES = {
     "site_round": (ctypes.c_int, (
-        _I64, _I64, _P, _P, _P,  # tau, nnz, bitgen, coords, values
+        _I64, _P, _P,  # nnz, coords, values
         _I64, _I64, _I64,  # i_dim, j_dim, k_dim
-        _P, _P, _P, _P, _P,  # A, B, C, b_hat, c_hat
-        _I64, _F64, _F64, _F64, _F64,  # rank, eta, gamma, clip, threshold
+        _P, _P, _P, _I64,  # A, B, C, rank
         _P, _P,  # out, tally
+        _I64, _P, _P, _P,  # tau, bitgen, b_hat, c_hat
+        _F64, _F64, _F64, _F64,  # eta, gamma, clip, threshold
     )),
     "model_values": (None, (
         _I64, _P,  # nnz, coords

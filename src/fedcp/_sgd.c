@@ -26,10 +26,14 @@
  * Every residual gradient is clipped and every pass followed by the prox
  * step; at clip = inf and threshold 0 they change no bit, so no value
  * picks a path.
- * The pass sums its three clip norms in one loop as three independent
- * chains, each left to right, and prefetches the coords and value of the
- * entry PREFETCH_ENTRY places ahead in the shuffled order and the rows of
- * the entry PREFETCH_ROWS ahead; a prefetch changes no value.
+ * The pass takes an entry's three residual gradients and sums their
+ * squares in one loop, as three independent chains each left to right,
+ * and adds the anchor pull and steps the three rows in another. It is one
+ * inlined body that site_round runs with the rank as a literal for ranks
+ * 1 to 8, which the compiler unrolls, and as a variable above that. It
+ * prefetches the coords and value of the entry PREFETCH_ENTRY places
+ * ahead in the shuffled order and the rows of the entry PREFETCH_ROWS
+ * ahead; a prefetch changes no value.
  * The parser reads each value in one forward scan, eight digits at a
  * time where it can, with an exact fast path (a Clinger multiply or
  * divide, or one 128-bit integer division) when the token allows it, and
@@ -51,7 +55,7 @@
 /* Scale g to 2-norm clip when its norm sqrt(sq) exceeds clip; 1 when it
  * did, else 0. A clip of +inf scales and counts nothing, a NaN norm
  * included. */
-static int clip_row(double *g, int64_t rank, double sq, double clip)
+static inline int clip_row(double *g, int64_t rank, double sq, double clip)
 {
     double norm = sqrt(sq);
     if (!(norm > clip))
@@ -66,11 +70,11 @@ static int clip_row(double *g, int64_t rank, double sq, double clip)
  * coords and value, and its rows of A, B and C: the coords must be in
  * cache before the row addresses are read from them. It pays where a
  * shard outgrows the cache: on a 48k-entry, rank-5 site of the
- * cli_large_io workload, site_round took 72-74 ns per entry against 87-94
- * without it (6 of 6 alternations on each of two data seeds, one 2-vCPU
- * x86-64 host). The readme_pooled sites (2.4k entries, rank 50) showed no
- * difference, and a small_rounds site (200 entries, in L1) about 3 ns
- * more per entry with it. */
+ * cli_large_io workload, site_round took 74 ns per entry against 99
+ * without it (medians of 10 alternations on one 2-vCPU x86-64 host). The
+ * readme_pooled sites (2.3k entries, rank 50) showed no difference, and
+ * a small_rounds site (217 entries, in L1) about 2 ns more per entry with
+ * it. */
 #define PREFETCH_ENTRY 16
 #define PREFETCH_ROWS 4
 
@@ -80,19 +84,28 @@ static int clip_row(double *g, int64_t rank, double sq, double clip)
  * and C, then step all three rows by eta. coords is (nnz, 3) row-major; the
  * factors and anchors are row-major with rank columns; work holds 3 * rank
  * doubles of scratch. Adds to *clipped the number of residual gradients
- * the clip scaled, up to three per entry. The three clip norms are summed
- * in one loop as three independent chains, each left to right from its
- * first square, as three separate loops would sum them.
+ * the clip scaled, up to three per entry.
+ *
+ * Two loops over the rank do the work of each entry: the first takes the
+ * three residual gradients and sums their squares as three independent
+ * chains, each left to right from its first square; the second adds the
+ * anchor pull and steps the three rows. Element r of each loop reads
+ * element r of the others only, so each element gets the operations of
+ * separate loops in their order, and no sum is reordered.
+ *
+ * The body is inlined at each call in pass_at_rank, which passes ranks 1
+ * to 8 as literals: with the rank a constant the compiler unrolls those
+ * loops and keeps the gradients in registers. That changes no operation
+ * and no order.
  *
  * Returns -1 when every entry was applied, else the position in order of
  * the first entry whose residual is not finite; the entries before it
  * stay applied and that entry is not.
  */
-static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords,
-                        const double *values, double *A, double *B, double *C,
-                        const double *b_hat, const double *c_hat, int64_t rank,
-                        double eta, double gamma, double clip, double *work,
-                        int64_t *clipped)
+static inline __attribute__((always_inline)) int64_t
+sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double *values,
+         double *A, double *B, double *C, const double *b_hat, const double *c_hat,
+         int64_t rank, double eta, double gamma, double clip, double *work, int64_t *clipped)
 {
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
     int64_t count = 0;
@@ -124,33 +137,57 @@ static int64_t sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords
             return p;
         }
 
+        /* -0.0 + x is x for every x, so each chain starts at its first square */
+        double sa = -0.0, sb = -0.0, sc = -0.0;
         for (int64_t r = 0; r < rank; r++) {
             ga[r] = resid * (b[r] * c[r]);
             gb[r] = resid * (a[r] * c[r]);
             gc[r] = resid * (a[r] * b[r]);
-        }
-        double sa = ga[0] * ga[0], sb = gb[0] * gb[0], sc = gc[0] * gc[0];
-        for (int64_t r = 1; r < rank; r++) {
             sa += ga[r] * ga[r];
             sb += gb[r] * gb[r];
             sc += gc[r] * gc[r];
         }
         count += clip_row(ga, rank, sa, clip) + clip_row(gb, rank, sb, clip)
             + clip_row(gc, rank, sc, clip);
-        for (int64_t r = 0; r < rank; r++) {
-            gb[r] = gb[r] + gamma * (b[r] - bh[r]);
-            gc[r] = gc[r] + gamma * (c[r] - ch[r]);
-        }
         /* all three gradients are taken before any row is written */
-        for (int64_t r = 0; r < rank; r++)
+        for (int64_t r = 0; r < rank; r++) {
+            double pull_b = gb[r] + gamma * (b[r] - bh[r]);
+            double pull_c = gc[r] + gamma * (c[r] - ch[r]);
             a[r] = a[r] - eta * ga[r];
-        for (int64_t r = 0; r < rank; r++)
-            b[r] = b[r] - eta * gb[r];
-        for (int64_t r = 0; r < rank; r++)
-            c[r] = c[r] - eta * gc[r];
+            b[r] = b[r] - eta * pull_b;
+            c[r] = c[r] - eta * pull_c;
+        }
     }
     *clipped += count;
     return -1;
+}
+
+/* sgd_pass, with ranks 1 to 8 as literals and any larger rank as the
+ * variable. On a small_rounds shard (217 entries, tau 3; alternating
+ * calls on one 2-vCPU x86-64 host) the literal cut rank 3 from 48 to 36
+ * ns per entry, rank 4 from 51 to 42 and rank 6 by 5 %; at rank 8 it
+ * read 76 against 80 ns and at rank 9 109 against 107, inside the spread
+ * of the runs. Rank 16 read 119 against 130, but a literal for each rank
+ * from 9 to 16 would add eight bodies for ranks no workload runs. */
+static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
+                            const double *values, double *A, double *B, double *C,
+                            const double *b_hat, const double *c_hat, int64_t rank, double eta,
+                            double gamma, double clip, double *work, int64_t *clipped)
+{
+#define PASS(R) \
+    sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, R, eta, gamma, clip, work, clipped)
+    switch (rank) {
+    case 1: return PASS(1);
+    case 2: return PASS(2);
+    case 3: return PASS(3);
+    case 4: return PASS(4);
+    case 5: return PASS(5);
+    case 6: return PASS(6);
+    case 7: return PASS(7);
+    case 8: return PASS(8);
+    default: return PASS(rank);
+    }
+#undef PASS
 }
 
 /* out[n] = sum over r of (A[i][r] * B[j][r]) * C[k][r] for entry n at
@@ -342,7 +379,9 @@ static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *t
  * site's shuffle stream bitgen, each as Generator.permutation(nnz) draws
  * it. Then for each order, sgd_pass over the shard, the finiteness sweep
  * of A, B and C, and the prox step on A. The factors are (i_dim, rank),
- * (j_dim, rank) and (k_dim, rank), row-major.
+ * (j_dim, rank) and (k_dim, rank), row-major. The arguments up to tally
+ * stay the same from one round of a site to the next, so a caller can
+ * build them once; the ones after it are the round's.
  *
  * Returns ROUND_DONE with out[0] the sum of squared residuals over the
  * shard at the final factors and tally[0] the number of residual
@@ -355,11 +394,11 @@ static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *t
  */
 enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
 
-int site_round(int64_t tau, int64_t nnz, bitgen_t *bitgen, const int64_t *coords,
-               const double *values, int64_t i_dim, int64_t j_dim, int64_t k_dim,
-               double *A, double *B, double *C, const double *b_hat, const double *c_hat,
-               int64_t rank, double eta, double gamma, double clip, double threshold,
-               double *out, int64_t *tally)
+int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t i_dim,
+               int64_t j_dim, int64_t k_dim, double *A, double *B, double *C, int64_t rank,
+               double *out, int64_t *tally, int64_t tau, bitgen_t *bitgen,
+               const double *b_hat, const double *c_hat, double eta, double gamma,
+               double clip, double threshold)
 {
     int64_t *clipped = tally, *where = tally + 1;
     int64_t big = i_dim * rank > nnz ? i_dim * rank : nnz;
@@ -382,8 +421,8 @@ int site_round(int64_t tau, int64_t nnz, bitgen_t *bitgen, const int64_t *coords
     *clipped = 0;
     for (int64_t t = 0; t < tau && status == ROUND_DONE; t++) {
         const int64_t *order = orders + t * nnz;
-        int64_t stop = sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, rank,
-                                eta, gamma, clip, work, clipped);
+        int64_t stop = pass_at_rank(nnz, order, coords, values, A, B, C, b_hat, c_hat, rank,
+                                    eta, gamma, clip, work, clipped);
         if (stop >= 0) {
             *where = order[stop];
             status = ROUND_RESIDUAL;

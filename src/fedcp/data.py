@@ -165,27 +165,37 @@ def partition_rows(tensor: SparseTensorCOO, n_sites: int) -> list[SparseTensorCO
 
     A shard of the validated ``tensor`` is valid by construction (rows
     rebased into its block, a subset of the coordinates and of the finite
-    non-zero values), so it is built without checking it again."""
+    non-zero values), so it is built without checking it again. Each shard
+    owns its arrays: a copy of a slice when the rows are in order, else a
+    gather."""
     i_dim, j_dim, k_dim = tensor.dims
     if n_sites < 1:
         raise ValueError("need at least one partition")
     if n_sites > i_dim:
         raise ValueError(f"cannot split {i_dim} rows into {n_sites} non-empty blocks")
     starts = _block_starts(i_dim, n_sites)
-    # each entry's block; a stable sort by block keeps every block's entries
-    # in their stored order, which a sort by row would not
-    block = np.searchsorted(starts, tensor.coords[:, 0], side="right") - 1
-    order = np.argsort(block, kind="stable")
-    cuts = np.searchsorted(block[order], np.arange(n_sites + 1)).tolist()
+    rows = tensor.coords[:, 0]
+    if np.all(rows[1:] >= rows[:-1]):
+        # rows in order, as in every generated file: each shard is a slice
+        order = None
+        cuts = np.searchsorted(rows, starts).tolist()
+    else:
+        # each entry's block; a stable sort by block keeps every block's
+        # entries in their stored order, which a sort by row would not
+        block = np.searchsorted(starts, rows, side="right") - 1
+        order = np.argsort(block, kind="stable")
+        cuts = np.searchsorted(block[order], np.arange(n_sites + 1)).tolist()
     shards = []
     for t in range(n_sites):
         lo, hi = starts[t], starts[t + 1]
-        take = order[cuts[t] : cuts[t + 1]]
-        coords = tensor.coords[take]
+        if order is None:
+            coords = tensor.coords[cuts[t] : cuts[t + 1]].copy()
+            values = tensor.values[cuts[t] : cuts[t + 1]].copy()
+        else:
+            take = order[cuts[t] : cuts[t + 1]]
+            coords, values = tensor.coords[take], tensor.values[take]
         coords[:, 0] -= lo
-        shards.append(
-            SparseTensorCOO._unchecked((hi - lo, j_dim, k_dim), coords, tensor.values[take])
-        )
+        shards.append(SparseTensorCOO._unchecked((hi - lo, j_dim, k_dim), coords, values))
     return shards
 
 

@@ -23,6 +23,14 @@ strictly left to right from the first product, the C file keeps numpy's
 summation order in its norms and sums and numpy's shuffle algorithm in
 its draws, and it is built without floating-point contraction.
 
+The arguments of ``site_round`` that stay fixed from round to round (the
+shard's contiguous coords and values, the dims, the factors' addresses,
+the rank and the output buffers) are built on a site's first compiled
+round and kept on its ``SiteState``; a round then reads only the
+anchors' addresses and the shuffle stream's bit generator. Assigning
+``tensor``, ``A``, ``B`` or ``C`` drops them, and copies and pickles of a
+site leave them out.
+
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
 reserved for upload noise. Two sites given equal shards and seeds
@@ -89,7 +97,12 @@ class SolverParams:
 class SiteState:
     """One site's shard, factor triple, id, and private random streams.
     Each assignment to ``A``, ``B`` or ``C`` stores a writeable C-contiguous
-    float64 matrix, copying only a value that is not one already."""
+    float64 matrix, copying only a value that is not one already.
+
+    ``_round_args``, the compiled round's fixed arguments, hold addresses
+    of this site's arrays: an assignment to ``tensor``, ``A``, ``B`` or
+    ``C`` drops them, and a copy or pickle leaves them out, as a copy with
+    them would write into the original's arrays."""
 
     tensor: SparseTensorCOO
     A: np.ndarray
@@ -103,7 +116,14 @@ class SiteState:
     def __setattr__(self, name, value):
         if name in ("A", "B", "C"):
             value = np.require(value, np.float64, ("C", "W", "A"))
+        if name in ("tensor", "A", "B", "C"):
+            self.__dict__.pop("_round_args", None)
         super().__setattr__(name, value)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_round_args", None)
+        return state
 
     def __post_init__(self):
         i_dim, j_dim, k_dim = self.tensor.dims
@@ -240,16 +260,16 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     threshold = params.eta * params.mu
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite and non-negative")
-    coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
-    values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
     if _native.LIBRARY is not None:
-        beta, outcome = _compiled_round(state, coords, values, b_hat, c_hat, params, threshold)
+        beta, outcome = _compiled_round(state, b_hat, c_hat, params, threshold)
         _check_step_size(beta, params.eta)
         if isinstance(outcome, NumericOverflowError):
             raise outcome
         return outcome
     _check_step_size(beta_lipschitz(state.A, state.B, state.C, params.gamma), params.eta)
 
+    coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
+    values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
     orders = [state.shuffle_rng.permutation(state.tensor.nnz) for _ in range(params.tau)]
     clipped = 0
     for order in orders:
@@ -319,36 +339,54 @@ def _python_pass(order, coords, values, A, B, C, b_hat, c_hat, params) -> tuple:
 _NO_MEMORY, _RESIDUAL, _ROW = 1, 2, 3  # site_round's return codes, 0 when it ran
 
 
-def _compiled_round(state, coords, values, b_hat, c_hat, params, threshold) -> tuple:
+def _round_args(state) -> tuple:
+    """The site's fixed arguments of ``site_round``, built on its first
+    compiled round and kept in ``state._round_args``: the arguments from
+    nnz to tally, then the arrays they point to that the site does not
+    hold, which the tuple keeps alive: the shard's contiguous coords and
+    values, out and tally."""
+    args = state.__dict__.get("_round_args")
+    if args is None:
+        coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
+        values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
+        # the sse, then each factor's largest |entry|, then its largest squared row norm
+        out = np.empty(7)
+        tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
+        fixed = (
+            state.tensor.nnz, coords.ctypes.data, values.ctypes.data, *state.tensor.dims,
+            state.A.ctypes.data, state.B.ctypes.data, state.C.ctypes.data, state.A.shape[1],
+            out.ctypes.data, tally.ctypes.data,
+        )
+        args = state.__dict__["_round_args"] = (fixed, coords, values, out, tally)
+    return args
+
+
+def _compiled_round(state, b_hat, c_hat, params, threshold) -> tuple:
     """``run_local_epoch`` after its checks, in one call of ``site_round``:
     (beta of the factors the round started from, the RoundSums or the
     NumericOverflowError the round stopped with). ``site_round`` draws the
     orders from the shuffle stream's bit generator, under the lock that
     numpy's own draws take. The caller has checked that the site's factors
-    match the shard dims, so every index in ``coords`` lies inside them."""
+    match the shard dims, so every index in the shard lies inside them."""
+    fixed, coords, _, out, tally = _round_args(state)
     b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
     c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
-    # the sse, then each factor's largest |entry|, then its largest squared row norm
-    out = np.empty(7)
-    tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
     stream = state.shuffle_rng.bit_generator
-    rank = state.A.shape[1]
     with stream.lock:
         status = _native.LIBRARY.site_round(
-            params.tau, state.tensor.nnz, stream.ctypes.bit_generator, coords.ctypes.data,
-            values.ctypes.data, *state.tensor.dims, state.A.ctypes.data, state.B.ctypes.data,
-            state.C.ctypes.data, b_hat.ctypes.data, c_hat.ctypes.data, rank, params.eta,
-            params.gamma, params.clip, threshold, out.ctypes.data, tally.ctypes.data,
+            *fixed, params.tau, stream.ctypes.bit_generator, b_hat.ctypes.data,
+            c_hat.ctypes.data, params.eta, params.gamma, params.clip, threshold,
         )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")
     sse, *bounds = out.tolist()
-    beta = _step_bound(bounds[:3], bounds[3:], rank, params.gamma)
+    clipped, where = tally.tolist()
+    beta = _step_bound(bounds[:3], bounds[3:], state.A.shape[1], params.gamma)
     if status == _RESIDUAL:
-        return beta, _residual_error(coords[tally[1]])
+        return beta, _residual_error(coords[where])
     if status >= _ROW:
-        return beta, NumericOverflowError(f"{'ABC'[status - _ROW]} row {tally[1]} became non-finite")
-    return beta, RoundSums(sse, int(tally[0]))
+        return beta, NumericOverflowError(f"{'ABC'[status - _ROW]} row {where} became non-finite")
+    return beta, RoundSums(sse, clipped)
 
 
 def beta_lipschitz(A, B, C, gamma: float) -> float:

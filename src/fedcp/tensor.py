@@ -63,7 +63,8 @@ class SparseTensorCOO:
         if coords.shape[0] != values.shape[0]:
             raise DimensionError("coords and values disagree on entry count")
         if coords.size:
-            if coords.min() < 0 or np.any(coords >= np.asarray(dims)):
+            # a column's maximum against its dim: no (nnz, 3) comparison array
+            if coords.min() < 0 or any(coords[:, m].max() >= dims[m] for m in range(3)):
                 raise ValueError("tensor entry index out of range")
             lin = np.ravel_multi_index((coords[:, 0], coords[:, 1], coords[:, 2]), dims)
             # strictly increasing (every generated file and its shards) has no

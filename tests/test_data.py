@@ -30,7 +30,7 @@ from fedcp.data import (
 )
 from fedcp.errors import ConfigError, ParseError
 from fedcp.privacy import PrivacyParams
-from fedcp.solver import SolverParams
+from fedcp.solver import SiteState, SolverParams, run_local_epoch
 from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
 
 
@@ -241,6 +241,41 @@ class TestPartitionRows:
     def test_too_many_partitions(self):
         with pytest.raises(ValueError):
             partition_rows(self._tensor(), 11)
+
+    def _ordered(self, order):
+        """A generated tensor (rows in order), its rows permuted, or its entries
+        with one swap across the boundary of the first two of three blocks."""
+        spec = SynthSpec(dims=(31, 6, 7), rank_true=2, sparsity=0.1, n_sites=1, seed=5)
+        tensor, _, _ = generate_synthetic(spec)
+        if order == "permuted":
+            return permute_rows(tensor, seed=2)
+        if order == "almost sorted":
+            first = int(np.searchsorted(tensor.coords[:, 0], 10))  # block 1 starts at row 10
+            swap = np.arange(tensor.nnz)
+            swap[[first - 1, first]] = swap[[first, first - 1]]
+            return SparseTensorCOO(tensor.dims, tensor.coords[swap], tensor.values[swap])
+        return tensor
+
+    @pytest.mark.parametrize("order", ["sorted", "permuted", "almost sorted"])
+    def test_shards_equal_a_gather_of_each_block(self, order):
+        tensor = self._ordered(order)
+        for n_sites in (1, 2, 3, 7, 31):
+            starts = [t * (31 // n_sites) for t in range(n_sites)] + [31]
+            for shard, lo, hi in zip(partition_rows(tensor, n_sites), starts, starts[1:]):
+                mine = (tensor.coords[:, 0] >= lo) & (tensor.coords[:, 0] < hi)
+                coords = tensor.coords[mine] - [lo, 0, 0]
+                assert shard.dims == (hi - lo, 6, 7)
+                assert shard.coords.dtype == np.int64 and shard.coords.flags.c_contiguous
+                assert shard.coords.tobytes() == coords.tobytes()
+                assert shard.values.tobytes() == tensor.values[mine].tobytes()
+
+    @pytest.mark.parametrize("order", ["sorted", "permuted"])
+    def test_no_shard_shares_memory_with_the_tensor(self, order):
+        tensor = self._ordered(order)
+        for n_sites in (1, 3):
+            for shard in partition_rows(tensor, n_sites):
+                for mine, theirs in ((shard.coords, tensor.coords), (shard.values, tensor.values)):
+                    assert not np.shares_memory(mine, theirs)
 
     def test_round_trip_concatenation(self):
         spec = SynthSpec(dims=(23, 6, 7), rank_true=2, sparsity=5e-2, n_sites=1, seed=2)
@@ -809,33 +844,52 @@ def _float_bits(values):
     return " ".join(f"{b:016x}" for b in np.array(values, dtype=np.float64).view(np.uint64))
 
 
+@pytest.fixture(scope="class")
+def sanitized_driver(tmp_path_factory):
+    """tests/sanitize_driver.c and ``_sgd.c`` built with the sanitizers."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler")
+    tmp_path = tmp_path_factory.mktemp("sanitize")
+    flags = [f for f in _native.FLAGS if f not in ("-shared", "-fPIC")] + list(_SANITIZE)
+    probe = tmp_path / "probe"
+    made = subprocess.run(
+        [compiler, *flags, "-o", str(probe), "-x", "c", "-"],
+        input=b"int main(void) { return 0; }\n", capture_output=True, timeout=120,
+    )
+    if made.returncode == 0:
+        made = subprocess.run([str(probe)], capture_output=True, timeout=60)
+    if made.returncode != 0:
+        pytest.skip(f"no sanitizer runtime for {compiler}: {made.stderr.decode()[-200:]}")
+    driver = tmp_path / "driver"
+    built = subprocess.run(
+        [compiler, *flags, "-o", str(driver), str(_DRIVER), str(_native.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert built.returncode == 0, built.stderr
+    return driver
+
+
+class _ZeroDraws:
+    """The driver's shuffle stream, whose every draw is 0: numpy's shuffle
+    then swaps each place, from the last down to the second, with place 0."""
+
+    def permutation(self, n):
+        order = np.arange(n)
+        for i in range(n - 1, 0, -1):
+            order[[0, i]] = order[[i, 0]]
+        return order
+
+
 class TestKernelsUnderSanitizers:
-    """``parse_coo`` and ``format_records`` built with AddressSanitizer and
-    UndefinedBehaviorSanitizer, run by tests/sanitize_driver.c on buffers
-    of exactly the size of their contents: a load of a word past the end
-    of a body, or a write past a formatting buffer, stops the driver."""
+    """The kernels built with AddressSanitizer and UndefinedBehaviorSanitizer,
+    run by tests/sanitize_driver.c on buffers of exactly the size of their
+    contents: a load of a word past the end of a COO body, a write past a
+    formatting buffer, or a read or write past a factor, a shard or a
+    round's outputs stops the driver."""
 
-    def test_parse_and_format_stay_inside_their_buffers(self, tmp_path):
-        compiler = shutil.which("cc")
-        if compiler is None:
-            pytest.skip("no C compiler")
-        flags = [f for f in _native.FLAGS if f not in ("-shared", "-fPIC")] + list(_SANITIZE)
-        probe = tmp_path / "probe"
-        made = subprocess.run(
-            [compiler, *flags, "-o", str(probe), "-x", "c", "-"],
-            input=b"int main(void) { return 0; }\n", capture_output=True, timeout=120,
-        )
-        if made.returncode == 0:
-            made = subprocess.run([str(probe)], capture_output=True, timeout=60)
-        if made.returncode != 0:
-            pytest.skip(f"no sanitizer runtime for {compiler}: {made.stderr.decode()[-200:]}")
-        driver = tmp_path / "driver"
-        built = subprocess.run(
-            [compiler, *flags, "-o", str(driver), str(_DRIVER), str(_native.SOURCE), "-lm"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert built.returncode == 0, built.stderr
-
+    def test_parse_and_format_stay_inside_their_buffers(self, sanitized_driver):
+        driver = sanitized_driver
         # (body, what the driver prints for it): the grammar table, and every
         # boundary token as the last token of a body, with 0 to 8 blanks left
         cases = []
@@ -866,6 +920,31 @@ class TestKernelsUnderSanitizers:
             for cap in range(257)
         ]
         assert lines[len(cases):] == want
+
+    def test_site_round_stays_inside_its_buffers(self, sanitized_driver, without_library):
+        out = subprocess.run([str(sanitized_driver), "rounds"], capture_output=True, timeout=300)
+        assert out.returncode == 0, out.stderr.decode()[:3000]
+        # each round as the Python round runs it, on the driver's shard and
+        # with its orders
+        dims = (5, 4, 3)
+        params = SolverParams(eta=0.05, gamma=0.5, mu=0.2, tau=2, clip=0.3)
+        want = []
+        for rank in (*range(1, 10), 16):
+            for nnz in (3, 10, 40):
+                n = np.arange(nnz)
+                tensor = SparseTensorCOO(dims, np.column_stack([n % d for d in dims]),
+                                         (n % 7 + 1) / 4.0)
+                A, B, C, b_hat, c_hat = (
+                    ((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
+                    for rows, offset in ((5, 1), (4, 2), (3, 3), (4, 4), (3, 0))
+                )
+                state = SiteState(tensor, A, B, C, rng_seed=0, site_id=0)
+                state.shuffle_rng = _ZeroDraws()
+                with without_library():
+                    sums = run_local_epoch(state, (b_hat, c_hat), params)
+                sse = _float_bits([sums.sse])
+                want.append(f"{rank} {nnz} 0 {sums.clipped} {sse}")
+        assert out.stdout.decode().splitlines() == want
 
 
 class TestFactorFiles:

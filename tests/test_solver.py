@@ -1,8 +1,10 @@
 """Site solver: entry-wise SGD, its compiled round, the grouped soft-threshold,
 and objectives."""
 
+import copy
 import ctypes
 import math
+import pickle
 import re
 import shutil
 import subprocess
@@ -665,7 +667,7 @@ class TestCompiledDraws:
         state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=0, site_id=0)
         params = SolverParams(eta=1e-3, gamma=gamma, mu=0.0, tau=1, clip=math.inf)
         anchors = (np.zeros_like(state.B), np.zeros_like(state.C))
-        return solver._compiled_round(state, tensor.coords, tensor.values, *anchors, params, 0.0)[0]
+        return solver._compiled_round(state, *anchors, params, 0.0)[0]
 
     @pytest.mark.parametrize("rank", range(1, 65))
     def test_bound_has_the_bits_of_beta_lipschitz(self, rank):
@@ -695,6 +697,79 @@ class TestCompiledDraws:
         zeros = [np.zeros_like(m) for m in factors]
         for gamma in (0.0, 1.5):
             assert self._compiled_beta(zeros, gamma) == beta_lipschitz(*zeros, gamma) == gamma
+
+
+def _same_site(x, y):
+    return (
+        all(p.tobytes() == q.tobytes() for p, q in zip((x.A, x.B, x.C), (y.A, y.B, y.C)))
+        and x.shuffle_rng.bit_generator.state == y.shuffle_rng.bit_generator.state
+    )
+
+
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+class TestRoundArguments:
+    """A site keeps the arguments of its compiled round that stay fixed from
+    round to round, addresses of its arrays among them. A round after an
+    assignment to a factor or the shard, and a round of a copy or a pickle
+    of a site that has run, must still be the Python round, bit for bit."""
+
+    def _round_then(self, without_library, between):
+        """[(first, second, the second's sums)] for the compiled and then the
+        Python kernels: a site ``first`` runs a round, ``second =
+        between(first)`` runs the next."""
+        tensor, factors, anchors = _random_shard(6, (8, 5, 6), 3, 0.4)
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.3)
+        outcomes = []
+        for kernels in (nullcontext, without_library):
+            with kernels():
+                first = SiteState(tensor, *(m.copy() for m in factors), rng_seed=4, site_id=0)
+                run_local_epoch(first, anchors, params)
+                second = between(first)
+                sums = run_local_epoch(second, anchors, params)
+            outcomes.append((first, second, sums))
+        return outcomes
+
+    def test_arguments_are_built_once(self):
+        tensor, factors, anchors = _random_shard(6, (8, 5, 6), 3, 0.4)
+        state = SiteState(tensor, *factors, rng_seed=4, site_id=0)
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.3)
+        run_local_epoch(state, anchors, params)
+        args = state._round_args
+        run_local_epoch(state, anchors, params)
+        assert state._round_args is args
+        state.site_id = 1  # not an array the round reads
+        assert state._round_args is args
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "tensor"])
+    def test_an_assigned_array_takes_part_in_the_next_round(self, without_library, name):
+        if name == "tensor":
+            new = _random_shard(7, (8, 5, 6), 3, 0.4)[0]
+        else:
+            new = np.random.default_rng(8).random({"A": 8, "B": 5, "C": 6}[name] * 3).reshape(-1, 3)
+
+        def assign(state):
+            setattr(state, name, new if name == "tensor" else new.copy())
+            return state
+
+        (_, compiled, c_sums), (_, python, p_sums) = self._round_then(without_library, assign)
+        assert c_sums == p_sums
+        assert _same_site(compiled, python)
+        if name != "tensor":
+            # the round wrote into the assigned array
+            assert not np.array_equal(getattr(compiled, name), new)
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.deepcopy, lambda state: pickle.loads(pickle.dumps(state))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_a_copy_runs_on_its_own_arrays(self, without_library, duplicate):
+        compiled, python = self._round_then(without_library, duplicate)
+        assert compiled[2] == python[2]
+        # the copy moved as the Python copy did, and the original stayed where
+        # its first round left it
+        assert _same_site(compiled[1], python[1])
+        assert _same_site(compiled[0], python[0])
+        assert not np.array_equal(compiled[0].A, compiled[1].A)
 
 
 @pytest.fixture(scope="module")

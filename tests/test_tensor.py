@@ -35,6 +35,13 @@ class TestSparseTensorCOO:
         with pytest.raises(ValueError, match="out of range"):
             _tensor((2, 2, 2), [(2, 0, 0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [(0, 3, 0), (0, 0, 4), (-1, 0, 0), (0, 0, -1)])
+    def test_rejects_an_index_past_any_mode(self, bad):
+        # each mode is checked against its own dim, past either end
+        with pytest.raises(ValueError, match="out of range"):
+            _tensor((2, 3, 4), [(1, 2, 3, 1.0), (*bad, 1.0)])
+        assert _tensor((2, 3, 4), [(1, 2, 3, 1.0)]).nnz == 1
+
     def test_rejects_duplicate_coordinates(self):
         with pytest.raises(ValueError, match="duplicate"):
             _tensor((2, 2, 2), [(0, 0, 0, 1.0), (0, 0, 0, 2.0)])
