@@ -745,7 +745,7 @@ class TestRoundArguments:
         if name == "tensor":
             new = _random_shard(7, (8, 5, 6), 3, 0.4)[0]
         else:
-            new = np.random.default_rng(8).random({"A": 8, "B": 5, "C": 6}[name] * 3).reshape(-1, 3)
+            new = np.random.default_rng(8).random(({"A": 8, "B": 5, "C": 6}[name], 3))
 
         def assign(state):
             setattr(state, name, new if name == "tensor" else new.copy())
