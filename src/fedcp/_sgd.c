@@ -29,9 +29,9 @@
  * The pass takes an entry's three residual gradients and sums their
  * squares in one loop, as three independent chains each left to right,
  * and adds the anchor pull and steps the three rows in another. It is one
- * inlined body that site_round runs with the rank as a literal for ranks
- * 1 to 8, which the compiler unrolls, and as a variable above that. It
- * prefetches the coords and value of the entry PREFETCH_ENTRY places
+ * inlined body that site_round runs with the rank as a literal at ranks 3
+ * and 5, which the compiler unrolls, and as a variable at every other
+ * rank. It prefetches the coords and value of the entry PREFETCH_ENTRY places
  * ahead in the shuffled order and the rows of the entry PREFETCH_ROWS
  * ahead; a prefetch changes no value.
  * The parser reads each value in one forward scan, eight digits at a
@@ -93,8 +93,8 @@ static inline int clip_row(double *g, int64_t rank, double sq, double clip)
  * element r of the others only, so each element gets the operations of
  * separate loops in their order, and no sum is reordered.
  *
- * The body is inlined at each call in pass_at_rank, which passes ranks 1
- * to 8 as literals: with the rank a constant the compiler unrolls those
+ * The body is inlined at each call in pass_at_rank, which passes ranks 3
+ * and 5 as literals: with the rank a constant the compiler unrolls those
  * loops and keeps the gradients in registers. That changes no operation
  * and no order.
  *
@@ -162,13 +162,14 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
     return -1;
 }
 
-/* sgd_pass, with ranks 1 to 8 as literals and any larger rank as the
- * variable. On a small_rounds shard (217 entries, tau 3; alternating
- * calls on one 2-vCPU x86-64 host) the literal cut rank 3 from 48 to 36
- * ns per entry, rank 4 from 51 to 42 and rank 6 by 5 %; at rank 8 it
- * read 76 against 80 ns and at rank 9 109 against 107, inside the spread
- * of the runs. Rank 16 read 119 against 130, but a literal for each rank
- * from 9 to 16 would add eight bodies for ranks no workload runs. */
+/* sgd_pass, with ranks 3 and 5 as literals and any other rank as the
+ * variable. Those are the small ranks the benchmark's workloads run: on a
+ * small_rounds shard (217 entries, tau 3; alternating calls on one 2-vCPU
+ * x86-64 host) the literal cut rank 3 from 48 to 36 ns per entry, and on a
+ * 48k-entry cli_large_io shard rank 5 from 54 to 43. A literal for a rank
+ * that no workload runs would add a body to every build for a gain that
+ * nothing measures; at rank 8 it read 76 against 80 ns, inside the spread
+ * of the runs. */
 static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
                             const double *values, double *A, double *B, double *C,
                             const double *b_hat, const double *c_hat, int64_t rank, double eta,
@@ -177,14 +178,8 @@ static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *co
 #define PASS(R) \
     sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, R, eta, gamma, clip, work, clipped)
     switch (rank) {
-    case 1: return PASS(1);
-    case 2: return PASS(2);
     case 3: return PASS(3);
-    case 4: return PASS(4);
     case 5: return PASS(5);
-    case 6: return PASS(6);
-    case 7: return PASS(7);
-    case 8: return PASS(8);
     default: return PASS(rank);
     }
 #undef PASS

@@ -52,8 +52,9 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
 #define FORMAT_MAX_CAP 256
 
 static const int64_t ROUND_DIMS[3] = {5, 4, 3};
-/* 1 to 9 and 16 span the ranks passed to sgd_pass as literals and the
- * general body; 3 and 10 entries are fewer than its prefetch distances */
+/* 1 to 9 and 16 take both the ranks passed to sgd_pass as literals (3 and
+ * 5) and the general body; 3 and 10 entries are fewer than its prefetch
+ * distances */
 static const int64_t ROUND_RANKS[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
 static const int64_t ROUND_NNZ[] = {3, 10, 40};
 
