@@ -163,13 +163,12 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
 }
 
 /* sgd_pass, with ranks 3 and 5 as literals and any other rank as the
- * variable. Those are the small ranks the benchmark's workloads run: on a
- * small_rounds shard (217 entries, tau 3; alternating calls on one 2-vCPU
- * x86-64 host) the literal cut rank 3 from 48 to 36 ns per entry, and on a
- * 48k-entry cli_large_io shard rank 5 from 54 to 43. A literal for a rank
- * that no workload runs would add a body to every build for a gain that
- * nothing measures; at rank 8 it read 76 against 80 ns, inside the spread
- * of the runs. */
+ * variable. Those are the small ranks the benchmark's workloads run: the
+ * literal cut rank 3 from 55 to 45 ns per entry on a small_rounds shard
+ * (217 entries, tau 3) and rank 5 from 58 to 53 on a 48k-entry
+ * cli_large_io shard (medians of 20 alternating calls on one 2-vCPU
+ * x86-64 host). A literal for a rank that no workload runs adds a body to
+ * every build for a gain that nothing measures end to end. */
 static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
                             const double *values, double *A, double *B, double *C,
                             const double *b_hat, const double *c_hat, int64_t rank, double eta,
