@@ -6,16 +6,18 @@ bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded; a build then deletes the other
-``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's five kernels.
+``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's six kernels.
 
 ``LIBRARY`` is the one switch between the compiled and the Python code:
 the loaded library, or None when there is no compiler or compiling or
-loading fails. ``solver``, ``tensor`` and ``data`` read it at each call,
-never at import. When it is None the solver runs a site's round in
-Python, ``tensor.model_values`` (for ``rmse`` and ``generate_synthetic``)
-its einsum and ``read_coo`` its line parser instead, and the COO and
-factor writers format with ``repr``; setting it to None gives that path
-in a process that did load the library.
+loading fails. ``solver``, ``tensor``, ``data`` and ``privacy`` read it
+at each call, never at import. When it is None the solver runs a site's
+round in Python, ``tensor.model_values`` (for ``rmse`` and
+``generate_synthetic``) its einsum and ``read_coo`` its line parser
+instead, the COO and factor writers format with ``repr``, and
+``privacy.perturb_matrix`` draws its noise with
+``Generator.standard_normal``; setting it to None gives that path in a
+process that did load the library.
 """
 
 import ctypes
@@ -62,6 +64,7 @@ SIGNATURES = {
         _P, _I64, _P, _I64,  # ints, n_ints, values, n_values
         _I64, _P, _I64,  # n, out, cap
     )),
+    "gaussian_perturb": (None, (_P, _I64, _P, _F64, _P)),  # bitgen, n, m, sigma, out
 }
 
 

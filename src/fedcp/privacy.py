@@ -3,10 +3,18 @@
 Privacy is entry-level: neighbouring tensors differ in one replaced entry,
 and the noise is calibrated to that shift. Budgets are tracked as rho
 values; ``PrivacyAccountant`` composes them (serially within a site, by the
-maximum across the disjoint sites). Conversion to (epsilon, delta)
-reporting uses the exact form rho + sqrt(4 rho ln(1/delta)) and the
-square-root approximation sqrt(4 rho ln(1/delta)); natural logarithms
-throughout.
+maximum across the disjoint sites). Two conversions report (epsilon,
+delta): rho + sqrt(4 rho ln(1/delta)), Bun and Steinke's conversion (TCC
+2016), a valid guarantee but a loose one, and the square-root form
+sqrt(4 rho ln(1/delta)), which drops the rho term and is not a DP
+guarantee; natural logarithms throughout.
+
+``perturb_matrix`` draws its noise with ``gaussian_perturb`` in ``_sgd.c``
+when ``_native.LIBRARY`` holds the compiled library: numpy's own ziggurat
+for ``Generator.standard_normal``, with numpy's tables, read through the
+stream's bit generator under its lock, so the values and the stream's
+state afterwards have the bits of the numpy lines that stay as its
+reference and fallback.
 """
 
 import math
@@ -14,6 +22,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _native
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,17 @@ def perturb_matrix(m: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
     m = np.asarray(m, dtype=np.float64)
     if sigma == 0.0:
         return m.copy()
+    if _native.LIBRARY is not None:
+        # the draws in C order, as standard_normal fills its array; numpy's
+        # draws hold the same lock
+        src = np.ascontiguousarray(m)
+        out = np.empty(m.shape)
+        stream = rng.bit_generator
+        with stream.lock:
+            _native.LIBRARY.gaussian_perturb(
+                stream.ctypes.bit_generator, out.size, src.ctypes.data, sigma, out.ctypes.data
+            )
+        return out
     # the bits of m + rng.normal(0.0, sigma, m.shape) in one array: normal
     # draws 0.0 + sigma * z, and the 0.0 turns a -0.0 product into +0.0
     out = rng.standard_normal(m.shape)
@@ -83,12 +104,17 @@ def compose_serial(rhos) -> float:
 
 
 def zcdp_to_dp(rho: float, delta: float) -> float:
-    """Exact conversion: epsilon = rho + sqrt(4 rho ln(1/delta))."""
+    """Bun and Steinke's conversion: epsilon = rho + sqrt(4 rho ln(1/delta)).
+    A rho-zCDP release is (epsilon, delta)-DP at this epsilon (TCC 2016,
+    Proposition 1.3); it is valid but loose, and tighter valid conversions
+    exist (Canonne, Kamath and Steinke, NeurIPS 2020)."""
     return rho + zcdp_to_dp_approx(rho, delta)
 
 
 def zcdp_to_dp_approx(rho: float, delta: float) -> float:
-    """Square-root approximation: epsilon = sqrt(4 rho ln(1/delta))."""
+    """Square-root approximation: epsilon = sqrt(4 rho ln(1/delta)). It
+    drops the rho term of ``zcdp_to_dp``, so it is below every epsilon that
+    conversion gives and is not a DP guarantee."""
     if not rho >= 0:
         raise ValueError("rho must be non-negative")
     if not 0 < delta < 1:
@@ -169,6 +195,7 @@ class PrivacyAccountant:
             return max(self._site_rho)
 
     def epsilon(self) -> tuple[float, float]:
-        """Current (exact, approximate) epsilon at the accountant's delta."""
+        """Current epsilon at the accountant's delta: (Bun and Steinke's
+        valid conversion, the square-root form that is not a guarantee)."""
         rho = self.rho_total
         return zcdp_to_dp(rho, self.delta), zcdp_to_dp_approx(rho, self.delta)

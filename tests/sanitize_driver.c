@@ -1,4 +1,4 @@
-/* A driver for the COO kernels of src/fedcp/_sgd.c, built together with
+/* A driver for the kernels of src/fedcp/_sgd.c, built together with
  * it under -fsanitize=address,undefined by tests/test_data.py. Each read
  * or write outside a buffer, and each undefined operation, then stops
  * the program with a report.
@@ -19,6 +19,17 @@
  * generator whose every draw is 0. One line "rank nnz status clipped sse"
  * is printed per round, the sse as its bits in hex. The shard's values,
  * factors and anchors are multiples of 1/8, which Python builds alike.
+ *
+ * Run as "sanitize_driver noise", it reads a cycle of 32-bit words from
+ * stdin (their count, then each in hex) and runs gaussian_perturb with
+ * sigma NOISE_SIGMA for each n of NOISE_N, m and out each in a malloc'd
+ * buffer of exactly n doubles, m[i] set to (i % 5 - 2) / 8 with -0.0 at
+ * every third place. Its bit generator hands out the cycle's words from
+ * the first on, for each n anew, the way numpy's MT19937 hands out its
+ * 32-bit outputs: a 64-bit draw is the first word shifted up over the
+ * second, a double (a >> 5) * 2^26 + (b >> 6) over 2^53. One line "n
+ * words bits..." is printed per n: the words drawn, then out's bits in
+ * hex.
  */
 
 #include <inttypes.h>
@@ -42,6 +53,8 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+void gaussian_perturb(bitgen_t *bitgen, int64_t n, const double *m, double sigma, double *out);
+
 int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t i_dim,
                int64_t j_dim, int64_t k_dim, double *A, double *B, double *C, int64_t rank,
                double *out, int64_t *tally, int64_t tau, bitgen_t *bitgen,
@@ -57,6 +70,9 @@ static const int64_t ROUND_DIMS[3] = {5, 4, 3};
  * distances */
 static const int64_t ROUND_RANKS[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
 static const int64_t ROUND_NNZ[] = {3, 10, 40};
+
+#define NOISE_SIGMA 0.75
+static const int64_t NOISE_N[] = {0, 1, 7, 4096};
 
 static void *checked_malloc(size_t size)
 {
@@ -183,8 +199,73 @@ static void run_rounds(void)
     }
 }
 
+/* The word cycle the noise bit generator reads, and how many it drew */
+typedef struct {
+    const uint32_t *words;
+    int64_t len, drawn;
+} word_cycle;
+
+static uint32_t cycle_next32(void *st)
+{
+    word_cycle *cycle = st;
+    return cycle->words[cycle->drawn++ % cycle->len];
+}
+
+static uint64_t cycle_next64(void *st)
+{
+    uint64_t high = cycle_next32(st);
+    return high << 32 | cycle_next32(st);
+}
+
+static double cycle_next_double(void *st)
+{
+    int32_t a = (int32_t)(cycle_next32(st) >> 5);
+    int32_t b = (int32_t)(cycle_next32(st) >> 6);
+    return (a * 67108864.0 + b) / 9007199254740992.0;
+}
+
+static void run_noise(FILE *in)
+{
+    long len;
+    if (fscanf(in, "%ld", &len) != 1 || len < 1) {
+        fputs("malformed word count\n", stderr);
+        exit(2);
+    }
+    uint32_t *words = checked_malloc((size_t)len * sizeof *words);
+    for (long w = 0; w < len; w++) {
+        if (fscanf(in, "%" SCNx32, words + w) != 1) {
+            fputs("malformed word\n", stderr);
+            exit(2);
+        }
+    }
+    for (size_t a = 0; a < sizeof NOISE_N / sizeof *NOISE_N; a++) {
+        int64_t n = NOISE_N[a];
+        word_cycle cycle = {words, len, 0};
+        bitgen_t bitgen = {&cycle, cycle_next64, cycle_next32, cycle_next_double, NULL};
+        double *m = checked_malloc((size_t)n * sizeof *m);
+        double *out = checked_malloc((size_t)n * sizeof *out);
+        for (int64_t i = 0; i < n; i++)
+            m[i] = i % 3 == 0 ? -0.0 : (double)(i % 5 - 2) / 8.0;
+        gaussian_perturb(&bitgen, n, m, NOISE_SIGMA, out);
+        printf("%" PRId64 " %" PRId64, n, cycle.drawn);
+        for (int64_t i = 0; i < n; i++) {
+            uint64_t bits;
+            memcpy(&bits, out + i, sizeof bits);
+            printf(" %016" PRIx64, bits);
+        }
+        putchar('\n');
+        free(out);
+        free(m);
+    }
+    free(words);
+}
+
 int main(int argc, char **argv)
 {
+    if (argc > 1 && strcmp(argv[1], "noise") == 0) {
+        run_noise(stdin);
+        return 0;
+    }
     if (argc > 1 && strcmp(argv[1], "rounds") == 0) {
         run_rounds();
         return 0;

@@ -52,11 +52,46 @@ def test_summary_holds_quartiles_layer_medians_and_failures():
     run_s = entry["end_to_end"]["run_s"]
     assert (run_s["median"], run_s["q1"], run_s["q3"]) == (2.5, 1.75, 3.25)
     assert run_s["n"] == 4 and run_s["values"] == [4.0, 1.0, 3.0, 2.0] and run_s["unit"] == "s"
-    assert entry["per_layer"]["solver.entries_per_s"] == {"unit": "1/s", "median": 20.0, "n": 3}
+    assert entry["per_layer"]["solver.entries_per_s"] == {
+        "unit": "1/s", "median": 20.0, "q1": 15.0, "q3": 25.0, "n": 3,
+        "values": [10.0, 30.0, 20.0],
+    }
     assert (entry["attempted"], entry["failed"], entry["correct"]) == (52, 1, False)
     one = bench_file.summarize([_result(5.0)], [])
     assert (one["end_to_end"]["run_s"]["median"], one["end_to_end"]["run_s"]["q1"]) == (5.0, 5.0)
     assert one["per_layer"] == {} and one["correct"]
+
+
+def test_traced_runs_pair_the_first_three_seeds_in_alternating_order(tmp_path, monkeypatch):
+    calls = []
+
+    def run_bench(tree, workload, seed, seconds, trace):
+        calls.append((trace, seed, workload, "parent" if tree == str(tmp_path) else "change"))
+        if trace:
+            return _MACHINE, _traced(float(seed))
+        return _MACHINE, _result(seed / 100)
+
+    monkeypatch.setattr(bench_file, "run_bench", run_bench)
+    monkeypatch.setattr(bench_file, "tier1", lambda tree: {"wall_s": 1.0})
+    out = tmp_path / "bench.json"
+    for seeds, traced in (("5-9", [5, 6, 7]), ("5,6", [5, 6])):
+        calls.clear()
+        assert bench_file.main(["--out", str(out), "--seeds", seeds, "--parent", str(tmp_path)]) == 0
+        written = json.loads(out.read_text())
+        for name, entry in written["workloads"].items():
+            for trace, seed_list in ((0, bench_file.parse_seeds(seeds)), (1, traced)):
+                # each seed's pair, the parent first at the first seed
+                sides = [side for t, _, w, side in calls if t == trace and w == name]
+                assert sides == [s for n in range(len(seed_list))
+                                 for s in (("parent", "change") if n % 2 == 0
+                                           else ("change", "parent"))]
+                assert [seed for t, seed, w, _ in calls
+                        if t == trace and w == name][::2] == seed_list
+            for side in ("change", "parent"):
+                layer = entry[side]["per_layer"]["solver.entries_per_s"]
+                assert layer["values"] == [float(seed) for seed in traced]
+                assert layer["n"] == len(traced)
+                assert entry[side]["end_to_end"]["run_s"]["n"] == len(bench_file.parse_seeds(seeds))
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="no git")

@@ -881,12 +881,78 @@ class _ZeroDraws:
         return order
 
 
+def _untemper(y):
+    """The MT19937 state word whose tempered output is ``y``."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    t = y
+    for _ in range(5):
+        t = y ^ ((t << 7) & 0x9D2C5680)
+    y = t
+    for _ in range(3):
+        t = y ^ (t >> 11)
+    return t & 0xFFFFFFFF
+
+
+def _noise_words():
+    """The driver's word cycle: 64 draw words, each a pair of 32-bit words
+    (high first), laid out as numpy's ziggurat reads them: bits 0-7 the
+    layer, bit 8 the sign, bits 9-60 the magnitude. "f" takes the common
+    path (a magnitude below 3 * 2^50, under every layer's bound but layer
+    1's, which is 0); "w" a wedge test: in layer 1 at a small magnitude,
+    which accepts, and in layers 7 and 255 at or next to the largest,
+    which may not; "t" the tail (layer 0 and the largest magnitude, bit 8
+    of it giving the sign). Bits 61-63 of a "w" or "t" word make it read as
+    a double in [0.25, 0.75): the tail loop accepts any pair of doubles
+    read from two such words, so no draw loops for ever.
+    """
+    top = (1 << 52) - 1
+    words = []
+    for u, kind in enumerate("ffwftffwwfttfwff" * 4):
+        if kind == "f":
+            layer, rabs = 2 + (u * 37) % 254, (u * 0x9E3779B97F4A7C15 >> 12) % (3 << 50)
+        elif kind == "w":
+            layer = (7, 1, 255)[u % 3]
+            rabs = 1 << 40 if layer == 1 else top - (u % 2) * (1 << 40)
+        else:
+            # the sign (bit 8) and bit 7 vary apart over the cycle
+            layer, rabs = 0, top ^ (u >> 4 & 1) << 8 ^ (u >> 5 & 1) << 7
+        word = (2, 3, 5)[u % 3] << 61 | rabs << 9 | (u & 1) << 8 | layer
+        if kind == "f":
+            word &= (1 << 61) - 1
+        words += [word >> 32, word & 0xFFFFFFFF]
+    return words
+
+
+def _cycle_normals(words, n):
+    """numpy's Generator.standard_normal drawn n times from an MT19937 whose
+    32-bit outputs are ``words`` repeated: the draws, and the words each
+    took. The state holds the cycle from its first place on, untempered,
+    and its place is moved back by a cycle after each draw that passes it,
+    so no draw reaches MT19937's twist."""
+    bits = np.random.MT19937(0)
+    key = np.array([_untemper(words[j % len(words)]) for j in range(624)], dtype=np.uint32)
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    rng = np.random.Generator(bits)
+    draws, took = [], []
+    for _ in range(n):
+        before = bits.state["state"]["pos"]
+        draws.append(rng.standard_normal())
+        state = bits.state
+        took.append(state["state"]["pos"] - before)
+        if state["state"]["pos"] >= len(words):
+            state["state"]["pos"] -= len(words)
+            bits.state = state
+    return np.array(draws), took
+
+
 class TestKernelsUnderSanitizers:
     """The kernels built with AddressSanitizer and UndefinedBehaviorSanitizer,
     run by tests/sanitize_driver.c on buffers of exactly the size of their
     contents: a load of a word past the end of a COO body, a write past a
-    formatting buffer, or a read or write past a factor, a shard or a
-    round's outputs stops the driver."""
+    formatting buffer, a read or write past a factor, a shard or a round's
+    outputs, or past the matrix a noise draw adds to or its output, stops
+    the driver."""
 
     def test_parse_and_format_stay_inside_their_buffers(self, sanitized_driver):
         driver = sanitized_driver
@@ -945,6 +1011,30 @@ class TestKernelsUnderSanitizers:
                 sse = _float_bits([sums.sse])
                 want.append(f"{rank} {nnz} 0 {sums.clipped} {sse}")
         assert out.stdout.decode().splitlines() == want
+
+    def test_gaussian_perturb_stays_inside_its_buffers(self, sanitized_driver):
+        words = _noise_words()
+        out = subprocess.run(
+            [str(sanitized_driver), "noise"],
+            input=f"{len(words)}\n{' '.join(f'{w:x}' for w in words)}\n".encode(),
+            capture_output=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr.decode()[:3000]
+        want, kinds = [], set()
+        for n in (0, 1, 7, 4096):
+            z, took = _cycle_normals(words, n)
+            i = np.arange(n)
+            m = np.where(i % 3 == 0, -0.0, (i % 5 - 2) / 8.0)
+            want.append(f"{n} {sum(took)} {_float_bits(((z * 0.75) + 0.0) + m)}".rstrip())
+            # where each draw's first word sits in the cycle: 2 words per try
+            start = np.cumsum([0, *took[:-1]]) % len(words) // 2
+            kinds |= {("ffwftffwwfttfwff"[u % 16], t) for u, t in zip(start, took)}
+        assert out.stdout.decode().splitlines() == want
+        # the common path (2 words), a wedge test that accepts (a try and a
+        # double), one that rejects and tries again, and the tail (a try and
+        # pairs of doubles)
+        assert {("f", 2), ("w", 4), ("t", 6)} <= kinds
+        assert any(kind == "w" and t > 4 for kind, t in kinds)
 
 
 class TestFactorFiles:

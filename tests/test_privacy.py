@@ -2,11 +2,13 @@
 
 import math
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fedcp import _native
 from fedcp.privacy import (
     PrivacyAccountant,
     PrivacyParams,
@@ -121,6 +123,96 @@ class TestPerturbMatrix:
         assert abs(noise.mean()) < 4 * sigma / 1000
         assert abs(noise.std() / sigma - 1.0) < 0.02
 
+
+def _both_paths(m, sigma, make_rng, without_library):
+    """perturb_matrix through the compiled kernel and through numpy, each
+    from a fresh stream: (compiled out, numpy out, the two streams)."""
+    rng, ref = make_rng(), make_rng()
+    got = perturb_matrix(m, sigma, rng)
+    with without_library():
+        want = perturb_matrix(m, sigma, ref)
+    return got, want, rng, ref
+
+
+def _same_state(a, b):
+    """Whether two bit generator states (dicts that may hold arrays) are equal."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _same(got, want, rng, ref):
+    assert got.shape == want.shape and got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert _same_state(rng.bit_generator.state, ref.bit_generator.state)
+
+
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+class TestCompiledNoise:
+    """``gaussian_perturb`` against the numpy lines it replaces: the same
+    value bits and the stream left in the same state."""
+
+    # the largest |z| the ziggurat's rectangles and wedges give; beyond it
+    # only the tail branch draws
+    TAIL = 3.6541528853610088
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.37, 1e-320, 1e300])
+    def test_a_million_draws_match_numpy(self, sigma, without_library):
+        for seed in range(3):
+            m = np.random.default_rng(50 + seed).standard_normal((1000, 1000))
+            m.flat[::7] = -0.0
+            _same(*_both_paths(m, sigma, lambda: np.random.default_rng(seed), without_library))
+
+    def test_the_tail_branch_is_drawn(self, without_library):
+        got, want, rng, ref = _both_paths(
+            np.zeros(1_000_000), 1.0, lambda: np.random.default_rng(3), without_library
+        )
+        _same(got, want, rng, ref)
+        # about 260 of a million standard normals lie beyond the edge
+        assert np.count_nonzero(np.abs(got) > self.TAIL) > 100
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                                      np.random.Philox, np.random.SFC64])
+    def test_every_bit_generator(self, bits, without_library):
+        # the kernel draws through the bit generator's own functions
+        m = np.zeros((300, 200))
+        _same(*_both_paths(m, 2.0, lambda: np.random.Generator(bits(11)), without_library))
+
+    @pytest.mark.parametrize("layout", ["fortran", "sliced", "transposed", "empty", "scalar",
+                                        "integer", "signed zeros"])
+    def test_any_layout_draws_in_c_order(self, layout, without_library):
+        base = np.random.default_rng(5).standard_normal((40, 30))
+        m = {
+            "fortran": np.asfortranarray(base),
+            "sliced": base[::3, 1::2],
+            "transposed": base.T,
+            "empty": np.zeros((0, 7)),
+            "scalar": np.float64(-0.0),
+            "integer": np.arange(12).reshape(3, 4),
+            "signed zeros": np.where(base > 0, -0.0, 0.0),
+        }[layout]
+        before = np.array(m, copy=True)
+        _same(*_both_paths(m, 0.5, lambda: np.random.default_rng(8), without_library))
+        assert np.array_equal(m, before)
+
+    def test_zero_sigma_draws_nothing(self, without_library):
+        m = np.asfortranarray(np.random.default_rng(6).standard_normal((20, 10)))
+        fresh = np.random.default_rng(9).bit_generator.state
+        got, want, rng, ref = _both_paths(m, 0.0, lambda: np.random.default_rng(9),
+                                          without_library)
+        _same(got, want, rng, ref)
+        assert _same_state(rng.bit_generator.state, fresh)
+        assert np.array_equal(got, m) and not np.shares_memory(got, m)
+
+    def test_draws_hold_the_stream_lock(self):
+        rng = np.random.default_rng(4)
+        with ThreadPoolExecutor(1) as pool:
+            with rng.bit_generator.lock:
+                pending = pool.submit(perturb_matrix, np.zeros(1000), 1.0, rng)
+                # the draw waits for the lock this thread holds
+                time.sleep(0.2)
+                assert not pending.done()
+            assert pending.result(timeout=30).shape == (1000,)
 
 class TestComposition:
     def test_serial_sum(self):

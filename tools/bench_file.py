@@ -8,14 +8,16 @@ Usage, from the root of a checkout:
 For each seed and each workload that BENCHMARK.json declares, the script
 runs ``python3 perfbench/run.py --trace 0`` in this checkout and in the
 parent checkout, as one pair whose order alternates from seed to seed.
-It then runs ``--trace 1`` once per workload and checkout, at the first
-seed. perfbench runs unchanged, as a subprocess, for the run length
+It then runs ``--trace 1`` the same way at the first three seeds (at
+every seed when there are fewer): one traced run moves by a quarter from
+run to run on some layers, so a per-layer figure needs more than one.
+perfbench runs unchanged, as a subprocess, for the run length
 BENCHMARK.json sets.
 
 The file holds, per workload and checkout: the median and quartiles of
-each end-to-end metric over the seeds, with every value in seed order;
-the per-layer metrics of the traced run; and the counts of attempted and
-failed run steps. It also holds the machine line perfbench prints, the
+each end-to-end metric over the seeds, and of each per-layer metric over
+the traced runs, each with every value in seed order; and the counts of
+attempted and failed run steps. It also holds the machine line perfbench prints, the
 load averages before and after, the CPUs this process may run on, and
 the wall time of the tier-1 suite in each checkout. It records numbers
 and passes no verdict: whether a change is better or worse is for the
@@ -33,6 +35,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TRACED_SEEDS = 3
 
 
 def parse_seeds(text):
@@ -59,28 +62,27 @@ def quartiles(values):
     return med, q1, q3
 
 
+def spread(values):
+    """The median, quartiles, count and every value of ``values``."""
+    med, q1, q3 = quartiles(values)
+    return {"median": med, "q1": q1, "q3": q3, "n": len(values), "values": values}
+
+
 def summarize(results, traced):
     """One checkout's entry for one workload: ``results`` are the untraced
     result objects, one per seed, and ``traced`` the traced ones."""
-    end_to_end = {}
-    for name in results[0]["metrics"]:
-        values = [r["metrics"][name]["value"] for r in results]
-        med, q1, q3 = quartiles(values)
-        end_to_end[name] = {
-            "unit": results[0]["metrics"][name]["unit"],
-            "median": med, "q1": q1, "q3": q3, "n": len(values), "values": values,
+
+    def metrics(runs):
+        return {
+            name: {"unit": runs[0]["metrics"][name]["unit"],
+                   **spread([r["metrics"][name]["value"] for r in runs])}
+            for name in (runs[0]["metrics"] if runs else {})
         }
-    per_layer = {}
-    for name in (traced[0]["metrics"] if traced else {}):
-        per_layer[name] = {
-            "unit": traced[0]["metrics"][name]["unit"],
-            "median": statistics.median(t["metrics"][name]["value"] for t in traced),
-            "n": len(traced),
-        }
+
     runs = results + traced
     return {
-        "end_to_end": end_to_end,
-        "per_layer": per_layer,
+        "end_to_end": metrics(results),
+        "per_layer": metrics(traced),
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
         "correct": all(r["correct"] for r in runs),
@@ -144,14 +146,17 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     load_before = os.getloadavg()
     machine = None
-    untraced = {w: {t: [] for t in trees} for w in workloads}
-    for n, seed in enumerate(args.seeds):
-        for workload in workloads:
-            for side in names if n % 2 else names[::-1]:
-                machine, result = run_bench(trees[side], workload, seed, seconds, 0)
-                untraced[workload][side].append(result)
-                print(f"{workload} seed {seed} {side}: run_s "
-                      f"{result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
+    runs = {trace: {w: {t: [] for t in trees} for w in workloads} for trace in (0, 1)}
+    for trace, seeds in ((0, args.seeds), (1, args.seeds[:TRACED_SEEDS])):
+        for n, seed in enumerate(seeds):
+            for workload in workloads:
+                for side in names if n % 2 else names[::-1]:
+                    machine, result = run_bench(trees[side], workload, seed, seconds, trace)
+                    runs[trace][workload][side].append(result)
+                    # a traced run reports the per-layer metrics only
+                    shown = (f"run_s {result['metrics']['run_s']['value']:.4f}" if trace == 0
+                             else "traced")
+                    print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr)
     out = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "seeds": args.seeds,
@@ -160,11 +165,9 @@ def main(argv=None):
         "workloads": {},
     }
     for workload in workloads:
-        entry = {}
-        for side in names:
-            _, traced = run_bench(trees[side], workload, args.seeds[0], seconds, 1)
-            entry[side] = summarize(untraced[workload][side], [traced])
-        out["workloads"][workload] = entry
+        out["workloads"][workload] = {
+            side: summarize(runs[0][workload][side], runs[1][workload][side]) for side in names
+        }
     out["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     out["machine"] = dict(machine, loadavg_before=load_before, loadavg_after=os.getloadavg(),
                           affinity=sorted(os.sched_getaffinity(0)))
