@@ -17,9 +17,9 @@ BENCHMARK.json sets.
 The file holds, per workload and checkout: the median and quartiles of
 each end-to-end metric over the seeds, and of each per-layer metric over
 the traced runs, each with every value in seed order; and the counts of
-attempted and failed run steps. It also holds the machine line perfbench prints, the
-load averages before and after, the CPUs this process may run on, and
-the wall time of the tier-1 suite in each checkout. It records numbers
+attempted and failed run steps. It also holds the machine line perfbench
+prints, the load averages before and after, the CPUs this process may
+run on, and the wall time of the tier-1 suite in each checkout. It records numbers
 and passes no verdict: whether a change is better or worse is for the
 benchmark's own rule to judge.
 """
@@ -62,22 +62,20 @@ def quartiles(values):
     return med, q1, q3
 
 
-def spread(values):
-    """The median, quartiles, count and every value of ``values``."""
-    med, q1, q3 = quartiles(values)
-    return {"median": med, "q1": q1, "q3": q3, "n": len(values), "values": values}
-
-
 def summarize(results, traced):
     """One checkout's entry for one workload: ``results`` are the untraced
     result objects, one per seed, and ``traced`` the traced ones."""
 
     def metrics(runs):
-        return {
-            name: {"unit": runs[0]["metrics"][name]["unit"],
-                   **spread([r["metrics"][name]["value"] for r in runs])}
-            for name in (runs[0]["metrics"] if runs else {})
-        }
+        out = {}
+        for name in (runs[0]["metrics"] if runs else {}):
+            values = [r["metrics"][name]["value"] for r in runs]
+            med, q1, q3 = quartiles(values)
+            out[name] = {
+                "unit": runs[0]["metrics"][name]["unit"],
+                "median": med, "q1": q1, "q3": q3, "n": len(values), "values": values,
+            }
+        return out
 
     runs = results + traced
     return {
