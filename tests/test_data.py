@@ -894,10 +894,14 @@ def _untemper(y):
     return t & 0xFFFFFFFF
 
 
+_NOISE_KINDS = "ffwftffwwfttfwff" * 4
+
+
 def _noise_words():
-    """The driver's word cycle: 64 draw words, each a pair of 32-bit words
-    (high first), laid out as numpy's ziggurat reads them: bits 0-7 the
-    layer, bit 8 the sign, bits 9-60 the magnitude. "f" takes the common
+    """The driver's word cycle: one draw word for each letter of
+    _NOISE_KINDS, each a pair of 32-bit words (high first), laid out as
+    numpy's ziggurat reads them: bits 0-7 the layer, bit 8 the sign, bits
+    9-60 the magnitude. "f" takes the common
     path (a magnitude below 3 * 2^50, under every layer's bound but layer
     1's, which is 0); "w" a wedge test: in layer 1 at a small magnitude,
     which accepts, and in layers 7 and 255 at or next to the largest,
@@ -908,7 +912,7 @@ def _noise_words():
     """
     top = (1 << 52) - 1
     words = []
-    for u, kind in enumerate("ffwftffwwfttfwff" * 4):
+    for u, kind in enumerate(_NOISE_KINDS):
         if kind == "f":
             layer, rabs = 2 + (u * 37) % 254, (u * 0x9E3779B97F4A7C15 >> 12) % (3 << 50)
         elif kind == "w":
@@ -1028,7 +1032,7 @@ class TestKernelsUnderSanitizers:
             want.append(f"{n} {sum(took)} {_float_bits(((z * 0.75) + 0.0) + m)}".rstrip())
             # where each draw's first word sits in the cycle: 2 words per try
             start = np.cumsum([0, *took[:-1]]) % len(words) // 2
-            kinds |= {("ffwftffwwfttfwff"[u % 16], t) for u, t in zip(start, took)}
+            kinds |= {(_NOISE_KINDS[u], t) for u, t in zip(start, took)}
         assert out.stdout.decode().splitlines() == want
         # the common path (2 words), a wedge test that accepts (a try and a
         # double), one that rejects and tries again, and the tail (a try and
