@@ -6,18 +6,19 @@ bytecode already uses. Its file name hashes the source, the flags and the
 compiler, so a changed source or compiler gets a fresh build. The compiler
 writes to a temporary name that is renamed into place when it succeeds,
 so a half-written library is never loaded; a build then deletes the other
-``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's six kernels.
+``_sgd-*.so`` files there. ``SIGNATURES`` declares the file's seven kernels.
 
 ``LIBRARY`` is the one switch between the compiled and the Python code:
 the loaded library, or None when there is no compiler or compiling or
-loading fails. ``solver``, ``tensor``, ``data`` and ``privacy`` read it
-at each call, never at import. When it is None the solver runs a site's
-round in Python, ``tensor.model_values`` (for ``rmse`` and
-``generate_synthetic``) its einsum and ``read_coo`` its line parser
-instead, the COO and factor writers format with ``repr``, and
+loading fails. ``solver``, ``tensor``, ``data``, ``privacy`` and
+``federation`` read it at each call, never at import. When it is None the
+solver runs a site's round in Python, ``tensor.model_values`` (for
+``rmse`` and ``generate_synthetic``) its einsum and ``read_coo`` its line
+parser instead, the COO and factor writers format with ``repr``,
 ``privacy.perturb_matrix`` draws its noise with
-``Generator.standard_normal``; setting it to None gives that path in a
-process that did load the library.
+``Generator.standard_normal``, and ``federation.server_update`` takes the
+anchor step and the round's change with numpy; setting it to None gives
+that path in a process that did load the library.
 """
 
 import ctypes
@@ -65,6 +66,12 @@ SIGNATURES = {
         _I64, _P, _I64,  # n, out, cap
     )),
     "gaussian_perturb": (None, (_P, _I64, _P, _F64, _P)),  # bitgen, n, m, sigma, out
+    "server_step": (ctypes.c_int, (
+        _I64, _P, _P,  # n_sites, uploads, prev
+        _I64, _I64, _I64,  # offset, split, size
+        _P, _P, _F64, _F64,  # b_hat, c_hat, eta, gamma
+        _P, _P,  # out, change
+    )),
 }
 
 

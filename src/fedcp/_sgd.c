@@ -1,4 +1,4 @@
-/* The hot loops of a CLI run, compiled. The six functions that are not
+/* The hot loops of a CLI run, compiled. The seven functions that are not
  * static are the kernels _native.SIGNATURES declares: site_round, a site's
  * round: the step-size bound's inputs, the draw of its shuffled orders from
  * the site's numpy stream, the SGD passes, each followed by the finiteness
@@ -11,7 +11,11 @@
  * of data.write_coo and data.write_factors, byte for byte what repr
  * writes); and gaussian_perturb, the upload noise (the fast path of
  * privacy.perturb_matrix: numpy's ziggurat for Generator.standard_normal,
- * with numpy's tables, drawn through the noise stream's bitgen_t).
+ * with numpy's tables, drawn through the noise stream's bitgen_t); and
+ * server_step, the server's step over a cohort of encoded uploads: the new
+ * anchors, their finiteness test and the round's change (the fast path of
+ * federation.server_update, whose numpy lines and upload_change are its
+ * reference).
  *
  * The arithmetic follows each Python reference operation for operation.
  * In the pass every dot product is summed strictly left to right starting
@@ -441,6 +445,122 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
     }
     free(work);
     return status;
+}
+
+/* pairwise_sum's tree over p[i] * p[i] and over (c[i] - p[i]) squared,
+ * both at once: sums[0] and sums[1] get the bits pairwise_sum gives on
+ * arrays of those squares, which is how np.add.reduce sums np.multiply's
+ * output. */
+static void pairwise_squares(const double *p, const double *c, int64_t n, double *sums)
+{
+    if (n < 8) {
+        double s = 0.0, d = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            double e = c[i] - p[i];
+            s += p[i] * p[i];
+            d += e * e;
+        }
+        sums[0] = s;
+        sums[1] = d;
+        return;
+    }
+    if (n <= 128) {
+        double r[8], q[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) {
+            double e = c[j] - p[j];
+            r[j] = p[j] * p[j];
+            q[j] = e * e;
+        }
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) {
+                double e = c[i + j] - p[i + j];
+                r[j] += p[i + j] * p[i + j];
+                q[j] += e * e;
+            }
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        double d = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]));
+        for (; i < n; i++) {
+            double e = c[i] - p[i];
+            s += p[i] * p[i];
+            d += e * e;
+        }
+        sums[0] = s;
+        sums[1] = d;
+        return;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    double left[2], right[2];
+    pairwise_squares(p, c, half, left);
+    pairwise_squares(p + half, c + half, n - half, right);
+    sums[0] = left[0] + right[0];
+    sums[1] = left[1] + right[1];
+}
+
+/* The server's step over one cohort, federation.server_update after its
+ * checks. uploads holds the n_sites encoded uploads in site order; each
+ * one's size values start offset bytes in, B's split values and then C's,
+ * row-major, at an address that is a multiple of 8 (a CPython bytes
+ * object's data starts 32 bytes into a 16-byte-aligned block, and offset
+ * is 24). b_hat and c_hat are the anchors, split and size - split values.
+ *
+ * out gets the new anchors, B then C: for each value, hat + eta * delta
+ * with delta = 0.0 + gamma * (u - hat) over the sites in site order, the
+ * numpy lines' zeros_like, += and +. Returns SERVER_NON_FINITE, with out
+ * holding no anchor and *change unwritten, when a delta is not finite.
+ *
+ * Else SERVER_DONE, and when prev (the previous cohort, laid out alike)
+ * is not NULL, *change gets federation.upload_change of the two cohorts:
+ * for each site, B's block and then C's, sqrt(d2) / max(sqrt(p2), 1e-12)
+ * with p2 and d2 the sums of p squared and of (c - p) squared, each 0.0 +
+ * pairwise_squares, and the worst of them kept as Python's max keeps it:
+ * a ratio replaces it only when greater, so a NaN ratio (inf / inf, when
+ * squares overflow) never does.
+ */
+enum { SERVER_DONE, SERVER_NON_FINITE };
+
+int server_step(int64_t n_sites, const char *const *uploads, const char *const *prev,
+                int64_t offset, int64_t split, int64_t size, const double *b_hat,
+                const double *c_hat, double eta, double gamma, double *out, double *change)
+{
+    const int64_t first[2] = {0, split}, count[2] = {split, size - split};
+    const double *hat[2] = {b_hat, c_hat};
+    for (int m = 0; m < 2; m++) {
+        double *delta = out + first[m];
+        for (int64_t i = 0; i < count[m]; i++)
+            delta[i] = 0.0;
+        for (int64_t t = 0; t < n_sites; t++) {
+            const double *u = (const double *)(uploads[t] + offset) + first[m];
+            for (int64_t i = 0; i < count[m]; i++)
+                delta[i] += gamma * (u[i] - hat[m][i]);
+        }
+    }
+    for (int64_t i = 0; i < size; i++)
+        if (!isfinite(out[i]))
+            return SERVER_NON_FINITE;
+    for (int m = 0; m < 2; m++) {
+        double *delta = out + first[m];
+        for (int64_t i = 0; i < count[m]; i++)
+            delta[i] = hat[m][i] + eta * delta[i];
+    }
+    if (prev == NULL)
+        return SERVER_DONE;
+    double worst = 0.0;
+    for (int64_t t = 0; t < n_sites; t++) {
+        const double *p = (const double *)(prev[t] + offset);
+        const double *c = (const double *)(uploads[t] + offset);
+        for (int m = 0; m < 2; m++) {
+            double sums[2];
+            pairwise_squares(p + first[m], c + first[m], count[m], sums);
+            double norm = sqrt(0.0 + sums[0]);
+            double ratio = sqrt(0.0 + sums[1]) / (1e-12 > norm ? 1e-12 : norm);
+            if (ratio > worst)
+                worst = ratio;
+        }
+    }
+    *change = worst;
+    return SERVER_DONE;
 }
 
 /* numpy's ziggurat for Generator.standard_normal (Marsaglia & Tsang, "The

@@ -11,11 +11,14 @@ local feature factors; the broadcast only moves the penalty anchors.
 
 A site's local epoch also returns its sum for the round's RMSE, so the
 round never rescans a shard. The server takes the round's change from the
-decoded uploads alone, which spends no budget. Reductions are ordered by
-site id, so a run is bit-reproducible whether sites execute serially or on
-a worker pool.
+uploads alone, which spends no budget, in the same step as the anchors:
+with the compiled library one call to ``server_step`` over the encoded
+uploads, else the numpy lines that stay as its reference. Reductions are
+ordered by site id, so a run is bit-reproducible whether sites execute
+serially or on a worker pool.
 """
 
+import ctypes
 import math
 import struct
 import warnings
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import DimensionError, NumericOverflowError, ProtocolError
 from .privacy import (
     PrivacyAccountant,
@@ -43,14 +47,16 @@ _VALUE_BYTES = 8
 @dataclass
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
-    run, also the value vectors of the last round's decoded uploads (each B
-    then C, row-major, a view of its message) in site order."""
+    run, also the last accepted cohort's encoded uploads in site order, and
+    with the compiled library the same as one ctypes array of their
+    addresses, which the next round's ``server_step`` reads."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
     n_sites: int
     epoch: int = 0
     uploads: list | None = None
+    upload_array: ctypes.Array | None = None
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -129,38 +135,95 @@ class EpochMetrics:
     clipped: int | None = None
 
 
-def server_update(server: ServerState, uploads, eta: float, gamma: float) -> None:
-    """One elastic step of the anchors toward the uploads, in place.
+def server_update(server: ServerState, uploads, eta: float, gamma: float,
+                  blobs=None) -> float | None:
+    """One elastic step of the anchors toward the uploads, in place, and the
+    round's change: ``upload_change`` from the last accepted cohort to this
+    one, None for the server's first.
 
     Every site must appear exactly once, with a finite upload for the epoch
     after the server's. The sum runs in ascending site_id order against the
-    pre-update anchors. A rejected cohort leaves the server unchanged.
+    pre-update anchors. ``blobs`` are the encoded uploads that ``uploads``
+    were decoded from, in the same order; without them each upload is
+    encoded here. The server keeps the cohort's encodings in site order for
+    the next round's change. A rejected cohort leaves the server unchanged.
+
+    With the compiled library loaded, the step, its finiteness test and the
+    change are one call to ``server_step``, which reads the encodings;
+    otherwise the numpy lines of ``_anchor_step`` and ``upload_change``,
+    which stay as its reference, take them from the decoded uploads.
     """
     ids = sorted(m.site_id for m in uploads)
     if ids != list(range(server.n_sites)):
         raise ProtocolError(f"expected one upload from each of {server.n_sites} sites, got ids {ids}")
     by_id = {m.site_id: m for m in uploads}
-    delta_b = np.zeros_like(server.B_hat)
-    delta_c = np.zeros_like(server.C_hat)
-    for t in range(server.n_sites):
-        msg = by_id[t]
+    ordered = [by_id[t] for t in range(server.n_sites)]
+    for t, msg in enumerate(ordered):
         if msg.epoch != server.epoch + 1:
             raise ProtocolError(
                 f"upload from site {t} is for epoch {msg.epoch}, expected epoch {server.epoch + 1}"
             )
         if msg.priv_B.shape != server.B_hat.shape or msg.priv_C.shape != server.C_hat.shape:
             raise DimensionError(f"upload from site {t} has wrong shape")
+    if blobs is None:
+        cohort = [msg.to_bytes() for msg in ordered]
+    else:
+        encoded = dict(zip((m.site_id for m in uploads), blobs))
+        cohort = [encoded[t] for t in range(server.n_sites)]
+    split = server.B_hat.size
+    lib = _native.LIBRARY
+    if lib is None:
+        server_b, server_c = _anchor_step(server, ordered, eta, gamma)
+        change = None if server.uploads is None else upload_change(
+            [_upload_values(blob) for blob in server.uploads],
+            [_upload_values(blob) for blob in cohort], split)
+        array = None
+    else:
+        array = (ctypes.c_char_p * server.n_sites)(*cohort)
+        prev = server.upload_array
+        if prev is None and server.uploads is not None:
+            prev = (ctypes.c_char_p * server.n_sites)(*server.uploads)
+        b_hat = np.ascontiguousarray(server.B_hat, dtype=np.float64)
+        c_hat = np.ascontiguousarray(server.C_hat, dtype=np.float64)
+        out = np.empty(split + server.C_hat.size)
+        worst = ctypes.c_double()
+        status = lib.server_step(
+            server.n_sites, array, prev, HEADER_BYTES, split, out.size, b_hat.ctypes.data,
+            c_hat.ctypes.data, eta, gamma, out.ctypes.data, ctypes.byref(worst),
+        )
+        if status != 0:
+            _reject_non_finite(ordered)
+        server_b = out[:split].reshape(server.B_hat.shape)
+        server_c = out[split:].reshape(server.C_hat.shape)
+        change = None if prev is None else worst.value
+    server.B_hat, server.C_hat = server_b, server_c
+    server.epoch += 1
+    server.uploads, server.upload_array = cohort, array
+    return change
+
+
+def _anchor_step(server: ServerState, ordered, eta: float, gamma: float) -> tuple:
+    """The new anchors from the uploads in site order, by numpy: the
+    reference of ``server_step``'s step and the path without the library."""
+    delta_b = np.zeros_like(server.B_hat)
+    delta_c = np.zeros_like(server.C_hat)
+    for msg in ordered:
         delta_b += gamma * (msg.priv_B - server.B_hat)
         delta_c += gamma * (msg.priv_C - server.C_hat)
     # one test per round; the uploads are scanned only to name the site
     if not (np.isfinite(delta_b).all() and np.isfinite(delta_c).all()):
-        for t in range(server.n_sites):
-            if not (np.isfinite(by_id[t].priv_B).all() and np.isfinite(by_id[t].priv_C).all()):
-                raise ProtocolError(f"upload from site {t} holds a non-finite value")
-        raise NumericOverflowError("the anchor step overflowed")
-    server.B_hat = server.B_hat + eta * delta_b
-    server.C_hat = server.C_hat + eta * delta_c
-    server.epoch += 1
+        _reject_non_finite(ordered)
+    return server.B_hat + eta * delta_b, server.C_hat + eta * delta_c
+
+
+def _reject_non_finite(ordered):
+    """Raise for a step whose sum is not finite: ProtocolError naming the
+    first site whose upload holds a non-finite value, else
+    NumericOverflowError."""
+    for t, msg in enumerate(ordered):
+        if not (np.isfinite(msg.priv_B).all() and np.isfinite(msg.priv_C).all()):
+            raise ProtocolError(f"upload from site {t} holds a non-finite value")
+    raise NumericOverflowError("the anchor step overflowed")
 
 
 def pooled_rmse(sites) -> float:
@@ -211,14 +274,10 @@ def run_round(
     messages = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs]
 
     # the server checks the cohort before any release is recorded
-    server_update(server, messages, params.eta, params.gamma)
+    change = server_update(server, messages, params.eta, params.gamma, blobs)
     for msg in messages:
         accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
         accountant.record(epoch, msg.site_id, "C", priv.rho, sigma, sensitivity)
-    by_site = sorted(zip(messages, blobs), key=lambda mb: mb[0].site_id)
-    cohort = [_upload_values(blob) for _, blob in by_site]
-    change = None if server.uploads is None else upload_change(server.uploads, cohort, j_dim * rank)
-    server.uploads = cohort
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()
@@ -287,7 +346,9 @@ def upload_change(prev, curr, split: int) -> float:
     vector sums as the contiguous matrix does. Each site's squares, then its
     squared differences, are taken over its whole vector and summed block by
     block, all in one buffer that the sites share: allocating one per site
-    made it slower than per-matrix sums at the README default's size."""
+    made it slower than per-matrix sums at the README default's size.
+    ``server_update`` calls it without the compiled library; with it, the
+    change comes from ``server_step``, and this stays as its reference."""
     blocks = (slice(None, split), slice(split, None))
     worst, work = 0.0, None
     for p, c in zip(prev, curr):
@@ -370,7 +431,7 @@ def run_experiment(
         converged = metrics[-1].change is not None and metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
-    server.uploads = None  # needed only between rounds
+    server.uploads = server.upload_array = None  # needed only between rounds
     return RunResult(
         metrics=metrics,
         sites=sites,

@@ -30,9 +30,22 @@
  * second, a double (a >> 5) * 2^26 + (b >> 6) over 2^53. One line "n
  * words bits..." is printed per n: the words drawn, then out's bits in
  * hex.
+ *
+ * Run as "sanitize_driver server", it runs server_step for each count of
+ * SERVER_SITES and each size of SERVER_SIZES, B the first (size + 1) / 2
+ * values and C the rest. Each upload is a malloc'd buffer of exactly
+ * SERVER_OFFSET + 8 * size bytes, each anchor and the output one of
+ * exactly its values. Three calls are made: the first cohort (no previous
+ * one), the second against the first, and the second with the last value
+ * of its last site set to inf. Value i of site t in cohort q is
+ * ((i * (t + 2) + 3 * q) % 11 - 5) / 8, of the anchors ((5 * i) % 7 - 3)
+ * / 4, each -0.0 where it is 0 and i is odd. One line "sites size status
+ * change bits..." is printed per call: the change's bits in hex, or "-"
+ * for none, then out's bits in hex when status is 0.
  */
 
 #include <inttypes.h>
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -55,6 +68,10 @@ typedef struct {
 
 void gaussian_perturb(bitgen_t *bitgen, int64_t n, const double *m, double sigma, double *out);
 
+int server_step(int64_t n_sites, const char *const *uploads, const char *const *prev,
+                int64_t offset, int64_t split, int64_t size, const double *b_hat,
+                const double *c_hat, double eta, double gamma, double *out, double *change);
+
 int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t i_dim,
                int64_t j_dim, int64_t k_dim, double *A, double *B, double *C, int64_t rank,
                double *out, int64_t *tally, int64_t tau, bitgen_t *bitgen,
@@ -73,6 +90,10 @@ static const int64_t ROUND_NNZ[] = {3, 10, 40};
 
 #define NOISE_SIGMA 0.75
 static const int64_t NOISE_N[] = {0, 1, 7, 4096};
+
+#define SERVER_OFFSET 24
+static const int64_t SERVER_SITES[] = {1, 3};
+static const int64_t SERVER_SIZES[] = {1, 7, 8, 129, 4099};
 
 static void *checked_malloc(size_t size)
 {
@@ -260,8 +281,89 @@ static void run_noise(FILE *in)
     free(words);
 }
 
+static double server_value(int64_t i, int64_t numerator)
+{
+    double v = (double)numerator;
+    return v == 0.0 && i % 2 ? -0.0 : v;
+}
+
+static void print_step(int64_t sites, int64_t size, int status, const double *change,
+                       const double *out)
+{
+    printf("%" PRId64 " %" PRId64 " %d ", sites, size, status);
+    uint64_t bits;
+    if (change == NULL) {
+        putchar('-');
+    } else {
+        memcpy(&bits, change, sizeof bits);
+        printf("%016" PRIx64, bits);
+    }
+    for (int64_t i = 0; status == 0 && i < size; i++) {
+        memcpy(&bits, out + i, sizeof bits);
+        printf(" %016" PRIx64, bits);
+    }
+    putchar('\n');
+}
+
+static void run_server(void)
+{
+    for (size_t a = 0; a < sizeof SERVER_SITES / sizeof *SERVER_SITES; a++) {
+        for (size_t b = 0; b < sizeof SERVER_SIZES / sizeof *SERVER_SIZES; b++) {
+            int64_t sites = SERVER_SITES[a], size = SERVER_SIZES[b], split = (size + 1) / 2;
+            char *cohorts[2][3];
+            for (int q = 0; q < 2; q++) {
+                for (int64_t t = 0; t < sites; t++) {
+                    char *blob = checked_malloc(SERVER_OFFSET + (size_t)size * sizeof(double));
+                    memset(blob, 0, SERVER_OFFSET);
+                    for (int64_t i = 0; i < size; i++) {
+                        double v = server_value(i, (i * (t + 2) + 3 * q) % 11 - 5) / 8.0;
+                        memcpy(blob + SERVER_OFFSET + i * (int64_t)sizeof v, &v, sizeof v);
+                    }
+                    cohorts[q][t] = blob;
+                }
+            }
+            double *b_hat = checked_malloc((size_t)split * sizeof *b_hat);
+            double *c_hat = checked_malloc((size_t)(size - split) * sizeof *c_hat);
+            for (int64_t i = 0; i < size; i++) {
+                double v = server_value(i, (5 * i) % 7 - 3) / 4.0;
+                if (i < split)
+                    b_hat[i] = v;
+                else
+                    c_hat[i - split] = v;
+            }
+            double *out = checked_malloc((size_t)size * sizeof *out);
+            double *change = checked_malloc(sizeof *change);
+            const char *const *first = (const char *const *)cohorts[0];
+            const char *const *second = (const char *const *)cohorts[1];
+            int status = server_step(sites, first, NULL, SERVER_OFFSET, split, size, b_hat,
+                                     c_hat, 0.05, 0.5, out, change);
+            print_step(sites, size, status, NULL, out);
+            status = server_step(sites, second, first, SERVER_OFFSET, split, size, b_hat,
+                                 c_hat, 0.05, 0.5, out, change);
+            print_step(sites, size, status, change, out);
+            double inf = INFINITY;
+            memcpy(cohorts[1][sites - 1] + SERVER_OFFSET + (size - 1) * (int64_t)sizeof inf,
+                   &inf, sizeof inf);
+            status = server_step(sites, second, first, SERVER_OFFSET, split, size, b_hat,
+                                 c_hat, 0.05, 0.5, out, change);
+            print_step(sites, size, status, NULL, out);
+            free(change);
+            free(out);
+            free(c_hat);
+            free(b_hat);
+            for (int q = 0; q < 2; q++)
+                for (int64_t t = 0; t < sites; t++)
+                    free(cohorts[q][t]);
+        }
+    }
+}
+
 int main(int argc, char **argv)
 {
+    if (argc > 1 && strcmp(argv[1], "server") == 0) {
+        run_server();
+        return 0;
+    }
     if (argc > 1 && strcmp(argv[1], "noise") == 0) {
         run_noise(stdin);
         return 0;

@@ -28,7 +28,8 @@ from fedcp.data import (
     write_coo,
     write_factors,
 )
-from fedcp.errors import ConfigError, ParseError
+from fedcp.errors import ConfigError, ParseError, ProtocolError
+from fedcp.federation import RoundMessage, ServerState, server_update
 from fedcp.privacy import PrivacyParams
 from fedcp.solver import SiteState, SolverParams, run_local_epoch
 from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
@@ -955,8 +956,8 @@ class TestKernelsUnderSanitizers:
     run by tests/sanitize_driver.c on buffers of exactly the size of their
     contents: a load of a word past the end of a COO body, a write past a
     formatting buffer, a read or write past a factor, a shard or a round's
-    outputs, or past the matrix a noise draw adds to or its output, stops
-    the driver."""
+    outputs, past the matrix a noise draw adds to or its output, or past an
+    upload, an anchor or the server step's output, stops the driver."""
 
     def test_parse_and_format_stay_inside_their_buffers(self, sanitized_driver):
         driver = sanitized_driver
@@ -1039,6 +1040,48 @@ class TestKernelsUnderSanitizers:
         # pairs of doubles)
         assert {("f", 2), ("w", 4), ("t", 6)} <= kinds
         assert any(kind == "w" and t > 4 for kind, t in kinds)
+
+    def test_server_step_stays_inside_its_buffers(self, sanitized_driver, without_library):
+        out = subprocess.run([str(sanitized_driver), "server"], capture_output=True, timeout=300)
+        assert out.returncode == 0, out.stderr.decode()[:3000]
+        # the driver's three calls, each as server_update's numpy lines take
+        # it: the first cohort, the second against the first, and the second
+        # with an inf at the end
+        want = []
+        for sites in (1, 3):
+            for size in (1, 7, 8, 129, 4099):
+                split, i = (size + 1) // 2, np.arange(size)
+
+                def values(numerator, scale):
+                    return np.where((numerator == 0) & (i % 2 == 1), -0.0, numerator / scale)
+
+                hat = values((5 * i) % 7 - 3, 4.0)
+                first, second = ([values((i * (t + 2) + 3 * q) % 11 - 5, 8.0)
+                                  for t in range(sites)] for q in (0, 1))
+                poisoned = [v.copy() for v in second]
+                poisoned[-1][-1] = math.inf
+                for cohort, prev in ((first, None), (second, first), (poisoned, first)):
+                    messages = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
+                                             v[split:].reshape(-1, 1)) for t, v in enumerate(cohort)]
+                    server = ServerState(
+                        B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
+                        n_sites=sites,
+                        uploads=None if prev is None else [
+                            RoundMessage(t, 0, v[:split].reshape(-1, 1),
+                                         v[split:].reshape(-1, 1)).to_bytes()
+                            for t, v in enumerate(prev)],
+                    )
+                    with without_library():
+                        try:
+                            change = server_update(server, messages, 0.05, 0.5)
+                        except ProtocolError:
+                            want.append(f"{sites} {size} 1 -")
+                            continue
+                    anchors = _float_bits(np.concatenate([server.B_hat.ravel(),
+                                                          server.C_hat.ravel()]))
+                    shown = "-" if change is None else _float_bits([change])
+                    want.append(f"{sites} {size} 0 {shown} {anchors}")
+        assert out.stdout.decode().splitlines() == want
 
 
 class TestFactorFiles:

@@ -30,6 +30,7 @@ from fedcp.federation import (
     upload_change,
     worst_change,
 )
+from fedcp.federation import _upload_values
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
 from fedcp.solver import SolverParams, derive_site_seed, init_site_state, run_local_epoch
 from fedcp.tensor import SparseTensorCOO
@@ -46,12 +47,18 @@ def _server(b, c, n_sites):
 class TestServerUpdate:
     def test_upload_equal_to_anchor_changes_nothing(self):
         server = _server([[1.0, 2.0]], [[3.0]], 1)
-        # the server advances in place; nothing is returned
+        # the server advances in place; its first cohort has no change
         upload = _message(0, [[1.0, 2.0]], [[3.0]])
         assert server_update(server, [upload], eta=0.3, gamma=4.0) is None
         assert server.B_hat.tolist() == [[1.0, 2.0]]
         assert server.C_hat.tolist() == [[3.0]]
         assert server.epoch == 1
+        # the same upload again: nothing moves, and the change is 0
+        again = _message(0, [[1.0, 2.0]], [[3.0]], epoch=2)
+        assert server_update(server, [again], eta=0.3, gamma=4.0) == 0.0
+        assert server.B_hat.tolist() == [[1.0, 2.0]]
+        assert server.C_hat.tolist() == [[3.0]]
+        assert server.epoch == 2
 
     def test_eta_gamma_one_replaces_anchor(self):
         server = _server([[0.0]], [[0.0]], 1)
@@ -132,6 +139,122 @@ class TestServerUpdate:
             server_update(server, [_message(0, [[1e308]], [[0.0]])], 0.1, 1.0)
         assert server.B_hat.tolist() == [[-1e308]]
         assert server.epoch == 0
+
+
+def _bits(x):
+    """A float's bits, so that NaN equals NaN; None stays None."""
+    return None if x is None else struct.pack("<d", x)
+
+
+def _encoded(values, split, rank, epoch):
+    """Messages decoded from the encodings of upload value vectors (B's
+    ``split`` values then C's, site t the t-th), and the encodings."""
+    blobs = [
+        RoundMessage(t, epoch, v[:split].reshape(-1, rank), v[split:].reshape(-1, rank)).to_bytes()
+        for t, v in enumerate(values)
+    ]
+    j_dim, k_dim = split // rank, (len(values[0]) - split) // rank
+    return [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in blobs], blobs
+
+
+@pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+class TestCompiledServerStep:
+    """``server_step`` against the numpy lines of ``server_update``, bit for
+    bit: the anchors, the change, the epoch, the held cohort and the error."""
+
+    def _trail(self, anchors, cohorts, rank, eta=0.05, gamma=2.0, blobs=True):
+        """Each cohort of value vectors offered to one server in turn, the
+        sites in reverse order: after each, what it returned or raised, the
+        anchors' bytes, the epoch and the held cohort."""
+        b_hat, c_hat = anchors
+        server = ServerState(B_hat=b_hat.copy(), C_hat=c_hat.copy(), n_sites=len(cohorts[0]))
+        trail = []
+        for values in cohorts:
+            messages, encoded = _encoded(values, b_hat.size, rank, server.epoch + 1)
+            try:
+                outcome = _bits(server_update(server, messages[::-1], eta, gamma,
+                                              encoded[::-1] if blobs else None))
+            except (ProtocolError, NumericOverflowError) as exc:
+                outcome = (type(exc), str(exc))
+            trail.append((outcome, server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch,
+                          server.uploads))
+        return trail
+
+    def _both(self, without_library, anchors, cohorts, rank, **kwargs):
+        compiled = self._trail(anchors, cohorts, rank, **kwargs)
+        with without_library():
+            assert self._trail(anchors, cohorts, rank, **kwargs) == compiled
+        return compiled
+
+    # the shapes of test_upload_change_has_the_bits_of_worst_change
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("j_dim, k_dim, rank",
+                             [(1, 7, 1), (8, 9, 1), (127, 129, 1), (136, 4099, 1), (15, 18, 3),
+                              (300, 800, 50)])
+    def test_same_bits_as_the_numpy_lines(self, without_library, n_sites, j_dim, k_dim, rank):
+        rng = np.random.default_rng(n_sites * 1000 + j_dim + k_dim + rank)
+        anchors = (rng.standard_normal((j_dim, rank)), rng.standard_normal((k_dim, rank)))
+        size = (j_dim + k_dim) * rank
+        cohorts = [[rng.standard_normal(size) for _ in range(n_sites)]]
+        for scale in (1e-3, 0.5):
+            cohorts.append([v + scale * rng.standard_normal(size) for v in cohorts[-1]])
+        trail = self._both(without_library, anchors, cohorts, rank)
+        assert [step[0] is None for step in trail] == [True, False, False]
+        # the encodings held are the cohort's, in site order
+        assert trail[-1][4] == _encoded(cohorts[-1], j_dim * rank, rank, 3)[1]
+        assert self._trail(anchors, cohorts, rank, blobs=False) == trail
+
+    def test_signed_zeros(self, without_library):
+        # the sum starts from 0.0: +0.0 - -0.0 and -0.0 - +0.0 in every order
+        zeros = np.array([0.0, -0.0, 0.0, -0.0])
+        anchors = (zeros.reshape(2, 2), zeros[::-1].reshape(2, 2))
+        cohorts = [[np.resize(zeros, 8), np.resize(-zeros, 8)], [np.resize(-zeros, 8)] * 2]
+        trail = self._both(without_library, anchors, cohorts, 2)
+        assert trail[1][0] == _bits(0.0)
+
+    def test_zero_previous_upload_takes_the_floor(self, without_library):
+        anchors = (np.ones((2, 1)), np.ones((3, 1)))
+        cohorts = [[np.zeros(5)], [np.full(5, 3.0)]]
+        trail = self._both(without_library, anchors, cohorts, 1)
+        # C has three values to B's two
+        assert trail[1][0] == _bits(math.sqrt(27.0) / 1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("n_sites, worst", [(2, 0.5), (3, math.inf)])
+    def test_overflowing_squares_keep_the_worst(self, without_library, n_sites, worst):
+        # site 0's ratios are 0.5; site 1's B squares overflow, and inf / inf
+        # is NaN, which never replaces the worst; site 2's C change squares
+        # overflow over a norm that underflows to 0: inf
+        anchors = (np.zeros((2, 1)), np.zeros((2, 1)))
+        cohorts = [[np.full(4, 2.0), np.array([1e200, 1e200, 1.0, 1.0]),
+                    np.array([1.0, 1.0, 1e-300, 1e-300])],
+                   [np.full(4, 3.0), np.array([-1e200, -1e200, 1.0, 1.0]),
+                    np.array([1.0, 1.0, 1e200, 1e200])]]
+        cohorts = [c[:n_sites] for c in cohorts]
+        assert self._both(without_library, anchors, cohorts, 1)[1][0] == _bits(worst)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "overflow"])
+    def test_rejected_cohort_leaves_the_server_as_it_was(self, without_library, bad):
+        rng = np.random.default_rng(7)
+        anchors = (rng.standard_normal((3, 2)), rng.standard_normal((4, 2)))
+        accepted = [rng.standard_normal(14) for _ in range(3)]
+        rejected = [v.copy() for v in accepted]
+        if bad == "overflow":
+            # finite uploads whose step overflows
+            rejected[0][5] = rejected[2][5] = 1.7e308
+            want = (NumericOverflowError, "the anchor step overflowed")
+        else:
+            rejected[1][9] = rejected[2][0] = bad
+            want = (ProtocolError, "upload from site 1 holds a non-finite value")
+        later = [v + 0.1 for v in accepted]
+        trail = self._both(without_library, anchors, [accepted, rejected, later], 2)
+        assert trail[1][0] == want
+        assert trail[1][1:] == trail[0][1:]
+        # the next cohort is measured against the last accepted one
+        values = [_upload_values(b) for b in _encoded(accepted, 6, 2, 1)[1]]
+        assert trail[2][0] == _bits(upload_change(values, later, 6))
+        assert trail[2][3] == 2
 
 
 class TestRoundMessage:
@@ -385,10 +508,10 @@ class TestRoundSums:
         priv = PrivacyParams(rho=1e-2 if math.isfinite(clip) else math.inf)
         cohorts = []  # the decoded uploads of each round, as (B, C) pairs in site order
 
-        def recording(server, uploads, eta, gamma):
+        def recording(server, uploads, eta, gamma, blobs):
             ordered = sorted(uploads, key=lambda m: m.site_id)
             cohorts.append([(m.priv_B.copy(), m.priv_C.copy()) for m in ordered])
-            return server_update(server, uploads, eta, gamma)
+            return server_update(server, uploads, eta, gamma, blobs)
 
         monkeypatch.setattr(federation, "server_update", recording)
 
