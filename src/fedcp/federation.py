@@ -165,12 +165,17 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float,
             )
         if msg.priv_B.shape != server.B_hat.shape or msg.priv_C.shape != server.C_hat.shape:
             raise DimensionError(f"upload from site {t} has wrong shape")
+    split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
     if blobs is None:
         cohort = [msg.to_bytes() for msg in ordered]
     else:
         encoded = dict(zip((m.site_id for m in uploads), blobs))
         cohort = [encoded[t] for t in range(server.n_sites)]
-    split = server.B_hat.size
+        # server_step reads every value of each encoding
+        expected = HEADER_BYTES + _VALUE_BYTES * size
+        for t, blob in enumerate(cohort):
+            if len(blob) != expected:
+                raise ProtocolError(f"upload from site {t} has {len(blob)} bytes, expected {expected}")
     lib = _native.LIBRARY
     if lib is None:
         server_b, server_c = _anchor_step(server, ordered, eta, gamma)
@@ -185,10 +190,10 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float,
             prev = (ctypes.c_char_p * server.n_sites)(*server.uploads)
         b_hat = np.ascontiguousarray(server.B_hat, dtype=np.float64)
         c_hat = np.ascontiguousarray(server.C_hat, dtype=np.float64)
-        out = np.empty(split + server.C_hat.size)
+        out = np.empty(size)
         worst = ctypes.c_double()
         status = lib.server_step(
-            server.n_sites, array, prev, HEADER_BYTES, split, out.size, b_hat.ctypes.data,
+            server.n_sites, array, prev, HEADER_BYTES, split, size, b_hat.ctypes.data,
             c_hat.ctypes.data, eta, gamma, out.ctypes.data, ctypes.byref(worst),
         )
         if status != 0:

@@ -310,7 +310,7 @@ static void run_server(void)
     for (size_t a = 0; a < sizeof SERVER_SITES / sizeof *SERVER_SITES; a++) {
         for (size_t b = 0; b < sizeof SERVER_SIZES / sizeof *SERVER_SIZES; b++) {
             int64_t sites = SERVER_SITES[a], size = SERVER_SIZES[b], split = (size + 1) / 2;
-            char *cohorts[2][3];
+            char *cohorts[2][3]; /* 3, the largest count of SERVER_SITES */
             for (int q = 0; q < 2; q++) {
                 for (int64_t t = 0; t < sites; t++) {
                     char *blob = checked_malloc(SERVER_OFFSET + (size_t)size * sizeof(double));

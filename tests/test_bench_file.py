@@ -120,3 +120,40 @@ def test_a_tree_records_its_commit_and_whether_tracked_files_changed(tmp_path, m
     assert bench_file.commit_of(tree) == {"commit": head, "dirty": False}
     (tree / "f.txt").write_text("2\n")
     assert bench_file.commit_of(tree) == {"commit": head, "dirty": True}
+
+
+def _bench(run_s_parent, run_s_change):
+    """A bench file's workloads entry holding only ``run_s`` of one workload."""
+
+    def side(values):
+        med, q1, q3 = bench_file.quartiles(values)
+        return {"end_to_end": {"run_s": {"unit": "s", "median": med, "q1": q1, "q3": q3,
+                                         "n": len(values), "values": values}}}
+
+    return {"workloads": {"w": {"change": side(run_s_change), "parent": side(run_s_parent)}}}
+
+
+def test_table_counts_lower_pairs_and_chains_the_ratios(tmp_path):
+    # a tie counts for neither side; BENCH_9 sorts before BENCH_10
+    (tmp_path / "BENCH_10.json").write_text(json.dumps(_bench([0.004, 0.004], [0.002, 0.002])))
+    (tmp_path / "BENCH_9.json").write_text(json.dumps(_bench([0.010, 0.020, 0.030],
+                                                             [0.005, 0.020, 0.040])))
+    (tmp_path / "BENCH_draft.json").write_text("not a bench file")
+    assert [n for n, _ in bench_file.bench_files(tmp_path)] == [9, 10]
+    assert bench_file.table(tmp_path).splitlines()[2:] == [
+        "| 9 | w | 20.00 | 20.00 | 1/3 | 15.00–25.00 | 1.000 | 1.000 |",
+        "| 10 | w | 4.00 | 2.00 | 2/2 | 4.00–4.00 | 0.500 | 0.500 |",
+    ]
+
+
+def test_committed_table_is_the_table_of_the_committed_files(capsys):
+    root = _PATH.parents[1]
+    files = bench_file.bench_files(root)
+    rows = bench_file.table(root).splitlines()[2:]
+    assert len(rows) == 3 * len(files)
+    # PR 25's figures as its CHANGES.md entry states them: 39.6 -> 30.9 ms,
+    # lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms; chained
+    # over PRs 16 and 18-25 to 0.72
+    assert "| 25 | readme_pooled | 39.55 | 30.93 | 10/10 | 38.56–41.74 | 0.782 | 0.718 |" in rows
+    assert bench_file.main(["--table"]) == 0
+    assert capsys.readouterr().out == (root / "BENCH_TABLE.md").read_text(encoding="utf-8")

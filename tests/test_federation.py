@@ -73,6 +73,15 @@ class TestServerUpdate:
         assert server.B_hat.tolist() == [[1.0]]
         assert server.C_hat.tolist() == [[1.0]]
 
+    def test_encoding_of_the_wrong_length_rejected(self):
+        server = _server([[0.0]], [[0.0]], 2)
+        uploads = [_message(0, [[1.0]], [[1.0]]), _message(1, [[2.0]], [[2.0]])]
+        blobs = [uploads[0].to_bytes(), uploads[1].to_bytes()[:-8]]
+        with pytest.raises(ProtocolError, match="site 1 has 32 bytes, expected 40"):
+            server_update(server, uploads, 0.1, 1.0, blobs)
+        assert server.epoch == 0 and server.uploads is None
+        assert server.B_hat.tolist() == [[0.0]]
+
     def test_missing_site_rejected(self):
         server = _server([[0.0]], [[0.0]], 2)
         with pytest.raises(ProtocolError):

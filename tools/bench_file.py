@@ -1,9 +1,11 @@
-"""Write a BENCH_<n>.json file from runs of perfbench/run.py.
+"""Write a BENCH_<n>.json file from runs of perfbench/run.py, or tabulate
+the committed ones.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_file.py --out BENCH_<n>.json --seeds 61-70 \
         --parent ../parent-checkout
+    python3 tools/bench_file.py --table > BENCH_TABLE.md
 
 For each seed and each workload that BENCHMARK.json declares, the script
 runs ``python3 perfbench/run.py --trace 0`` in this checkout and in the
@@ -22,12 +24,21 @@ prints, the load averages before and after, the CPUs this process may
 run on, and the wall time of the tier-1 suite in each checkout. It records numbers
 and passes no verdict: whether a change is better or worse is for the
 benchmark's own rule to judge.
+
+``--table`` reads every ``BENCH_<n>.json`` at the root of this checkout
+and prints one markdown table of ``run_s``: per file and workload, the
+parent's and the change's median, the pairs in which the change read
+lower, the parent's quartiles, the ratio of the medians and that ratio
+chained over the files so far. Only paired figures compare across files,
+since the host's speed moves from one file to the next.
 """
 
 import argparse
 import datetime
+import glob
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -128,13 +139,54 @@ def commit_of(tree):
     return {"commit": commit, "dirty": None if status is None else status != ""}
 
 
+def bench_files(root=ROOT):
+    """The ``BENCH_<n>.json`` files in ``root`` as (n, path), by n."""
+    found = []
+    for path in glob.glob(os.path.join(root, "BENCH_*.json")):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+        if match:
+            found.append((int(match.group(1)), path))
+    return sorted(found)
+
+
+def table(root=ROOT):
+    """The markdown table of ``run_s`` over the bench files in ``root``."""
+    lines = [
+        "| file | workload | parent ms | change ms | pairs lower | parent q1–q3 ms "
+        "| ratio | chained |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    chained = {}
+    for n, path in bench_files(root):
+        with open(path, encoding="utf-8") as fh:
+            workloads = json.load(fh)["workloads"]
+        for workload, sides in workloads.items():
+            parent, change = (sides[side]["end_to_end"]["run_s"] for side in ("parent", "change"))
+            lower = sum(c < p for c, p in zip(change["values"], parent["values"]))
+            ratio = change["median"] / parent["median"]
+            chained[workload] = chained.get(workload, 1.0) * ratio
+            lines.append(
+                f"| {n} | {workload} | {parent['median'] * 1e3:.2f} | "
+                f"{change['median'] * 1e3:.2f} | {lower}/{len(parent['values'])} | "
+                f"{parent['q1'] * 1e3:.2f}–{parent['q3'] * 1e3:.2f} | {ratio:.3f} | "
+                f"{chained[workload]:.3f} |"
+            )
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--seeds", required=True, type=parse_seeds, help="61-70 or 1,4,9")
-    parser.add_argument("--parent", required=True,
-                        help="a checkout of the parent commit, run in pairs")
+    parser.add_argument("--out", help="the BENCH_<n>.json file to write")
+    parser.add_argument("--seeds", type=parse_seeds, help="61-70 or 1,4,9")
+    parser.add_argument("--parent", help="a checkout of the parent commit, run in pairs")
+    parser.add_argument("--table", action="store_true",
+                        help="print the table of the committed bench files instead")
     args = parser.parse_args(argv)
+    if args.table:
+        sys.stdout.write(table())
+        return 0
+    if None in (args.out, args.seeds, args.parent):
+        parser.error("--out, --seeds and --parent are required without --table")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
