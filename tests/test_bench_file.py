@@ -151,9 +151,9 @@ def test_committed_table_is_the_table_of_the_committed_files(capsys):
     files = bench_file.bench_files(root)
     rows = bench_file.table(root).splitlines()[2:]
     assert len(rows) == 3 * len(files)
-    # PR 25's figures as its CHANGES.md entry states them: 39.6 -> 30.9 ms,
-    # lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms; chained
-    # over PRs 16 and 18-25 to 0.72
+    # BENCH_25.json's readme_pooled figures as CHANGES.md states them: 39.6
+    # -> 30.9 ms, lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms;
+    # chained over BENCH_16.json to BENCH_25.json to 0.72
     assert "| 25 | readme_pooled | 39.55 | 30.93 | 10/10 | 38.56–41.74 | 0.782 | 0.718 |" in rows
     assert bench_file.main(["--table"]) == 0
     assert capsys.readouterr().out == (root / "BENCH_TABLE.md").read_text(encoding="utf-8")
