@@ -17,8 +17,9 @@ solver runs a site's round in Python, ``tensor.model_values`` (for
 parser instead, the COO and factor writers format with ``repr``,
 ``privacy.perturb_matrix`` draws its noise with
 ``Generator.standard_normal``, and ``federation.server_update`` takes the
-anchor step and the round's change with numpy; setting it to None gives
-that path in a process that did load the library.
+anchor step with numpy and the round's change with ``worst_change`` over
+the decoded factors; setting it to None gives that path in a process that
+did load the library.
 """
 
 import ctypes

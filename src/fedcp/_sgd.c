@@ -14,7 +14,7 @@
  * with numpy's tables, drawn through the noise stream's bitgen_t); and
  * server_step, the server's step over a cohort of encoded uploads: the new
  * anchors, their finiteness test and the round's change (the fast path of
- * federation.server_update, whose numpy lines and upload_change are its
+ * federation.server_update, whose numpy step and worst_change are its
  * reference).
  *
  * The arithmetic follows each Python reference operation for operation.
@@ -498,12 +498,13 @@ static void pairwise_squares(const double *p, const double *c, int64_t n, double
     sums[1] = left[1] + right[1];
 }
 
-/* The server's step over one cohort, federation.server_update after its
- * checks. uploads holds the n_sites encoded uploads in site order; each
- * one's size values start offset bytes in, B's split values and then C's,
- * row-major, at an address that is a multiple of 8 (a CPython bytes
- * object's data starts 32 bytes into a 16-byte-aligned block, and offset
- * is 24). b_hat and c_hat are the anchors, split and size - split values.
+/* The server's step over one cohort, federation.server_update after it
+ * has decoded and checked each encoding. uploads holds the n_sites encoded
+ * uploads in site order; each one's size values start offset bytes in,
+ * B's split values and then C's, row-major, at an address that is a
+ * multiple of 8 (server_update takes only objects of type bytes, whose data
+ * starts 32 bytes into a 16-byte-aligned block, and offset is 24). b_hat
+ * and c_hat are the anchors, split and size - split values.
  *
  * out gets the new anchors, B then C: for each value, hat + eta * delta
  * with delta = 0.0 + gamma * (u - hat) over the sites in site order, the
@@ -511,12 +512,12 @@ static void pairwise_squares(const double *p, const double *c, int64_t n, double
  * holding no anchor and *change unwritten, when a delta is not finite.
  *
  * Else SERVER_DONE, and when prev (the previous cohort, laid out alike)
- * is not NULL, *change gets federation.upload_change of the two cohorts:
- * for each site, B's block and then C's, sqrt(d2) / max(sqrt(p2), 1e-12)
- * with p2 and d2 the sums of p squared and of (c - p) squared, each 0.0 +
- * pairwise_squares, and the worst of them kept as Python's max keeps it:
- * a ratio replaces it only when greater, so a NaN ratio (inf / inf, when
- * squares overflow) never does.
+ * is not NULL, *change gets federation.worst_change of the two cohorts'
+ * (B, C) pairs: for each site, B's block and then C's, sqrt(d2) /
+ * max(sqrt(p2), 1e-12) with p2 and d2 the sums of p squared and of
+ * (c - p) squared, each 0.0 + pairwise_squares, and the worst of them kept
+ * as Python's max keeps it: a ratio replaces it only when greater, so a
+ * NaN ratio (inf / inf, when squares overflow) never does.
  */
 enum { SERVER_DONE, SERVER_NON_FINITE };
 

@@ -4,18 +4,19 @@ Each round: every site runs its local epoch against the current broadcast
 anchors, perturbs its two feature factors, and uploads them; the server
 applies one elastic step toward the uploads and broadcasts the new anchors.
 Only bytes cross the site boundary: each upload is encoded with
-``RoundMessage.to_bytes`` and the server decodes it before its step, so a
-round's traffic is the length of those encodings. Patient factors never
-leave a site: the upload message has no field for them. Sites keep their
-local feature factors; the broadcast only moves the penalty anchors.
+``RoundMessage.to_bytes``, and the server takes the cohort's encodings as
+its only input and decodes each one once, so a round's traffic is the
+length of those encodings. Patient factors never leave a site: the upload
+message has no field for them. Sites keep their local feature factors; the
+broadcast only moves the penalty anchors.
 
 A site's local epoch also returns its sum for the round's RMSE, so the
 round never rescans a shard. The server takes the round's change from the
 uploads alone, which spends no budget, in the same step as the anchors:
-with the compiled library one call to ``server_step`` over the encoded
-uploads, else the numpy lines that stay as its reference. Reductions are
-ordered by site id, so a run is bit-reproducible whether sites execute
-serially or on a worker pool.
+with the compiled library one call to ``server_step`` over the encodings,
+else the numpy step and ``worst_change`` over the decoded factors, which
+stay as its reference. Reductions are ordered by site id, so a run is
+bit-reproducible whether sites execute serially or on a worker pool.
 """
 
 import ctypes
@@ -47,16 +48,14 @@ _VALUE_BYTES = 8
 @dataclass
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
-    run, also the last accepted cohort's encoded uploads in site order, and
-    with the compiled library the same as one ctypes array of their
-    addresses, which the next round's ``server_step`` reads."""
+    run, also the last accepted cohort's encodings in site order, against
+    which the next round's change is taken."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
     n_sites: int
     epoch: int = 0
     uploads: list | None = None
-    upload_array: ctypes.Array | None = None
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -72,12 +71,6 @@ def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> S
 def message_bytes(j_dim: int, k_dim: int, rank: int) -> int:
     """Encoded length of one upload: the header, then the B and C values."""
     return HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
-
-
-def _upload_values(blob: bytes) -> np.ndarray:
-    """The values of an encoded upload, B then C row-major, as a read-only
-    view of ``blob``."""
-    return np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,7 @@ class RoundMessage:
         site_id, epoch, tag = struct.unpack("<qqq", blob[:HEADER_BYTES])
         if tag != MESSAGE_TAG:
             raise ProtocolError(f"unknown message tag {tag}")
-        flat = _upload_values(blob)
+        flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
         split = j_dim * rank
         return cls(
             site_id=site_id,
@@ -135,66 +128,68 @@ class EpochMetrics:
     clipped: int | None = None
 
 
-def server_update(server: ServerState, uploads, eta: float, gamma: float,
-                  blobs=None) -> float | None:
-    """One elastic step of the anchors toward the uploads, in place, and the
-    round's change: ``upload_change`` from the last accepted cohort to this
-    one, None for the server's first.
+def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float | None:
+    """One elastic step of the anchors toward a cohort of encoded uploads, in
+    place, and the round's change: ``worst_change`` from the last accepted
+    cohort to this one, None for the server's first.
 
-    Every site must appear exactly once, with a finite upload for the epoch
-    after the server's. The sum runs in ascending site_id order against the
-    pre-update anchors. ``blobs`` are the encoded uploads that ``uploads``
-    were decoded from, in the same order; without them each upload is
-    encoded here. The server keeps the cohort's encodings in site order for
-    the next round's change. A rejected cohort leaves the server unchanged.
+    ``blobs`` are the cohort's encodings, in any order. Each must be a
+    ``bytes`` object that ``RoundMessage.from_bytes`` decodes at the
+    server's shapes, and every site must appear exactly once, with a finite
+    upload for the epoch after the server's. The sum runs in ascending
+    site_id order against the pre-update anchors. The server keeps the
+    cohort's encodings in site order for the next round's change. A
+    rejected cohort leaves the server unchanged.
 
     With the compiled library loaded, the step, its finiteness test and the
     change are one call to ``server_step``, which reads the encodings;
-    otherwise the numpy lines of ``_anchor_step`` and ``upload_change``,
-    which stay as its reference, take them from the decoded uploads.
+    otherwise ``_anchor_step`` and ``worst_change``, which stay as its
+    reference, take them from the decoded factors.
     """
-    ids = sorted(m.site_id for m in uploads)
+    (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
+    decoded = []
+    for at, blob in enumerate(blobs):
+        # server_step's alignment holds for a bytes object's own buffer
+        if type(blob) is not bytes:
+            raise ProtocolError(
+                f"upload {at} of the cohort is a {type(blob).__name__}, not bytes"
+            )
+        try:
+            decoded.append((RoundMessage.from_bytes(blob, j_dim, k_dim, rank), blob))
+        except ProtocolError as exc:
+            raise ProtocolError(f"upload {at} of the cohort: {exc}") from None
+    decoded.sort(key=lambda pair: pair[0].site_id)
+    ids = [msg.site_id for msg, _ in decoded]
     if ids != list(range(server.n_sites)):
-        raise ProtocolError(f"expected one upload from each of {server.n_sites} sites, got ids {ids}")
-    by_id = {m.site_id: m for m in uploads}
-    ordered = [by_id[t] for t in range(server.n_sites)]
+        raise ProtocolError(
+            f"expected one upload from each of {server.n_sites} sites, got ids {ids}"
+        )
+    ordered, cohort = [msg for msg, _ in decoded], [blob for _, blob in decoded]
     for t, msg in enumerate(ordered):
         if msg.epoch != server.epoch + 1:
             raise ProtocolError(
                 f"upload from site {t} is for epoch {msg.epoch}, expected epoch {server.epoch + 1}"
             )
-        if msg.priv_B.shape != server.B_hat.shape or msg.priv_C.shape != server.C_hat.shape:
-            raise DimensionError(f"upload from site {t} has wrong shape")
-    split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
-    if blobs is None:
-        cohort = [msg.to_bytes() for msg in ordered]
-    else:
-        encoded = dict(zip((m.site_id for m in uploads), blobs))
-        cohort = [encoded[t] for t in range(server.n_sites)]
-        # server_step reads every value of each encoding
-        expected = HEADER_BYTES + _VALUE_BYTES * size
-        for t, blob in enumerate(cohort):
-            if len(blob) != expected:
-                raise ProtocolError(f"upload from site {t} has {len(blob)} bytes, expected {expected}")
     lib = _native.LIBRARY
     if lib is None:
         server_b, server_c = _anchor_step(server, ordered, eta, gamma)
-        change = None if server.uploads is None else upload_change(
-            [_upload_values(blob) for blob in server.uploads],
-            [_upload_values(blob) for blob in cohort], split)
-        array = None
+        change = None
+        if server.uploads is not None:
+            prev = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in server.uploads]
+            change = worst_change([(m.priv_B, m.priv_C) for m in prev],
+                                  [(m.priv_B, m.priv_C) for m in ordered])
     else:
-        array = (ctypes.c_char_p * server.n_sites)(*cohort)
-        prev = server.upload_array
-        if prev is None and server.uploads is not None:
-            prev = (ctypes.c_char_p * server.n_sites)(*server.uploads)
+        split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
+        addresses = ctypes.c_char_p * server.n_sites
+        prev = None if server.uploads is None else addresses(*server.uploads)
         b_hat = np.ascontiguousarray(server.B_hat, dtype=np.float64)
         c_hat = np.ascontiguousarray(server.C_hat, dtype=np.float64)
         out = np.empty(size)
         worst = ctypes.c_double()
         status = lib.server_step(
-            server.n_sites, array, prev, HEADER_BYTES, split, size, b_hat.ctypes.data,
-            c_hat.ctypes.data, eta, gamma, out.ctypes.data, ctypes.byref(worst),
+            server.n_sites, addresses(*cohort), prev, HEADER_BYTES, split, size,
+            b_hat.ctypes.data, c_hat.ctypes.data, eta, gamma, out.ctypes.data,
+            ctypes.byref(worst),
         )
         if status != 0:
             _reject_non_finite(ordered)
@@ -203,12 +198,12 @@ def server_update(server: ServerState, uploads, eta: float, gamma: float,
         change = None if prev is None else worst.value
     server.B_hat, server.C_hat = server_b, server_c
     server.epoch += 1
-    server.uploads, server.upload_array = cohort, array
+    server.uploads = cohort
     return change
 
 
 def _anchor_step(server: ServerState, ordered, eta: float, gamma: float) -> tuple:
-    """The new anchors from the uploads in site order, by numpy: the
+    """The new anchors from the decoded uploads in site order, by numpy: the
     reference of ``server_step``'s step and the path without the library."""
     delta_b = np.zeros_like(server.B_hat)
     delta_c = np.zeros_like(server.C_hat)
@@ -275,14 +270,13 @@ def run_round(
 
     done = list(map(site_work, sites) if pool is None else pool.map(site_work, sites))
     sums, blobs = [d[0] for d in done], [d[1] for d in done]
-    (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
-    messages = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in blobs]
 
-    # the server checks the cohort before any release is recorded
-    change = server_update(server, messages, params.eta, params.gamma, blobs)
-    for msg in messages:
-        accountant.record(epoch, msg.site_id, "B", priv.rho, sigma, sensitivity)
-        accountant.record(epoch, msg.site_id, "C", priv.rho, sigma, sensitivity)
+    # the server checks the cohort, one upload from each site id, before
+    # any release is recorded
+    change = server_update(server, blobs, params.eta, params.gamma)
+    for site_id in range(server.n_sites):
+        accountant.record(epoch, site_id, "B", priv.rho, sigma, sensitivity)
+        accountant.record(epoch, site_id, "C", priv.rho, sigma, sensitivity)
 
     comm_bytes = 2 * sum(len(blob) for blob in blobs)  # upload + broadcast
     eps_exact, eps_approx = accountant.epsilon()
@@ -332,7 +326,8 @@ def worst_change(prev, curr) -> float:
     """The largest ``sqrt(np.sum((c - p) ** 2)) / max(sqrt(np.sum(p ** 2)), 1e-12)``
     over the feature factors p -> c of two cohorts of (B, C) pairs in site
     order, each sum an np.add.reduce, which never uses threaded BLAS; 0.0
-    for none."""
+    for none. ``server_update`` takes the round's change with it when the
+    compiled library is not loaded."""
     if len(prev) != len(curr):
         raise DimensionError("site counts differ between snapshots")
     pairs = [pc for prev_t, curr_t in zip(prev, curr) for pc in zip(prev_t, curr_t)]
@@ -342,27 +337,6 @@ def worst_change(prev, curr) -> float:
     for p, c in pairs:
         p2 = np.add.reduce(p ** 2, axis=None)
         worst = max(worst, _relative_change(p2, np.add.reduce((c - p) ** 2, axis=None)))
-    return worst
-
-
-def upload_change(prev, curr, split: int) -> float:
-    """``worst_change`` of two cohorts of upload value vectors in site order,
-    B's ``split`` values then C's in each: its bits, since a block of a
-    vector sums as the contiguous matrix does. Each site's squares, then its
-    squared differences, are taken over its whole vector and summed block by
-    block, all in one buffer that the sites share: allocating one per site
-    made it slower than per-matrix sums at the README default's size.
-    ``server_update`` calls it without the compiled library; with it, the
-    change comes from ``server_step``, and this stays as its reference."""
-    blocks = (slice(None, split), slice(split, None))
-    worst, work = 0.0, None
-    for p, c in zip(prev, curr):
-        work = np.multiply(p, p, out=work)
-        p2 = [np.add.reduce(work[block]) for block in blocks]
-        np.subtract(c, p, out=work)
-        np.multiply(work, work, out=work)
-        for block, norm2 in zip(blocks, p2):
-            worst = max(worst, _relative_change(norm2, np.add.reduce(work[block])))
     return worst
 
 
@@ -436,7 +410,7 @@ def run_experiment(
         converged = metrics[-1].change is not None and metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
-    server.uploads = server.upload_array = None  # needed only between rounds
+    server.uploads = None  # needed only between rounds
     return RunResult(
         metrics=metrics,
         sites=sites,

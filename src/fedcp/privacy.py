@@ -51,7 +51,8 @@ def l2_sensitivity(tau: int, lipschitz: float, eta: float) -> float:
 def gaussian_sigma(sensitivity: float, rho: float) -> float:
     """Noise scale sigma = sensitivity * sqrt(1 / (2 rho)); 0 when rho is
     infinite. An infinite sensitivity (an unbounded clip, or a product
-    2 * tau * clip * eta past the float range) admits no finite rho."""
+    2 * tau * clip * eta past the float range) admits no finite rho, and a
+    rho so small that sigma leaves the float range is refused too."""
     if not sensitivity >= 0:
         raise ValueError("sensitivity must be non-negative")
     if not rho > 0:
@@ -63,7 +64,13 @@ def gaussian_sigma(sensitivity: float, rho: float) -> float:
             "sensitivity 2 * tau * clip * eta is infinite (clip = inf, or the product "
             "overflows) and needs rho = inf"
         )
-    return sensitivity * math.sqrt(1.0 / (2.0 * rho))
+    sigma = sensitivity * math.sqrt(1.0 / (2.0 * rho))
+    if math.isinf(sigma):
+        raise ValueError(
+            f"rho = {rho!r} is too small: the noise scale sensitivity * sqrt(1 / (2 rho)) "
+            "overflows"
+        )
+    return sigma
 
 
 def perturb_matrix(m: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

@@ -174,6 +174,17 @@ class TestRun:
         _write_config(unclipped, clip="inf", rho="inf", max_epochs="2")
         assert main(["run", "--config", str(unclipped)]) in (0, 2)
 
+    def test_noise_scale_that_overflows_exits_1_naming_rho(self, workspace, tmp_path, capsys):
+        _, cfg = workspace
+        main(["generate", "--config", str(cfg)])
+        capsys.readouterr()
+        tiny = tmp_path / "tiny.txt"
+        _write_config(tiny, rho="1e-320", fixed_epochs="1")
+        assert main(["run", "--config", str(tiny)]) == 1
+        assert capsys.readouterr() == ("", (
+            "fedcp: rho = 1e-320 is too small: the noise scale sensitivity * sqrt(1 / (2 rho)) "
+            "overflows\n"))
+
     def test_zero_max_epochs_gives_empty_body_and_limit_code(self, workspace, tmp_path):
         _, cfg = workspace
         main(["generate", "--config", str(cfg)])

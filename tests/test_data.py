@@ -1044,9 +1044,9 @@ class TestKernelsUnderSanitizers:
     def test_server_step_stays_inside_its_buffers(self, sanitized_driver, without_library):
         out = subprocess.run([str(sanitized_driver), "server"], capture_output=True, timeout=300)
         assert out.returncode == 0, out.stderr.decode()[:3000]
-        # the driver's three calls, each as server_update's numpy lines take
-        # it: the first cohort, the second against the first, and the second
-        # with an inf at the end
+        # the driver's three calls, each as server_update takes it without
+        # the library: the first cohort, the second against the first, and
+        # the second with an inf at the end
         want = []
         for sites in (1, 3):
             for size in (1, 7, 8, 129, 4099):
@@ -1061,8 +1061,9 @@ class TestKernelsUnderSanitizers:
                 poisoned = [v.copy() for v in second]
                 poisoned[-1][-1] = math.inf
                 for cohort, prev in ((first, None), (second, first), (poisoned, first)):
-                    messages = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
-                                             v[split:].reshape(-1, 1)) for t, v in enumerate(cohort)]
+                    blobs = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
+                                          v[split:].reshape(-1, 1)).to_bytes()
+                             for t, v in enumerate(cohort)]
                     server = ServerState(
                         B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
                         n_sites=sites,
@@ -1073,7 +1074,7 @@ class TestKernelsUnderSanitizers:
                     )
                     with without_library():
                         try:
-                            change = server_update(server, messages, 0.05, 0.5)
+                            change = server_update(server, blobs, 0.05, 0.5)
                         except ProtocolError:
                             want.append(f"{sites} {size} 1 -")
                             continue

@@ -27,10 +27,8 @@ from fedcp.federation import (
     run_experiment,
     run_round,
     server_update,
-    upload_change,
     worst_change,
 )
-from fedcp.federation import _upload_values
 from fedcp.privacy import PrivacyAccountant, PrivacyParams
 from fedcp.solver import SolverParams, derive_site_seed, init_site_state, run_local_epoch
 from fedcp.tensor import SparseTensorCOO
@@ -40,62 +38,93 @@ def _message(site_id, b, c, epoch=1):
     return RoundMessage(site_id=site_id, epoch=epoch, priv_B=np.asarray(b, float), priv_C=np.asarray(c, float))
 
 
+def _blob(site_id, b, c, epoch=1):
+    return _message(site_id, b, c, epoch).to_bytes()
+
+
 def _server(b, c, n_sites):
     return ServerState(B_hat=np.asarray(b, float), C_hat=np.asarray(c, float), n_sites=n_sites)
 
 
 class TestServerUpdate:
     def test_upload_equal_to_anchor_changes_nothing(self):
-        server = _server([[1.0, 2.0]], [[3.0]], 1)
+        server = _server([[1.0, 2.0]], [[3.0, 4.0]], 1)
         # the server advances in place; its first cohort has no change
-        upload = _message(0, [[1.0, 2.0]], [[3.0]])
+        upload = _blob(0, [[1.0, 2.0]], [[3.0, 4.0]])
         assert server_update(server, [upload], eta=0.3, gamma=4.0) is None
         assert server.B_hat.tolist() == [[1.0, 2.0]]
-        assert server.C_hat.tolist() == [[3.0]]
+        assert server.C_hat.tolist() == [[3.0, 4.0]]
         assert server.epoch == 1
         # the same upload again: nothing moves, and the change is 0
-        again = _message(0, [[1.0, 2.0]], [[3.0]], epoch=2)
+        again = _blob(0, [[1.0, 2.0]], [[3.0, 4.0]], epoch=2)
         assert server_update(server, [again], eta=0.3, gamma=4.0) == 0.0
         assert server.B_hat.tolist() == [[1.0, 2.0]]
-        assert server.C_hat.tolist() == [[3.0]]
+        assert server.C_hat.tolist() == [[3.0, 4.0]]
         assert server.epoch == 2
 
     def test_eta_gamma_one_replaces_anchor(self):
         server = _server([[0.0]], [[0.0]], 1)
-        server_update(server, [_message(0, [[7.0]], [[-2.0]])], eta=0.5, gamma=2.0)
+        server_update(server, [_blob(0, [[7.0]], [[-2.0]])], eta=0.5, gamma=2.0)
         assert server.B_hat.tolist() == [[7.0]]
         assert server.C_hat.tolist() == [[-2.0]]
 
     def test_symmetric_uploads_cancel(self):
         server = _server([[1.0]], [[1.0]], 2)
-        uploads = [_message(0, [[1.5]], [[2.0]]), _message(1, [[0.5]], [[0.0]])]
+        uploads = [_blob(0, [[1.5]], [[2.0]]), _blob(1, [[0.5]], [[0.0]])]
         server_update(server, uploads, eta=0.1, gamma=3.0)
         assert server.B_hat.tolist() == [[1.0]]
         assert server.C_hat.tolist() == [[1.0]]
 
     def test_encoding_of_the_wrong_length_rejected(self):
         server = _server([[0.0]], [[0.0]], 2)
-        uploads = [_message(0, [[1.0]], [[1.0]]), _message(1, [[2.0]], [[2.0]])]
-        blobs = [uploads[0].to_bytes(), uploads[1].to_bytes()[:-8]]
-        with pytest.raises(ProtocolError, match="site 1 has 32 bytes, expected 40"):
-            server_update(server, uploads, 0.1, 1.0, blobs)
+        blobs = [_blob(0, [[1.0]], [[1.0]]), _blob(1, [[2.0]], [[2.0]])[:-8]]
+        with pytest.raises(ProtocolError,
+                           match="^upload 1 of the cohort: message has 32 bytes, expected 40$"):
+            server_update(server, blobs, 0.1, 1.0)
         assert server.epoch == 0 and server.uploads is None
         assert server.B_hat.tolist() == [[0.0]]
+
+    def test_unknown_tag_rejected(self):
+        server = _server([[0.0]], [[0.0]], 2)
+        blobs = [_blob(1, [[2.0]], [[2.0]]), _blob(0, [[1.0]], [[1.0]])]
+        blobs[1] = blobs[1][:16] + struct.pack("<q", 7) + blobs[1][24:]
+        with pytest.raises(ProtocolError, match="^upload 1 of the cohort: unknown message tag 7$"):
+            server_update(server, blobs, 0.1, 1.0)
+        assert server.epoch == 0 and server.uploads is None
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    @pytest.mark.parametrize("wrap", [bytearray, memoryview])
+    def test_encoding_that_is_not_bytes_rejected_on_both_paths(self, without_library, kernel,
+                                                               wrap):
+        if kernel == "compiled" and _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        server = _server([[0.0]], [[0.0]], 2)
+        server_update(server, [_blob(0, [[1.0]], [[1.0]]), _blob(1, [[2.0]], [[2.0]])], 0.1, 1.0)
+        before = (server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch, server.uploads)
+        # the same encoding decodes as a bytearray, but the server takes bytes only
+        blobs = [_blob(0, [[1.0]], [[1.0]], epoch=2), wrap(_blob(1, [[2.0]], [[2.0]], epoch=2))]
+        assert RoundMessage.from_bytes(blobs[1], 1, 1, 1).site_id == 1
+        with without_library() if kernel == "python" else nullcontext():
+            with pytest.raises(ProtocolError,
+                               match=f"^upload 1 of the cohort is a {wrap.__name__}, not bytes$"):
+                server_update(server, blobs, 0.1, 1.0)
+        assert (server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch,
+                server.uploads) == before
 
     def test_missing_site_rejected(self):
         server = _server([[0.0]], [[0.0]], 2)
         with pytest.raises(ProtocolError):
-            server_update(server, [_message(0, [[1.0]], [[1.0]])], 0.1, 1.0)
+            server_update(server, [_blob(0, [[1.0]], [[1.0]])], 0.1, 1.0)
 
     def test_duplicate_site_rejected(self):
         server = _server([[0.0]], [[0.0]], 2)
-        uploads = [_message(0, [[1.0]], [[1.0]]), _message(0, [[2.0]], [[2.0]])]
+        uploads = [_blob(0, [[1.0]], [[1.0]]), _blob(0, [[2.0]], [[2.0]])]
         with pytest.raises(ProtocolError):
             server_update(server, uploads, 0.1, 1.0)
 
     def test_sum_taken_against_pre_update_anchor(self):
         server = _server([[0.0]], [[0.0]], 2)
-        uploads = [_message(0, [[1.0]], [[0.0]]), _message(1, [[2.0]], [[0.0]])]
+        uploads = [_blob(0, [[1.0]], [[0.0]]), _blob(1, [[2.0]], [[0.0]])]
         server_update(server, uploads, eta=0.1, gamma=1.0)
         # both differences against the original anchor: 0.1 * (1 + 2)
         assert server.B_hat.tolist() == [[pytest.approx(0.3, abs=1e-15)]]
@@ -104,7 +133,7 @@ class TestServerUpdate:
     def test_wrong_epoch_rejected(self, epoch):
         # the server is at epoch 1 and takes only uploads for epoch 2
         server = ServerState(B_hat=np.zeros((1, 1)), C_hat=np.zeros((1, 1)), n_sites=2, epoch=1)
-        uploads = [_message(0, [[1.0]], [[1.0]], epoch=2), _message(1, [[1.0]], [[1.0]], epoch=epoch)]
+        uploads = [_blob(0, [[1.0]], [[1.0]], epoch=2), _blob(1, [[1.0]], [[1.0]], epoch=epoch)]
         with pytest.raises(ProtocolError, match=f"site 1 is for epoch {epoch}, expected epoch 2"):
             server_update(server, uploads, 0.1, 1.0)
         assert server.epoch == 1
@@ -145,7 +174,7 @@ class TestServerUpdate:
     def test_anchor_step_that_overflows_from_finite_uploads_is_rejected(self):
         server = _server([[-1e308]], [[0.0]], 1)
         with pytest.raises(NumericOverflowError, match="anchor step overflowed"):
-            server_update(server, [_message(0, [[1e308]], [[0.0]])], 0.1, 1.0)
+            server_update(server, [_blob(0, [[1e308]], [[0.0]])], 0.1, 1.0)
         assert server.B_hat.tolist() == [[-1e308]]
         assert server.epoch == 0
 
@@ -155,23 +184,24 @@ def _bits(x):
     return None if x is None else struct.pack("<d", x)
 
 
+def _pairs(values, split, rank):
+    """Upload value vectors (B's ``split`` values then C's) as (B, C) pairs."""
+    return [(v[:split].reshape(-1, rank), v[split:].reshape(-1, rank)) for v in values]
+
+
 def _encoded(values, split, rank, epoch):
-    """Messages decoded from the encodings of upload value vectors (B's
-    ``split`` values then C's, site t the t-th), and the encodings."""
-    blobs = [
-        RoundMessage(t, epoch, v[:split].reshape(-1, rank), v[split:].reshape(-1, rank)).to_bytes()
-        for t, v in enumerate(values)
-    ]
-    j_dim, k_dim = split // rank, (len(values[0]) - split) // rank
-    return [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in blobs], blobs
+    """The encodings of upload value vectors, site t the t-th."""
+    return [RoundMessage(t, epoch, b, c).to_bytes()
+            for t, (b, c) in enumerate(_pairs(values, split, rank))]
 
 
 @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledServerStep:
-    """``server_step`` against the numpy lines of ``server_update``, bit for
-    bit: the anchors, the change, the epoch, the held cohort and the error."""
+    """``server_step`` against ``server_update``'s path without the library,
+    the numpy step and ``worst_change``, bit for bit: the anchors, the
+    change, the epoch, the held cohort and the error."""
 
-    def _trail(self, anchors, cohorts, rank, eta=0.05, gamma=2.0, blobs=True):
+    def _trail(self, anchors, cohorts, rank, eta=0.05, gamma=2.0):
         """Each cohort of value vectors offered to one server in turn, the
         sites in reverse order: after each, what it returned or raised, the
         anchors' bytes, the epoch and the held cohort."""
@@ -179,23 +209,23 @@ class TestCompiledServerStep:
         server = ServerState(B_hat=b_hat.copy(), C_hat=c_hat.copy(), n_sites=len(cohorts[0]))
         trail = []
         for values in cohorts:
-            messages, encoded = _encoded(values, b_hat.size, rank, server.epoch + 1)
+            encoded = _encoded(values, b_hat.size, rank, server.epoch + 1)
             try:
-                outcome = _bits(server_update(server, messages[::-1], eta, gamma,
-                                              encoded[::-1] if blobs else None))
+                outcome = _bits(server_update(server, encoded[::-1], eta, gamma))
             except (ProtocolError, NumericOverflowError) as exc:
                 outcome = (type(exc), str(exc))
             trail.append((outcome, server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch,
                           server.uploads))
         return trail
 
-    def _both(self, without_library, anchors, cohorts, rank, **kwargs):
-        compiled = self._trail(anchors, cohorts, rank, **kwargs)
+    def _both(self, without_library, anchors, cohorts, rank):
+        compiled = self._trail(anchors, cohorts, rank)
         with without_library():
-            assert self._trail(anchors, cohorts, rank, **kwargs) == compiled
+            assert self._trail(anchors, cohorts, rank) == compiled
         return compiled
 
-    # the shapes of test_upload_change_has_the_bits_of_worst_change
+    # blocks across the lengths where numpy's pairwise sum changes shape, and
+    # the README default's 300 x 50 and 800 x 50
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("j_dim, k_dim, rank",
                              [(1, 7, 1), (8, 9, 1), (127, 129, 1), (136, 4099, 1), (15, 18, 3),
@@ -208,10 +238,13 @@ class TestCompiledServerStep:
         for scale in (1e-3, 0.5):
             cohorts.append([v + scale * rng.standard_normal(size) for v in cohorts[-1]])
         trail = self._both(without_library, anchors, cohorts, rank)
-        assert [step[0] is None for step in trail] == [True, False, False]
+        split = j_dim * rank
+        assert trail[0][0] is None
+        for step, prev, curr in zip(trail[1:], cohorts, cohorts[1:]):
+            assert step[0] == _bits(worst_change(_pairs(prev, split, rank),
+                                                 _pairs(curr, split, rank)))
         # the encodings held are the cohort's, in site order
-        assert trail[-1][4] == _encoded(cohorts[-1], j_dim * rank, rank, 3)[1]
-        assert self._trail(anchors, cohorts, rank, blobs=False) == trail
+        assert trail[-1][4] == _encoded(cohorts[-1], split, rank, 3)
 
     def test_signed_zeros(self, without_library):
         # the sum starts from 0.0: +0.0 - -0.0 and -0.0 - +0.0 in every order
@@ -261,8 +294,7 @@ class TestCompiledServerStep:
         assert trail[1][0] == want
         assert trail[1][1:] == trail[0][1:]
         # the next cohort is measured against the last accepted one
-        values = [_upload_values(b) for b in _encoded(accepted, 6, 2, 1)[1]]
-        assert trail[2][0] == _bits(upload_change(values, later, 6))
+        assert trail[2][0] == _bits(worst_change(_pairs(accepted, 6, 2), _pairs(later, 6, 2)))
         assert trail[2][3] == 2
 
 
@@ -394,6 +426,15 @@ class TestRunRound:
         assert all(math.isfinite(m.rmse) for m in result.metrics)
         assert {(e.sigma, e.sensitivity) for e in result.accountant.ledger} == {(0.0, math.inf)}
 
+    def test_noise_scale_that_overflows_fails_before_site_work(self, monkeypatch):
+        # it used to fail after the round, as a non-finite upload from site 0
+        worked = []
+        monkeypatch.setattr(federation, "run_local_epoch", lambda *args: worked.append(args))
+        with pytest.raises(ValueError, match=r"^rho = 1e-320 is too small"):
+            run_experiment(_shards(n_sites=2), rank=2, params=SolverParams(gamma=1.0),
+                           priv=PrivacyParams(rho=1e-320), seed=4, fixed_epochs=1)
+        assert worked == []
+
     def test_zero_epochs_run_is_empty(self):
         shards = _shards(n_sites=2)
         result = run_experiment(
@@ -517,10 +558,11 @@ class TestRoundSums:
         priv = PrivacyParams(rho=1e-2 if math.isfinite(clip) else math.inf)
         cohorts = []  # the decoded uploads of each round, as (B, C) pairs in site order
 
-        def recording(server, uploads, eta, gamma, blobs):
-            ordered = sorted(uploads, key=lambda m: m.site_id)
+        def recording(server, blobs, eta, gamma):
+            decoded = [RoundMessage.from_bytes(b, 12, 14, rank) for b in blobs]
+            ordered = sorted(decoded, key=lambda m: m.site_id)
             cohorts.append([(m.priv_B.copy(), m.priv_C.copy()) for m in ordered])
-            return server_update(server, uploads, eta, gamma, blobs)
+            return server_update(server, blobs, eta, gamma)
 
         monkeypatch.setattr(federation, "server_update", recording)
 
@@ -681,29 +723,6 @@ class TestHasConverged:
         assert has_converged(prev, curr, change) is False
         assert has_converged(prev, curr, math.nextafter(change, math.inf)) is True
 
-    # blocks across the lengths where numpy's pairwise sum changes shape, and
-    # the README default's 300 x 50 and 800 x 50
-    @pytest.mark.parametrize("j_dim, k_dim, rank",
-                             [(1, 7, 1), (8, 9, 1), (127, 129, 1), (136, 4099, 1), (15, 18, 3),
-                              (300, 800, 50)])
-    def test_upload_change_has_the_bits_of_worst_change(self, j_dim, k_dim, rank):
-        # the server's figure over whole value vectors, against the same
-        # values as (B, C) pairs; B changes most at some sites, C at others
-        rng = np.random.default_rng(j_dim + k_dim + rank)
-        split, size = j_dim * rank, (j_dim + k_dim) * rank
-        prev = [rng.standard_normal(size) for _ in range(4)]
-        curr = [p + np.repeat(rng.uniform(1e-3, 1.0, 2), (split, size - split))
-                * rng.standard_normal(size) for p in prev]
-
-        def pairs(cohort):
-            return [(v[:split].reshape(j_dim, rank), v[split:].reshape(k_dim, rank)) for v in cohort]
-
-        for t in range(len(prev)):
-            site = slice(t, t + 1)
-            want = worst_change(pairs(prev[site]), pairs(curr[site]))
-            assert upload_change(prev[site], curr[site], split) == want
-        assert upload_change(prev, curr, split) == worst_change(pairs(prev), pairs(curr))
-
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             has_converged(
@@ -724,7 +743,7 @@ class TestConsensusPull:
         for _ in range(10):
             before = server.B_hat.copy()
             uploads = [
-                _message(t, b, c, epoch=server.epoch + 1) for t, (b, c) in enumerate(factors)
+                _blob(t, b, c, epoch=server.epoch + 1) for t, (b, c) in enumerate(factors)
             ]
             server_update(server, uploads, eta, gamma)
             steps.append(float(np.linalg.norm(server.B_hat - before)))

@@ -1,11 +1,14 @@
 """Fuzzed decoders of outside input: the wire message, COO and factor files,
-and the config file. Each takes arbitrary bytes and either decodes them or
-raises only its documented error type; the file readers name a line.
+and the config file, and the server that takes a cohort of wire messages.
+Each takes arbitrary bytes and either decodes them or raises only its
+documented error type; the file readers name a line.
 
 Besides arbitrary bytes, each reader gets well-formed files with a few
 bytes replaced by pieces of its own format or by bytes that are not UTF-8,
 so that most inputs get past the first line."""
 
+import math
+import struct
 from contextlib import nullcontext
 from dataclasses import fields
 
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedcp.data import ExperimentConfig, load_config, read_coo, read_factors
-from fedcp.errors import ConfigError, ParseError, ProtocolError
-from fedcp.federation import RoundMessage, message_bytes
+from fedcp.errors import ConfigError, NumericOverflowError, ParseError, ProtocolError
+from fedcp.federation import RoundMessage, ServerState, message_bytes, server_update
 from fedcp.tensor import FactorizationResult, SparseTensorCOO
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -188,3 +191,78 @@ def test_from_bytes_raises_only_a_protocol_error(blob):
     except ProtocolError:
         return
     assert msg.to_bytes() == blob
+
+
+# a server of three sites over 2 x 1 and 3 x 1 anchors: five values an upload
+_ANCHORS = (np.array([[0.5], [-1.0]]), np.array([[2.0], [0.0], [-0.25]]))
+_SPECIAL = [0.0, -0.0, 1e-300, 1e200, -1e200, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+# one fault a cohort, at one upload, or none
+_FAULTS = ["none"] * 8 + ["cut 1", "cut 8", "add 8", "tag", "bytearray", "id -1", "id 0",
+                          "id 3", "epoch -1", "epoch +1", "short", "repeat"]
+
+
+def _upload(site_id, epoch, values):
+    return RoundMessage(site_id, epoch, np.reshape(values[:2], (2, 1)),
+                        np.reshape(values[2:], (3, 1))).to_bytes()
+
+
+def _cohort(spec, epoch):
+    """The encodings a fuzzed cohort spec gives for a server at ``epoch - 1``."""
+    order, values, fault, at = spec
+    site_ids = list(order)
+    epochs = [epoch] * 3
+    if fault.startswith("id"):
+        site_ids[at] = int(fault.split()[1])
+    if fault.startswith("epoch"):
+        epochs[at] += int(fault.split()[1])
+    blobs = [_upload(*upload) for upload in zip(site_ids, epochs, values)]
+    blob = blobs[at]
+    blobs[at] = {
+        "cut 1": blob[:-1], "cut 8": blob[:-8], "add 8": blob + bytes(8),
+        "tag": blob[:16] + struct.pack("<q", 2) + blob[24:], "bytearray": bytearray(blob),
+    }.get(fault, blob)
+    if fault == "short":
+        return blobs[:-1]
+    return blobs + blobs[:1] if fault == "repeat" else blobs
+
+
+# the sites' order, each one's values (finite, or with NaN, inf, values
+# whose squares overflow or whose step does), the fault and where it goes
+_cohorts = st.tuples(
+    st.permutations(range(3)),
+    st.lists(st.one_of(st.lists(st.floats(-4.0, 4.0), min_size=5, max_size=5),
+                       st.lists(st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL)),
+                                min_size=5, max_size=5)),
+             min_size=3, max_size=3),
+    st.sampled_from(_FAULTS),
+    st.integers(0, 2),
+)
+
+
+def _state(server):
+    return server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch, server.uploads
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@FUZZ
+@given(st.booleans(), _cohorts)
+def test_server_update_raises_only_its_errors_and_then_changes_nothing(
+    without_library, held, spec
+):
+    outcomes = []
+    for path in ("compiled", "python"):
+        with without_library() if path == "python" else nullcontext():
+            server = ServerState(B_hat=_ANCHORS[0].copy(), C_hat=_ANCHORS[1].copy(), n_sites=3)
+            if held:
+                # a cohort already accepted, so the round's change is taken
+                server_update(server, [_upload(t, 1, [t, 1.0, -t, 0.5, 2.0]) for t in range(3)],
+                              0.05, 2.0)
+            before = _state(server)
+            try:
+                change = server_update(server, _cohort(spec, server.epoch + 1), 0.05, 2.0)
+                outcome = None if change is None else struct.pack("<d", change)
+            except (ProtocolError, NumericOverflowError) as exc:
+                outcome = (type(exc), str(exc))
+                assert _state(server) == before
+            outcomes.append((outcome, _state(server)))
+    assert outcomes[0] == outcomes[1]

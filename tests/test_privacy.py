@@ -85,6 +85,15 @@ class TestGaussianSigma:
             gaussian_sigma(math.inf, 1e-3)
         assert gaussian_sigma(math.inf, math.inf) == 0.0
 
+    def test_a_noise_scale_that_overflows_is_refused_naming_rho(self):
+        # 1 / (2 rho) overflows to inf for a subnormal rho
+        with pytest.raises(ValueError, match=r"^rho = 1e-320 is too small: the noise scale"):
+            gaussian_sigma(0.02, 1e-320)
+        # a finite 1 / (2 rho) whose product with the sensitivity overflows
+        with pytest.raises(ValueError, match=r"^rho = 1e-20 is too small"):
+            gaussian_sigma(1e300, 1e-20)
+        assert math.isfinite(gaussian_sigma(0.02, 1e-300))
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             gaussian_sigma(1.0, 0.0)
