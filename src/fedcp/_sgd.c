@@ -508,8 +508,9 @@ static void pairwise_squares(const double *p, const double *c, int64_t n, double
  *
  * out gets the new anchors, B then C: for each value, hat + eta * delta
  * with delta = 0.0 + gamma * (u - hat) over the sites in site order, the
- * numpy lines' zeros_like, += and +. Returns SERVER_NON_FINITE, with out
- * holding no anchor and *change unwritten, when a delta is not finite.
+ * zeros_like, += and + of federation._anchor_step. Returns
+ * SERVER_NON_FINITE, with out holding no anchor and *change unwritten,
+ * when a delta is not finite.
  *
  * Else SERVER_DONE, and when prev (the previous cohort, laid out alike)
  * is not NULL, *change gets federation.worst_change of the two cohorts'

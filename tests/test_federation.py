@@ -101,7 +101,7 @@ class TestServerUpdate:
         server = _server([[0.0]], [[0.0]], 2)
         server_update(server, [_blob(0, [[1.0]], [[1.0]]), _blob(1, [[2.0]], [[2.0]])], 0.1, 1.0)
         before = (server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch, server.uploads)
-        # the same encoding decodes as a bytearray, but the server takes bytes only
+        # from_bytes decodes it, but the server takes bytes objects only
         blobs = [_blob(0, [[1.0]], [[1.0]], epoch=2), wrap(_blob(1, [[2.0]], [[2.0]], epoch=2))]
         assert RoundMessage.from_bytes(blobs[1], 1, 1, 1).site_id == 1
         with without_library() if kernel == "python" else nullcontext():
@@ -233,12 +233,13 @@ class TestCompiledServerStep:
     def test_same_bits_as_the_numpy_lines(self, without_library, n_sites, j_dim, k_dim, rank):
         rng = np.random.default_rng(n_sites * 1000 + j_dim + k_dim + rank)
         anchors = (rng.standard_normal((j_dim, rank)), rng.standard_normal((k_dim, rank)))
-        size = (j_dim + k_dim) * rank
+        split, size = j_dim * rank, (j_dim + k_dim) * rank
         cohorts = [[rng.standard_normal(size) for _ in range(n_sites)]]
         for scale in (1e-3, 0.5):
-            cohorts.append([v + scale * rng.standard_normal(size) for v in cohorts[-1]])
+            # B changes most at some sites, C at others
+            cohorts.append([v + scale * np.repeat(rng.uniform(1e-3, 1.0, 2), (split, size - split))
+                            * rng.standard_normal(size) for v in cohorts[-1]])
         trail = self._both(without_library, anchors, cohorts, rank)
-        split = j_dim * rank
         assert trail[0][0] is None
         for step, prev, curr in zip(trail[1:], cohorts, cohorts[1:]):
             assert step[0] == _bits(worst_change(_pairs(prev, split, rank),
