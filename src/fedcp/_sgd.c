@@ -35,12 +35,16 @@
  * picks a path.
  * The pass takes an entry's three residual gradients and sums their
  * squares in one loop, as three independent chains each left to right,
- * and adds the anchor pull and steps the three rows in another. It is one
- * inlined body that site_round runs with the rank as a literal at ranks 3
- * and 5, which the compiler unrolls, and as a variable at every other
- * rank. It prefetches the coords and value of the entry PREFETCH_ENTRY places
- * ahead in the shuffled order and the rows of the entry PREFETCH_ROWS
- * ahead; a prefetch changes no value.
+ * and adds the anchor pull and steps the three rows in another. Two
+ * consecutive entries that share no row take their residuals in one loop
+ * and their gradients in another, each chain still in its own order, and
+ * then step in turn. It is one inlined body that site_round runs with the
+ * rank as a literal at ranks 3, 5 and 50, which the compiler unrolls, and
+ * as a variable at every other rank; ranks 3 and 5 step one entry at a
+ * time. It prefetches the coords and value of the entry PREFETCH_ENTRY
+ * places ahead in the shuffled order and the rows of the entry
+ * PREFETCH_ROWS ahead; a prefetch changes no value. model_values sums four
+ * entries at a time, each from 0.0 left to right.
  * The parser reads each value in one forward scan, eight digits at a
  * time where it can, with an exact fast path (a Clinger multiply or
  * divide, or one 128-bit integer division) when the token allows it, and
@@ -85,25 +89,82 @@ static inline int clip_row(double *g, int64_t rank, double sq, double clip)
 #define PREFETCH_ENTRY 16
 #define PREFETCH_ROWS 4
 
+/* Prefetch what the entries PREFETCH_ENTRY and PREFETCH_ROWS places after
+ * position p of order will read. */
+static inline __attribute__((always_inline)) void
+prefetch_ahead(int64_t p, int64_t nnz, const int64_t *order, const int64_t *coords,
+               const double *values, const double *A, const double *B, const double *C,
+               int64_t rank)
+{
+    if (p + PREFETCH_ENTRY < nnz) {
+        int64_t ahead = order[p + PREFETCH_ENTRY];
+        __builtin_prefetch(coords + 3 * ahead);
+        __builtin_prefetch(values + ahead);
+    }
+    if (p + PREFETCH_ROWS < nnz) {
+        const int64_t *next = coords + 3 * order[p + PREFETCH_ROWS];
+        __builtin_prefetch(A + next[0] * rank);
+        __builtin_prefetch(B + next[1] * rank);
+        __builtin_prefetch(C + next[2] * rank);
+    }
+}
+
+/* The rest of an entry's step once its residual gradients ga, gb and gc
+ * are taken and the sums of their squares are sq[0..2]: clip each to
+ * 2-norm clip, add the anchor pull (rows bh and ch) on b and c, and step
+ * the rows a, b and c by eta. Returns the number of gradients the clip
+ * scaled. */
+static inline __attribute__((always_inline)) int
+apply_step(double *a, double *b, double *c, const double *bh, const double *ch, double *ga,
+           double *gb, double *gc, const double *sq, int64_t rank, double eta, double gamma,
+           double clip)
+{
+    int count = clip_row(ga, rank, sq[0], clip) + clip_row(gb, rank, sq[1], clip)
+        + clip_row(gc, rank, sq[2], clip);
+    for (int64_t r = 0; r < rank; r++) {
+        double pull_b = gb[r] + gamma * (b[r] - bh[r]);
+        double pull_c = gc[r] + gamma * (c[r] - ch[r]);
+        a[r] = a[r] - eta * ga[r];
+        b[r] = b[r] - eta * pull_b;
+        c[r] = c[r] - eta * pull_c;
+    }
+    return count;
+}
+
 /* Visit the entries order[0..nnz) in turn. For entry n at (i, j, k) with
  * value v, take the row gradients at the current rows A[i], B[j], C[k],
  * clip each residual gradient to 2-norm clip, add the anchor pull on B
  * and C, then step all three rows by eta. coords is (nnz, 3) row-major; the
- * factors and anchors are row-major with rank columns; work holds 3 * rank
- * doubles of scratch. Adds to *clipped the number of residual gradients
- * the clip scaled, up to three per entry.
+ * factors and anchors are row-major with rank columns, and A, B and C do
+ * not overlap; work holds 6 * rank doubles of scratch. Adds to *clipped
+ * the number of residual gradients the clip scaled, up to three per entry.
  *
- * Two loops over the rank do the work of each entry: the first takes the
- * three residual gradients and sums their squares as three independent
- * chains, each left to right from its first square; the second adds the
- * anchor pull and steps the three rows. Element r of each loop reads
- * element r of the others only, so each element gets the operations of
- * separate loops in their order, and no sum is reordered.
+ * An entry's step is two loops over the rank after its residual: the
+ * first takes the three residual gradients and sums their squares as three
+ * independent chains, each left to right from its first square; the second
+ * (apply_step's) adds the anchor pull and steps the three rows. Element r
+ * of each loop reads element r of the others only, so each element gets
+ * the operations of separate loops in their order, and no sum is
+ * reordered.
  *
- * The body is inlined at each call in pass_at_rank, which passes ranks 3
- * and 5 as literals: with the rank a constant the compiler unrolls those
- * loops and keeps the gradients in registers. That changes no operation
- * and no order.
+ * With paired set, two consecutive entries p and p + 1 step together when
+ * p + 1's rows of A, B and C all differ from p's: one loop takes both
+ * residuals, as two chains each left to right from its first product,
+ * and one loop both entries' gradients and their six sums of squares;
+ * then p's rows are clipped, pulled and stepped, then p + 1's. p's step
+ * writes only p's rows, which p + 1's residual and gradients do not read,
+ * so those get the bits they would get after p's step. Each chain keeps
+ * its own order; the two entries' chains only overlap in time, and at
+ * rank 50 a step mostly waits on its chains of additions. Any other
+ * entry, one that shares a row with the next or the last of the order,
+ * takes the single step, as does a pair either of whose residuals is not
+ * finite: p's residual is then taken again, to the same bits, and the
+ * pass stops at p, or applies p and stops at p + 1.
+ *
+ * The body is inlined at each call in pass_at_rank, which passes the
+ * ranks it names as literals: with the rank a constant the compiler
+ * unrolls those loops and keeps the gradients in registers. That changes
+ * no operation and no order.
  *
  * Returns -1 when every entry was applied, else the position in order of
  * the first entry whose residual is not finite; the entries before it
@@ -112,28 +173,57 @@ static inline int clip_row(double *g, int64_t rank, double sq, double clip)
 static inline __attribute__((always_inline)) int64_t
 sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double *values,
          double *A, double *B, double *C, const double *b_hat, const double *c_hat,
-         int64_t rank, double eta, double gamma, double clip, double *work, int64_t *clipped)
+         int64_t rank, double eta, double gamma, double clip, double *work, int64_t *clipped,
+         int paired)
 {
     double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
+    double *ga2 = work + 3 * rank, *gb2 = work + 4 * rank, *gc2 = work + 5 * rank;
     int64_t count = 0;
     for (int64_t p = 0; p < nnz; p++) {
-        if (p + PREFETCH_ENTRY < nnz) {
-            int64_t ahead = order[p + PREFETCH_ENTRY];
-            __builtin_prefetch(coords + 3 * ahead);
-            __builtin_prefetch(values + ahead);
-        }
-        if (p + PREFETCH_ROWS < nnz) {
-            const int64_t *next = coords + 3 * order[p + PREFETCH_ROWS];
-            __builtin_prefetch(A + next[0] * rank);
-            __builtin_prefetch(B + next[1] * rank);
-            __builtin_prefetch(C + next[2] * rank);
-        }
+        prefetch_ahead(p, nnz, order, coords, values, A, B, C, rank);
         const int64_t *ijk = coords + 3 * order[p];
         double *a = A + ijk[0] * rank;
         double *b = B + ijk[1] * rank;
         double *c = C + ijk[2] * rank;
         const double *bh = b_hat + ijk[1] * rank;
         const double *ch = c_hat + ijk[2] * rank;
+
+        const int64_t *ijk2 = paired && p + 1 < nnz ? coords + 3 * order[p + 1] : ijk;
+        if (ijk2[0] != ijk[0] && ijk2[1] != ijk[1] && ijk2[2] != ijk[2]) {
+            double *a2 = A + ijk2[0] * rank;
+            double *b2 = B + ijk2[1] * rank;
+            double *c2 = C + ijk2[2] * rank;
+            double resid = a[0] * (b[0] * c[0]), resid2 = a2[0] * (b2[0] * c2[0]);
+            for (int64_t r = 1; r < rank; r++) {
+                resid += a[r] * (b[r] * c[r]);
+                resid2 += a2[r] * (b2[r] * c2[r]);
+            }
+            resid = resid - values[order[p]];
+            resid2 = resid2 - values[order[p + 1]];
+            if (isfinite(resid) && isfinite(resid2)) {
+                prefetch_ahead(p + 1, nnz, order, coords, values, A, B, C, rank);
+                double sq[3] = {-0.0, -0.0, -0.0}, sq2[3] = {-0.0, -0.0, -0.0};
+                for (int64_t r = 0; r < rank; r++) {
+                    ga[r] = resid * (b[r] * c[r]);
+                    gb[r] = resid * (a[r] * c[r]);
+                    gc[r] = resid * (a[r] * b[r]);
+                    ga2[r] = resid2 * (b2[r] * c2[r]);
+                    gb2[r] = resid2 * (a2[r] * c2[r]);
+                    gc2[r] = resid2 * (a2[r] * b2[r]);
+                    sq[0] += ga[r] * ga[r];
+                    sq[1] += gb[r] * gb[r];
+                    sq[2] += gc[r] * gc[r];
+                    sq2[0] += ga2[r] * ga2[r];
+                    sq2[1] += gb2[r] * gb2[r];
+                    sq2[2] += gc2[r] * gc2[r];
+                }
+                count += apply_step(a, b, c, bh, ch, ga, gb, gc, sq, rank, eta, gamma, clip);
+                count += apply_step(a2, b2, c2, b_hat + ijk2[1] * rank, c_hat + ijk2[2] * rank,
+                                    ga2, gb2, gc2, sq2, rank, eta, gamma, clip);
+                p++;
+                continue;
+            }
+        }
 
         double resid = a[0] * (b[0] * c[0]);
         for (int64_t r = 1; r < rank; r++)
@@ -145,48 +235,53 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
         }
 
         /* -0.0 + x is x for every x, so each chain starts at its first square */
-        double sa = -0.0, sb = -0.0, sc = -0.0;
+        double sq[3] = {-0.0, -0.0, -0.0};
         for (int64_t r = 0; r < rank; r++) {
             ga[r] = resid * (b[r] * c[r]);
             gb[r] = resid * (a[r] * c[r]);
             gc[r] = resid * (a[r] * b[r]);
-            sa += ga[r] * ga[r];
-            sb += gb[r] * gb[r];
-            sc += gc[r] * gc[r];
+            sq[0] += ga[r] * ga[r];
+            sq[1] += gb[r] * gb[r];
+            sq[2] += gc[r] * gc[r];
         }
-        count += clip_row(ga, rank, sa, clip) + clip_row(gb, rank, sb, clip)
-            + clip_row(gc, rank, sc, clip);
         /* all three gradients are taken before any row is written */
-        for (int64_t r = 0; r < rank; r++) {
-            double pull_b = gb[r] + gamma * (b[r] - bh[r]);
-            double pull_c = gc[r] + gamma * (c[r] - ch[r]);
-            a[r] = a[r] - eta * ga[r];
-            b[r] = b[r] - eta * pull_b;
-            c[r] = c[r] - eta * pull_c;
-        }
+        count += apply_step(a, b, c, bh, ch, ga, gb, gc, sq, rank, eta, gamma, clip);
     }
     *clipped += count;
     return -1;
 }
 
-/* sgd_pass, with ranks 3 and 5 as literals and any other rank as the
- * variable. Those are the small ranks the benchmark's workloads run: the
- * literal cut rank 3 from 55 to 45 ns per entry on a small_rounds shard
- * (217 entries, tau 3) and rank 5 from 58 to 53 on a 48k-entry
- * cli_large_io shard (medians of 20 alternating calls on one 2-vCPU
- * x86-64 host). A literal for a rank that no workload runs adds a body to
- * every build for a gain that nothing measures end to end. */
+/* sgd_pass with ranks 3, 5 and 50 as literals, and any other rank as the
+ * variable. Those are the ranks the benchmark's workloads run
+ * (small_rounds, cli_large_io and readme_pooled): the literal cut rank 3
+ * from 55 to 45 ns per entry on a small_rounds shard (217 entries, tau 3)
+ * and rank 5 from 58 to 53 on a 48k-entry cli_large_io shard (medians of
+ * 20 alternating calls on one 2-vCPU x86-64 host). At rank 50 a step
+ * waits on chains of 50 additions, and the literal and the pairs each
+ * shorten the wait: on a readme_pooled-shaped site (2,427 entries, clip 1,
+ * tau 5) site_round took 267 ns per entry, 258 with the literal alone, 262
+ * with pairs alone and 245 with both (the best of 7 x 40 alternating
+ * calls, same host). Ranks 3 and 5 step one entry at a time, as pairs
+ * gained nothing there: with them site_round took 27.0 against 25.5 ns
+ * per entry at rank 3 (203 entries, tau 3) and 45.2 against 42.7 at rank
+ * 5 (48k entries, tau 1). Each body costs build time: the rank-50 one
+ * takes an -O3 build from about 1.2 to 1.5 s. A literal for a rank that
+ * no workload runs adds a body to every build for a gain that nothing
+ * measures end to end.
+ */
 static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
                             const double *values, double *A, double *B, double *C,
                             const double *b_hat, const double *c_hat, int64_t rank, double eta,
                             double gamma, double clip, double *work, int64_t *clipped)
 {
-#define PASS(R) \
-    sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, R, eta, gamma, clip, work, clipped)
+#define PASS(R, PAIRED) \
+    sgd_pass(nnz, order, coords, values, A, B, C, b_hat, c_hat, R, eta, gamma, clip, work, \
+             clipped, PAIRED)
     switch (rank) {
-    case 3: return PASS(3);
-    case 5: return PASS(5);
-    default: return PASS(rank);
+    case 3: return PASS(3, 0);
+    case 5: return PASS(5, 0);
+    case 50: return PASS(50, 1);
+    default: return PASS(rank, 1);
     }
 #undef PASS
 }
@@ -194,11 +289,40 @@ static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *co
 /* out[n] = sum over r of (A[i][r] * B[j][r]) * C[k][r] for entry n at
  * (i, j, k), summed left to right from 0.0. coords is (nnz, 3) row-major;
  * the factors are row-major with rank columns.
+ *
+ * Four entries are summed in one loop, as four chains each in its own
+ * order, and the zero to three left over one at a time; the chains only
+ * overlap in time, so no sum is reordered. On the 12,000 entries of a
+ * readme_pooled tensor at rank 50 a call took 233 against 325 us one
+ * entry at a time, and on the 240,000 of a cli_large_io tensor 720
+ * against 848 us at rank 5 and no longer at any rank from 1 to 16 (the
+ * best of 30 alternating calls, one 2-vCPU x86-64 host).
  */
 void model_values(int64_t nnz, const int64_t *coords, const double *A,
                   const double *B, const double *C, int64_t rank, double *out)
 {
-    for (int64_t n = 0; n < nnz; n++) {
+    int64_t n = 0;
+    for (; n + 4 <= nnz; n += 4) {
+        const double *a[4], *b[4], *c[4];
+        for (int e = 0; e < 4; e++) {
+            const int64_t *ijk = coords + 3 * (n + e);
+            a[e] = A + ijk[0] * rank;
+            b[e] = B + ijk[1] * rank;
+            c[e] = C + ijk[2] * rank;
+        }
+        double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+        for (int64_t r = 0; r < rank; r++) {
+            s0 += (a[0][r] * b[0][r]) * c[0][r];
+            s1 += (a[1][r] * b[1][r]) * c[1][r];
+            s2 += (a[2][r] * b[2][r]) * c[2][r];
+            s3 += (a[3][r] * b[3][r]) * c[3][r];
+        }
+        out[n] = s0;
+        out[n + 1] = s1;
+        out[n + 2] = s2;
+        out[n + 3] = s3;
+    }
+    for (; n < nnz; n++) {
         const int64_t *ijk = coords + 3 * n;
         const double *a = A + ijk[0] * rank;
         const double *b = B + ijk[1] * rank;
@@ -404,11 +528,11 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
     int64_t *clipped = tally, *where = tally + 1;
     int64_t big = i_dim * rank > nnz ? i_dim * rank : nnz;
     /* the doubles, then the tau orders; both types are 8 bytes wide */
-    double *work = malloc(sizeof(double) * (size_t)(3 * rank + big)
+    double *work = malloc(sizeof(double) * (size_t)(6 * rank + big)
                           + sizeof(int64_t) * (size_t)(tau * nnz));
     if (!work)
         return ROUND_NO_MEMORY;
-    double *scratch = work + 3 * rank;
+    double *scratch = work + 6 * rank;
     int64_t *orders = (int64_t *)(scratch + big);
 
     double *factors[3] = {A, B, C};

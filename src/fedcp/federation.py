@@ -23,7 +23,7 @@ import ctypes
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,13 +49,22 @@ _VALUE_BYTES = 8
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
     run, also the last accepted cohort's encodings in site order, against
-    which the next round's change is taken."""
+    which the next round's change is taken, and ``messages``, those
+    encodings decoded: views of the same bytes, which ``server_update``
+    sets with them. A server built with ``uploads`` and no ``messages``
+    decodes them here."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
     n_sites: int
     epoch: int = 0
     uploads: list | None = None
+    messages: list | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.uploads is not None and self.messages is None:
+            (j_dim, rank), k_dim = self.B_hat.shape, self.C_hat.shape[0]
+            self.messages = [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in self.uploads]
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -138,13 +147,15 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
     server's shapes, and every site must appear exactly once, with a finite
     upload for the epoch after the server's. The sum runs in ascending
     site_id order against the pre-update anchors. The server keeps the
-    cohort's encodings in site order for the next round's change. A
-    rejected cohort leaves the server unchanged.
+    cohort's encodings in site order, and their decoded messages, for the
+    next round's change; each encoding is decoded once. A rejected cohort
+    leaves the server unchanged.
 
     With the compiled library loaded, the step, its finiteness test and the
     change are one call to ``server_step``, which reads the encodings;
     otherwise ``_anchor_step`` and ``worst_change``, which stay as its
-    reference, take them from the decoded factors.
+    reference, take them from the decoded factors: this cohort's and the
+    held ``messages``.
     """
     (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
     decoded = []
@@ -174,9 +185,8 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
     if lib is None:
         server_b, server_c = _anchor_step(server, ordered, eta, gamma)
         change = None
-        if server.uploads is not None:
-            prev = [RoundMessage.from_bytes(blob, j_dim, k_dim, rank) for blob in server.uploads]
-            change = worst_change([(m.priv_B, m.priv_C) for m in prev],
+        if server.messages is not None:
+            change = worst_change([(m.priv_B, m.priv_C) for m in server.messages],
                                   [(m.priv_B, m.priv_C) for m in ordered])
     else:
         split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
@@ -198,7 +208,7 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
         change = None if prev is None else worst.value
     server.B_hat, server.C_hat = server_b, server_c
     server.epoch += 1
-    server.uploads = cohort
+    server.uploads, server.messages = cohort, ordered
     return change
 
 
@@ -258,14 +268,23 @@ def run_round(
     state, and the reduction is ordered, so the result does not depend on it.
     The compiled site round runs without the GIL, so on a thread pool the
     sites' local epochs overlap.
+
+    A site's NumericOverflowError is raised again naming the site, the round
+    and, under noise, sigma, which is often what sent the anchors and then
+    the site's rows out of range. The first site in site order that failed
+    is the one named, with or without a pool.
     """
     epoch = server.epoch + 1
     sensitivity = l2_sensitivity(params.tau, params.clip, params.eta)
     sigma = gaussian_sigma(sensitivity, priv.rho)
     anchors = (server.B_hat, server.C_hat)
+    where = f"round {epoch}" + (f", noise scale sigma = {sigma!r}" if sigma > 0 else "")
 
     def site_work(state: SiteState):
-        sums = run_local_epoch(state, anchors, params)
+        try:
+            sums = run_local_epoch(state, anchors, params)
+        except NumericOverflowError as exc:
+            raise NumericOverflowError(f"site {state.site_id}, {where}: {exc}") from exc
         return sums, build_upload(state, epoch, sigma).to_bytes()
 
     done = list(map(site_work, sites) if pool is None else pool.map(site_work, sites))
@@ -410,7 +429,7 @@ def run_experiment(
         converged = metrics[-1].change is not None and metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
-    server.uploads = None  # needed only between rounds
+    server.uploads = server.messages = None  # needed only between rounds
     return RunResult(
         metrics=metrics,
         sites=sites,

@@ -20,6 +20,12 @@
  * is printed per round, the sse as its bits in hex. The shard's values,
  * factors and anchors are multiples of 1/8, which Python builds alike.
  *
+ * Run as "sanitize_driver model", it runs model_values on the same dims
+ * at each rank of ROUND_RANKS for each count from 0 to MODEL_MAX_NNZ,
+ * coords, factors and out each in a malloc'd buffer of exactly its size,
+ * entry n at (n % 5, n % 4, n % 3). One line "rank nnz bits..." is
+ * printed per call, out's bits in hex.
+ *
  * Run as "sanitize_driver noise", it reads a cycle of 32-bit words from
  * stdin (their count, then each in hex) and runs gaussian_perturb with
  * sigma NOISE_SIGMA for each n of NOISE_N, m and out each in a malloc'd
@@ -66,6 +72,9 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
+void model_values(int64_t nnz, const int64_t *coords, const double *A, const double *B,
+                  const double *C, int64_t rank, double *out);
+
 void gaussian_perturb(bitgen_t *bitgen, int64_t n, const double *m, double sigma, double *out);
 
 int server_step(int64_t n_sites, const char *const *uploads, const char *const *prev,
@@ -82,11 +91,13 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
 #define FORMAT_MAX_CAP 256
 
 static const int64_t ROUND_DIMS[3] = {5, 4, 3};
-/* 1 to 9 and 16 take both the ranks passed to sgd_pass as literals (3 and
- * 5) and the general body; 3 and 10 entries are fewer than its prefetch
- * distances */
-static const int64_t ROUND_RANKS[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16};
+/* 1 to 9, 16 and 50 take the ranks passed to sgd_pass as literals (3, 5
+ * and 50) and the general body; 3 and 10 entries are fewer than its
+ * prefetch distances, and 3 leaves a lone entry after a pair */
+static const int64_t ROUND_RANKS[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 50};
 static const int64_t ROUND_NNZ[] = {3, 10, 40};
+/* every count of entries left after model_values' groups of four */
+#define MODEL_MAX_NNZ 9
 
 #define NOISE_SIGMA 0.75
 static const int64_t NOISE_N[] = {0, 1, 7, 4096};
@@ -215,6 +226,36 @@ static void run_rounds(void)
             free(B);
             free(A);
             free(values);
+            free(coords);
+        }
+    }
+}
+
+static void run_model(void)
+{
+    const int64_t *dims = ROUND_DIMS;
+    for (size_t a = 0; a < sizeof ROUND_RANKS / sizeof *ROUND_RANKS; a++) {
+        for (int64_t nnz = 0; nnz <= MODEL_MAX_NNZ; nnz++) {
+            int64_t rank = ROUND_RANKS[a];
+            int64_t *coords = checked_malloc(3 * (size_t)nnz * sizeof *coords);
+            for (int64_t n = 0; n < nnz; n++)
+                for (int m = 0; m < 3; m++)
+                    coords[3 * n + m] = n % dims[m];
+            double *A = factor(dims[0], rank, 1), *B = factor(dims[1], rank, 2);
+            double *C = factor(dims[2], rank, 3);
+            double *out = checked_malloc((size_t)nnz * sizeof *out);
+            model_values(nnz, coords, A, B, C, rank, out);
+            printf("%" PRId64 " %" PRId64, rank, nnz);
+            for (int64_t n = 0; n < nnz; n++) {
+                uint64_t bits;
+                memcpy(&bits, out + n, sizeof bits);
+                printf(" %016" PRIx64, bits);
+            }
+            putchar('\n');
+            free(out);
+            free(C);
+            free(B);
+            free(A);
             free(coords);
         }
     }
@@ -370,6 +411,10 @@ int main(int argc, char **argv)
     }
     if (argc > 1 && strcmp(argv[1], "rounds") == 0) {
         run_rounds();
+        return 0;
+    }
+    if (argc > 1 && strcmp(argv[1], "model") == 0) {
+        run_model();
         return 0;
     }
     parse_bodies(stdin);

@@ -838,6 +838,8 @@ class TestValuesReadAsFloat:
 
 
 _SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
+# the ranks of the driver's ROUND_RANKS
+_DRIVER_RANKS = (*range(1, 10), 16, 50)
 _DRIVER = Path(__file__).with_name("sanitize_driver.c")
 
 
@@ -1000,7 +1002,7 @@ class TestKernelsUnderSanitizers:
         dims = (5, 4, 3)
         params = SolverParams(eta=0.05, gamma=0.5, mu=0.2, tau=2, clip=0.3)
         want = []
-        for rank in (*range(1, 10), 16):
+        for rank in _DRIVER_RANKS:
             for nnz in (3, 10, 40):
                 n = np.arange(nnz)
                 tensor = SparseTensorCOO(dims, np.column_stack([n % d for d in dims]),
@@ -1015,6 +1017,21 @@ class TestKernelsUnderSanitizers:
                     sums = run_local_epoch(state, (b_hat, c_hat), params)
                 sse = _float_bits([sums.sse])
                 want.append(f"{rank} {nnz} 0 {sums.clipped} {sse}")
+        assert out.stdout.decode().splitlines() == want
+
+    def test_model_values_stays_inside_its_buffers(self, sanitized_driver):
+        out = subprocess.run([str(sanitized_driver), "model"], capture_output=True, timeout=300)
+        assert out.returncode == 0, out.stderr.decode()[:3000]
+        # the einsum on the driver's factors, at 0 to 9 entries
+        want = []
+        for rank in _DRIVER_RANKS:
+            A, B, C = (((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
+                       for rows, offset in ((5, 1), (4, 2), (3, 3)))
+            for nnz in range(10):
+                n = np.arange(nnz)
+                coords = np.column_stack([n % d for d in (5, 4, 3)])
+                want.append(f"{rank} {nnz} {_float_bits(reconstruct_values(A, B, C, coords))}"
+                            .rstrip())
         assert out.stdout.decode().splitlines() == want
 
     def test_gaussian_perturb_stays_inside_its_buffers(self, sanitized_driver):

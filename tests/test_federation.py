@@ -383,6 +383,30 @@ class TestRunRound:
         assert len(decoded) == 3
         assert metrics.comm_bytes == 2 * sum(decoded)
 
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    def test_each_upload_is_decoded_once(self, without_library, monkeypatch, kernel):
+        # a 20-round, 3-site criterion-09 run: 60 uploads, 60 decodes, also
+        # where the round's change is taken from the held cohort in numpy
+        if kernel == "compiled" and _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        calls = []
+        original = RoundMessage.from_bytes.__func__
+
+        def counting(cls, blob, *dims):
+            calls.append(len(blob))
+            return original(cls, blob, *dims)
+
+        monkeypatch.setattr(RoundMessage, "from_bytes", classmethod(counting))
+        _, shards, _ = generate_synthetic(SynthSpec(
+            dims=(45, 15, 18), rank_true=3, sparsity=5e-2, n_sites=3, heterogeneity={2: (1,)},
+            seed=21))
+        params = SolverParams(eta=0.035, gamma=5.0, mu=0.6, tau=3, clip=1.0)
+        with without_library() if kernel == "python" else nullcontext():
+            result = run_experiment(shards, rank=3, params=params, priv=PrivacyParams(rho=1.0),
+                                    seed=3, fixed_epochs=20)
+        assert len(calls) == 60
+        assert result.metrics[-1].change is not None
+
     @pytest.mark.parametrize("site_ids", [(0, 0), (0, 5)], ids=["duplicate", "outside_cohort"])
     def test_bad_cohort_rejected_before_the_ledger_records(self, site_ids):
         shards = _shards(n_sites=2)
@@ -633,6 +657,47 @@ class TestRoundSums:
             assert other.converged == first.converged
             for s, o in zip(first.sites, other.sites):
                 assert all(np.array_equal(x, y) for x, y in zip((s.A, s.B, s.C), (o.A, o.B, o.C)))
+
+
+class TestOverflowNamesItsSite:
+    """A site's round that leaves the float range names the site, the round
+    and the noise scale: at rho = 1e-300, sigma is about 1.4e148, and the
+    anchors it moves send site 0's rows out of range in round 2."""
+
+    _SPEC = SynthSpec(dims=(40, 12, 14), rank_true=3, sparsity=0.1, n_sites=2, seed=1)
+    _WANT = ("site 0, round 2, noise scale sigma = 1.414213562373095e+148: "
+             "residual became non-finite at entry (4, 11, 8)")
+
+    @pytest.mark.parametrize("kernel", ["compiled", "python"])
+    def test_serial_and_pooled_runs_give_one_message(self, without_library, kernel):
+        if kernel == "compiled" and _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        _, shards, _ = generate_synthetic(self._SPEC)
+        kwargs = dict(rank=3, params=SolverParams(), priv=PrivacyParams(rho=1e-300), seed=1,
+                      fixed_epochs=3)
+        messages = []
+        with without_library() if kernel == "python" else nullcontext():
+            for pool in (None, ThreadPoolExecutor(2)):
+                with pytest.raises(NumericOverflowError) as raised, pool or nullcontext():
+                    run_experiment(shards, **kwargs, pool=pool)
+                messages.append(str(raised.value))
+        assert messages == [self._WANT] * 2
+
+    def test_without_noise_no_sigma_is_named(self):
+        # the site's own rows overflow; rho = inf adds no noise
+        tensor = SparseTensorCOO((2, 1, 1), [(0, 0, 0), (1, 0, 0)], [1.0, 1.0])
+        sites = [init_site_state(tensor, 1, seed=0, site_id=0)]
+        sites[0].A[1] = 1e300
+        sites[0].B[0] = 1e300
+        server = init_server(1, 1, 1, seed=0, n_sites=1)
+        params = SolverParams(eta=0.01, gamma=0.0, mu=0.0, tau=1, clip=1.0)
+        acc = PrivacyAccountant(n_sites=1, delta=1e-4)
+        # the curvature ||a o b||^2 is about 1e600, inf in floats
+        with pytest.warns(RuntimeWarning, match="2/beta stability bound"), \
+                pytest.raises(NumericOverflowError,
+                              match=r"^site 0, round 1: residual became non-finite at entry "
+                                    r"\(1, 0, 0\)$"):
+            run_round(sites, server, params, PrivacyParams(rho=math.inf), acc, 15e6)
 
 
 class TestStopRule:

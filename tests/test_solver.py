@@ -434,6 +434,45 @@ def _same_outcome(x, y):
     )
 
 
+# the row of A, B or C that entry p + 1 of a pass shares with entry p, or
+# None: the compiled pass steps p and p + 1 together when they share none
+_SHARED = ("a", None, "b", "b", None, "c", "c", None, "a", None, None)
+
+
+def _paired_shard(nnz, rank):
+    """A shard whose first pass at rng_seed 17 visits entry p + 1 sharing
+    with entry p the row _SHARED[p % 11] names and no other: each row the
+    two entries do not share is one that no earlier entry used. Returns the
+    tensor, factors and anchors, and the entries' coordinates in the order
+    the pass visits them."""
+    fresh = iter(range(3 * nnz))
+    visits = [(next(fresh), next(fresh), next(fresh))]
+    for p in range(nnz - 1):
+        shared = "abc".find(_SHARED[p % len(_SHARED)] or "-")
+        visits.append(tuple(x if m == shared else next(fresh) for m, x in enumerate(visits[-1])))
+    order = solver.site_stream(17, solver.SHUFFLE_STREAM).permutation(nnz)
+    coords = np.empty((nnz, 3), dtype=np.int64)
+    coords[order] = visits
+    rng = np.random.default_rng(nnz + rank)
+    dims = (3 * nnz,) * 3
+    tensor = SparseTensorCOO(dims, coords, rng.uniform(0.5, 3.0, nnz))
+    factors = tuple(rng.random((d, rank)) for d in dims)
+    anchors = (rng.random((dims[1], rank)), rng.random((dims[2], rank)))
+    return tensor, factors, anchors, visits
+
+
+def _steps(nnz):
+    """(position, what it shares with the next entry) of each step the
+    compiled pass takes over a _paired_shard: None for a pair, "last" for a
+    lone last entry."""
+    steps, p = [], 0
+    while p < nnz:
+        shared = _SHARED[p % len(_SHARED)] if p + 1 < nnz else "last"
+        steps.append((p, shared))
+        p += 2 if shared is None else 1
+    return steps
+
+
 @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
 class TestCompiledPass:
     """The compiled round must reproduce the Python round bit for bit: the
@@ -505,6 +544,63 @@ class TestCompiledPass:
         assert compiled[0] is None
         assert _same_outcome(compiled, python)
         assert not np.array_equal(compiled[2], factors[1])
+
+    @pytest.mark.parametrize("clip", [0.05, math.inf])
+    # 50 has its own body, 17 takes the one for any rank
+    @pytest.mark.parametrize("rank", [17, 50])
+    # the pass ends on a lone entry at 2 and 30 entries, on a pair at 3 and 31
+    @pytest.mark.parametrize("nnz", [2, 3, 30, 31])
+    def test_pairs_of_entries_that_share_no_row(self, without_library, nnz, rank, clip):
+        steps = _steps(nnz)
+        assert steps[-1][1] == ("last" if nnz in (2, 30) else None)
+        if nnz > 3:
+            # pairs, steps that share a row of A, B or C with the next, and
+            # after a pair, steps that read each row its second entry wrote
+            assert {"a", "b", "c", None} <= {shared for _, shared in steps}
+            after = {_SHARED[(p + 1) % len(_SHARED)] for p, shared in steps
+                     if shared is None and p + 2 < nnz}
+            assert {"a", "b", "c", None} <= after
+        tensor, factors, anchors, _ = _paired_shard(nnz, rank)
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=1, clip=clip)
+        compiled, python = _run_both_kernels(without_library, tensor, factors, anchors, params)
+        assert compiled[0] is None
+        assert _same_outcome(compiled, python)
+        assert compiled[4].clipped == python[4].clipped
+        assert (compiled[4].clipped > 0) == math.isfinite(clip)
+
+    @pytest.mark.parametrize("rank", [17, 50])
+    @pytest.mark.parametrize("second", [False, True], ids=["first", "second"])
+    def test_non_finite_residual_in_a_pair(self, without_library, rank, second):
+        # a pair past the first few steps whose first entry's rows of A and
+        # B no earlier entry reads; one of its entries gets 1e300 in both
+        nnz = 30
+        tensor, factors, anchors, visits = _paired_shard(nnz, rank)
+        q = next(p for p, shared in _steps(nnz)
+                 if p > 4 and shared is None and _SHARED[(p - 1) % len(_SHARED)] in ("c", None))
+        stop = q + second
+        i, j, k = visits[stop]
+        factors[0][i] = factors[1][j] = 1e300
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.0, tau=1, clip=0.05)
+        # the entry's curvature ||a o b||^2 + gamma is about 1e600, inf in floats
+        with _warns_step_size():
+            compiled, python = _run_both_kernels(without_library, tensor, factors, anchors,
+                                                 params)
+        assert compiled[0] == f"residual became non-finite at entry ({i}, {j}, {k})"
+        assert _same_outcome(compiled, python)
+        # the entry before the stop is applied, the stopped one is not
+        a, b, c = (m.copy() for m in factors)
+        order = solver.site_stream(17, solver.SHUFFLE_STREAM).permutation(nnz)
+        coords = np.ascontiguousarray(tensor.coords)
+        at, clipped = solver._python_pass(order, coords, tensor.values, a, b, c, *anchors, params)
+        assert at == stop
+        before = visits[stop - 1]
+        assert not np.array_equal(compiled[1][before[0]], factors[0][before[0]])
+        assert np.array_equal(compiled[1][i], factors[0][i])
+        # the compiled round's clip count up to the stop, left in its tally
+        state = SiteState(tensor, *(m.copy() for m in factors), rng_seed=17, site_id=0)
+        with _warns_step_size(), pytest.raises(NumericOverflowError):
+            run_local_epoch(state, anchors, params)
+        assert int(state._round_args[4][0]) == clipped > 0
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     @pytest.mark.parametrize("tau", [1, 2, 3])

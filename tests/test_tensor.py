@@ -170,6 +170,14 @@ class TestCompiledModelValues:
         expected = reconstruct_values(A, B, C, coords)
         assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
 
+    @pytest.mark.parametrize("rank", [1, 3, 5, 16, 50, 64])
+    @pytest.mark.parametrize("nnz", range(10))
+    def test_every_count_around_the_groups_of_four(self, rank, nnz):
+        # the kernel sums four entries at a time, then the zero to three left
+        (A, B, C), coords = _random_factors(np.random.default_rng(nnz), (6, 5, 4), rank, nnz)
+        expected = reconstruct_values(A, B, C, coords)
+        assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
+
     def test_fortran_ordered_and_sliced_factors(self):
         rng = np.random.default_rng(7)
         (A, B, C), coords = _random_factors(rng, (60, 30, 40), 6, 3000)
@@ -185,11 +193,12 @@ class TestCompiledModelValues:
         assert tensor._model_values(A, B, C, coords).shape == (0,)
 
     def test_negative_zero_product_sums_from_positive_zero(self):
-        coords = np.zeros((1, 3), dtype=np.int64)
+        # five entries: a group of four and one left
+        coords = np.zeros((5, 3), dtype=np.int64)
         A, B, C = np.array([[-0.0]]), np.array([[3.0]]), np.array([[2.0]])
         expected = reconstruct_values(A, B, C, coords)
         assert np.array_equal(_bits(tensor._model_values(A, B, C, coords)), _bits(expected))
-        assert not np.signbit(expected[0])
+        assert not np.signbit(expected).any()
 
     def test_rmse_is_the_einsum_rmse(self, without_library):
         rng = np.random.default_rng(3)
