@@ -278,13 +278,15 @@ def run_round(
     sensitivity = l2_sensitivity(params.tau, params.clip, params.eta)
     sigma = gaussian_sigma(sensitivity, priv.rho)
     anchors = (server.B_hat, server.C_hat)
-    where = f"round {epoch}" + (f", noise scale sigma = {sigma!r}" if sigma > 0 else "")
 
     def site_work(state: SiteState):
         try:
             sums = run_local_epoch(state, anchors, params)
         except NumericOverflowError as exc:
-            raise NumericOverflowError(f"site {state.site_id}, {where}: {exc}") from exc
+            where = f"site {state.site_id}, round {epoch}"
+            if sigma > 0:
+                where += f", noise scale sigma = {sigma!r}"
+            raise NumericOverflowError(f"{where}: {exc}") from exc
         return sums, build_upload(state, epoch, sigma).to_bytes()
 
     done = list(map(site_work, sites) if pool is None else pool.map(site_work, sites))
