@@ -40,8 +40,8 @@
  * and their gradients in another, each chain still in its own order, and
  * then step in turn. It is one inlined body that site_round runs with the
  * rank as a literal at ranks 3, 5 and 50, which the compiler unrolls, and
- * as a variable at every other rank; ranks 3 and 5 step one entry at a
- * time. It prefetches the coords and value of the entry PREFETCH_ENTRY
+ * as a variable at every other rank; only the rank-50 body steps pairs.
+ * It prefetches the coords and value of the entry PREFETCH_ENTRY
  * places ahead in the shuffled order and the rows of the entry
  * PREFETCH_ROWS ahead; a prefetch changes no value. model_values sums four
  * entries at a time, each from 0.0 left to right.
@@ -136,7 +136,9 @@ apply_step(double *a, double *b, double *c, const double *bh, const double *ch, 
  * clip each residual gradient to 2-norm clip, add the anchor pull on B
  * and C, then step all three rows by eta. coords is (nnz, 3) row-major; the
  * factors and anchors are row-major with rank columns, and A, B and C do
- * not overlap; work holds 6 * rank doubles of scratch. Adds to *clipped
+ * not overlap (SiteState copies a factor that shares memory with another,
+ * as the Python pass steps three separate lists of rows); work holds
+ * 6 * rank doubles of scratch. Adds to *clipped
  * the number of residual gradients the clip scaled, up to three per entry.
  *
  * An entry's step is two loops over the rank after its residual: the
@@ -261,13 +263,15 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
  * shorten the wait: on a readme_pooled-shaped site (2,427 entries, clip 1,
  * tau 5) site_round took 267 ns per entry, 258 with the literal alone, 262
  * with pairs alone and 245 with both (the best of 7 x 40 alternating
- * calls, same host). Ranks 3 and 5 step one entry at a time, as pairs
- * gained nothing there: with them site_round took 27.0 against 25.5 ns
+ * calls, same host). Only the rank-50 body steps pairs. At ranks 3 and 5
+ * pairs gained nothing: with them site_round took 27.0 against 25.5 ns
  * per entry at rank 3 (203 entries, tau 3) and 45.2 against 42.7 at rank
- * 5 (48k entries, tau 1). Each body costs build time: the rank-50 one
- * takes an -O3 build from about 1.2 to 1.5 s. A literal for a rank that
- * no workload runs adds a body to every build for a gain that nothing
- * measures end to end.
+ * 5 (48k entries, tau 1). The body for any other rank steps one entry at
+ * a time, as no workload runs such a rank and nothing measured pairs
+ * there. Each body costs build time: the rank-50 one takes an -O3 build
+ * from about 1.6 to 2.0 s. A literal for a rank that no workload runs, or
+ * pairs in a body no workload takes, adds code to every build for a gain
+ * that nothing measures end to end.
  */
 static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
                             const double *values, double *A, double *B, double *C,
@@ -281,7 +285,7 @@ static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *co
     case 3: return PASS(3, 0);
     case 5: return PASS(5, 0);
     case 50: return PASS(50, 1);
-    default: return PASS(rank, 1);
+    default: return PASS(rank, 0);
     }
 #undef PASS
 }

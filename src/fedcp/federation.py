@@ -50,9 +50,9 @@ class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
     run, also the last accepted cohort's encodings in site order, against
     which the next round's change is taken, and ``messages``, those
-    encodings decoded: views of the same bytes, which ``server_update``
-    sets with them. A server built with ``uploads`` and no ``messages``
-    decodes them here."""
+    encodings decoded: views of the same bytes. ``server_update`` sets the
+    two together, and the compiled step reads ``uploads``, the numpy step
+    ``messages``."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
@@ -60,11 +60,6 @@ class ServerState:
     epoch: int = 0
     uploads: list | None = None
     messages: list | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.uploads is not None and self.messages is None:
-            (j_dim, rank), k_dim = self.B_hat.shape, self.C_hat.shape[0]
-            self.messages = [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in self.uploads]
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:

@@ -97,7 +97,10 @@ class SolverParams:
 class SiteState:
     """One site's shard, factor triple, id, and private random streams.
     Each assignment to ``A``, ``B`` or ``C`` stores a writeable C-contiguous
-    float64 matrix, copying only a value that is not one already.
+    float64 matrix, copying only a value that is not one already or that
+    may share memory with another of the three: the Python pass steps
+    three lists of rows, and the compiled pass, which writes the factors in
+    place, gives their bits only when no factor's row is another's.
 
     ``_round_args``, the compiled round's fixed arguments, hold addresses
     of this site's arrays: an assignment to ``tensor``, ``A``, ``B`` or
@@ -116,6 +119,9 @@ class SiteState:
     def __setattr__(self, name, value):
         if name in ("A", "B", "C"):
             value = np.require(value, np.float64, ("C", "W", "A"))
+            held = (self.__dict__.get(other) for other in ("A", "B", "C") if other != name)
+            if any(m is not None and np.may_share_memory(value, m) for m in held):
+                value = value.copy()
         if name in ("tensor", "A", "B", "C"):
             self.__dict__.pop("_round_args", None)
         super().__setattr__(name, value)

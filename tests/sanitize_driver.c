@@ -92,8 +92,9 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
 
 static const int64_t ROUND_DIMS[3] = {5, 4, 3};
 /* 1 to 9, 16 and 50 take the ranks passed to sgd_pass as literals (3, 5
- * and 50) and the general body; 3 and 10 entries are fewer than its
- * prefetch distances, and 3 leaves a lone entry after a pair */
+ * and 50, the one body that steps pairs) and the general body; 3 and 10
+ * entries are fewer than its prefetch distances, and 3 leaves a lone
+ * entry after a pair */
 static const int64_t ROUND_RANKS[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 50};
 static const int64_t ROUND_NNZ[] = {3, 10, 40};
 /* every count of entries left after model_values' groups of four */

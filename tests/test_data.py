@@ -1081,12 +1081,13 @@ class TestKernelsUnderSanitizers:
                     blobs = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
                                           v[split:].reshape(-1, 1)).to_bytes()
                              for t, v in enumerate(cohort)]
+                    # the held cohort as the numpy step reads it
                     server = ServerState(
                         B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
                         n_sites=sites,
-                        uploads=None if prev is None else [
+                        messages=None if prev is None else [
                             RoundMessage(t, 0, v[:split].reshape(-1, 1),
-                                         v[split:].reshape(-1, 1)).to_bytes()
+                                         v[split:].reshape(-1, 1))
                             for t, v in enumerate(prev)],
                     )
                     with without_library():

@@ -435,7 +435,8 @@ def _same_outcome(x, y):
 
 
 # the row of A, B or C that entry p + 1 of a pass shares with entry p, or
-# None: the compiled pass steps p and p + 1 together when they share none
+# None: the compiled pass at rank 50 steps p and p + 1 together when they
+# share none
 _SHARED = ("a", None, "b", "b", None, "c", "c", None, "a", None, None)
 
 
@@ -463,8 +464,8 @@ def _paired_shard(nnz, rank):
 
 def _steps(nnz):
     """(position, what it shares with the next entry) of each step the
-    compiled pass takes over a _paired_shard: None for a pair, "last" for a
-    lone last entry."""
+    compiled rank-50 pass takes over a _paired_shard: None for a pair,
+    "last" for a lone last entry."""
     steps, p = [], 0
     while p < nnz:
         shared = _SHARED[p % len(_SHARED)] if p + 1 < nnz else "last"
@@ -546,7 +547,8 @@ class TestCompiledPass:
         assert not np.array_equal(compiled[2], factors[1])
 
     @pytest.mark.parametrize("clip", [0.05, math.inf])
-    # 50 has its own body, 17 takes the one for any rank
+    # 50 steps pairs, 17 takes the body for any rank, which steps one entry
+    # at a time
     @pytest.mark.parametrize("rank", [17, 50])
     # the pass ends on a lone entry at 2 and 30 entries, on a pair at 3 and 31
     @pytest.mark.parametrize("nnz", [2, 3, 30, 31])
@@ -1137,6 +1139,35 @@ class TestSiteStateFactors:
         assert odd_sums == plain_sums
         for m, want in zip((odd.A, odd.B, odd.C), (plain.A, plain.B, plain.C)):
             assert m.tobytes() == want.tobytes()
+
+    def test_factors_that_share_memory_are_held_apart(self):
+        tensor, factors, _ = _random_shard(9, (6, 6, 6), 2, 0.5)
+        one = factors[0]
+        state = SiteState(tensor, one, one[:, :], one, rng_seed=1, site_id=0)
+        self._assert_fit(state, (one, one, one))
+        assert state.A is one
+        assert not np.may_share_memory(state.B, one) and not np.may_share_memory(state.C, one)
+        assert not np.may_share_memory(state.B, state.C)
+        state.C = state.B
+        assert np.array_equal(state.C, state.B) and not np.may_share_memory(state.C, state.B)
+
+    @pytest.mark.parametrize("rank", [17, 50])
+    def test_one_array_as_every_factor_gives_the_python_round(self, without_library, rank):
+        # on a cube shard entry p + 1's row of B can be entry p's row of A:
+        # two entries that share no row of their own factor step together
+        # in the compiled pass only when each factor is an array of its own
+        if _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        tensor, factors, anchors = _random_shard(rank, (9, 9, 9), rank, 0.3)
+        params = SolverParams(eta=0.02, gamma=1.0, mu=0.2, tau=2, clip=0.05)
+        rounds = []
+        for kernels in (nullcontext, without_library):
+            one = factors[0].copy()
+            state = SiteState(tensor, one, one, one, rng_seed=17, site_id=0)
+            with kernels():
+                sums = run_local_epoch(state, anchors, params)
+            rounds.append((sums, state.A.tobytes(), state.B.tobytes(), state.C.tobytes()))
+        assert rounds[0] == rounds[1]
 
     def test_an_assigned_factor_is_converted_and_takes_the_compiled_round(self, monkeypatch):
         if _native.LIBRARY is None:
