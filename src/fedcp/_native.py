@@ -20,6 +20,9 @@ parser instead, the COO and factor writers format with ``repr``,
 anchor step with numpy and the round's change with ``worst_change`` over
 the decoded factors; setting it to None gives that path in a process that
 did load the library.
+
+``anchor_addresses`` gives the kernels that read the broadcast anchors
+their addresses, read once per pair of arrays rather than once per call.
 """
 
 import ctypes
@@ -29,6 +32,8 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SOURCE = Path(__file__).with_name("_sgd.c")
 CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -134,3 +139,29 @@ def load(directory: Path = CACHE_DIR) -> ctypes.CDLL | None:
 
 # built and loaded once per process
 LIBRARY = load()
+
+# the last anchor pair that anchor_addresses read and needed no conversion
+_anchors = (None, None, 0, 0)
+
+
+def anchor_addresses(b_hat, c_hat) -> tuple:
+    """(B_hat, C_hat, the address of each one's values), the two as
+    C-contiguous float64 arrays; the caller holds them for its call.
+
+    A federation round's site rounds and server step read one pair, and a
+    ``ctypes.data`` read takes about a microsecond, so the last pair that
+    needed no conversion is kept with its addresses. The memo holds the
+    arrays, so no other object takes their identities, and is replaced in
+    one assignment, so a pool thread may compute it anew but never reads
+    half of it. A pair that needs conversion is converted at each call.
+    """
+    global _anchors
+    held = _anchors
+    if held[0] is b_hat and held[1] is c_hat:
+        return held
+    b = np.ascontiguousarray(b_hat, dtype=np.float64)
+    c = np.ascontiguousarray(c_hat, dtype=np.float64)
+    pair = (b, c, b.ctypes.data, c.ctypes.data)
+    if b is b_hat and c is c_hat:
+        _anchors = pair
+    return pair

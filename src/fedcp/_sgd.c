@@ -1,12 +1,13 @@
 /* The hot loops of a CLI run, compiled. The seven functions that are not
  * static are the kernels _native.SIGNATURES declares: site_round, a site's
- * round: the step-size bound's inputs, the draw of its shuffled orders from
+ * round: the step-size bound beta, the draw of its shuffled orders from
  * the site's numpy stream, the SGD passes, each followed by the finiteness
  * sweep and the prox step, and the sum for the round's RMSE (the twin of
- * the Python round in solver.run_local_epoch); model_values, the model
- * values that tensor.rmse scores and data.generate_synthetic stores (the
- * twin of reconstruct_values); count_newlines and parse_coo, the size and
- * the parse of a COO file's body (the fast path of data.read_coo);
+ * the Python round in solver.run_local_epoch and of beta_lipschitz);
+ * model_values, the model values that tensor.rmse scores and
+ * data.generate_synthetic stores (the twin of reconstruct_values);
+ * count_newlines and parse_coo, the size and the parse of a COO file's
+ * body (the fast path of data.read_coo);
  * format_records, the text of COO records and factor rows (the fast path
  * of data.write_coo and data.write_factors, byte for byte what repr
  * writes); and gaussian_perturb, the upload noise (the fast path of
@@ -501,25 +502,58 @@ static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *t
     *norm = n;
 }
 
+/* Python's min(x, y): x unless y is smaller. */
+static double smaller(double x, double y)
+{
+    return y < x ? y : x;
+}
+
+/* solver._step_bound, operation for operation: beta from each factor's
+ * largest |entry| top[m] and largest squared row norm norm[m], A, B and C
+ * in turn. It is +inf, without reading the norms, when some top * top *
+ * rank is not below +inf (a NaN top included); else the largest of the
+ * three pair bounds, each the smaller of two products, taken as Python's
+ * min and max take them: min keeps its first argument unless the second
+ * is smaller, max keeps the first value unless a later one is greater. */
+static double step_bound(const double *top, const double *norm, int64_t rank, double gamma)
+{
+    double e[3];
+    for (int m = 0; m < 3; m++) {
+        e[m] = top[m] * top[m];
+        if (!(e[m] * (double)rank < INFINITY))
+            return INFINITY;
+    }
+    double on_a = smaller(norm[1] * e[2], e[1] * norm[2]);
+    double on_b = smaller(norm[0] * e[2], e[0] * norm[2]) + gamma;
+    double on_c = smaller(norm[0] * e[1], e[0] * norm[1]) + gamma;
+    double beta = on_a;
+    if (on_b > beta)
+        beta = on_b;
+    if (on_c > beta)
+        beta = on_c;
+    return beta;
+}
+
 /* One site's round, solver.run_local_epoch after its checks. It first
- * writes the step-size bound's inputs, out[1 + m] the largest |entry| and
- * out[4 + m] the largest squared row norm of factor m (0 for A, 1 for B,
- * 2 for C), and draws all tau orders of the shard's entries from the
- * site's shuffle stream bitgen, each as Generator.permutation(nnz) draws
- * it. Then for each order, sgd_pass over the shard, the finiteness sweep
- * of A, B and C, and the prox step on A. The factors are (i_dim, rank),
- * (j_dim, rank) and (k_dim, rank), row-major. The arguments up to tally
- * stay the same from one round of a site to the next, so a caller can
- * build them once; the ones after it are the round's.
+ * writes out[1], beta, the step-size bound of the factors the round
+ * starts from (solver.beta_lipschitz: step_bound over each factor's
+ * largest |entry| and largest squared row norm), and draws all tau orders
+ * of the shard's entries from the site's shuffle stream bitgen, each as
+ * Generator.permutation(nnz) draws it. Then for each order, sgd_pass over
+ * the shard, the finiteness sweep of A, B and C, and the prox step on A.
+ * The factors are (i_dim, rank), (j_dim, rank) and (k_dim, rank),
+ * row-major; out holds two doubles. The arguments up to tally stay the
+ * same from one round of a site to the next, so a caller can build them
+ * once; the ones after it are the round's.
  *
  * Returns ROUND_DONE with out[0] the sum of squared residuals over the
  * shard at the final factors and tally[0] the number of residual
- * gradients the clip scaled in the tau passes. Else, with the factors as
- * the failing pass left them and every order drawn: ROUND_RESIDUAL with
- * tally[1] the index in coords of the entry whose residual is not finite,
- * or ROUND_ROW + m with tally[1] the first row of factor m holding a
- * non-finite value after a pass; or ROUND_NO_MEMORY, before anything is
- * written or drawn.
+ * gradients the clip scaled in the tau passes. Else, with out[1] written,
+ * the factors as the failing pass left them and every order drawn:
+ * ROUND_RESIDUAL with tally[1] the index in coords of the entry whose
+ * residual is not finite, or ROUND_ROW + m with tally[1] the first row of
+ * factor m holding a non-finite value after a pass; or ROUND_NO_MEMORY,
+ * before anything is written or drawn.
  */
 enum { ROUND_DONE, ROUND_NO_MEMORY, ROUND_RESIDUAL, ROUND_ROW };
 
@@ -541,8 +575,10 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
 
     double *factors[3] = {A, B, C};
     int64_t rows[3] = {i_dim, j_dim, k_dim};
+    double top[3], norm[3];
     for (int m = 0; m < 3; m++)
-        factor_bounds(factors[m], rows[m], rank, out + 1 + m, out + 4 + m, work);
+        factor_bounds(factors[m], rows[m], rank, top + m, norm + m, work);
+    out[1] = step_bound(top, norm, rank, gamma);
     for (int64_t t = 0; t < tau; t++)
         shuffled_range(bitgen, nnz, orders + t * nnz);
 

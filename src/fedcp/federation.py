@@ -5,10 +5,11 @@ anchors, perturbs its two feature factors, and uploads them; the server
 applies one elastic step toward the uploads and broadcasts the new anchors.
 Only bytes cross the site boundary: each upload is encoded with
 ``RoundMessage.to_bytes``, and the server takes the cohort's encodings as
-its only input and decodes each one once, so a round's traffic is the
-length of those encodings. Patient factors never leave a site: the upload
-message has no field for them. Sites keep their local feature factors; the
-broadcast only moves the penalty anchors.
+its only input, so a round's traffic is the length of those encodings.
+The compiled server step reads their headers and values in place; the
+path without the library decodes each one once. Patient factors never
+leave a site: the upload message has no field for them. Sites keep their
+local feature factors; the broadcast only moves the penalty anchors.
 
 A site's local epoch also returns its sum for the round's RMSE, so the
 round never rescans a shard. The server takes the round's change from the
@@ -43,16 +44,19 @@ from .tensor import rmse, root_mean_square
 HEADER_BYTES = 24
 MESSAGE_TAG = 1  # combined B-then-C payload
 _VALUE_BYTES = 8
+_HEADER = struct.Struct("<qqq")  # site_id, epoch, tag
 
 
 @dataclass
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
     run, also the last accepted cohort's encodings in site order, against
-    which the next round's change is taken, and ``messages``, those
-    encodings decoded: views of the same bytes. ``server_update`` sets the
-    two together, and the compiled step reads ``uploads``, the numpy step
-    ``messages``."""
+    which the next round's change is taken. The compiled step reads
+    ``uploads`` and keeps their addresses for the next round. The numpy
+    step, the path without the library, also sets ``messages``, those
+    encodings decoded (views of the same bytes), and reads them in the
+    next round; the compiled step leaves ``messages`` None, and the numpy
+    step decodes the held ``uploads`` when it finds no ``messages``."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
@@ -60,6 +64,8 @@ class ServerState:
     epoch: int = 0
     uploads: list | None = None
     messages: list | None = field(default=None, repr=False, compare=False)
+    # (uploads, a ctypes array of their addresses), set by the compiled step
+    _addresses: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -77,6 +83,19 @@ def message_bytes(j_dim: int, k_dim: int, rank: int) -> int:
     return HEADER_BYTES + _VALUE_BYTES * rank * (j_dim + k_dim)
 
 
+def _read_header(blob, length: int) -> tuple:
+    """(site_id, epoch) from the header of an encoding that must be
+    ``length`` bytes long and carry MESSAGE_TAG, else ProtocolError: the
+    checks of ``RoundMessage.from_bytes``, which the compiled server step
+    makes without decoding the values."""
+    if len(blob) != length:
+        raise ProtocolError(f"message has {len(blob)} bytes, expected {length}")
+    site_id, epoch, tag = _HEADER.unpack_from(blob)
+    if tag != MESSAGE_TAG:
+        raise ProtocolError(f"unknown message tag {tag}")
+    return site_id, epoch
+
+
 @dataclass(frozen=True)
 class RoundMessage:
     """One site's upload: the two noised feature factors, nothing else."""
@@ -87,22 +106,18 @@ class RoundMessage:
     priv_C: np.ndarray
 
     def to_bytes(self) -> bytes:
-        """Little-endian: three int64 header words, then B then C row-major."""
+        """Little-endian: three int64 header words, then B then C row-major.
+        The join copies each factor's buffer once, straight from the array."""
         return b"".join((
-            struct.pack("<qqq", self.site_id, self.epoch, MESSAGE_TAG),
-            np.ascontiguousarray(self.priv_B, dtype="<f8").tobytes(),
-            np.ascontiguousarray(self.priv_C, dtype="<f8").tobytes(),
+            _HEADER.pack(self.site_id, self.epoch, MESSAGE_TAG),
+            np.ascontiguousarray(self.priv_B, dtype="<f8"),
+            np.ascontiguousarray(self.priv_C, dtype="<f8"),
         ))
 
     @classmethod
     def from_bytes(cls, blob: bytes, j_dim: int, k_dim: int, rank: int) -> "RoundMessage":
         """Decode ``to_bytes`` output; the factors are read-only views of ``blob``."""
-        expected = message_bytes(j_dim, k_dim, rank)
-        if len(blob) != expected:
-            raise ProtocolError(f"message has {len(blob)} bytes, expected {expected}")
-        site_id, epoch, tag = struct.unpack("<qqq", blob[:HEADER_BYTES])
-        if tag != MESSAGE_TAG:
-            raise ProtocolError(f"unknown message tag {tag}")
+        site_id, epoch = _read_header(blob, message_bytes(j_dim, k_dim, rank))
         flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
         split = j_dim * rank
         return cls(
@@ -142,18 +157,22 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
     server's shapes, and every site must appear exactly once, with a finite
     upload for the epoch after the server's. The sum runs in ascending
     site_id order against the pre-update anchors. The server keeps the
-    cohort's encodings in site order, and their decoded messages, for the
-    next round's change; each encoding is decoded once. A rejected cohort
-    leaves the server unchanged.
+    cohort's encodings in site order for the next round's change. A
+    rejected cohort leaves the server unchanged.
 
     With the compiled library loaded, the step, its finiteness test and the
-    change are one call to ``server_step``, which reads the encodings;
-    otherwise ``_anchor_step`` and ``worst_change``, which stay as its
-    reference, take them from the decoded factors: this cohort's and the
-    held ``messages``.
+    change are one call to ``server_step``, which reads the encodings: the
+    server reads only each one's header and decodes none, but to name the
+    site of a non-finite upload. Otherwise each encoding is decoded once,
+    and ``_anchor_step`` and ``worst_change``, which stay as the compiled
+    step's reference, take the step and the change from the decoded
+    factors: this cohort's and the held ``messages``, or the held
+    ``uploads`` decoded when the last cohort came through the compiled step.
     """
     (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
-    decoded = []
+    lib = _native.LIBRARY
+    length = message_bytes(j_dim, k_dim, rank)
+    heads = []  # (site_id, epoch, the decoded message or None, the encoding)
     for at, blob in enumerate(blobs):
         # server_step's alignment holds for a bytes object's own buffer
         if type(blob) is not bytes:
@@ -161,49 +180,60 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
                 f"upload {at} of the cohort is a {type(blob).__name__}, not bytes"
             )
         try:
-            decoded.append((RoundMessage.from_bytes(blob, j_dim, k_dim, rank), blob))
+            if lib is None:
+                msg = RoundMessage.from_bytes(blob, j_dim, k_dim, rank)
+                heads.append((msg.site_id, msg.epoch, msg, blob))
+            else:
+                heads.append((*_read_header(blob, length), None, blob))
         except ProtocolError as exc:
             raise ProtocolError(f"upload {at} of the cohort: {exc}") from None
-    decoded.sort(key=lambda pair: pair[0].site_id)
-    ids = [msg.site_id for msg, _ in decoded]
+    heads.sort(key=lambda head: head[0])
+    ids = [head[0] for head in heads]
     if ids != list(range(server.n_sites)):
         raise ProtocolError(
             f"expected one upload from each of {server.n_sites} sites, got ids {ids}"
         )
-    ordered, cohort = [msg for msg, _ in decoded], [blob for _, blob in decoded]
-    for t, msg in enumerate(ordered):
-        if msg.epoch != server.epoch + 1:
+    for t, (_, epoch, _, _) in enumerate(heads):
+        if epoch != server.epoch + 1:
             raise ProtocolError(
-                f"upload from site {t} is for epoch {msg.epoch}, expected epoch {server.epoch + 1}"
+                f"upload from site {t} is for epoch {epoch}, expected epoch {server.epoch + 1}"
             )
-    lib = _native.LIBRARY
+    cohort = [head[3] for head in heads]
     if lib is None:
+        ordered = [head[2] for head in heads]
+        held = server.messages
+        if held is None and server.uploads is not None:
+            held = [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in server.uploads]
         server_b, server_c = _anchor_step(server, ordered, eta, gamma)
         change = None
-        if server.messages is not None:
-            change = worst_change([(m.priv_B, m.priv_C) for m in server.messages],
+        if held is not None:
+            change = worst_change([(m.priv_B, m.priv_C) for m in held],
                                   [(m.priv_B, m.priv_C) for m in ordered])
+        addresses = None
     else:
+        ordered = None
         split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
-        addresses = ctypes.c_char_p * server.n_sites
-        prev = None if server.uploads is None else addresses(*server.uploads)
-        b_hat = np.ascontiguousarray(server.B_hat, dtype=np.float64)
-        c_hat = np.ascontiguousarray(server.C_hat, dtype=np.float64)
+        array = ctypes.c_char_p * server.n_sites
+        kept = server._addresses
+        if server.uploads is not None and (kept is None or kept[0] is not server.uploads):
+            kept = (server.uploads, array(*server.uploads))
+        prev = None if server.uploads is None else kept[1]
+        addresses = (cohort, array(*cohort))
+        anchors = _native.anchor_addresses(server.B_hat, server.C_hat)
         out = np.empty(size)
         worst = ctypes.c_double()
         status = lib.server_step(
-            server.n_sites, addresses(*cohort), prev, HEADER_BYTES, split, size,
-            b_hat.ctypes.data, c_hat.ctypes.data, eta, gamma, out.ctypes.data,
-            ctypes.byref(worst),
+            server.n_sites, addresses[1], prev, HEADER_BYTES, split, size, anchors[2],
+            anchors[3], eta, gamma, out.ctypes.data, ctypes.byref(worst),
         )
         if status != 0:
-            _reject_non_finite(ordered)
+            _reject_non_finite([RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in cohort])
         server_b = out[:split].reshape(server.B_hat.shape)
         server_c = out[split:].reshape(server.C_hat.shape)
         change = None if prev is None else worst.value
     server.B_hat, server.C_hat = server_b, server_c
     server.epoch += 1
-    server.uploads, server.messages = cohort, ordered
+    server.uploads, server.messages, server._addresses = cohort, ordered, addresses
     return change
 
 
@@ -426,7 +456,8 @@ def run_experiment(
         converged = metrics[-1].change is not None and metrics[-1].change < tol
         if fixed_epochs is None and converged:
             break
-    server.uploads = server.messages = None  # needed only between rounds
+    # needed only between rounds
+    server.uploads = server.messages = server._addresses = None
     return RunResult(
         metrics=metrics,
         sites=sites,

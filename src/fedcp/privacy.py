@@ -172,7 +172,7 @@ class PrivacyAccountant:
             raise ValueError("delta must lie in (0, 1)")
         self.n_sites = n_sites
         self.delta = delta
-        self._entries: list[LedgerEntry] = []
+        self._entries: list[tuple] = []  # LedgerEntry fields, built when read
         self._site_rho = [0.0] * n_sites
         self._lock = threading.Lock()
 
@@ -185,16 +185,15 @@ class PrivacyAccountant:
             raise ValueError("sigma must be non-negative")
         if not sensitivity >= 0:
             raise ValueError("sensitivity must be non-negative")
-        entry = LedgerEntry(epoch, site_id, matrix_tag, rho, sigma, sensitivity)
         with self._lock:
-            self._entries.append(entry)
+            self._entries.append((epoch, site_id, matrix_tag, rho, sigma, sensitivity))
             self._site_rho[site_id] += rho
 
     @property
     def ledger(self) -> list[LedgerEntry]:
         with self._lock:
             entries = list(self._entries)
-        return sorted(entries, key=lambda e: (e.epoch, e.site_id, e.matrix_tag))
+        return [LedgerEntry(*e) for e in sorted(entries, key=lambda e: e[:3])]
 
     @property
     def rho_total(self) -> float:

@@ -11,10 +11,10 @@ step: ``clip = math.inf`` and a zero threshold are values of those
 operators that change no bit, so neither selects code.
 
 A round is one call of ``site_round`` in ``_sgd.c`` when
-``_native.LIBRARY`` holds the compiled library: the inputs of the
-step-size bound, the draw of the tau orders from the shuffle stream, the
-tau passes with the finiteness sweep and the prox step after each, and
-the sum for the round's RMSE at its end. Else it runs in Python:
+``_native.LIBRARY`` holds the compiled library: the step-size bound
+beta, the draw of the tau orders from the shuffle stream, the tau passes
+with the finiteness sweep and the prox step after each, and the sum for
+the round's RMSE at its end. Else it runs in Python:
 ``beta_lipschitz``, ``Generator.permutation``, the pass loop, numpy's
 sweep, ``prox_l21`` and ``reconstruct_values``, which stay as the
 reference the compiled round is tested against. The two agree bit for
@@ -27,7 +27,9 @@ The arguments of ``site_round`` that stay fixed from round to round (the
 shard's contiguous coords and values, the dims, the factors' addresses,
 the rank and the output buffers) are built on a site's first compiled
 round and kept on its ``SiteState``; a round then reads only the
-anchors' addresses and the shuffle stream's bit generator. Assigning
+anchors' addresses, which ``_native.anchor_addresses`` reads once for
+all the sites of a federation round, and the shuffle stream's bit
+generator. Assigning
 ``tensor``, ``A``, ``B`` or ``C`` drops them, and copies and pickles of a
 site leave them out.
 
@@ -244,8 +246,8 @@ def run_local_epoch(state: SiteState, anchors, params: SolverParams) -> RoundSum
     ``anchors`` is the broadcast (B_hat, C_hat) pair; it is read, never
     written. The state's factors and shuffle stream advance in place. With
     the compiled library, everything after the shape checks is one call of
-    ``site_round``, which also draws the orders and takes the inputs of the
-    step-size bound; a round without memory for its scratch raises
+    ``site_round``, which also draws the orders and computes the step-size
+    bound; a round without memory for its scratch raises
     MemoryError having drawn and changed nothing. The step-size check reads
     the factors the round starts from and warns at the caller, before any
     error of the round is raised. All tau permutations are drawn before the
@@ -355,8 +357,7 @@ def _round_args(state) -> tuple:
     if args is None:
         coords = np.ascontiguousarray(state.tensor.coords, dtype=np.int64)
         values = np.ascontiguousarray(state.tensor.values, dtype=np.float64)
-        # the sse, then each factor's largest |entry|, then its largest squared row norm
-        out = np.empty(7)
+        out = np.empty(2)  # the sse, and beta of the factors the round starts from
         tally = np.empty(2, dtype=np.int64)  # the clip count, and where a round failed
         fixed = (
             state.tensor.nnz, coords.ctypes.data, values.ctypes.data, *state.tensor.dims,
@@ -372,22 +373,22 @@ def _compiled_round(state, b_hat, c_hat, params, threshold) -> tuple:
     (beta of the factors the round started from, the RoundSums or the
     NumericOverflowError the round stopped with). ``site_round`` draws the
     orders from the shuffle stream's bit generator, under the lock that
-    numpy's own draws take. The caller has checked that the site's factors
-    match the shard dims, so every index in the shard lies inside them."""
+    numpy's own draws take, and computes beta as ``beta_lipschitz`` does.
+    The caller has checked that the site's factors match the shard dims,
+    so every index in the shard lies inside them."""
     fixed, coords, _, out, tally = _round_args(state)
-    b_hat = np.ascontiguousarray(b_hat, dtype=np.float64)
-    c_hat = np.ascontiguousarray(c_hat, dtype=np.float64)
+    # the pair, converted when it must be, stays referenced until the call returns
+    anchors = _native.anchor_addresses(b_hat, c_hat)
     stream = state.shuffle_rng.bit_generator
     with stream.lock:
         status = _native.LIBRARY.site_round(
-            *fixed, params.tau, stream.ctypes.bit_generator, b_hat.ctypes.data,
-            c_hat.ctypes.data, params.eta, params.gamma, params.clip, threshold,
+            *fixed, params.tau, stream.ctypes.bit_generator, anchors[2], anchors[3],
+            params.eta, params.gamma, params.clip, threshold,
         )
     if status == _NO_MEMORY:
         raise MemoryError("no memory for the site's round")
-    sse, *bounds = out.tolist()
+    sse, beta = out.tolist()
     clipped, where = tally.tolist()
-    beta = _step_bound(bounds[:3], bounds[3:], state.A.shape[1], params.gamma)
     if status == _RESIDUAL:
         return beta, _residual_error(coords[where])
     if status >= _ROW:
@@ -429,7 +430,8 @@ def beta_lipschitz(A, B, C, gamma: float) -> float:
 def _step_bound(tops, norms, rank: int, gamma: float) -> float:
     """beta from each factor's largest |entry| and largest squared row norm,
     A, B and C in turn; inf, without reading the norms, when a factor's
-    squares could overflow or a top is NaN."""
+    squares could overflow or a top is NaN. ``step_bound`` in ``_sgd.c``
+    takes the same operations in the same order for the compiled round."""
     # a Python float product overflows to inf without a warning; NaN < inf is False
     if not all(t * t * rank < math.inf for t in tops):
         return math.inf

@@ -16,9 +16,10 @@
  * Run as "sanitize_driver rounds", it instead runs site_round on a shard
  * of ROUND_DIMS at each rank of ROUND_RANKS and each count of ROUND_NNZ,
  * every array in a malloc'd buffer of exactly its size, with a bit
- * generator whose every draw is 0. One line "rank nnz status clipped sse"
- * is printed per round, the sse as its bits in hex. The shard's values,
- * factors and anchors are multiples of 1/8, which Python builds alike.
+ * generator whose every draw is 0, and out of exactly its two doubles.
+ * One line "rank nnz status clipped sse beta" is printed per round, the
+ * sse and beta as their bits in hex. The shard's values, factors and
+ * anchors are multiples of 1/8, which Python builds alike.
  *
  * Run as "sanitize_driver model", it runs model_values on the same dims
  * at each rank of ROUND_RANKS for each count from 0 to MODEL_MAX_NNZ,
@@ -210,15 +211,15 @@ static void run_rounds(void)
             double *A = factor(dims[0], rank, 1), *B = factor(dims[1], rank, 2);
             double *C = factor(dims[2], rank, 3), *b_hat = factor(dims[1], rank, 4);
             double *c_hat = factor(dims[2], rank, 0);
-            double *out = checked_malloc(7 * sizeof *out);
+            double *out = checked_malloc(2 * sizeof *out);
             int64_t *tally = checked_malloc(2 * sizeof *tally);
             int status = site_round(nnz, coords, values, dims[0], dims[1], dims[2], A, B, C,
                                     rank, out, tally, 2, &zero, b_hat, c_hat, 0.05, 0.5,
                                     0.3, 0.05 * 0.2);
-            uint64_t bits;
-            memcpy(&bits, out, sizeof bits);
-            printf("%" PRId64 " %" PRId64 " %d %" PRId64 " %016" PRIx64 "\n", rank, nnz, status,
-                   tally[0], bits);
+            uint64_t bits[2];
+            memcpy(bits, out, sizeof bits);
+            printf("%" PRId64 " %" PRId64 " %d %" PRId64 " %016" PRIx64 " %016" PRIx64 "\n", rank,
+                   nnz, status, tally[0], bits[0], bits[1]);
             free(tally);
             free(out);
             free(c_hat);

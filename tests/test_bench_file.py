@@ -62,11 +62,22 @@ def test_summary_holds_quartiles_layer_medians_and_failures():
     assert one["per_layer"] == {} and one["correct"]
 
 
+def _checkouts(tmp_path, monkeypatch, parent_name):
+    """(this checkout, the parent's) in tmp_path: bench_file's root is moved
+    to a directory ``change`` that holds a copy of BENCHMARK.json."""
+    change = tmp_path / "change"
+    change.mkdir()
+    shutil.copy(_PATH.parents[1] / "BENCHMARK.json", change)
+    monkeypatch.setattr(bench_file, "ROOT", str(change))
+    return str(change), str(tmp_path / parent_name)
+
+
 def test_traced_runs_pair_the_first_three_seeds_in_alternating_order(tmp_path, monkeypatch):
     calls = []
+    change, parent = _checkouts(tmp_path, monkeypatch, "parent")
 
     def run_bench(tree, workload, seed, seconds, trace):
-        calls.append((trace, seed, workload, "parent" if tree == str(tmp_path) else "change"))
+        calls.append((trace, seed, workload, "parent" if tree == parent else "change"))
         if trace:
             return _MACHINE, _traced(float(seed))
         return _MACHINE, _result(seed / 100)
@@ -76,8 +87,10 @@ def test_traced_runs_pair_the_first_three_seeds_in_alternating_order(tmp_path, m
     out = tmp_path / "bench.json"
     for seeds, traced in (("5-9", [5, 6, 7]), ("5,6", [5, 6])):
         calls.clear()
-        assert bench_file.main(["--out", str(out), "--seeds", seeds, "--parent", str(tmp_path)]) == 0
+        assert bench_file.main(["--out", str(out), "--seeds", seeds, "--parent", parent]) == 0
         written = json.loads(out.read_text())
+        assert {side: tree["path"] for side, tree in written["trees"].items()} == {
+            "change": change, "parent": parent}
         for name, entry in written["workloads"].items():
             for trace, seed_list in ((0, bench_file.parse_seeds(seeds)), (1, traced)):
                 # each seed's pair, the parent first at the first seed
@@ -92,6 +105,21 @@ def test_traced_runs_pair_the_first_three_seeds_in_alternating_order(tmp_path, m
                 assert layer["values"] == [float(seed) for seed in traced]
                 assert layer["n"] == len(traced)
                 assert entry[side]["end_to_end"]["run_s"]["n"] == len(bench_file.parse_seeds(seeds))
+
+
+@pytest.mark.parametrize("parent_name", ["par", "parent-1"])
+def test_a_parent_whose_path_differs_in_length_is_refused(tmp_path, monkeypatch, capsys,
+                                                          parent_name):
+    change, parent = _checkouts(tmp_path, monkeypatch, parent_name)
+    monkeypatch.setattr(bench_file, "run_bench", lambda *args: pytest.fail("a run started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exited:
+        bench_file.main(["--out", str(out), "--seeds", "1-2", "--parent", parent])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{parent} has {len(parent)} characters" in err
+    assert f"this checkout's {change} has {len(change)}" in err
+    assert not out.exists()
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="no git")

@@ -31,7 +31,7 @@ from fedcp.data import (
 from fedcp.errors import ConfigError, ParseError, ProtocolError
 from fedcp.federation import RoundMessage, ServerState, server_update
 from fedcp.privacy import PrivacyParams
-from fedcp.solver import SiteState, SolverParams, run_local_epoch
+from fedcp.solver import SiteState, SolverParams, beta_lipschitz, run_local_epoch
 from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
 
 
@@ -1011,12 +1011,12 @@ class TestKernelsUnderSanitizers:
                     ((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
                     for rows, offset in ((5, 1), (4, 2), (3, 3), (4, 4), (3, 0))
                 )
+                beta = beta_lipschitz(A, B, C, params.gamma)
                 state = SiteState(tensor, A, B, C, rng_seed=0, site_id=0)
                 state.shuffle_rng = _ZeroDraws()
                 with without_library():
                     sums = run_local_epoch(state, (b_hat, c_hat), params)
-                sse = _float_bits([sums.sse])
-                want.append(f"{rank} {nnz} 0 {sums.clipped} {sse}")
+                want.append(f"{rank} {nnz} 0 {sums.clipped} {_float_bits([sums.sse, beta])}")
         assert out.stdout.decode().splitlines() == want
 
     def test_model_values_stays_inside_its_buffers(self, sanitized_driver):
@@ -1081,13 +1081,14 @@ class TestKernelsUnderSanitizers:
                     blobs = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
                                           v[split:].reshape(-1, 1)).to_bytes()
                              for t, v in enumerate(cohort)]
-                    # the held cohort as the numpy step reads it
+                    # the held cohort as the compiled step leaves it, which the
+                    # numpy step decodes
                     server = ServerState(
                         B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
                         n_sites=sites,
-                        messages=None if prev is None else [
+                        uploads=None if prev is None else [
                             RoundMessage(t, 0, v[:split].reshape(-1, 1),
-                                         v[split:].reshape(-1, 1))
+                                         v[split:].reshape(-1, 1)).to_bytes()
                             for t, v in enumerate(prev)],
                     )
                     with without_library():

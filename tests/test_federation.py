@@ -299,6 +299,25 @@ class TestCompiledServerStep:
         assert trail[2][3] == 2
 
 
+    def test_an_assigned_cohort_is_the_one_the_change_is_taken_against(self, without_library):
+        # a cohort put in ``uploads`` between rounds replaces the one the
+        # compiled step kept the addresses of, as it replaces the decoded
+        # messages of the numpy step
+        rng = np.random.default_rng(3)
+        anchors = (rng.standard_normal((3, 2)), rng.standard_normal((4, 2)))
+        first, other, last = ([rng.standard_normal(14) for _ in range(2)] for _ in range(3))
+        changes = []
+        for kernels in (nullcontext, without_library):
+            server = ServerState(B_hat=anchors[0].copy(), C_hat=anchors[1].copy(), n_sites=2)
+            with kernels():
+                server_update(server, _encoded(first, 6, 2, 1), 0.05, 2.0)
+                server.uploads, server.messages = _encoded(other, 6, 2, 1), None
+                changes.append(_bits(server_update(server, _encoded(last, 6, 2, 2), 0.05, 2.0)))
+        want = worst_change(_pairs(other, 6, 2), _pairs(last, 6, 2))
+        assert changes == [_bits(want)] * 2
+        assert want != worst_change(_pairs(first, 6, 2), _pairs(last, 6, 2))
+
+
 class TestRoundMessage:
     def test_byte_size_formula(self):
         msg = _message(3, np.ones((5, 2)), np.ones((7, 2)))
@@ -335,6 +354,29 @@ class TestRoundMessage:
         with pytest.raises(ProtocolError):
             RoundMessage.from_bytes(b"\x00" * 10, 1, 1, 1)
 
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided", "float32", ">f8"])
+    def test_encoding_is_the_header_then_each_factor_as_little_endian_float64(self, layout):
+        # the bytes of the encoder that copied each factor into a bytes
+        # object before the join, -0.0 included
+        rng = np.random.default_rng(5)
+        b, c = rng.standard_normal((4, 3)), rng.standard_normal((5, 3))
+        b[0, 0], b[3, 2], c[2, 1] = -0.0, 0.0, -0.0
+        if layout == "fortran":
+            b, c = np.asfortranarray(b), np.asfortranarray(c)
+        elif layout == "strided":
+            b, c = np.repeat(b, 2, axis=1)[:, ::2], np.repeat(c, 3, axis=0)[::3]
+        elif layout in ("float32", ">f8"):
+            b, c = b.astype(layout), c.astype(layout)
+        blob = RoundMessage(site_id=2, epoch=7, priv_B=b, priv_C=c).to_bytes()
+        assert blob == b"".join((
+            struct.pack("<qqq", 2, 7, 1),
+            np.ascontiguousarray(b, dtype="<f8").tobytes(),
+            np.ascontiguousarray(c, dtype="<f8").tobytes(),
+        ))
+        back = RoundMessage.from_bytes(blob, 4, 5, 3)
+        assert np.signbit(back.priv_B[0, 0]) and not np.signbit(back.priv_B[3, 2])
+        assert np.array_equal(back.priv_B, b) and np.array_equal(back.priv_C, c)
+
     def test_message_carries_no_patient_field(self):
         fields = set(RoundMessage.__dataclass_fields__)
         assert fields == {"site_id", "epoch", "priv_B", "priv_C"}
@@ -364,39 +406,52 @@ class TestRunRound:
         assert metrics.epoch == 1
         assert metrics.rho_total == pytest.approx(2e-3, rel=1e-12)
 
-    def test_every_upload_reaches_the_server_as_bytes(self, monkeypatch):
-        # each upload is decoded from its encoding, and traffic is their length
-        decoded = []
-        original = RoundMessage.from_bytes.__func__
+    def _count_codec(self, monkeypatch):
+        """The lengths of the encodings whose header was read, and of those
+        ``RoundMessage.from_bytes`` decoded, as the run goes."""
+        headers, decoded = [], []
+        read_header, from_bytes = federation._read_header, RoundMessage.from_bytes.__func__
 
-        def recording(cls, blob, *dims):
+        def reading(blob, length):
+            headers.append(len(blob))
+            return read_header(blob, length)
+
+        def decoding(cls, blob, *dims):
             decoded.append(len(blob))
-            return original(cls, blob, *dims)
+            return from_bytes(cls, blob, *dims)
 
-        monkeypatch.setattr(RoundMessage, "from_bytes", classmethod(recording))
+        monkeypatch.setattr(federation, "_read_header", reading)
+        monkeypatch.setattr(RoundMessage, "from_bytes", classmethod(decoding))
+        return headers, decoded
+
+    def test_every_upload_reaches_the_server_as_bytes(self, without_library, monkeypatch):
+        # the server reads each upload's header from its encoding, and traffic
+        # is their length; only the path without the library decodes them
+        headers, decoded = self._count_codec(monkeypatch)
         shards = _shards(n_sites=3)
-        sites = [init_site_state(sh, 2, seed=t, site_id=t) for t, sh in enumerate(shards)]
-        server = init_server(8, 9, 2, seed=1, n_sites=3)
-        acc = PrivacyAccountant(n_sites=3, delta=1e-4)
-        params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
-        metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
-        assert len(decoded) == 3
-        assert metrics.comm_bytes == 2 * sum(decoded)
+        kernels = [nullcontext, without_library] if _native.LIBRARY else [without_library]
+        for kernel in kernels:
+            headers.clear()
+            decoded.clear()
+            sites = [init_site_state(sh, 2, seed=t, site_id=t) for t, sh in enumerate(shards)]
+            server = init_server(8, 9, 2, seed=1, n_sites=3)
+            acc = PrivacyAccountant(n_sites=3, delta=1e-4)
+            params = SolverParams(eta=0.01, gamma=1.0, mu=0.0, tau=1)
+            with kernel():
+                metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
+            assert len(headers) == 3
+            assert metrics.comm_bytes == 2 * sum(headers) == 2 * 3 * message_bytes(8, 9, 2)
+            assert decoded == ([] if kernel is nullcontext else headers)
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"])
     def test_each_upload_is_decoded_once(self, without_library, monkeypatch, kernel):
-        # a 20-round, 3-site criterion-09 run: 60 uploads, 60 decodes, also
-        # where the round's change is taken from the held cohort in numpy
+        # a 20-round, 3-site criterion-09 run: 60 uploads and 60 header reads
+        # on both paths; the compiled server step decodes none, the numpy
+        # step each one once, also where it takes the round's change from the
+        # held cohort
         if kernel == "compiled" and _native.LIBRARY is None:
             pytest.skip("no compiled library loaded")
-        calls = []
-        original = RoundMessage.from_bytes.__func__
-
-        def counting(cls, blob, *dims):
-            calls.append(len(blob))
-            return original(cls, blob, *dims)
-
-        monkeypatch.setattr(RoundMessage, "from_bytes", classmethod(counting))
+        headers, decoded = self._count_codec(monkeypatch)
         _, shards, _ = generate_synthetic(SynthSpec(
             dims=(45, 15, 18), rank_true=3, sparsity=5e-2, n_sites=3, heterogeneity={2: (1,)},
             seed=21))
@@ -404,8 +459,45 @@ class TestRunRound:
         with without_library() if kernel == "python" else nullcontext():
             result = run_experiment(shards, rank=3, params=params, priv=PrivacyParams(rho=1.0),
                                     seed=3, fixed_epochs=20)
-        assert len(calls) == 60
+        assert len(headers) == 60
+        assert len(decoded) == (0 if kernel == "compiled" else 60)
         assert result.metrics[-1].change is not None
+
+    @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")
+    @pytest.mark.parametrize("switches", [(3,), (1, 2), (2, 4)],
+                             ids=["off", "off-on", "off-on-late"])
+    def test_switching_the_library_mid_run_gives_the_run_without_it(
+        self, without_library, switches
+    ):
+        # the library is switched off after round switches[0] and, where
+        # given, on again after switches[1]: the held cohort crosses from one
+        # server step to the other each time, and the round's change with it
+        _, shards, _ = generate_synthetic(SynthSpec(
+            dims=(45, 15, 18), rank_true=3, sparsity=5e-2, n_sites=3, seed=21))
+        params = SolverParams(eta=0.035, gamma=5.0, mu=0.6, tau=3, clip=1.0)
+
+        def run(python_rounds):
+            sites = [init_site_state(sh, 3, seed=t, site_id=t) for t, sh in enumerate(shards)]
+            server = init_server(15, 18, 3, seed=1, n_sites=3)
+            acc = PrivacyAccountant(n_sites=3, delta=1e-4)
+            metrics = []
+            for epoch in range(1, 7):
+                with without_library() if epoch in python_rounds else nullcontext():
+                    metrics.append(run_round(sites, server, params, PrivacyParams(rho=1.0),
+                                             acc, 15e6))
+            return metrics, sites, server
+
+        off = switches[0] + 1
+        on = switches[1] + 1 if len(switches) > 1 else 7
+        switched = run(set(range(off, on)))
+        python = run(set(range(1, 7)))
+        assert switched[0] == python[0]
+        assert all(m.change is not None for m in switched[0][1:])
+        for s, o in zip(switched[1], python[1]):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip((s.A, s.B, s.C), (o.A, o.B, o.C)))
+        held = [(server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch, server.uploads)
+                for server in (switched[2], python[2])]
+        assert held[0] == held[1]
 
     @pytest.mark.parametrize("site_ids", [(0, 0), (0, 5)], ids=["duplicate", "outside_cohort"])
     def test_bad_cohort_rejected_before_the_ledger_records(self, site_ids):

@@ -8,6 +8,8 @@ import pickle
 import re
 import shutil
 import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -26,7 +28,8 @@ from fedcp.solver import (
     prox_l21,
     run_local_epoch,
 )
-from fedcp.federation import pooled_rmse
+from fedcp.federation import init_server, pooled_rmse, run_round
+from fedcp.privacy import PrivacyAccountant, PrivacyParams
 from fedcp.tensor import FactorizationResult, SparseTensorCOO, rmse
 
 
@@ -868,6 +871,74 @@ class TestRoundArguments:
         assert _same_site(compiled[1], python[1])
         assert _same_site(compiled[0], python[0])
         assert not np.array_equal(compiled[0].A, compiled[1].A)
+
+
+class TestAnchorAddresses:
+    """Every site's round and the server's step in a federation round read
+    the same anchor pair: ``_native.anchor_addresses`` reads a pair's
+    addresses once and gives them again while the same two arrays come
+    back, and converts, but does not keep, a pair it must convert."""
+
+    def test_the_same_pair_is_read_once(self):
+        b, c = np.ones((3, 2)), np.zeros((4, 2))
+        first = _native.anchor_addresses(b, c)
+        assert first[0] is b and first[1] is c
+        assert first[2:] == (b.ctypes.data, c.ctypes.data)
+        assert _native.anchor_addresses(b, c) is first
+        # another array, even one of equal values, is read anew
+        other = _native.anchor_addresses(b.copy(), c)
+        assert other is not first and other[2] != first[2] and other[3] == first[3]
+        assert _native.anchor_addresses(b.copy(), c) is not other
+
+    @pytest.mark.parametrize("layout", ["int64", "float32", "fortran", "strided"])
+    def test_a_pair_that_needs_conversion_is_converted_each_time(self, layout):
+        b, c = np.arange(6.0).reshape(3, 2), np.arange(8.0).reshape(4, 2)
+        _native.anchor_addresses(b, c)
+        odd = _layout(b, layout)
+        for _ in range(2):
+            got = _native.anchor_addresses(odd, c)
+            assert got[0] is not odd and got[1] is c
+            assert got[0].dtype == np.float64 and got[0].flags.c_contiguous
+            assert np.array_equal(got[0], b) and got[2] == got[0].ctypes.data
+            # the pair read before stays held
+            assert _native.anchor_addresses(b, c)[0] is b
+
+    def test_threads_never_read_another_pairs_addresses(self):
+        # eight threads taking two pairs in turn, switching as often as the
+        # interpreter allows: each call must give the addresses of its own
+        # pair, whichever pair another thread put in the memo meanwhile (a
+        # memo that stored a pair before its addresses failed this)
+        pairs = [(np.full((3, 2), float(n)), np.full((4, 2), -float(n))) for n in range(2)]
+        want = [(b.ctypes.data, c.ctypes.data) for b, c in pairs]
+
+        def calls(first):
+            for n in range(10_000):
+                b, c = pairs[(first + n) % 2]
+                got = _native.anchor_addresses(b, c)
+                if got[0] is not b or got[1] is not c or got[2:] != want[(first + n) % 2]:
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                done = [pool.submit(calls, first) for first in range(8)]
+                assert all(f.result(timeout=120) for f in done)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_round_reads_the_anchors_the_server_steps_from(self):
+        # after a round the memo holds the pair the sites and the server read
+        if _native.LIBRARY is None:
+            pytest.skip("no compiled library loaded")
+        tensor, _, _ = _random_shard(3, (8, 5, 6), 2, 0.4)
+        sites = [init_site_state(tensor, 2, seed=t, site_id=t) for t in range(2)]
+        server = init_server(5, 6, 2, seed=1, n_sites=2)
+        anchors = (server.B_hat, server.C_hat)
+        run_round(sites, server, SolverParams(), PrivacyParams(rho=1.0),
+                  PrivacyAccountant(n_sites=2, delta=1e-4), 15e6)
+        assert _native._anchors[0] is anchors[0] and _native._anchors[1] is anchors[1]
 
 
 @pytest.fixture(scope="module")

@@ -16,14 +16,23 @@ run to run on some layers, so a per-layer figure needs more than one.
 perfbench runs unchanged, as a subprocess, for the run length
 BENCHMARK.json sets.
 
+The parent checkout's absolute path must be as long as this checkout's,
+or the script refuses to run. ``cli_large_io`` lands in one of two
+allocator states, and its ``run_s`` follows the state: in one, each run
+step faults in thousands of pages, most of them in ``read_coo``, and in
+the other about none. Which state a run lands in can follow the length of
+the checkout's path: identical copies of one commit whose paths differ by
+two characters have landed in different states and read up to a quarter
+apart, which a paired figure would take for the change's.
+
 The file holds, per workload and checkout: the median and quartiles of
 each end-to-end metric over the seeds, and of each per-layer metric over
 the traced runs, each with every value in seed order; and the counts of
-attempted and failed run steps. It also holds the machine line perfbench
-prints, the load averages before and after, the CPUs this process may
-run on, and the wall time of the tier-1 suite in each checkout. It records numbers
-and passes no verdict: whether a change is better or worse is for the
-benchmark's own rule to judge.
+attempted and failed run steps. It also holds each checkout's path and
+commit, the machine line perfbench prints, the load averages before and
+after, the CPUs this process may run on, and the wall time of the tier-1
+suite in each checkout. It records numbers and passes no verdict: whether
+a change is better or worse is for the benchmark's own rule to judge.
 
 ``--table`` reads every ``BENCH_<n>.json`` at the root of this checkout
 and prints one markdown table of ``run_s``: per file and workload, the
@@ -209,6 +218,12 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     trees = {"change": ROOT, "parent": os.path.abspath(args.parent)}
+    if len(trees["parent"]) != len(ROOT):
+        parser.error(
+            f"the parent checkout's path {trees['parent']} has {len(trees['parent'])} "
+            f"characters and this checkout's {ROOT} has {len(ROOT)}: the allocator state "
+            "of cli_large_io follows the path's length, so use paths of equal length"
+        )
     names = list(trees)
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -229,7 +244,7 @@ def main(argv=None):
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "seeds": args.seeds,
         "run_seconds": seconds,
-        "trees": {side: commit_of(tree) for side, tree in trees.items()},
+        "trees": {side: dict(commit_of(tree), path=tree) for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in workloads:
