@@ -29,9 +29,8 @@ the rank and the output buffers) are built on a site's first compiled
 round and kept on its ``SiteState``; a round then reads only the
 anchors' addresses, which ``_native.anchor_addresses`` reads once for
 all the sites of a federation round, and the shuffle stream's bit
-generator. Assigning
-``tensor``, ``A``, ``B`` or ``C`` drops them, and copies and pickles of a
-site leave them out.
+generator. Assigning ``tensor``, ``A``, ``B`` or ``C`` drops them, and
+copies and pickles of a site leave them out.
 
 Every site owns three private random streams derived from its seed:
 stream 0 initializes factors, stream 1 drives shuffling, stream 2 is
