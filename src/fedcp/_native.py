@@ -18,8 +18,8 @@ parser instead, the COO and factor writers format with ``repr``,
 ``privacy.perturb_matrix`` draws its noise with
 ``Generator.standard_normal``, and ``federation.server_update`` takes the
 anchor step with numpy and the round's change with ``worst_change`` over
-the decoded factors; setting it to None gives that path in a process that
-did load the library.
+views of the encodings' values; setting it to None gives that path in a
+process that did load the library.
 
 ``anchor_addresses`` gives the kernels that read the broadcast anchors
 their addresses, read once per pair of arrays rather than once per call.

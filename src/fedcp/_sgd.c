@@ -663,12 +663,13 @@ static void pairwise_squares(const double *p, const double *c, int64_t n, double
 }
 
 /* The server's step over one cohort, federation.server_update after it
- * has decoded and checked each encoding. uploads holds the n_sites encoded
- * uploads in site order; each one's size values start offset bytes in,
- * B's split values and then C's, row-major, at an address that is a
- * multiple of 8 (server_update takes only objects of type bytes, whose data
- * starts 32 bytes into a 16-byte-aligned block, and offset is 24). b_hat
- * and c_hat are the anchors, split and size - split values.
+ * has checked each encoding's type and header, and the held cohort's
+ * count, types and lengths. uploads holds the n_sites encoded uploads in
+ * site order; each one's size values start offset bytes in, B's split
+ * values and then C's, row-major, at an address that is a multiple of 8
+ * (server_update takes only objects of type bytes, whose data starts 32
+ * bytes into a 16-byte-aligned block, and offset is 24). b_hat and c_hat
+ * are the anchors, split and size - split values.
  *
  * out gets the new anchors, B then C: for each value, hat + eta * delta
  * with delta = 0.0 + gamma * (u - hat) over the sites in site order, the

@@ -6,25 +6,26 @@ applies one elastic step toward the uploads and broadcasts the new anchors.
 Only bytes cross the site boundary: each upload is encoded with
 ``RoundMessage.to_bytes``, and the server takes the cohort's encodings as
 its only input, so a round's traffic is the length of those encodings.
-The compiled server step reads their headers and values in place; the
-path without the library decodes each one once. Patient factors never
-leave a site: the upload message has no field for them. Sites keep their
-local feature factors; the broadcast only moves the penalty anchors.
+The server reads each one's header, then its values in place, and holds
+the last accepted cohort's encodings, nothing else, between rounds.
+Patient factors never leave a site: the upload message has no field for
+them. Sites keep their local feature factors; the broadcast only moves
+the penalty anchors.
 
 A site's local epoch also returns its sum for the round's RMSE, so the
 round never rescans a shard. The server takes the round's change from the
 uploads alone, which spends no budget, in the same step as the anchors:
 with the compiled library one call to ``server_step`` over the encodings,
-else the numpy step and ``worst_change`` over the decoded factors, which
-stay as its reference. Reductions are ordered by site id, so a run is
-bit-reproducible whether sites execute serially or on a worker pool.
+else the numpy step and ``worst_change`` over views of their values,
+which stay as its reference. Reductions are ordered by site id, so a run
+is bit-reproducible whether sites execute serially or on a worker pool.
 """
 
 import ctypes
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,22 +51,16 @@ _HEADER = struct.Struct("<qqq")  # site_id, epoch, tag
 @dataclass
 class ServerState:
     """Global anchor pair, round counter and expected cohort size; during a
-    run, also the last accepted cohort's encodings in site order, against
-    which the next round's change is taken. The compiled step reads
-    ``uploads`` and keeps their addresses for the next round. The numpy
-    step, the path without the library, also sets ``messages``, those
-    encodings decoded (views of the same bytes), and reads them in the
-    next round; the compiled step leaves ``messages`` None, and the numpy
-    step decodes the held ``uploads`` when it finds no ``messages``."""
+    run, also ``uploads``, the last accepted cohort's encodings in site
+    order, against which the next round's change is taken. Both server
+    paths read ``uploads`` alone and the same way, whether the last step
+    or a caller put it there."""
 
     B_hat: np.ndarray
     C_hat: np.ndarray
     n_sites: int
     epoch: int = 0
     uploads: list | None = None
-    messages: list | None = field(default=None, repr=False, compare=False)
-    # (uploads, a ctypes array of their addresses), set by the compiled step
-    _addresses: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def init_server(j_dim: int, k_dim: int, rank: int, seed: int, n_sites: int) -> ServerState:
@@ -86,14 +81,22 @@ def message_bytes(j_dim: int, k_dim: int, rank: int) -> int:
 def _read_header(blob, length: int) -> tuple:
     """(site_id, epoch) from the header of an encoding that must be
     ``length`` bytes long and carry MESSAGE_TAG, else ProtocolError: the
-    checks of ``RoundMessage.from_bytes``, which the compiled server step
-    makes without decoding the values."""
+    checks of ``RoundMessage.from_bytes``, which the server makes without
+    decoding the values."""
     if len(blob) != length:
         raise ProtocolError(f"message has {len(blob)} bytes, expected {length}")
     site_id, epoch, tag = _HEADER.unpack_from(blob)
     if tag != MESSAGE_TAG:
         raise ProtocolError(f"unknown message tag {tag}")
     return site_id, epoch
+
+
+def _values(blob, j_dim: int, k_dim: int, rank: int) -> tuple:
+    """(B, C) of an encoding of the right length, as views of ``blob``:
+    read-only for a ``bytes`` object."""
+    flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
+    split = j_dim * rank
+    return flat[:split].reshape(j_dim, rank), flat[split:].reshape(k_dim, rank)
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,8 @@ class RoundMessage:
     def from_bytes(cls, blob: bytes, j_dim: int, k_dim: int, rank: int) -> "RoundMessage":
         """Decode ``to_bytes`` output; the factors are read-only views of ``blob``."""
         site_id, epoch = _read_header(blob, message_bytes(j_dim, k_dim, rank))
-        flat = np.frombuffer(blob, dtype="<f8", offset=HEADER_BYTES)
-        split = j_dim * rank
-        return cls(
-            site_id=site_id,
-            epoch=epoch,
-            priv_B=flat[:split].reshape(j_dim, rank),
-            priv_C=flat[split:].reshape(k_dim, rank),
-        )
+        priv_b, priv_c = _values(blob, j_dim, k_dim, rank)
+        return cls(site_id=site_id, epoch=epoch, priv_B=priv_b, priv_C=priv_c)
 
 
 @dataclass(frozen=True)
@@ -149,30 +146,28 @@ class EpochMetrics:
 
 def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float | None:
     """One elastic step of the anchors toward a cohort of encoded uploads, in
-    place, and the round's change: ``worst_change`` from the last accepted
-    cohort to this one, None for the server's first.
+    place, and the round's change: ``worst_change`` from the held cohort,
+    ``server.uploads``, to this one, None while the server holds none.
 
     ``blobs`` are the cohort's encodings, in any order. Each must be a
     ``bytes`` object that ``RoundMessage.from_bytes`` decodes at the
     server's shapes, and every site must appear exactly once, with a finite
-    upload for the epoch after the server's. The sum runs in ascending
-    site_id order against the pre-update anchors. The server keeps the
-    cohort's encodings in site order for the next round's change. A
-    rejected cohort leaves the server unchanged.
+    upload for the epoch after the server's. The held cohort, when there is
+    one, must be ``n_sites`` ``bytes`` objects of the message length; their
+    headers are not read again. The sum runs in ascending site_id order
+    against the pre-update anchors. The server then holds this cohort's
+    encodings in site order. A rejected cohort leaves the server unchanged.
 
-    With the compiled library loaded, the step, its finiteness test and the
-    change are one call to ``server_step``, which reads the encodings: the
-    server reads only each one's header and decodes none, but to name the
-    site of a non-finite upload. Otherwise each encoding is decoded once,
-    and ``_anchor_step`` and ``worst_change``, which stay as the compiled
-    step's reference, take the step and the change from the decoded
-    factors: this cohort's and the held ``messages``, or the held
-    ``uploads`` decoded when the last cohort came through the compiled step.
+    Both paths read each upload's header with ``_read_header`` and decode
+    none. With the compiled library loaded, the step, its finiteness test
+    and the change are one call to ``server_step``, which reads the values
+    in place. Otherwise ``_anchor_step`` and ``worst_change``, which stay
+    as the compiled step's reference, take them from views of the values.
     """
     (j_dim, rank), k_dim = server.B_hat.shape, server.C_hat.shape[0]
     lib = _native.LIBRARY
     length = message_bytes(j_dim, k_dim, rank)
-    heads = []  # (site_id, epoch, the decoded message or None, the encoding)
+    heads = []  # (site_id, epoch, the encoding)
     for at, blob in enumerate(blobs):
         # server_step's alignment holds for a bytes object's own buffer
         if type(blob) is not bytes:
@@ -180,11 +175,7 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
                 f"upload {at} of the cohort is a {type(blob).__name__}, not bytes"
             )
         try:
-            if lib is None:
-                msg = RoundMessage.from_bytes(blob, j_dim, k_dim, rank)
-                heads.append((msg.site_id, msg.epoch, msg, blob))
-            else:
-                heads.append((*_read_header(blob, length), None, blob))
+            heads.append((*_read_header(blob, length), blob))
         except ProtocolError as exc:
             raise ProtocolError(f"upload {at} of the cohort: {exc}") from None
     heads.sort(key=lambda head: head[0])
@@ -193,58 +184,59 @@ def server_update(server: ServerState, blobs, eta: float, gamma: float) -> float
         raise ProtocolError(
             f"expected one upload from each of {server.n_sites} sites, got ids {ids}"
         )
-    for t, (_, epoch, _, _) in enumerate(heads):
+    for t, (_, epoch, _) in enumerate(heads):
         if epoch != server.epoch + 1:
             raise ProtocolError(
                 f"upload from site {t} is for epoch {epoch}, expected epoch {server.epoch + 1}"
             )
-    cohort = [head[3] for head in heads]
+    prev = server.uploads
+    if prev is not None:
+        # a caller may set them, and server_step reads n_sites of them unchecked
+        if len(prev) != server.n_sites:
+            raise ProtocolError(f"the server holds {len(prev)} uploads, expected {server.n_sites}")
+        for t, blob in enumerate(prev):
+            if type(blob) is not bytes:
+                raise ProtocolError(f"held upload {t} is a {type(blob).__name__}, not bytes")
+            if len(blob) != length:
+                raise ProtocolError(f"held upload {t}: message has {len(blob)} bytes, "
+                                    f"expected {length}")
+    cohort = [head[2] for head in heads]
     if lib is None:
-        ordered = [head[2] for head in heads]
-        held = server.messages
-        if held is None and server.uploads is not None:
-            held = [RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in server.uploads]
+        ordered = [_values(blob, j_dim, k_dim, rank) for blob in cohort]
         server_b, server_c = _anchor_step(server, ordered, eta, gamma)
         change = None
-        if held is not None:
-            change = worst_change([(m.priv_B, m.priv_C) for m in held],
-                                  [(m.priv_B, m.priv_C) for m in ordered])
-        addresses = None
+        if prev is not None:
+            change = worst_change([_values(blob, j_dim, k_dim, rank) for blob in prev], ordered)
     else:
-        ordered = None
         split, size = server.B_hat.size, server.B_hat.size + server.C_hat.size
         array = ctypes.c_char_p * server.n_sites
-        kept = server._addresses
-        if server.uploads is not None and (kept is None or kept[0] is not server.uploads):
-            kept = (server.uploads, array(*server.uploads))
-        prev = None if server.uploads is None else kept[1]
-        addresses = (cohort, array(*cohort))
         anchors = _native.anchor_addresses(server.B_hat, server.C_hat)
         out = np.empty(size)
         worst = ctypes.c_double()
         status = lib.server_step(
-            server.n_sites, addresses[1], prev, HEADER_BYTES, split, size, anchors[2],
-            anchors[3], eta, gamma, out.ctypes.data, ctypes.byref(worst),
+            server.n_sites, array(*cohort), None if prev is None else array(*prev), HEADER_BYTES,
+            split, size, anchors[2], anchors[3], eta, gamma, out.ctypes.data, ctypes.byref(worst),
         )
         if status != 0:
-            _reject_non_finite([RoundMessage.from_bytes(b, j_dim, k_dim, rank) for b in cohort])
+            _reject_non_finite([_values(blob, j_dim, k_dim, rank) for blob in cohort])
         server_b = out[:split].reshape(server.B_hat.shape)
         server_c = out[split:].reshape(server.C_hat.shape)
         change = None if prev is None else worst.value
     server.B_hat, server.C_hat = server_b, server_c
     server.epoch += 1
-    server.uploads, server.messages, server._addresses = cohort, ordered, addresses
+    server.uploads = cohort
     return change
 
 
 def _anchor_step(server: ServerState, ordered, eta: float, gamma: float) -> tuple:
-    """The new anchors from the decoded uploads in site order, by numpy: the
-    reference of ``server_step``'s step and the path without the library."""
+    """The new anchors from the uploads' (B, C) pairs in site order, by
+    numpy: the reference of ``server_step``'s step and the path without the
+    library."""
     delta_b = np.zeros_like(server.B_hat)
     delta_c = np.zeros_like(server.C_hat)
-    for msg in ordered:
-        delta_b += gamma * (msg.priv_B - server.B_hat)
-        delta_c += gamma * (msg.priv_C - server.C_hat)
+    for priv_b, priv_c in ordered:
+        delta_b += gamma * (priv_b - server.B_hat)
+        delta_c += gamma * (priv_c - server.C_hat)
     # one test per round; the uploads are scanned only to name the site
     if not (np.isfinite(delta_b).all() and np.isfinite(delta_c).all()):
         _reject_non_finite(ordered)
@@ -253,10 +245,10 @@ def _anchor_step(server: ServerState, ordered, eta: float, gamma: float) -> tupl
 
 def _reject_non_finite(ordered):
     """Raise for a step whose sum is not finite: ProtocolError naming the
-    first site whose upload holds a non-finite value, else
-    NumericOverflowError."""
-    for t, msg in enumerate(ordered):
-        if not (np.isfinite(msg.priv_B).all() and np.isfinite(msg.priv_C).all()):
+    first site whose (B, C) pair, in site order, holds a non-finite value,
+    else NumericOverflowError."""
+    for t, (priv_b, priv_c) in enumerate(ordered):
+        if not (np.isfinite(priv_b).all() and np.isfinite(priv_c).all()):
             raise ProtocolError(f"upload from site {t} holds a non-finite value")
     raise NumericOverflowError("the anchor step overflowed")
 
@@ -457,7 +449,7 @@ def run_experiment(
         if fixed_epochs is None and converged:
             break
     # needed only between rounds
-    server.uploads = server.messages = server._addresses = None
+    server.uploads = None
     return RunResult(
         metrics=metrics,
         sites=sites,

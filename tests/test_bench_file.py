@@ -62,11 +62,22 @@ def test_summary_holds_quartiles_layer_medians_and_failures():
     assert one["per_layer"] == {} and one["correct"]
 
 
+def _sources(tree, python, c_lines):
+    """``src/fedcp`` in ``tree``: a file of n lines for each name: n in
+    ``python`` and an ``_sgd.c`` of ``c_lines`` lines."""
+    src = tree / "src" / "fedcp"
+    src.mkdir(parents=True)
+    for name, n in {**python, "_sgd.c": c_lines}.items():
+        (src / name).write_text("x = 1\n" * n)
+
+
 def _checkouts(tmp_path, monkeypatch, parent_name):
     """(this checkout, the parent's) in tmp_path: bench_file's root is moved
-    to a directory ``change`` that holds a copy of BENCHMARK.json."""
+    to a directory ``change`` that holds a copy of BENCHMARK.json; the
+    change's sources have one line more than the parent's."""
     change = tmp_path / "change"
-    change.mkdir()
+    _sources(change, {"a.py": 3}, 2)
+    _sources(tmp_path / parent_name, {"a.py": 2}, 2)
     shutil.copy(_PATH.parents[1] / "BENCHMARK.json", change)
     monkeypatch.setattr(bench_file, "ROOT", str(change))
     return str(change), str(tmp_path / parent_name)
@@ -91,6 +102,9 @@ def test_traced_runs_pair_the_first_three_seeds_in_alternating_order(tmp_path, m
         written = json.loads(out.read_text())
         assert {side: tree["path"] for side, tree in written["trees"].items()} == {
             "change": change, "parent": parent}
+        assert {side: tree["src_lines"] for side, tree in written["trees"].items()} == {
+            "change": {"python": {"a.py": 3}, "python_total": 3, "c": 2},
+            "parent": {"python": {"a.py": 2}, "python_total": 2, "c": 2}}
         for name, entry in written["workloads"].items():
             for trace, seed_list in ((0, bench_file.parse_seeds(seeds)), (1, traced)):
                 # each seed's pair, the parent first at the first seed
@@ -148,6 +162,21 @@ def test_a_tree_records_its_commit_and_whether_tracked_files_changed(tmp_path, m
     assert bench_file.commit_of(tree) == {"commit": head, "dirty": False}
     (tree / "f.txt").write_text("2\n")
     assert bench_file.commit_of(tree) == {"commit": head, "dirty": True}
+
+
+def test_a_tree_records_the_line_counts_of_its_sources(tmp_path):
+    # newlines are counted, as wc -l counts them: a last line without one
+    # is not; files outside src/fedcp or below it are not counted
+    _sources(tmp_path, {"b.py": 4, "a.py": 1, "empty.py": 0}, 7)
+    src = tmp_path / "src" / "fedcp"
+    (src / "a.py").write_text("x = 1\ny = 2")
+    (src / "__pycache__").mkdir()
+    (src / "__pycache__" / "c.py").write_text("x\n")
+    (src / "notes.txt").write_text("x\n")
+    (tmp_path / "src" / "d.py").write_text("x\n")
+    assert bench_file.src_lines(tmp_path) == {
+        "python": {"a.py": 1, "b.py": 4, "empty.py": 0}, "python_total": 5, "c": 7}
+    assert list(bench_file.src_lines(tmp_path)["python"]) == ["a.py", "b.py", "empty.py"]
 
 
 def _metric(values):

@@ -1081,8 +1081,7 @@ class TestKernelsUnderSanitizers:
                     blobs = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
                                           v[split:].reshape(-1, 1)).to_bytes()
                              for t, v in enumerate(cohort)]
-                    # the held cohort as the compiled step leaves it, which the
-                    # numpy step decodes
+                    # the held cohort, as the last step leaves it
                     server = ServerState(
                         B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
                         n_sites=sites,

@@ -300,9 +300,8 @@ class TestCompiledServerStep:
 
 
     def test_an_assigned_cohort_is_the_one_the_change_is_taken_against(self, without_library):
-        # a cohort put in ``uploads`` between rounds replaces the one the
-        # compiled step kept the addresses of, as it replaces the decoded
-        # messages of the numpy step
+        # a cohort put in ``uploads`` between rounds is the one both paths
+        # take the change against
         rng = np.random.default_rng(3)
         anchors = (rng.standard_normal((3, 2)), rng.standard_normal((4, 2)))
         first, other, last = ([rng.standard_normal(14) for _ in range(2)] for _ in range(3))
@@ -311,7 +310,7 @@ class TestCompiledServerStep:
             server = ServerState(B_hat=anchors[0].copy(), C_hat=anchors[1].copy(), n_sites=2)
             with kernels():
                 server_update(server, _encoded(first, 6, 2, 1), 0.05, 2.0)
-                server.uploads, server.messages = _encoded(other, 6, 2, 1), None
+                server.uploads = _encoded(other, 6, 2, 1)
                 changes.append(_bits(server_update(server, _encoded(last, 6, 2, 2), 0.05, 2.0)))
         want = worst_change(_pairs(other, 6, 2), _pairs(last, 6, 2))
         assert changes == [_bits(want)] * 2
@@ -425,8 +424,8 @@ class TestRunRound:
         return headers, decoded
 
     def test_every_upload_reaches_the_server_as_bytes(self, without_library, monkeypatch):
-        # the server reads each upload's header from its encoding, and traffic
-        # is their length; only the path without the library decodes them
+        # on both paths the server reads each upload's header from its
+        # encoding and decodes none, and traffic is the encodings' length
         headers, decoded = self._count_codec(monkeypatch)
         shards = _shards(n_sites=3)
         kernels = [nullcontext, without_library] if _native.LIBRARY else [without_library]
@@ -441,14 +440,14 @@ class TestRunRound:
                 metrics = run_round(sites, server, params, PrivacyParams(rho=1e-3), acc, 15e6)
             assert len(headers) == 3
             assert metrics.comm_bytes == 2 * sum(headers) == 2 * 3 * message_bytes(8, 9, 2)
-            assert decoded == ([] if kernel is nullcontext else headers)
+            assert decoded == []
 
     @pytest.mark.parametrize("kernel", ["compiled", "python"])
-    def test_each_upload_is_decoded_once(self, without_library, monkeypatch, kernel):
+    def test_each_header_is_read_once_and_no_upload_decoded(self, without_library, monkeypatch,
+                                                            kernel):
         # a 20-round, 3-site criterion-09 run: 60 uploads and 60 header reads
-        # on both paths; the compiled server step decodes none, the numpy
-        # step each one once, also where it takes the round's change from the
-        # held cohort
+        # on both paths, and no decode, also where the round's change is
+        # taken from the held cohort
         if kernel == "compiled" and _native.LIBRARY is None:
             pytest.skip("no compiled library loaded")
         headers, decoded = self._count_codec(monkeypatch)
@@ -460,7 +459,7 @@ class TestRunRound:
             result = run_experiment(shards, rank=3, params=params, priv=PrivacyParams(rho=1.0),
                                     seed=3, fixed_epochs=20)
         assert len(headers) == 60
-        assert len(decoded) == (0 if kernel == "compiled" else 60)
+        assert decoded == []
         assert result.metrics[-1].change is not None
 
     @pytest.mark.skipif(_native.LIBRARY is None, reason="no compiled library loaded")

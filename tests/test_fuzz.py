@@ -14,7 +14,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedcp.data import ExperimentConfig, load_config, read_coo, read_factors
@@ -239,13 +239,36 @@ _cohorts = st.tuples(
 )
 
 
+# what the server holds after one accepted cohort, as a caller may leave it
+# between rounds: that cohort, or it with one fault and the error it gives
+_HELD = {
+    "accepted": (lambda held: held, None),
+    "2 held": (lambda held: held[:2], "the server holds 2 uploads, expected 3"),
+    "4 held": (lambda held: held + held[:1], "the server holds 4 uploads, expected 3"),
+    "cut 8": (lambda held: [held[0], held[1][:-8], held[2]],
+              "held upload 1: message has 56 bytes, expected 64"),
+    "add 8": (lambda held: [held[0], held[1] + bytes(8), held[2]],
+              "held upload 1: message has 72 bytes, expected 64"),
+    "bytearray": (lambda held: [held[0], bytearray(held[1]), held[2]],
+                  "held upload 1 is a bytearray, not bytes"),
+}
+_CLEAN = ((0, 1, 2), [[1.0] * 5] * 3, "none", 0)
+
+
 def _state(server):
     return server.B_hat.tobytes(), server.C_hat.tobytes(), server.epoch, server.uploads
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @FUZZ
-@given(st.booleans(), _cohorts)
+@given(st.sampled_from([None, *_HELD]), _cohorts)
+@example(None, _CLEAN)
+@example("accepted", _CLEAN)
+@example("2 held", _CLEAN)
+@example("4 held", _CLEAN)
+@example("cut 8", _CLEAN)
+@example("add 8", _CLEAN)
+@example("bytearray", _CLEAN)
 def test_server_update_raises_only_its_errors_and_then_changes_nothing(
     without_library, held, spec
 ):
@@ -253,10 +276,11 @@ def test_server_update_raises_only_its_errors_and_then_changes_nothing(
     for path in ("compiled", "python"):
         with without_library() if path == "python" else nullcontext():
             server = ServerState(B_hat=_ANCHORS[0].copy(), C_hat=_ANCHORS[1].copy(), n_sites=3)
-            if held:
+            if held is not None:
                 # a cohort already accepted, so the round's change is taken
                 server_update(server, [_upload(t, 1, [t, 1.0, -t, 0.5, 2.0]) for t in range(3)],
                               0.05, 2.0)
+                server.uploads = _HELD[held][0](server.uploads)
             before = _state(server)
             try:
                 change = server_update(server, _cohort(spec, server.epoch + 1), 0.05, 2.0)
@@ -266,3 +290,6 @@ def test_server_update_raises_only_its_errors_and_then_changes_nothing(
                 assert _state(server) == before
             outcomes.append((outcome, _state(server)))
     assert outcomes[0] == outcomes[1]
+    # a faulty held cohort is refused before the step reads it
+    if held is not None and _HELD[held][1] is not None and spec[2] == "none":
+        assert outcomes[0][0] == (ProtocolError, _HELD[held][1])

@@ -28,8 +28,9 @@ apart, which a paired figure would take for the change's.
 The file holds, per workload and checkout: the median and quartiles of
 each end-to-end metric over the seeds, and of each per-layer metric over
 the traced runs, each with every value in seed order; and the counts of
-attempted and failed run steps. It also holds each checkout's path and
-commit, the machine line perfbench prints, the load averages before and
+attempted and failed run steps. It also holds each checkout's path,
+commit and the line counts of its ``src/fedcp/*.py`` and ``_sgd.c``
+(the net size of ``src/``), the machine line perfbench prints, the load averages before and
 after, the CPUs this process may run on, and the wall time of the tier-1
 suite in each checkout. It records numbers and passes no verdict: whether
 a change is better or worse is for the benchmark's own rule to judge.
@@ -151,6 +152,21 @@ def commit_of(tree):
     return {"commit": commit, "dirty": None if status is None else status != ""}
 
 
+def src_lines(tree):
+    """The line counts, as ``wc -l`` gives them, of checkout ``tree``'s
+    ``src/fedcp/*.py`` by file name and in total, and of its ``_sgd.c``."""
+
+    def lines(path):
+        with open(path, "rb") as fh:
+            return fh.read().count(b"\n")
+
+    src = os.path.join(tree, "src", "fedcp")
+    python = {os.path.basename(path): lines(path)
+              for path in sorted(glob.glob(os.path.join(src, "*.py")))}
+    return {"python": python, "python_total": sum(python.values()),
+            "c": lines(os.path.join(src, "_sgd.c"))}
+
+
 def bench_files(root=ROOT):
     """The ``BENCH_<n>.json`` files in ``root`` as (n, path), by n."""
     found = []
@@ -244,7 +260,8 @@ def main(argv=None):
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "seeds": args.seeds,
         "run_seconds": seconds,
-        "trees": {side: dict(commit_of(tree), path=tree) for side, tree in trees.items()},
+        "trees": {side: dict(commit_of(tree), path=tree, src_lines=src_lines(tree))
+                  for side, tree in trees.items()},
         "workloads": {},
     }
     for workload in workloads:
