@@ -1,5 +1,6 @@
 """Fuzzed decoders of outside input: the wire message, COO and factor files,
-and the config file, and the server that takes a cohort of wire messages.
+and the config file, and the server that takes a cohort of wire messages
+against the cohort it holds.
 Each takes arbitrary bytes and either decodes them or raises only its
 documented error type; the file readers name a line.
 
@@ -262,8 +263,6 @@ def _state(server):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @FUZZ
 @given(st.sampled_from([None, *_HELD]), _cohorts)
-@example(None, _CLEAN)
-@example("accepted", _CLEAN)
 @example("2 held", _CLEAN)
 @example("4 held", _CLEAN)
 @example("cut 8", _CLEAN)
