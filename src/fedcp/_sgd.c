@@ -23,7 +23,8 @@
  * from the first product, and every row update is a separate multiply and
  * subtract; the model values are summed left to right from 0.0, the order
  * numpy's einsum uses; the round's norms and sums take numpy's pairwise or
- * row order, as np.sum, np.add.reduce and np.linalg.norm do. The orders
+ * row order, as np.sum, np.add.reduce and np.linalg.norm do, every
+ * pairwise sum through the one tree, pairwise_squares. The orders
  * are drawn as numpy's Generator.shuffle draws them, and the noise as
  * Generator.standard_normal draws it, through the generator's bitgen_t,
  * so the stream ends where the Python code leaves it. Build with
@@ -34,14 +35,14 @@
  * Every residual gradient is clipped and every pass followed by the prox
  * step; at clip = inf and threshold 0 they change no bit, so no value
  * picks a path.
- * The pass takes an entry's three residual gradients and sums their
- * squares in one loop, as three independent chains each left to right,
- * and adds the anchor pull and steps the three rows in another. Two
- * consecutive entries that share no row take their residuals in one loop
- * and their gradients in another, each chain still in its own order, and
- * then step in turn. It is one inlined body that site_round runs with the
- * rank as a literal at ranks 3, 5 and 50, which the compiler unrolls, and
- * as a variable at every other rank; only the rank-50 body steps pairs.
+ * The pass takes every entry through one step, entry_step, for one entry
+ * or for two consecutive ones that share no row: one loop takes the
+ * residuals, one the residual gradients and the sums of their squares,
+ * each sum a chain of its own in its own order, then each entry's rows
+ * are clipped, pulled and stepped in turn. The pass is one inlined body
+ * that site_round runs with the rank as a literal at ranks 3, 5 and 50,
+ * which the compiler unrolls, and as a variable at every other rank; only
+ * the rank-50 body steps pairs.
  * It prefetches the coords and value of the entry PREFETCH_ENTRY
  * places ahead in the shuffled order and the rows of the entry
  * PREFETCH_ROWS ahead; a prefetch changes no value. model_values sums four
@@ -110,63 +111,100 @@ prefetch_ahead(int64_t p, int64_t nnz, const int64_t *order, const int64_t *coor
     }
 }
 
-/* The rest of an entry's step once its residual gradients ga, gb and gc
- * are taken and the sums of their squares are sq[0..2]: clip each to
- * 2-norm clip, add the anchor pull (rows bh and ch) on b and c, and step
- * the rows a, b and c by eta. Returns the number of gradients the clip
- * scaled. */
+/* The step of the g entries at positions p to p + g - 1 of order, g 1 or
+ * 2 and a literal at each call; two entries share no row of A, B or C.
+ * For each entry at (i, j, k) with value v: the residual a . (b * c) - v
+ * at the current rows a = A[i], b = B[j] and c = C[k], its three residual
+ * gradients, each clipped to 2-norm clip, the anchor pull (rows b_hat[j]
+ * and c_hat[k]) added on b and c, and the three rows stepped by eta. work
+ * holds 3 * g * rank doubles, the gradients. Returns 1 and adds to *count
+ * the gradients the clip scaled; or returns 0, having written nothing,
+ * when a residual is not finite.
+ *
+ * One loop over the rank takes the residuals, each a chain of its own left
+ * to right from its first product; one takes every gradient and sums each
+ * one's squares, each a chain left to right from its first square; then
+ * each entry in turn is clipped, pulled and stepped. Element r of each
+ * loop reads element r of the others only, so each element gets the
+ * operations of separate loops in their order, and no sum is reordered.
+ * The first entry's step writes none of the second's rows, so the second
+ * gets the bits it would get after it: a pair is two single steps whose
+ * chains overlap in time, and at rank 50 a step mostly waits on its chains
+ * of additions.
+ */
 static inline __attribute__((always_inline)) int
-apply_step(double *a, double *b, double *c, const double *bh, const double *ch, double *ga,
-           double *gb, double *gc, const double *sq, int64_t rank, double eta, double gamma,
-           double clip)
+entry_step(int g, int64_t p, int64_t nnz, const int64_t *order, const int64_t *coords,
+           const double *values, double *A, double *B, double *C, const double *b_hat,
+           const double *c_hat, int64_t rank, double eta, double gamma, double clip,
+           double *work, int64_t *count)
 {
-    int count = clip_row(ga, rank, sq[0], clip) + clip_row(gb, rank, sq[1], clip)
-        + clip_row(gc, rank, sq[2], clip);
-    for (int64_t r = 0; r < rank; r++) {
-        double pull_b = gb[r] + gamma * (b[r] - bh[r]);
-        double pull_c = gc[r] + gamma * (c[r] - ch[r]);
-        a[r] = a[r] - eta * ga[r];
-        b[r] = b[r] - eta * pull_b;
-        c[r] = c[r] - eta * pull_c;
+    double *a[2], *b[2], *c[2], resid[2];
+    const double *bh[2], *ch[2];
+    for (int e = 0; e < g; e++) {
+        const int64_t *ijk = coords + 3 * order[p + e];
+        a[e] = A + ijk[0] * rank;
+        b[e] = B + ijk[1] * rank;
+        c[e] = C + ijk[2] * rank;
+        bh[e] = b_hat + ijk[1] * rank;
+        ch[e] = c_hat + ijk[2] * rank;
+        resid[e] = a[e][0] * (b[e][0] * c[e][0]);
     }
-    return count;
+    for (int64_t r = 1; r < rank; r++)
+        for (int e = 0; e < g; e++)
+            resid[e] += a[e][r] * (b[e][r] * c[e][r]);
+    for (int e = 0; e < g; e++) {
+        resid[e] = resid[e] - values[order[p + e]];
+        if (!isfinite(resid[e]))
+            return 0;
+    }
+    for (int e = 1; e < g; e++)
+        prefetch_ahead(p + e, nnz, order, coords, values, A, B, C, rank);
+
+    /* -0.0 + x is x for every x, so each chain starts at its first square */
+    double sq[2][3] = {{-0.0, -0.0, -0.0}, {-0.0, -0.0, -0.0}};
+    for (int64_t r = 0; r < rank; r++)
+        for (int e = 0; e < g; e++) {
+            double *ga = work + 3 * e * rank, *gb = ga + rank, *gc = gb + rank;
+            ga[r] = resid[e] * (b[e][r] * c[e][r]);
+            gb[r] = resid[e] * (a[e][r] * c[e][r]);
+            gc[r] = resid[e] * (a[e][r] * b[e][r]);
+            sq[e][0] += ga[r] * ga[r];
+            sq[e][1] += gb[r] * gb[r];
+            sq[e][2] += gc[r] * gc[r];
+        }
+    /* every gradient is taken before any row is written */
+    for (int e = 0; e < g; e++) {
+        double *ga = work + 3 * e * rank, *gb = ga + rank, *gc = gb + rank;
+        *count += clip_row(ga, rank, sq[e][0], clip) + clip_row(gb, rank, sq[e][1], clip)
+            + clip_row(gc, rank, sq[e][2], clip);
+        for (int64_t r = 0; r < rank; r++) {
+            double pull_b = gb[r] + gamma * (b[e][r] - bh[e][r]);
+            double pull_c = gc[r] + gamma * (c[e][r] - ch[e][r]);
+            a[e][r] = a[e][r] - eta * ga[r];
+            b[e][r] = b[e][r] - eta * pull_b;
+            c[e][r] = c[e][r] - eta * pull_c;
+        }
+    }
+    return 1;
 }
 
-/* Visit the entries order[0..nnz) in turn. For entry n at (i, j, k) with
- * value v, take the row gradients at the current rows A[i], B[j], C[k],
- * clip each residual gradient to 2-norm clip, add the anchor pull on B
- * and C, then step all three rows by eta. coords is (nnz, 3) row-major; the
- * factors and anchors are row-major with rank columns, and A, B and C do
- * not overlap (SiteState copies a factor that shares memory with another,
- * as the Python pass steps three separate lists of rows); work holds
- * 6 * rank doubles of scratch. Adds to *clipped
- * the number of residual gradients the clip scaled, up to three per entry.
+/* Visit the entries order[0..nnz) in turn, each stepped by entry_step.
+ * coords is (nnz, 3) row-major; the factors and anchors are row-major
+ * with rank columns, and A, B and C do not overlap (SiteState copies a
+ * factor that shares memory with another, as the Python pass steps three
+ * separate lists of rows); work holds 6 * rank doubles of scratch. Adds to
+ * *clipped the number of residual gradients the clip scaled, up to three
+ * per entry.
  *
- * An entry's step is two loops over the rank after its residual: the
- * first takes the three residual gradients and sums their squares as three
- * independent chains, each left to right from its first square; the second
- * (apply_step's) adds the anchor pull and steps the three rows. Element r
- * of each loop reads element r of the others only, so each element gets
- * the operations of separate loops in their order, and no sum is
- * reordered.
- *
- * With paired set, two consecutive entries p and p + 1 step together when
- * p + 1's rows of A, B and C all differ from p's: one loop takes both
- * residuals, as two chains each left to right from its first product,
- * and one loop both entries' gradients and their six sums of squares;
- * then p's rows are clipped, pulled and stepped, then p + 1's. p's step
- * writes only p's rows, which p + 1's residual and gradients do not read,
- * so those get the bits they would get after p's step. Each chain keeps
- * its own order; the two entries' chains only overlap in time, and at
- * rank 50 a step mostly waits on its chains of additions. Any other
- * entry, one that shares a row with the next or the last of the order,
- * takes the single step, as does a pair either of whose residuals is not
- * finite: p's residual is then taken again, to the same bits, and the
- * pass stops at p, or applies p and stops at p + 1.
+ * With paired set, entries p and p + 1 take one step of two when p + 1's
+ * rows of A, B and C all differ from p's and both residuals are finite.
+ * Any other entry takes the step of one: one that shares a row with the
+ * next or is the last of the order, and p of a pair whose residuals are
+ * not all finite, whose residual is then taken again, to the same bits.
  *
  * The body is inlined at each call in pass_at_rank, which passes the
  * ranks it names as literals: with the rank a constant the compiler
- * unrolls those loops and keeps the gradients in registers. That changes
+ * unrolls the loops and keeps the gradients in registers. That changes
  * no operation and no order.
  *
  * Returns -1 when every entry was applied, else the position in order of
@@ -179,79 +217,27 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
          int64_t rank, double eta, double gamma, double clip, double *work, int64_t *clipped,
          int paired)
 {
-    double *ga = work, *gb = work + rank, *gc = work + 2 * rank;
-    double *ga2 = work + 3 * rank, *gb2 = work + 4 * rank, *gc2 = work + 5 * rank;
+#define STEP(G) \
+    entry_step(G, p, nnz, order, coords, values, A, B, C, b_hat, c_hat, rank, eta, gamma, \
+               clip, work, &count)
     int64_t count = 0;
     for (int64_t p = 0; p < nnz; p++) {
         prefetch_ahead(p, nnz, order, coords, values, A, B, C, rank);
-        const int64_t *ijk = coords + 3 * order[p];
-        double *a = A + ijk[0] * rank;
-        double *b = B + ijk[1] * rank;
-        double *c = C + ijk[2] * rank;
-        const double *bh = b_hat + ijk[1] * rank;
-        const double *ch = c_hat + ijk[2] * rank;
-
-        const int64_t *ijk2 = paired && p + 1 < nnz ? coords + 3 * order[p + 1] : ijk;
-        if (ijk2[0] != ijk[0] && ijk2[1] != ijk[1] && ijk2[2] != ijk[2]) {
-            double *a2 = A + ijk2[0] * rank;
-            double *b2 = B + ijk2[1] * rank;
-            double *c2 = C + ijk2[2] * rank;
-            double resid = a[0] * (b[0] * c[0]), resid2 = a2[0] * (b2[0] * c2[0]);
-            for (int64_t r = 1; r < rank; r++) {
-                resid += a[r] * (b[r] * c[r]);
-                resid2 += a2[r] * (b2[r] * c2[r]);
-            }
-            resid = resid - values[order[p]];
-            resid2 = resid2 - values[order[p + 1]];
-            if (isfinite(resid) && isfinite(resid2)) {
-                prefetch_ahead(p + 1, nnz, order, coords, values, A, B, C, rank);
-                double sq[3] = {-0.0, -0.0, -0.0}, sq2[3] = {-0.0, -0.0, -0.0};
-                for (int64_t r = 0; r < rank; r++) {
-                    ga[r] = resid * (b[r] * c[r]);
-                    gb[r] = resid * (a[r] * c[r]);
-                    gc[r] = resid * (a[r] * b[r]);
-                    ga2[r] = resid2 * (b2[r] * c2[r]);
-                    gb2[r] = resid2 * (a2[r] * c2[r]);
-                    gc2[r] = resid2 * (a2[r] * b2[r]);
-                    sq[0] += ga[r] * ga[r];
-                    sq[1] += gb[r] * gb[r];
-                    sq[2] += gc[r] * gc[r];
-                    sq2[0] += ga2[r] * ga2[r];
-                    sq2[1] += gb2[r] * gb2[r];
-                    sq2[2] += gc2[r] * gc2[r];
-                }
-                count += apply_step(a, b, c, bh, ch, ga, gb, gc, sq, rank, eta, gamma, clip);
-                count += apply_step(a2, b2, c2, b_hat + ijk2[1] * rank, c_hat + ijk2[2] * rank,
-                                    ga2, gb2, gc2, sq2, rank, eta, gamma, clip);
+        if (paired && p + 1 < nnz) {
+            const int64_t *ijk = coords + 3 * order[p], *next = coords + 3 * order[p + 1];
+            if (ijk[0] != next[0] && ijk[1] != next[1] && ijk[2] != next[2] && STEP(2)) {
                 p++;
                 continue;
             }
         }
-
-        double resid = a[0] * (b[0] * c[0]);
-        for (int64_t r = 1; r < rank; r++)
-            resid += a[r] * (b[r] * c[r]);
-        resid = resid - values[order[p]];
-        if (!isfinite(resid)) {
+        if (!STEP(1)) {
             *clipped += count;
             return p;
         }
-
-        /* -0.0 + x is x for every x, so each chain starts at its first square */
-        double sq[3] = {-0.0, -0.0, -0.0};
-        for (int64_t r = 0; r < rank; r++) {
-            ga[r] = resid * (b[r] * c[r]);
-            gb[r] = resid * (a[r] * c[r]);
-            gc[r] = resid * (a[r] * b[r]);
-            sq[0] += ga[r] * ga[r];
-            sq[1] += gb[r] * gb[r];
-            sq[2] += gc[r] * gc[r];
-        }
-        /* all three gradients are taken before any row is written */
-        count += apply_step(a, b, c, bh, ch, ga, gb, gc, sq, rank, eta, gamma, clip);
     }
     *clipped += count;
     return -1;
+#undef STEP
 }
 
 /* sgd_pass with ranks 3, 5 and 50 as literals, and any other rank as the
@@ -339,45 +325,69 @@ void model_values(int64_t nnz, const int64_t *coords, const double *A,
     }
 }
 
-/* numpy's pairwise_sum for float64, which np.sum and np.add.reduce use on
- * a contiguous run of values: fewer than 8 terms are summed in turn from
- * 0.0, up to 128 in eight interleaved partial sums combined as a tree and
- * then the leftover terms, and longer runs split in two halves at a
- * multiple of 8. The sums in this file add 0.0 + this, as numpy does.
- */
-static double pairwise_sum(const double *a, int64_t n)
+/* Term i of sum k of pairwise_squares: p[i] squared, or (c[i] - p[i])
+ * squared. */
+static inline __attribute__((always_inline)) double
+square(const double *p, const double *c, int64_t i, int k)
 {
-    if (n < 8) {
-        double sum = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            sum += a[i];
-        return sum;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
+    double x = k ? c[i] - p[i] : p[i];
+    return x * x;
+}
+
+/* pairwise_squares on n <= 128 terms, for its g = 1 or 2 sums, g a
+ * literal at each call. */
+static inline __attribute__((always_inline)) void
+pairwise_leaf(int g, const double *p, const double *c, int64_t n, double *sums)
+{
+    double s[2] = {0.0, 0.0};
+    int64_t i = 0;
+    if (n >= 8) {
+        double r[2][8];
         for (int j = 0; j < 8; j++)
-            r[j] = a[j];
+            for (int k = 0; k < g; k++)
+                r[k][j] = square(p, c, j, k);
         for (i = 8; i < n - n % 8; i += 8)
             for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            sum += a[i];
-        return sum;
+                for (int k = 0; k < g; k++)
+                    r[k][j] += square(p, c, i + j, k);
+        for (int k = 0; k < g; k++)
+            s[k] = ((r[k][0] + r[k][1]) + (r[k][2] + r[k][3]))
+                + ((r[k][4] + r[k][5]) + (r[k][6] + r[k][7]));
+    }
+    for (; i < n; i++)
+        for (int k = 0; k < g; k++)
+            s[k] += square(p, c, i, k);
+    for (int k = 0; k < g; k++)
+        sums[k] = s[k];
+}
+
+/* numpy's pairwise_sum for float64, which np.sum and np.add.reduce take
+ * over a contiguous run of values, over squares: sums[0] gets the sum of
+ * p[i] * p[i] over i < n and, when c is not NULL, sums[1] the sum of
+ * (c[i] - p[i]) squared, the bits numpy gives on arrays of those squares.
+ * Fewer than 8 terms are summed in turn from 0.0, up to 128 in eight
+ * interleaved partial sums combined as a tree and then the leftover
+ * terms, and longer runs split in two halves at a multiple of 8. Each
+ * value is squared as the tree reads it. np.add.reduce returns 0.0 plus
+ * the tree's sum, and so do the callers.
+ */
+static void pairwise_squares(const double *p, const double *c, int64_t n, double *sums)
+{
+    if (n <= 128) {
+        if (c == NULL)
+            pairwise_leaf(1, p, c, n, sums);
+        else
+            pairwise_leaf(2, p, c, n, sums);
+        return;
     }
     int64_t half = n / 2;
     half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
-/* np.add.reduce(x ** 2) over n values; sq holds n doubles of scratch and
- * may be x itself. */
-static double sum_squares(const double *x, int64_t n, double *sq)
-{
-    for (int64_t i = 0; i < n; i++)
-        sq[i] = x[i] * x[i];
-    return 0.0 + pairwise_sum(sq, n);
+    double left[2], right[2];
+    pairwise_squares(p, c, half, left);
+    pairwise_squares(p + half, c == NULL ? NULL : c + half, n - half, right);
+    sums[0] = left[0] + right[0];
+    if (c != NULL)
+        sums[1] = left[1] + right[1];
 }
 
 /* The first row of m ((rows, rank), row-major) holding a non-finite
@@ -394,15 +404,16 @@ static int64_t non_finite_row(const double *m, int64_t rows, int64_t rank)
  * 1 - s when s = threshold / norm_r is below 1, else by 0 (s is inf on a
  * zero norm). s is NaN only for 0 / 0, a zero threshold on a column whose
  * norm is 0 (all zeros, or every square underflows): that column is scaled
- * by 1 like every other, so a zero threshold keeps every bit. The norms are np.linalg.norm(A, axis=0): numpy sums a rank-1 column
- * pairwise and the columns of rank >= 2 each down the rows in order.
- * scratch holds rows * rank doubles.
+ * by 1 like every other, so a zero threshold keeps every bit. The norms
+ * are np.linalg.norm(A, axis=0): numpy sums a rank-1 column pairwise and
+ * the columns of rank >= 2 each down the rows in order. norm holds rank
+ * doubles of scratch.
  */
-static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold, double *scratch)
+static void prox_columns(double *A, int64_t rows, int64_t rank, double threshold, double *norm)
 {
-    double *norm = scratch;
     if (rank == 1) {
-        norm[0] = sum_squares(A, rows, scratch);
+        pairwise_squares(A, NULL, rows, norm);
+        norm[0] = 0.0 + norm[0];
     } else {
         for (int64_t r = 0; r < rank; r++)
             norm[r] = 0.0;
@@ -483,9 +494,9 @@ static double max_nan(double m, double x)
  * whose compares overlap, about twice as fast as one chain at rank 50. A
  * NaN loses every compare there, but it makes its row's sum NaN, the only
  * way such a sum can be NaN (each square is >= 0 or +inf), and *norm
- * keeps it. sq holds rank doubles of scratch. */
+ * keeps it. */
 static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *top,
-                          double *norm, double *sq)
+                          double *norm)
 {
     double t[8] = {0.0}, n = 0.0;
     int64_t size = rows * rank, i = 0;
@@ -496,8 +507,11 @@ static void factor_bounds(const double *m, int64_t rows, int64_t rank, double *t
         t[0] = fabs(m[i]) > t[0] ? fabs(m[i]) : t[0];
     for (int j = 1; j < 8; j++)
         t[0] = t[j] > t[0] ? t[j] : t[0];
-    for (int64_t r = 0; r < rows; r++)
-        n = max_nan(n, sum_squares(m + r * rank, rank, sq));
+    for (int64_t r = 0; r < rows; r++) {
+        double sum;
+        pairwise_squares(m + r * rank, NULL, rank, &sum);
+        n = max_nan(n, 0.0 + sum);
+    }
     *top = isnan(n) ? n : t[0];
     *norm = n;
 }
@@ -564,20 +578,21 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
                double clip, double threshold)
 {
     int64_t *clipped = tally, *where = tally + 1;
-    int64_t big = i_dim * rank > nnz ? i_dim * rank : nnz;
-    /* the doubles, then the tau orders; both types are 8 bytes wide */
-    double *work = malloc(sizeof(double) * (size_t)(6 * rank + big)
+    /* the pass's gradients (the prox step's norms after it), the model
+     * values and then residuals, then the tau orders; both types are 8
+     * bytes wide */
+    double *work = malloc(sizeof(double) * (size_t)(6 * rank + nnz)
                           + sizeof(int64_t) * (size_t)(tau * nnz));
     if (!work)
         return ROUND_NO_MEMORY;
-    double *scratch = work + 6 * rank;
-    int64_t *orders = (int64_t *)(scratch + big);
+    double *resid = work + 6 * rank;
+    int64_t *orders = (int64_t *)(resid + nnz);
 
     double *factors[3] = {A, B, C};
     int64_t rows[3] = {i_dim, j_dim, k_dim};
     double top[3], norm[3];
     for (int m = 0; m < 3; m++)
-        factor_bounds(factors[m], rows[m], rank, top + m, norm + m, work);
+        factor_bounds(factors[m], rows[m], rank, top + m, norm + m);
     out[1] = step_bound(top, norm, rank, gamma);
     for (int64_t t = 0; t < tau; t++)
         shuffled_range(bitgen, nnz, orders + t * nnz);
@@ -599,67 +614,18 @@ int site_round(int64_t nnz, const int64_t *coords, const double *values, int64_t
                 status = ROUND_ROW + m;
         }
         if (status == ROUND_DONE)
-            prox_columns(A, i_dim, rank, threshold, scratch);
+            prox_columns(A, i_dim, rank, threshold, work);
     }
     if (status == ROUND_DONE) {
-        model_values(nnz, coords, A, B, C, rank, scratch);
+        model_values(nnz, coords, A, B, C, rank, resid);
         for (int64_t n = 0; n < nnz; n++)
-            scratch[n] = scratch[n] - values[n];
-        out[0] = sum_squares(scratch, nnz, scratch);
+            resid[n] = resid[n] - values[n];
+        double sse;
+        pairwise_squares(resid, NULL, nnz, &sse);
+        out[0] = 0.0 + sse;
     }
     free(work);
     return status;
-}
-
-/* pairwise_sum's tree over p[i] * p[i] and over (c[i] - p[i]) squared,
- * both at once: sums[0] and sums[1] get the bits pairwise_sum gives on
- * arrays of those squares, which is how np.add.reduce sums np.multiply's
- * output. */
-static void pairwise_squares(const double *p, const double *c, int64_t n, double *sums)
-{
-    if (n < 8) {
-        double s = 0.0, d = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            double e = c[i] - p[i];
-            s += p[i] * p[i];
-            d += e * e;
-        }
-        sums[0] = s;
-        sums[1] = d;
-        return;
-    }
-    if (n <= 128) {
-        double r[8], q[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++) {
-            double e = c[j] - p[j];
-            r[j] = p[j] * p[j];
-            q[j] = e * e;
-        }
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++) {
-                double e = c[i + j] - p[i + j];
-                r[j] += p[i + j] * p[i + j];
-                q[j] += e * e;
-            }
-        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        double d = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]));
-        for (; i < n; i++) {
-            double e = c[i] - p[i];
-            s += p[i] * p[i];
-            d += e * e;
-        }
-        sums[0] = s;
-        sums[1] = d;
-        return;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    double left[2], right[2];
-    pairwise_squares(p, c, half, left);
-    pairwise_squares(p + half, c + half, n - half, right);
-    sums[0] = left[0] + right[0];
-    sums[1] = left[1] + right[1];
 }
 
 /* The server's step over one cohort, federation.server_update after it

@@ -14,7 +14,7 @@ import warnings
 from . import data
 from .errors import ConfigError
 from .federation import RunResult, run_experiment
-from .privacy import compose_serial, rho_for_target, zcdp_to_dp, zcdp_to_dp_approx
+from .privacy import rho_for_target, zcdp_to_dp, zcdp_to_dp_approx
 from .tensor import FactorizationResult, fms_report, zero_column_count, zero_columns
 
 CSV_HEADER = "epoch,rmse,comm_bytes,comm_seconds,rho_total,eps_exact,eps_approx"
@@ -147,8 +147,9 @@ def cmd_budget(epsilon, rho, delta, epochs) -> int:
     if epsilon is not None:
         rho = rho_for_target(epsilon, delta, epochs)
         print(f"rho_b={rho!r}")
+    total = 0.0  # two releases an epoch, summed as compose_serial sums them
     for e in range(1, epochs + 1):
-        total = compose_serial([rho] * (2 * e))
+        total = total + rho + rho
         print(
             f"epoch={e} rho_total={total!r} eps_exact={zcdp_to_dp(total, delta)!r} "
             f"eps_approx={zcdp_to_dp_approx(total, delta)!r} delta={delta!r}"

@@ -18,7 +18,7 @@ uploads alone, which spends no budget, in the same step as the anchors:
 with the compiled library one call to ``server_step`` over the encodings,
 else the numpy step and ``worst_change`` over views of their values,
 which stay as its reference. Reductions are ordered by site id, so a run
-is bit-reproducible whether sites execute serially or on a worker pool.
+is bit-reproducible whether sites execute serially or on a thread pool.
 """
 
 import ctypes
@@ -281,10 +281,10 @@ def run_round(
     """One synchronous round; advances ``sites`` and ``server`` in place and
     returns the round's EpochMetrics.
 
-    ``pool`` may be any concurrent.futures.Executor; sites share no mutable
-    state, and the reduction is ordered, so the result does not depend on it.
-    The compiled site round runs without the GIL, so on a thread pool the
-    sites' local epochs overlap.
+    ``pool`` may be a thread pool: a site's round advances it in place, so it
+    cannot run in another process. Sites share no mutable state, and the
+    reduction is ordered, so the result does not depend on the pool. The
+    compiled site round runs without the GIL, so the local epochs overlap.
 
     A site's NumericOverflowError is raised again naming the site, the round
     and, under noise, sigma, which is often what sent the anchors and then
@@ -415,6 +415,7 @@ def run_experiment(
     ``fixed_epochs`` set, exactly that many rounds run regardless of
     convergence (budget-first mode, the private way to run); the
     convergence flag then reports whether the final round met the criterion.
+    ``pool`` is None or a thread pool, as in ``run_round``.
     """
     n_sites = len(shards)
     if n_sites < 1:

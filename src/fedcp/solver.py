@@ -408,21 +408,15 @@ def beta_lipschitz(A, B, C, gamma: float) -> float:
     thread count cannot change it. Factors whose squares could overflow,
     or that hold NaN, give inf.
     """
-    A, B, C = (np.asarray(m, dtype=np.float64) for m in (A, B, C))
-    rank = A.shape[1]
-    if not (rank == B.shape[1] == C.shape[1]) or 0 in (rank, len(A), len(B), len(C)):
+    # C order, as a row's pairwise sum runs along contiguous values only
+    factors = [np.ascontiguousarray(m, dtype=np.float64) for m in (A, B, C)]
+    rank = factors[0].shape[1]
+    if any(m.shape[1] != rank or m.size == 0 for m in factors):
         raise DimensionError("factor matrices must be non-empty and share one rank")
-    # |A|, |B| and |C| in one array, so each factor's maximum below is one
-    # reduceat; abs and squares in place, as a second large temporary costs
-    # more than the bound
-    rows = np.concatenate((A, B, C))
-    np.abs(rows, out=rows)
-    starts = np.array([0, len(A), len(A) + len(B)])
-    tops = np.maximum.reduceat(rows.ravel(), starts * rank).tolist()
+    tops = [float(np.max(np.abs(m))) for m in factors]
     # squares that overflow give inf norms, which _step_bound never reads
     with np.errstate(over="ignore"):
-        np.multiply(rows, rows, out=rows)
-    norms = np.maximum.reduceat(np.add.reduce(rows, axis=1), starts).tolist()
+        norms = [float(np.max(np.add.reduce(m * m, axis=1))) for m in factors]
     return _step_bound(tops, norms, rank, gamma)
 
 

@@ -184,36 +184,25 @@ def _metric(values):
     return {"unit": "s", "median": med, "q1": q1, "q3": q3, "n": len(values), "values": values}
 
 
-def _bench(run_s_parent, run_s_change, layers_parent=None, layers_change=None):
-    """A bench file's workloads entry of one workload: ``run_s`` and the
-    per-layer metrics given as {name: values}."""
+def _bench(run_s_parent, run_s_change):
+    """A bench file's workloads entry of one workload, with ``run_s`` alone."""
 
-    def side(run_s, layers):
-        return {"end_to_end": {"run_s": _metric(run_s)},
-                "per_layer": {name: _metric(v) for name, v in (layers or {}).items()}}
+    def side(run_s):
+        return {"end_to_end": {"run_s": _metric(run_s)}, "per_layer": {}}
 
-    return {"workloads": {"w": {"change": side(run_s_change, layers_change),
-                                "parent": side(run_s_parent, layers_parent)}}}
+    return {"workloads": {"w": {"change": side(run_s_change), "parent": side(run_s_parent)}}}
 
 
 def test_table_counts_lower_pairs_and_chains_the_ratios(tmp_path):
     # a tie counts for neither side; BENCH_9 sorts before BENCH_10
-    # per-layer gaps: ``apart``'s quartile ranges do not overlap, ``touch``'s
-    # share an end, ``once`` has one traced run a side, ``zero`` starts from
-    # 0, and ``alone`` is traced on one side only
-    layers_parent = {"apart": [1.0, 2.0, 3.0], "touch": [1.0, 2.0, 3.0], "once": [1.0],
-                     "zero": [0.0, 0.0], "alone": [1.0, 1.0]}
-    layers_change = {"apart": [3.5, 4.0, 4.5], "touch": [0.0, 1.0, 2.0], "once": [9.0],
-                     "zero": [1.0, 1.0]}
-    (tmp_path / "BENCH_10.json").write_text(json.dumps(
-        _bench([0.004, 0.004], [0.002, 0.002], layers_parent, layers_change)))
+    (tmp_path / "BENCH_10.json").write_text(json.dumps(_bench([0.004, 0.004], [0.002, 0.002])))
     (tmp_path / "BENCH_9.json").write_text(json.dumps(_bench([0.010, 0.020, 0.030],
                                                              [0.005, 0.020, 0.040])))
     (tmp_path / "BENCH_draft.json").write_text("not a bench file")
     assert [n for n, _ in bench_file.bench_files(tmp_path)] == [9, 10]
     assert bench_file.table(tmp_path).splitlines()[2:] == [
-        "| 9 | w | 20.00 | 20.00 | 1/3 | 15.00–25.00 | 1.000 | 1.000 | — |",
-        "| 10 | w | 4.00 | 2.00 | 2/2 | 4.00–4.00 | 0.500 | 0.500 | apart 2.00, zero from 0 |",
+        "| 9 | w | 20.00 | 20.00 | 1/3 | 15.00–25.00 | 1.000 | 1.000 |",
+        "| 10 | w | 4.00 | 2.00 | 2/2 | 4.00–4.00 | 0.500 | 0.500 |",
     ]
 
 
@@ -224,13 +213,7 @@ def test_committed_table_is_the_table_of_the_committed_files(capsys):
     assert len(rows) == 3 * len(files)
     # BENCH_25.json's readme_pooled figures as CHANGES.md states them: 39.6
     # -> 30.9 ms, lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms;
-    # chained over BENCH_16.json to BENCH_25.json to 0.72; its noise layer
-    # took 0.43 of the parent's time
-    row = next(r for r in rows if r.startswith("| 25 | readme_pooled |"))
-    assert row.startswith("| 25 | readme_pooled | 39.55 | 30.93 | 10/10 | 38.56–41.74 | 0.782 "
-                          "| 0.718 | ")
-    assert "privacy.perturb_s 0.43" in row
-    # files before 25 trace each side once, so they list no per-layer gap
-    assert all(r.endswith("| — |") for r in rows[:3 * sum(n < 25 for n, _ in files)])
+    # chained over BENCH_16.json to BENCH_25.json to 0.72
+    assert "| 25 | readme_pooled | 39.55 | 30.93 | 10/10 | 38.56–41.74 | 0.782 | 0.718 |" in rows
     assert bench_file.main(["--table"]) == 0
     assert capsys.readouterr().out == (root / "BENCH_TABLE.md").read_text(encoding="utf-8")

@@ -17,6 +17,7 @@ from fedcp import cli
 from fedcp.baseline import run_centralized_sgd
 from fedcp.cli import CSV_HEADER, main
 from fedcp.data import partition_rows, read_coo, read_factors, write_factors
+from fedcp.privacy import compose_serial, zcdp_to_dp, zcdp_to_dp_approx
 from fedcp.tensor import FactorizationResult, rmse
 
 
@@ -460,6 +461,18 @@ class TestBudget:
         assert float(last["eps_exact"]) == pytest.approx(1.253941703508117, abs=1e-9)
         assert float(last["eps_approx"]) == pytest.approx(1.2139417035081171, abs=1e-9)
         assert float(last["delta"]) == 1e-4
+
+    def test_every_total_is_the_serial_composition_of_its_releases(self, capsys):
+        rho = 1e-3 / 3  # not a sum of binary fractions, so the order of additions shows
+        assert main(["budget", "--rho", repr(rho), "--delta", "1e-4", "--epochs", "200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 200
+        for e, line in enumerate(lines, start=1):
+            total = compose_serial([rho] * (2 * e))
+            assert line == (
+                f"epoch={e} rho_total={total!r} eps_exact={zcdp_to_dp(total, 1e-4)!r} "
+                f"eps_approx={zcdp_to_dp_approx(total, 1e-4)!r} delta=0.0001"
+            )
 
     def test_epsilon_mode_reports_rho(self, capsys):
         assert main(["budget", "--epsilon", "1.2", "--delta", "1e-4", "--epochs", "20"]) == 0

@@ -770,7 +770,8 @@ class TestCompiledDraws:
         anchors = (np.zeros_like(state.B), np.zeros_like(state.C))
         return solver._compiled_round(state, *anchors, params, 0.0)[0]
 
-    @pytest.mark.parametrize("rank", range(1, 65))
+    # 127 to 257: rows whose sums of squares split the pairwise tree
+    @pytest.mark.parametrize("rank", [*range(1, 65), 127, 128, 129, 136, 257])
     def test_bound_has_the_bits_of_beta_lipschitz(self, rank):
         # factors of mixed scale, so the products of norms and tops pick
         # different factors, and each row's sum order shows in its last bits
@@ -1121,6 +1122,17 @@ class TestBetaLipschitz:
         for a, b, c in ((3.0, -2.0, 0.5), (-2.0, 0.5, 3.0), (0.5, 3.0, -2.0)):
             exact = max((b * c) ** 2, (a * c) ** 2 + gamma, (a * b) ** 2 + gamma)
             assert beta_lipschitz([[a]], [[b]], [[c]], gamma) == exact
+
+    def test_the_layout_of_a_factor_does_not_change_the_bound(self):
+        # a row's pairwise sum runs along contiguous values, so every layout
+        # is summed as the C-ordered factors of a site
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            factors = [rng.standard_normal((n, 9)) * rng.uniform(0.1, 10.0, (n, 1))
+                       for n in (4, 5, 6)]
+            want = beta_lipschitz(*factors, 0.5)
+            assert beta_lipschitz(*map(np.asfortranarray, factors), 0.5) == want
+            assert beta_lipschitz(*(m.tolist() for m in factors), 0.5) == want
 
     @pytest.mark.parametrize("huge", [1e200, 1e300, math.inf])
     def test_zero_factor_next_to_an_overflowing_one_is_never_nan(self, huge):

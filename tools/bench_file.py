@@ -39,11 +39,11 @@ a change is better or worse is for the benchmark's own rule to judge.
 and prints one markdown table of ``run_s``: per file and workload, the
 parent's and the change's median, the pairs in which the change read
 lower, the parent's quartiles, the ratio of the medians and that ratio
-chained over the files so far. A last column lists each per-layer metric
-whose parent and change quartile ranges do not overlap, with the ratio of
-its medians; a metric traced once a side (files before 25) has no range
-and is never listed. Only paired figures compare across files, since the
-host's speed moves from one file to the next.
+chained over the files so far. Only paired figures compare across files,
+since the host's speed moves from one file to the next. The per-layer
+figures stay in each bench file: with three traced runs a side, the
+quartile ranges of two samples of one distribution miss each other about
+a third of the time, so a table of such gaps would list layers by chance.
 """
 
 import argparse
@@ -177,26 +177,12 @@ def bench_files(root=ROOT):
     return sorted(found)
 
 
-def layer_gaps(parent, change):
-    """``name ratio`` for each per-layer metric traced at least twice a side
-    whose parent and change quartile ranges do not overlap, in the parent's
-    order; the ratio is the change's median over the parent's. "—" for none."""
-    gaps = []
-    for name, p in parent.items():
-        c = change.get(name)
-        if c is None or min(p["n"], c["n"]) < 2 or not (p["q3"] < c["q1"] or c["q3"] < p["q1"]):
-            continue
-        shown = f"{c['median'] / p['median']:.2f}" if p["median"] else "from 0"
-        gaps.append(f"{name} {shown}")
-    return ", ".join(gaps) or "—"
-
-
 def table(root=ROOT):
     """The markdown table of ``run_s`` over the bench files in ``root``."""
     lines = [
         "| file | workload | parent ms | change ms | pairs lower | parent q1–q3 ms "
-        "| ratio | chained | per-layer gaps (ratio) |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| ratio | chained |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     chained = {}
     for n, path in bench_files(root):
@@ -211,8 +197,7 @@ def table(root=ROOT):
                 f"| {n} | {workload} | {parent['median'] * 1e3:.2f} | "
                 f"{change['median'] * 1e3:.2f} | {lower}/{len(parent['values'])} | "
                 f"{parent['q1'] * 1e3:.2f}–{parent['q3'] * 1e3:.2f} | {ratio:.3f} | "
-                f"{chained[workload]:.3f} | "
-                f"{layer_gaps(sides['parent']['per_layer'], sides['change']['per_layer'])} |"
+                f"{chained[workload]:.3f} |"
             )
     return "\n".join(lines) + "\n"
 
