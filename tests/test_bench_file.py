@@ -188,7 +188,7 @@ def _bench(run_s_parent, run_s_change):
     """A bench file's workloads entry of one workload, with ``run_s`` alone."""
 
     def side(run_s):
-        return {"end_to_end": {"run_s": _metric(run_s)}, "per_layer": {}}
+        return {"end_to_end": {"run_s": _metric(run_s)}}
 
     return {"workloads": {"w": {"change": side(run_s_change), "parent": side(run_s_parent)}}}
 
