@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fedcp
-from fedcp import cli
+from fedcp import _native, cli
 from fedcp.baseline import run_centralized_sgd
 from fedcp.cli import CSV_HEADER, main
 from fedcp.data import partition_rows, read_coo, read_factors, write_factors
@@ -349,10 +349,48 @@ _PINNED_RUNS = {
 }
 
 
+# the files ``fedcp generate`` writes, with and without the library: the
+# two configs of _PINNED_RUNS, one whose site 1 has every truth component
+# zeroed and whose values carry noise (the zero-valued cells are resampled
+# three times), and one dense enough that the sampler draws a second batch
+_PINNED_GENERATE = {
+    "criterion_09": (_PINNED_RUNS["criterion_09"][0], {
+        "global.coo": "24543bafe92af56f1554c892ac70356128a727be40adb9ec879d57b6e11b82b1",
+        "truth_site_0.factors": "b33d886b6a0da53484c379744b6b586205fb17c329f2c7467c82fdcde44e7d31",
+        "truth_site_1.factors": "4682c7eea3aa0169476ae759ae5df83960390f8729ec51f4636647dcef5b99ef",
+        "truth_site_2.factors": "db7520ccb68506a8f57a615632f38cade8916b1ec714b3021f5926e5177f17cb",
+    }),
+    "readme_default": (_PINNED_RUNS["readme_default"][0], {
+        "global.coo": "f1f14c13a88f7819e5d55d6fa022dd90724c5bb61d2aed0639a82ba78ddd49d1",
+        "truth_site_0.factors": "e451fd6850f652d25e8f69d0671810eee6af9b7bac8bc44735a97216a81ff8b4",
+        "truth_site_1.factors": "dd1309bd08cc3666c3b99ef17823a844a49daf223b4826de710bbd3f84230ef3",
+        "truth_site_2.factors": "4f4f8402cfe01a6d4a60b9f060007f0af5a0179723c2af913fae7222b92141f4",
+        "truth_site_3.factors": "13f53fee935842e37f678e238e0c5871b45b1f4697dce6c819e2c99623877ff9",
+        "truth_site_4.factors": "fd850393f71aabfdbde57a4d47db0965bd40b9899fc92beaa47ff52b6267f722",
+    }),
+    "noisy_resampled": (
+        "dims = 30 6 7\nrank_true = 2\nsparsity = 0.1\nsites = 3\nheterogeneity = 1:0,1\n"
+        "value_noise_std = 0.5\nseed = 5\n", {
+            "global.coo": "ae256774ca960f22dbd81c50f196f172869846b163a1f3094d6a9d54badd64ed",
+            "truth_site_0.factors": "f7e29d665522a50da6b48d363254bbf2c98019bf397dea4125fd3463d6e0e19f",
+            "truth_site_1.factors": "321b886f120b05e47be60e88d4ddcb95dd74cc3d30185430d9f04bda2b13f8f6",
+            "truth_site_2.factors": "115cfea367e9d17286da8df016feb7881aebc8a9a92049eed95b771226c0e7c6",
+        },
+    ),
+    "dense": ("dims = 12 5 6\nrank_true = 2\nsparsity = 0.9\nsites = 2\nseed = 3\n", {
+        "global.coo": "0a396683c1e6dbb67e97e79256fcb55a266a49c577bcf9efb808f30be80ae32d",
+        "truth_site_0.factors": "bcd1cffc348fa16bff5ee024795b147e1f1aff422f6b1fec2a9ec2974dc4ea05",
+        "truth_site_1.factors": "63c0884f781118cf27eda9fb094347fde15192d45ed1361db9d1023f9ccf6a23",
+    }),
+}
+
+
 class TestPinnedBytes:
     """The metrics CSV and factor files of a budget-first run, and of a
     noise-free run that stops after round 2 or later, keep the bytes they had
-    when the stop rule still read the sites' own factors."""
+    when the stop rule still read the sites' own factors; the files
+    ``fedcp generate`` writes keep the bytes they had when the sampler
+    sorted every draw."""
 
     @pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
     def test_files_match_their_digests(self, name, tmp_path, monkeypatch, capsys):
@@ -363,6 +401,23 @@ class TestPinnedBytes:
         assert main(["run", "--config", "cfg.txt", *flags]) == code
         written = [tmp_path / "metrics.csv", *sorted((tmp_path / "factors").iterdir())]
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == digests
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_GENERATE))
+    def test_generated_files_match_their_digests(self, name, tmp_path, monkeypatch,
+                                                 without_library):
+        config, digests = _PINNED_GENERATE[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text(config)
+
+        def generated():
+            assert main(["generate", "--config", "cfg.txt"]) == 0
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (tmp_path / "data").iterdir()}
+
+        if _native.LIBRARY is not None:
+            assert generated() == digests
+        with without_library():
+            assert generated() == digests
 
 
 class TestEvaluate:
