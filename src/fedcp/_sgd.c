@@ -82,12 +82,9 @@ static inline int clip_row(double *g, int64_t rank, double sq, double clip)
 /* How far ahead in the shuffled order sgd_pass prefetches an entry's
  * coords and value, and its rows of A, B and C: the coords must be in
  * cache before the row addresses are read from them. It pays where a
- * shard outgrows the cache: on a 48k-entry, rank-5 site of the
- * cli_large_io workload, site_round took 74 ns per entry against 99
- * without it (medians of 10 alternations on one 2-vCPU x86-64 host). The
- * readme_pooled sites (2.3k entries, rank 50) showed no difference, and
- * a small_rounds site (217 entries, in L1) about 2 ns more per entry with
- * it. */
+ * shard outgrows the cache, as a cli_large_io site does (48k entries at
+ * rank 5); a shard that fits in cache, as a readme_pooled or small_rounds
+ * site does, waits on no load it could hide. */
 #define PREFETCH_ENTRY 16
 #define PREFETCH_ROWS 4
 
@@ -242,23 +239,17 @@ sgd_pass(int64_t nnz, const int64_t *order, const int64_t *coords, const double 
 
 /* sgd_pass with ranks 3, 5 and 50 as literals, and any other rank as the
  * variable. Those are the ranks the benchmark's workloads run
- * (small_rounds, cli_large_io and readme_pooled): the literal cut rank 3
- * from 55 to 45 ns per entry on a small_rounds shard (217 entries, tau 3)
- * and rank 5 from 58 to 53 on a 48k-entry cli_large_io shard (medians of
- * 20 alternating calls on one 2-vCPU x86-64 host). At rank 50 a step
- * waits on chains of 50 additions, and the literal and the pairs each
- * shorten the wait: on a readme_pooled-shaped site (2,427 entries, clip 1,
- * tau 5) site_round took 267 ns per entry, 258 with the literal alone, 262
- * with pairs alone and 245 with both (the best of 7 x 40 alternating
- * calls, same host). Only the rank-50 body steps pairs. At ranks 3 and 5
- * pairs gained nothing: with them site_round took 27.0 against 25.5 ns
- * per entry at rank 3 (203 entries, tau 3) and 45.2 against 42.7 at rank
- * 5 (48k entries, tau 1). The body for any other rank steps one entry at
- * a time, as no workload runs such a rank and nothing measured pairs
- * there. Each body costs build time: the rank-50 one takes an -O3 build
- * from about 1.6 to 2.0 s. A literal for a rank that no workload runs, or
- * pairs in a body no workload takes, adds code to every build for a gain
- * that nothing measures end to end.
+ * (small_rounds, cli_large_io and readme_pooled); the paired runs of the
+ * literals are the rows of file 24 (ranks 3 and 5) and of file 28 (rank
+ * 50 and the pairs) in BENCH_TABLE.md. At rank 50 a step waits on chains
+ * of 50 additions, and the literal and the pairs each shorten the wait.
+ * Only the rank-50 body steps pairs: at ranks 3 and 5 a step is short,
+ * and pairs read slower there. The body for any other rank steps one
+ * entry at a time, as no workload runs such a rank and nothing measured
+ * pairs there. Each body costs build time, the rank-50 one the most. A
+ * literal for a rank that no workload runs, or pairs in a body no
+ * workload takes, adds code to every build for a gain that nothing
+ * measures end to end.
  */
 static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *coords,
                             const double *values, double *A, double *B, double *C,
@@ -283,11 +274,10 @@ static int64_t pass_at_rank(int64_t nnz, const int64_t *order, const int64_t *co
  *
  * Four entries are summed in one loop, as four chains each in its own
  * order, and the zero to three left over one at a time; the chains only
- * overlap in time, so no sum is reordered. On the 12,000 entries of a
- * readme_pooled tensor at rank 50 a call took 233 against 325 us one
- * entry at a time, and on the 240,000 of a cli_large_io tensor 720
- * against 848 us at rank 5 and no longer at any rank from 1 to 16 (the
- * best of 30 alternating calls, one 2-vCPU x86-64 host).
+ * overlap in time, so no sum is reordered. A long sum (rank 50, the
+ * readme_pooled tensor) waits on its chain of additions, which the four
+ * chains overlap; the paired runs that first took this loop are file 28
+ * in BENCH_TABLE.md.
  */
 void model_values(int64_t nnz, const int64_t *coords, const double *A,
                   const double *B, const double *C, int64_t rank, double *out)
@@ -1132,9 +1122,7 @@ static const unsigned char *scan_value(const unsigned char *p, const unsigned ch
 /* The number of '\n' bytes in buf[0..len): data.read_coo sizes the
  * arrays of parse_coo by it. The compiler vectorises the inner loop at
  * -O3; its count is one byte wide, so it can compare 16 bytes per
- * instruction, and a block of 255 bytes cannot wrap it. On the 7.7 MB
- * cli_large_io file: 0.4 ms, against 1.6 ms for an int64 count per byte
- * and 5.4 ms for Python's bytes.count (one x86-64 host). */
+ * instruction, and a block of 255 bytes cannot wrap it. */
 int64_t count_newlines(const char *buf, int64_t len)
 {
     int64_t n = 0;

@@ -67,29 +67,107 @@ class SynthSpec:
                 raise ValueError(f"heterogeneity column out of range for site {site}")
 
 
-def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=None) -> np.ndarray:
-    """First ``count`` distinct draws from uniform sampling of [0, total)
-    that are not among the distinct cells ``taken``. Raises RuntimeError,
-    before drawing, when fewer than ``count`` cells are left."""
-    chosen = np.empty(0, dtype=np.int64) if taken is None else taken
-    end = chosen.size + count
-    if end > total:
+def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=None):
+    """The first ``count`` distinct draws from uniform sampling of [0, total)
+    that are not among the cells ``taken`` (ascending, distinct), as
+    ``(cells, draws)``: the cells in ascending order, and the same cells in
+    the order they were first drawn. Raises RuntimeError, before drawing,
+    when fewer than ``count`` cells are left.
+
+    While the draws so far hold fewer than ``count`` new cells, it draws a
+    batch of ``max(count, 2 * (cells still wanted))`` and takes its cells
+    with ``_first_distinct``: the batches, and so the stream, of a sampler
+    that sorts every draw."""
+    held = np.empty(0, dtype=np.int64) if taken is None else taken
+    if held.size + count > total:
         raise RuntimeError(
-            f"cannot draw {count} more distinct cells: {chosen.size} of {total} are taken"
+            f"cannot draw {count} more distinct cells: {held.size} of {total} are taken"
         )
-    while chosen.size < end:
-        batch = rng.integers(0, total, size=max(count, 2 * (end - chosen.size)))
-        acc = np.concatenate([chosen, batch])
-        # the first position of each distinct cell is the least position in
-        # its run of the sorted draws, so the sort need not be stable
-        perm = np.argsort(acc)
-        ordered = acc[perm]
-        starts = np.empty(acc.size, dtype=bool)
-        starts[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-        first = np.minimum.reduceat(perm, np.flatnonzero(starts))
-        chosen = acc[np.sort(first)]
-    return chosen[end - count : end]
+    cells = draws = np.empty(0, dtype=np.int64)
+    while draws.size < count:
+        batch = rng.integers(0, total, size=max(count, 2 * (count - draws.size)))
+        new, new_draws = _first_distinct(batch, count - draws.size, held)
+        if draws.size:
+            (cells,) = _merge(cells, new)
+            draws = np.concatenate([draws, new_draws])
+        else:
+            cells, draws = new, new_draws
+        if draws.size < count:  # the batch ran out of new cells: the next one skips its cells
+            (held,) = _merge(held, new)
+    return cells, draws
+
+
+def _first_distinct(batch, want: int, held):
+    """The first ``want`` distinct cells of ``batch`` that are not ``held``
+    (ascending), or all of them when there are fewer, as ``(cells, draws)``
+    in the form ``_sample_distinct`` returns.
+
+    Only the head of ``want`` draws is sorted. Each repeat in it (a cell
+    drawn earlier, or held) is replaced by a new cell from past the head,
+    read in order in chunks of at least twice the cells still wanted and
+    twice the chunk before, so that a batch takes few chunks. Past the
+    sort, a Python loop visits only the copies of repeated cells and the
+    draws past the head that no array holds: its work grows with the
+    repeats, the rest is a few passes over arrays of the head's length."""
+    head = batch[:want]
+    cells = np.sort(head)
+    repeat = np.zeros(want, dtype=bool)  # a later copy of a cell, or a held cell
+    np.equal(cells[1:], cells[:-1], out=repeat[1:])
+    seen = set()
+    if held.size:
+        hit = _isin(cells, held)
+        seen.update(cells[hit].tolist())
+        repeat |= hit
+    if not repeat.any():
+        return cells, head
+    # the head's draws that add no cell: every copy of a held cell, and
+    # every copy of a drawn cell but its first
+    copies = np.flatnonzero(_isin(head, cells[repeat]))
+    keep = np.ones(want, dtype=bool)
+    for at, cell in zip(copies.tolist(), head[copies].tolist()):
+        if cell in seen:
+            keep[at] = False
+        else:
+            seen.add(cell)
+    cells = cells[~repeat]
+    missing = want - cells.size
+    extra = []
+    start, step = want, 0
+    while len(extra) < missing and start < batch.size:
+        step = max(2 * (missing - len(extra)), 2 * step)
+        chunk = batch[start : start + step]
+        start += chunk.size
+        for cell in chunk[~(_isin(chunk, cells) | _isin(chunk, held))].tolist():
+            if cell not in seen:
+                seen.add(cell)
+                extra.append(cell)
+                if len(extra) == missing:
+                    break
+    extra = np.array(extra, dtype=np.int64)
+    (cells,) = _merge(cells, np.sort(extra))
+    return cells, np.concatenate([head[keep], extra])
+
+
+def _isin(values, ascending):
+    """Whether each of ``values`` is in the ascending array ``ascending``."""
+    if not ascending.size:
+        return np.zeros(values.shape, dtype=bool)
+    at = np.searchsorted(ascending, values)
+    return ascending[np.minimum(at, ascending.size - 1)] == values
+
+
+def _merge(cells, new, *columns):
+    """``cells`` with the cells ``new`` inserted (both ascending, none in
+    both), then each ``(old, added)`` pair of ``columns``, arrays whose rows
+    go with ``cells`` and with ``new``, with its added rows at the same
+    places."""
+    at = np.searchsorted(cells, new)
+    return [np.insert(old, at, added, axis=0) for old, added in ((cells, new), *columns)]
+
+
+def _coords(cells, dims) -> np.ndarray:
+    """The (n, 3) int64 coordinates of cells numbered in C order."""
+    return np.stack(np.unravel_index(cells, dims), axis=1).astype(np.int64, copy=False)
 
 
 def generate_synthetic(spec: SynthSpec):
@@ -101,12 +179,14 @@ def generate_synthetic(spec: SynthSpec):
     (coordinates whose truth value is zero are resampled), plus optional
     Gaussian observation noise. The values come from ``tensor.model_values``,
     so a host with or without the compiled library gives the same bytes.
+    The truths share one B and one C, and each A is a view of one array:
+    all three arrays are read-only.
 
     Raises ValueError when the spec implies no entries or more entries than
     cells, and RuntimeError when zero-valued cells cannot all be replaced:
     too few cells are left to draw from, or 100 resamples still hit zeros.
     """
-    i_dim, j_dim, k_dim = spec.dims
+    i_dim, j_dim, k_dim = dims = tuple(int(d) for d in spec.dims)
     total_cells = i_dim * j_dim * k_dim
     scaled = spec.sparsity * total_cells
     if scaled < 1.0:
@@ -127,26 +207,43 @@ def generate_synthetic(spec: SynthSpec):
         for c in cols:
             truth_a[lo:hi, c] = 0.0
 
-    lin = _sample_distinct(rng, total_cells, target)
+    # ``cells`` is the stored order, ascending, and ``draws`` the order in
+    # which the cells were drawn
+    cells, draws = _sample_distinct(rng, total_cells, target)
+    coords = _coords(cells, dims)
+    values = model_values(truth_a, truth_b, truth_c, coords)
     for _ in range(101):  # the first draw, then up to 100 resamples of zero-valued cells
-        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64, copy=False)
-        values = model_values(truth_a, truth_b, truth_c, coords)
-        dead = values == 0.0
-        need = int(dead.sum())
-        if need == 0:
+        dead = np.flatnonzero(values == 0.0)
+        if not dead.size:
             break
-        lin[dead] = _sample_distinct(rng, total_cells, need, taken=lin)
+        new, new_draws = _sample_distinct(rng, total_cells, dead.size, taken=cells)
+        # the n-th new draw takes the place of the n-th dead cell drawn
+        draws[np.flatnonzero(_isin(draws, cells[dead]))] = new_draws
+        new_coords = _coords(new, dims)
+        cells, coords, values = _merge(
+            np.delete(cells, dead), new,
+            (np.delete(coords, dead, axis=0), new_coords),
+            (np.delete(values, dead), model_values(truth_a, truth_b, truth_c, new_coords)),
+        )
     else:
         raise RuntimeError("could not find non-zero cells; truth factors degenerate")
 
+    # distinct cells give distinct coordinates inside dims, and a truth
+    # value left after the resample is finite and non-zero, so the tensor
+    # is valid by construction; noise can make a value zero or overflow
+    make = SparseTensorCOO._unchecked
     if spec.value_noise_std > 0:
-        values = values + rng.normal(0.0, spec.value_noise_std, size=values.shape)
-
-    order = np.argsort(lin)
-    tensor = SparseTensorCOO(spec.dims, coords[order], values[order])
+        # the n-th noise value goes to the n-th cell drawn
+        noise = rng.normal(0.0, spec.value_noise_std, size=values.shape)
+        values = values + noise[np.argsort(draws)]
+        make = SparseTensorCOO
+    tensor = make(dims, coords, values)
     shards = partition_rows(tensor, spec.n_sites)
+    # uniform [0, 1) or zero: finite, 2-D and of one rank by construction
+    for m in (truth_a, truth_b, truth_c):
+        m.flags.writeable = False
     truths = [
-        FactorizationResult(truth_a[starts[t] : starts[t + 1]], truth_b, truth_c)
+        FactorizationResult._unchecked(truth_a[starts[t] : starts[t + 1]], truth_b, truth_c)
         for t in range(spec.n_sites)
     ]
     return tensor, shards, truths

@@ -85,9 +85,10 @@ class SparseTensorCOO:
         """A tensor that skips ``__post_init__``, for arrays valid by
         construction: ``dims`` a tuple of three ints, ``coords`` (nnz, 3)
         int64 inside them with no repeat, ``values`` (nnz,) finite non-zero
-        float64. Its two callers build from a validated tensor:
-        ``data.partition_rows`` cuts shards and ``data.permute_rows``
-        relabels rows."""
+        float64. ``data.partition_rows`` cuts shards of a validated tensor,
+        ``data.permute_rows`` relabels its rows, and
+        ``data.generate_synthetic`` builds a noise-free tensor from
+        distinct cells and non-zero truth values."""
         tensor = object.__new__(cls)
         object.__setattr__(tensor, "dims", dims)
         object.__setattr__(tensor, "coords", coords)
@@ -113,6 +114,17 @@ class FactorizationResult:
         object.__setattr__(self, "C", as_factor(self.C))
         if not (self.A.shape[1] == self.B.shape[1] == self.C.shape[1]):
             raise DimensionError("factor matrices must share one rank")
+
+    @classmethod
+    def _unchecked(cls, A, B, C) -> "FactorizationResult":
+        """A triple that skips ``__post_init__``, for 2-D finite float64
+        factors of one rank, kept as given (no copy). Its caller is
+        ``data.generate_synthetic``, whose truths are uniform [0, 1) or zero."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "A", A)
+        object.__setattr__(result, "B", B)
+        object.__setattr__(result, "C", C)
+        return result
 
     @property
     def rank(self) -> int:

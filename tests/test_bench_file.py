@@ -211,6 +211,11 @@ def test_committed_table_is_the_table_of_the_committed_files(capsys):
     files = bench_file.bench_files(root)
     rows = bench_file.table(root).splitlines()[2:]
     assert len(rows) == 3 * len(files)
+    setup_rows = bench_file.table(root, "setup_s").splitlines()[2:]
+    assert len(setup_rows) == 3 * len(files)
+    # BENCH_32.json's readme_pooled set-up as CHANGES.md states it: 9.56 ->
+    # 3.33 ms, lower in 10/10 pairs, the parent's quartiles 9.43-9.68 ms
+    assert "| 32 | readme_pooled | 9.56 | 3.33 | 10/10 | 9.43–9.68 | 0.348 | 0.296 |" in setup_rows
     # BENCH_25.json's readme_pooled figures as CHANGES.md states them: 39.6
     # -> 30.9 ms, lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms;
     # chained over BENCH_16.json to BENCH_25.json to 0.72

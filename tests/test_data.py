@@ -1,5 +1,6 @@
 """Synthetic generation, COO files, partitioning, and config loading."""
 
+import contextlib
 import math
 import re
 import shutil
@@ -32,7 +33,13 @@ from fedcp.errors import ConfigError, ParseError, ProtocolError
 from fedcp.federation import RoundMessage, ServerState, server_update
 from fedcp.privacy import PrivacyParams
 from fedcp.solver import SiteState, SolverParams, beta_lipschitz, run_local_epoch
-from fedcp.tensor import FactorizationResult, SparseTensorCOO, reconstruct_values, rmse
+from fedcp.tensor import (
+    FactorizationResult,
+    SparseTensorCOO,
+    model_values,
+    reconstruct_values,
+    rmse,
+)
 
 
 class TestGenerateSynthetic:
@@ -97,10 +104,11 @@ class TestGenerateSynthetic:
     def test_resample_draws_distinct_cells_outside_taken(self):
         # the zero-value resample uses the first draw's sampler, told which
         # cells are held: 6 of 9 cells taken, 3 wanted leaves one answer
-        taken = np.array([4, 0, 7, 2, 5, 1], dtype=np.int64)
-        fresh = data._sample_distinct(np.random.default_rng(0), 9, 3, taken=taken)
-        assert sorted(fresh.tolist()) == [3, 6, 8]
-        assert taken.tolist() == [4, 0, 7, 2, 5, 1]
+        taken = np.array([0, 1, 2, 4, 5, 7], dtype=np.int64)
+        cells, draws = data._sample_distinct(np.random.default_rng(0), 9, 3, taken=taken)
+        assert cells.tolist() == [3, 6, 8]
+        assert sorted(draws.tolist()) == [3, 6, 8]
+        assert taken.tolist() == [0, 1, 2, 4, 5, 7]
 
     def test_too_few_cells_left_is_an_error(self):
         # every one of the 16 cells is drawn and site 0's 8 are zero-valued,
@@ -136,6 +144,15 @@ class TestGenerateSynthetic:
         for a, b in zip(compiled, python):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
+    def test_truths_are_read_only(self):
+        _, _, truths = generate_synthetic(
+            SynthSpec(dims=(20, 8, 9), rank_true=2, sparsity=2e-2, n_sites=2, seed=3)
+        )
+        for truth in truths:
+            for m in (truth.A, truth.B, truth.C):
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 1.0
+
     def test_rejects_empty_target(self):
         with pytest.raises(ValueError):
             generate_synthetic(SynthSpec(dims=(10, 10, 10), sparsity=1e-9, n_sites=1, rank_true=2))
@@ -168,16 +185,130 @@ def _generated_arrays(generated):
 
 
 def _sample_distinct_by_unique(rng, total, count, taken=None):
-    """The sampler with a stable sort, through ``np.unique``: the reference
-    that ``data._sample_distinct`` must match draw for draw."""
+    """The sampler with a stable sort of every draw, through ``np.unique``:
+    the reference that ``data._sample_distinct`` must match draw for draw.
+    Returns the cells in the order they were drawn; ``taken`` may be in any
+    order."""
     chosen = np.empty(0, dtype=np.int64) if taken is None else taken
     end = chosen.size + count
+    if end > total:
+        raise RuntimeError(
+            f"cannot draw {count} more distinct cells: {chosen.size} of {total} are taken"
+        )
     while chosen.size < end:
         batch = rng.integers(0, total, size=max(count, 2 * (end - chosen.size)))
         acc = np.concatenate([chosen, batch])
         _, first = np.unique(acc, return_index=True)
         chosen = acc[np.sort(first)]
     return chosen[end - count : end]
+
+
+def _generate_by_draw_order(spec):
+    """``generate_synthetic`` as it was when it kept the cells in the order
+    they were drawn: the reference sampler, the values in draw order, one
+    sort of the cells at the end, and every tensor and truth checked."""
+    i_dim, j_dim, k_dim = spec.dims
+    total_cells = i_dim * j_dim * k_dim
+    scaled = spec.sparsity * total_cells
+    if scaled < 1.0:
+        raise ValueError("sparsity too small: no entries to generate")
+    target = math.ceil(round(scaled, 9))
+    if target > total_cells:
+        raise ValueError("sparsity implies more entries than cells")
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
+    truth_a = rng.random((i_dim, spec.rank_true))
+    truth_b = rng.random((j_dim, spec.rank_true))
+    truth_c = rng.random((k_dim, spec.rank_true))
+    starts = data._block_starts(i_dim, spec.n_sites)
+    for site, cols in spec.heterogeneity.items():
+        for c in cols:
+            truth_a[starts[site] : starts[site + 1], c] = 0.0
+    lin = _sample_distinct_by_unique(rng, total_cells, target)
+    for _ in range(101):
+        coords = np.stack(np.unravel_index(lin, spec.dims), axis=1).astype(np.int64, copy=False)
+        values = model_values(truth_a, truth_b, truth_c, coords)
+        dead = values == 0.0
+        need = int(dead.sum())
+        if need == 0:
+            break
+        lin[dead] = _sample_distinct_by_unique(rng, total_cells, need, taken=lin)
+    else:
+        raise RuntimeError("could not find non-zero cells; truth factors degenerate")
+    if spec.value_noise_std > 0:
+        values = values + rng.normal(0.0, spec.value_noise_std, size=values.shape)
+    order = np.argsort(lin)
+    tensor = SparseTensorCOO(spec.dims, coords[order], values[order])
+    truths = [
+        FactorizationResult(truth_a[starts[t] : starts[t + 1]], truth_b, truth_c)
+        for t in range(spec.n_sites)
+    ]
+    return tensor, partition_rows(tensor, spec.n_sites), truths
+
+
+def _outcome_and_stream(generate, spec):
+    """What ``generate(spec)`` returns or raises, and the state its random
+    generator is left in (None when it raised before making one)."""
+    made = []
+    real = np.random.default_rng
+
+    def recording(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        try:
+            outcome = generate(spec)
+        except (ValueError, RuntimeError) as exc:
+            outcome = exc
+    return outcome, made[0].bit_generator.state if made else None
+
+
+@st.composite
+def _generator_cases(draw):
+    # few cells, where batches repeat cells and run out, and a site whose
+    # every component is zeroed forces resamples; or up to 27,000 cells,
+    # where a head holds a few repeats, or many when dense
+    few = draw(st.booleans())
+    dims = draw(st.tuples(*[st.integers(1, 6) if few else st.integers(5, 30)] * 3))
+    rank = draw(st.integers(1, 4))
+    n_sites = draw(st.integers(1, min(dims[0], 4)))
+    components = st.lists(st.integers(0, rank - 1), max_size=rank - (not few), unique=True)
+    spec = SynthSpec(
+        dims=dims,
+        rank_true=rank,
+        sparsity=draw(st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.5, 0.9, 1.0]))),
+        n_sites=n_sites,
+        heterogeneity=draw(st.dictionaries(
+            st.integers(0, n_sites - 1), components.map(tuple), max_size=n_sites,
+        )),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        value_noise_std=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5])),
+    )
+    return spec, draw(st.booleans())
+
+
+class TestDrawOrderReference:
+    """``generate_synthetic`` against ``_generate_by_draw_order``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_generator_cases())
+    def test_matches_the_draw_order_reference(self, case, without_library):
+        spec, library = case
+        with contextlib.ExitStack() as stack:
+            if not library:
+                stack.enter_context(without_library())
+            expected, expected_state = _outcome_and_stream(_generate_by_draw_order, spec)
+            got, state = _outcome_and_stream(generate_synthetic, spec)
+        if isinstance(expected, Exception):
+            assert (type(got), str(got)) == (type(expected), str(expected))
+            return
+        # the same tensor, shards and truths, and the stream left where it was
+        assert state == expected_state
+        got, expected = _generated_arrays(got), _generated_arrays(expected)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @st.composite
@@ -187,7 +318,7 @@ def _sampler_cases(draw):
     total = draw(st.one_of(st.integers(1, 40), st.integers(41, 10**6), st.integers(10**6, 2**62)))
     cells = st.integers(0, total - 1)
     held = draw(st.lists(cells, max_size=min(total - 1, 60), unique=True))
-    taken = None if not held and draw(st.booleans()) else np.array(held, dtype=np.int64)
+    taken = None if not held and draw(st.booleans()) else np.array(sorted(held), dtype=np.int64)
     count = draw(st.integers(1, min(total - len(held), 3000)))
     return draw(st.integers(0, 2**32 - 1)), total, count, taken
 
@@ -198,9 +329,10 @@ class TestSampleDistinct:
     def test_matches_the_stable_sort_reference(self, case):
         seed, total, count, taken = case
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = data._sample_distinct(rng, total, count, taken)
+        cells, draws = data._sample_distinct(rng, total, count, taken)
         expected = _sample_distinct_by_unique(ref_rng, total, count, taken)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert draws.dtype == expected.dtype and np.array_equal(draws, expected)
+        assert cells.dtype == expected.dtype and np.array_equal(cells, np.sort(expected))
         # the same draws were consumed
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -839,7 +971,7 @@ class TestValuesReadAsFloat:
 
 _SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
 # the ranks of the driver's ROUND_RANKS
-_DRIVER_RANKS = (*range(1, 10), 16, 50)
+_DRIVER_RANKS = (*range(1, 10), 16, 50, 129)
 _DRIVER = Path(__file__).with_name("sanitize_driver.c")
 
 

@@ -36,10 +36,10 @@ suite in each checkout. It records numbers and passes no verdict: whether
 a change is better or worse is for the benchmark's own rule to judge.
 
 ``--table`` reads every ``BENCH_<n>.json`` at the root of this checkout
-and prints one markdown table of ``run_s``: per file and workload, the
-parent's and the change's median, the pairs in which the change read
-lower, the parent's quartiles, the ratio of the medians and that ratio
-chained over the files so far. Only paired figures compare across files,
+and prints one markdown table of ``run_s`` and one of ``setup_s``: per
+file and workload, the parent's and the change's median, the pairs in
+which the change read lower, the parent's quartiles, the ratio of the
+medians and that ratio chained over the files so far. Only paired figures compare across files,
 since the host's speed moves from one file to the next. The per-layer
 figures stay in each bench file: with three traced runs a side, the
 quartile ranges of two samples of one distribution miss each other about
@@ -177,8 +177,12 @@ def bench_files(root=ROOT):
     return sorted(found)
 
 
-def table(root=ROOT):
-    """The markdown table of ``run_s`` over the bench files in ``root``."""
+TABLE_METRICS = ("run_s", "setup_s")
+
+
+def table(root=ROOT, metric="run_s"):
+    """The markdown table of the end-to-end ``metric``, in seconds, over
+    the bench files in ``root``."""
     lines = [
         "| file | workload | parent ms | change ms | pairs lower | parent q1–q3 ms "
         "| ratio | chained |",
@@ -189,7 +193,7 @@ def table(root=ROOT):
         with open(path, encoding="utf-8") as fh:
             workloads = json.load(fh)["workloads"]
         for workload, sides in workloads.items():
-            parent, change = (sides[side]["end_to_end"]["run_s"] for side in ("parent", "change"))
+            parent, change = (sides[side]["end_to_end"][metric] for side in ("parent", "change"))
             lower = sum(c < p for c, p in zip(change["values"], parent["values"]))
             ratio = change["median"] / parent["median"]
             chained[workload] = chained.get(workload, 1.0) * ratio
@@ -211,7 +215,8 @@ def main(argv=None):
                         help="print the table of the committed bench files instead")
     args = parser.parse_args(argv)
     if args.table:
-        sys.stdout.write(table())
+        sys.stdout.write("\n".join(f"## {metric}\n\n{table(metric=metric)}"
+                                   for metric in TABLE_METRICS))
         return 0
     if None in (args.out, args.seeds, args.parent):
         parser.error("--out, --seeds and --parent are required without --table")
