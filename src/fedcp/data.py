@@ -48,8 +48,8 @@ class SynthSpec:
     value_noise_std: float = 0.0
 
     def __post_init__(self):
-        if min(self.dims) < 1:
-            raise ValueError("dims must be positive")
+        if min(self.dims) < 1 or math.prod(map(int, self.dims)) > np.iinfo(np.int64).max:
+            raise ValueError(f"dims {self.dims} must be positive with a product below 2**63")
         if not 0 < self.sparsity <= 1:
             raise ValueError("sparsity must lie in (0, 1]")
         if self.rank_true < 1:
@@ -65,6 +65,10 @@ class SynthSpec:
                 raise ValueError(f"heterogeneity names unknown site {site}")
             if any(not 0 <= c < self.rank_true for c in cols):
                 raise ValueError(f"heterogeneity column out of range for site {site}")
+        if len(self.heterogeneity) == self.n_sites and all(
+            len(set(cols)) == self.rank_true for cols in self.heterogeneity.values()
+        ):
+            raise ValueError("heterogeneity zeroes every component at every site: every cell is zero")
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=None):
@@ -88,12 +92,12 @@ def _sample_distinct(rng: np.random.Generator, total: int, count: int, taken=Non
         batch = rng.integers(0, total, size=max(count, 2 * (count - draws.size)))
         new, new_draws = _first_distinct(batch, count - draws.size, held)
         if draws.size:
-            (cells,) = _merge(cells, new)
+            cells = _merge(cells, new)
             draws = np.concatenate([draws, new_draws])
         else:
             cells, draws = new, new_draws
         if draws.size < count:  # the batch ran out of new cells: the next one skips its cells
-            (held,) = _merge(held, new)
+            held = _merge(held, new)
     return cells, draws
 
 
@@ -102,50 +106,34 @@ def _first_distinct(batch, want: int, held):
     (ascending), or all of them when there are fewer, as ``(cells, draws)``
     in the form ``_sample_distinct`` returns.
 
-    Only the head of ``want`` draws is sorted. Each repeat in it (a cell
-    drawn earlier, or held) is replaced by a new cell from past the head,
-    read in order in chunks of at least twice the cells still wanted and
-    twice the chunk before, so that a batch takes few chunks. Past the
-    sort, a Python loop visits only the copies of repeated cells and the
-    draws past the head that no array holds: its work grows with the
-    repeats, the rest is a few passes over arrays of the head's length."""
-    head = batch[:want]
-    cells = np.sort(head)
-    repeat = np.zeros(want, dtype=bool)  # a later copy of a cell, or a held cell
-    np.equal(cells[1:], cells[:-1], out=repeat[1:])
-    seen = set()
+    Held draws are dropped first. Of the rest, only a prefix is sorted: the
+    head of ``want`` draws, then, while repeats leave ``m`` cells missing,
+    the next ``m`` draws, merged in. A draw adds at most one cell, so the
+    prefix never holds more than ``want``. The later copies are then
+    dropped in one pass over the copies alone."""
     if held.size:
-        hit = _isin(cells, held)
-        seen.update(cells[hit].tolist())
-        repeat |= hit
+        batch = batch[~_isin(batch, held)]
+    cells = np.sort(batch[:want])  # the prefix's draws, ascending
+    end = cells.size
+    while True:
+        repeat = np.zeros(end, dtype=bool)  # a later copy of a cell
+        np.equal(cells[1:], cells[:-1], out=repeat[1:])
+        missing = want - end + np.count_nonzero(repeat)
+        if not missing or end == batch.size:
+            break
+        new = np.sort(batch[end : end + missing])
+        end += new.size
+        cells = _merge(cells, new)
+    draws = batch[:end]
     if not repeat.any():
-        return cells, head
-    # the head's draws that add no cell: every copy of a held cell, and
-    # every copy of a drawn cell but its first
-    copies = np.flatnonzero(_isin(head, cells[repeat]))
-    keep = np.ones(want, dtype=bool)
-    for at, cell in zip(copies.tolist(), head[copies].tolist()):
-        if cell in seen:
-            keep[at] = False
-        else:
-            seen.add(cell)
-    cells = cells[~repeat]
-    missing = want - cells.size
-    extra = []
-    start, step = want, 0
-    while len(extra) < missing and start < batch.size:
-        step = max(2 * (missing - len(extra)), 2 * step)
-        chunk = batch[start : start + step]
-        start += chunk.size
-        for cell in chunk[~(_isin(chunk, cells) | _isin(chunk, held))].tolist():
-            if cell not in seen:
-                seen.add(cell)
-                extra.append(cell)
-                if len(extra) == missing:
-                    break
-    extra = np.array(extra, dtype=np.int64)
-    (cells,) = _merge(cells, np.sort(extra))
-    return cells, np.concatenate([head[keep], extra])
+        return cells, draws
+    # every draw of a repeated cell, and the first of them for each cell
+    copies = np.flatnonzero(_isin(draws, cells[repeat]))
+    _, first = np.unique(draws[copies], return_index=True)
+    keep = np.ones(end, dtype=bool)
+    keep[copies] = False
+    keep[copies[first]] = True
+    return cells[~repeat], draws[keep]
 
 
 def _isin(values, ascending):
@@ -156,13 +144,9 @@ def _isin(values, ascending):
     return ascending[np.minimum(at, ascending.size - 1)] == values
 
 
-def _merge(cells, new, *columns):
-    """``cells`` with the cells ``new`` inserted (both ascending, none in
-    both), then each ``(old, added)`` pair of ``columns``, arrays whose rows
-    go with ``cells`` and with ``new``, with its added rows at the same
-    places."""
-    at = np.searchsorted(cells, new)
-    return [np.insert(old, at, added, axis=0) for old, added in ((cells, new), *columns)]
+def _merge(cells, new):
+    """The ascending ``cells`` with the ascending ``new`` inserted."""
+    return np.insert(cells, np.searchsorted(cells, new), new)
 
 
 def _coords(cells, dims) -> np.ndarray:
@@ -212,21 +196,23 @@ def generate_synthetic(spec: SynthSpec):
     cells, draws = _sample_distinct(rng, total_cells, target)
     coords = _coords(cells, dims)
     values = model_values(truth_a, truth_b, truth_c, coords)
-    for _ in range(101):  # the first draw, then up to 100 resamples of zero-valued cells
+    if not values.all():
+        # resample in draw order: the n-th new draw takes the place of the
+        # n-th zero-valued cell drawn, and only the new cells get values
+        values = values[np.searchsorted(cells, draws)]
         dead = np.flatnonzero(values == 0.0)
-        if not dead.size:
-            break
-        new, new_draws = _sample_distinct(rng, total_cells, dead.size, taken=cells)
-        # the n-th new draw takes the place of the n-th dead cell drawn
-        draws[np.flatnonzero(_isin(draws, cells[dead]))] = new_draws
-        new_coords = _coords(new, dims)
-        cells, coords, values = _merge(
-            np.delete(cells, dead), new,
-            (np.delete(coords, dead, axis=0), new_coords),
-            (np.delete(values, dead), model_values(truth_a, truth_b, truth_c, new_coords)),
-        )
-    else:
-        raise RuntimeError("could not find non-zero cells; truth factors degenerate")
+        for _ in range(100):
+            _, new = _sample_distinct(rng, total_cells, dead.size, taken=np.sort(draws))
+            draws[dead] = new
+            values[dead] = model_values(truth_a, truth_b, truth_c, _coords(new, dims))
+            dead = dead[values[dead] == 0.0]
+            if not dead.size:
+                break
+        else:
+            raise RuntimeError("could not find non-zero cells; truth factors degenerate")
+        order = np.argsort(draws)
+        cells, values = draws[order], values[order]
+        coords = _coords(cells, dims)
 
     # distinct cells give distinct coordinates inside dims, and a truth
     # value left after the resample is finite and non-zero, so the tensor

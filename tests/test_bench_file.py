@@ -206,6 +206,24 @@ def test_table_counts_lower_pairs_and_chains_the_ratios(tmp_path):
     ]
 
 
+def test_src_table_lists_the_totals_and_each_module_that_changed(tmp_path):
+    # a file without line counts has no row; a module added or removed
+    # counts as 0 lines on the side that lacks it
+    def side(python, c):
+        return {"src_lines": {"python": python, "python_total": sum(python.values()), "c": c}}
+
+    (tmp_path / "BENCH_3.json").write_text(json.dumps(_bench([0.01], [0.01])))
+    bench = dict(_bench([0.01], [0.01]), trees={
+        "parent": side({"a.py": 1200, "b.py": 10, "old.py": 5}, 1436),
+        "change": side({"a.py": 1100, "b.py": 10, "new.py": 7}, 1436),
+    })
+    (tmp_path / "BENCH_4.json").write_text(json.dumps(bench))
+    assert bench_file.src_table(tmp_path).splitlines()[2:] == [
+        "| 4 | 1,215 → 1,117 | 1,436 → 1,436 | `a.py` 1,200 → 1,100, `new.py` 0 → 7, "
+        "`old.py` 5 → 0 |",
+    ]
+
+
 def test_committed_table_is_the_table_of_the_committed_files(capsys):
     root = _PATH.parents[1]
     files = bench_file.bench_files(root)
@@ -220,5 +238,9 @@ def test_committed_table_is_the_table_of_the_committed_files(capsys):
     # -> 30.9 ms, lower in 10/10 pairs, the parent's quartiles 38.6-41.7 ms;
     # chained over BENCH_16.json to BENCH_25.json to 0.72
     assert "| 25 | readme_pooled | 39.55 | 30.93 | 10/10 | 38.56–41.74 | 0.782 | 0.718 |" in rows
+    # BENCH_32.json's line counts as CHANGES.md states them
+    src_rows = bench_file.src_table(root).splitlines()[2:]
+    assert ("| 32 | 2,556 → 2,665 | 1,436 → 1,424 | `data.py` 595 → 692, `tensor.py` 293 → 305 |"
+            in src_rows)
     assert bench_file.main(["--table"]) == 0
     assert capsys.readouterr().out == (root / "BENCH_TABLE.md").read_text(encoding="utf-8")

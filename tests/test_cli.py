@@ -100,6 +100,17 @@ class TestGenerate:
             "fedcp: cannot draw 8 more distinct cells: 16 of 16 are taken\n"
         )
 
+    def test_heterogeneity_that_zeroes_every_cell_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "dead.txt"
+        _write_config(cfg, dims="28 24 22", rank_true="2", sparsity="0.5", sites="1",
+                      heterogeneity="0:0,1")
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "fedcp: config: heterogeneity zeroes every component at every site: "
+            "every cell is zero\n"
+        )
+        assert not (tmp_path / "data").exists()
+
     def test_out_of_memory_is_an_error(self, workspace, monkeypatch, capsys):
         # raised, not allocated: a real allocation this large could fill the host
         def no_memory(spec):

@@ -119,6 +119,43 @@ class TestGenerateSynthetic:
         with pytest.raises(RuntimeError, match="cannot draw 8 more distinct cells: 16 of 16 are taken"):
             generate_synthetic(spec)
 
+    def test_heterogeneity_that_zeroes_every_cell_is_rejected(self):
+        # one site with both components zeroed: every cell would be zero, and
+        # the spec fails before generate_synthetic draws anything
+        with pytest.raises(ValueError, match="^heterogeneity zeroes every component at every site"):
+            SynthSpec(dims=(28, 24, 22), rank_true=2, sparsity=0.5, n_sites=1,
+                      heterogeneity={0: (0, 1)})
+        # one live component at one site is enough
+        SynthSpec(dims=(28, 24, 22), rank_true=2, sparsity=0.5, n_sites=2,
+                  heterogeneity={0: (0, 1), 1: (0,)})
+
+    @pytest.mark.parametrize("dims", [(3_000_000,) * 3, (2**21,) * 3], ids=["3e6 cubed", "2**63"])
+    def test_dims_whose_product_overflows_int64_are_rejected(self, dims):
+        # cells are numbered in int64: without the check, the first allocates
+        # truth A before the sampler fails, the second fails in unravel_index
+        with pytest.raises(ValueError, match=re.escape(
+            f"dims {dims} must be positive with a product below 2**63"
+        )):
+            SynthSpec(dims=dims, rank_true=1, sparsity=1e-18, n_sites=1)
+
+    def test_gives_up_after_the_first_draw_and_100_resamples(self, monkeypatch):
+        # 100 of the 200 cells are live and 120 are wanted, so every resample
+        # leaves zero-valued cells; the last of the 100 is checked, and no
+        # 101st is drawn
+        calls = []
+        sample = data._sample_distinct
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(data, "_sample_distinct", counted)
+        spec = SynthSpec(dims=(10, 4, 5), rank_true=1, sparsity=0.6, n_sites=2,
+                         heterogeneity={0: (0,)}, seed=1)
+        with pytest.raises(RuntimeError, match="could not find non-zero cells; truth factors degenerate"):
+            generate_synthetic(spec)
+        assert len(calls) == 101
+
     def test_sampler_with_too_few_cells_left_raises_before_drawing(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -279,9 +316,10 @@ def _generator_cases(draw):
         rank_true=rank,
         sparsity=draw(st.one_of(st.floats(1e-3, 1.0), st.sampled_from([0.5, 0.9, 1.0]))),
         n_sites=n_sites,
+        # SynthSpec rejects a heterogeneity that zeroes every component at every site
         heterogeneity=draw(st.dictionaries(
             st.integers(0, n_sites - 1), components.map(tuple), max_size=n_sites,
-        )),
+        ).filter(lambda h: len(h) < n_sites or min(map(len, h.values())) < rank)),
         seed=draw(st.integers(0, 2**32 - 1)),
         value_noise_std=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5])),
     )

@@ -40,7 +40,10 @@ and prints one markdown table of ``run_s`` and one of ``setup_s``: per
 file and workload, the parent's and the change's median, the pairs in
 which the change read lower, the parent's quartiles, the ratio of the
 medians and that ratio chained over the files so far. Only paired figures compare across files,
-since the host's speed moves from one file to the next. The per-layer
+since the host's speed moves from one file to the next. A third table,
+``src lines``, gives per file that records them the line counts of
+``src/``: the Python total and ``_sgd.c``, parent to change, and each
+module whose count changed. The per-layer
 figures stay in each bench file: with three traced runs a side, the
 quartile ranges of two samples of one distribution miss each other about
 a third of the time, so a table of such gaps would list layers by chance.
@@ -206,6 +209,26 @@ def table(root=ROOT, metric="run_s"):
     return "\n".join(lines) + "\n"
 
 
+def src_table(root=ROOT):
+    """The markdown table of the line counts of ``src/`` over the bench
+    files in ``root`` that record them."""
+    lines = ["| file | Python | `_sgd.c` | modules changed |", "|---|---|---|---|"]
+    for n, path in bench_files(root):
+        with open(path, encoding="utf-8") as fh:
+            trees = json.load(fh).get("trees", {})
+        if "src_lines" not in trees.get("parent", {}):
+            continue
+        parent, change = (trees[side]["src_lines"] for side in ("parent", "change"))
+        changed = ", ".join(
+            f"`{name}` {parent['python'].get(name, 0):,} → {change['python'].get(name, 0):,}"
+            for name in sorted(parent["python"].keys() | change["python"].keys())
+            if parent["python"].get(name) != change["python"].get(name)
+        )
+        lines.append(f"| {n} | {parent['python_total']:,} → {change['python_total']:,} | "
+                     f"{parent['c']:,} → {change['c']:,} | {changed} |")
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", help="the BENCH_<n>.json file to write")
@@ -215,8 +238,9 @@ def main(argv=None):
                         help="print the table of the committed bench files instead")
     args = parser.parse_args(argv)
     if args.table:
-        sys.stdout.write("\n".join(f"## {metric}\n\n{table(metric=metric)}"
-                                   for metric in TABLE_METRICS))
+        sections = [(metric, table(metric=metric)) for metric in TABLE_METRICS]
+        sections.append(("src lines", src_table()))
+        sys.stdout.write("\n".join(f"## {head}\n\n{body}" for head, body in sections))
         return 0
     if None in (args.out, args.seeds, args.parent):
         parser.error("--out, --seeds and --parent are required without --table")
