@@ -2,9 +2,10 @@
 
 import contextlib
 import math
+import os
 import re
-import shutil
 import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from decimal import Decimal
@@ -30,8 +31,8 @@ from fedcp.data import (
     write_factors,
 )
 from fedcp.errors import ConfigError, ParseError, ProtocolError
-from fedcp.federation import RoundMessage, ServerState, server_update
-from fedcp.privacy import PrivacyParams
+from fedcp.federation import HEADER_BYTES, RoundMessage, ServerState, server_update
+from fedcp.privacy import PrivacyParams, perturb_matrix
 from fedcp.solver import SiteState, SolverParams, beta_lipschitz, run_local_epoch
 from fedcp.tensor import (
     FactorizationResult,
@@ -40,6 +41,8 @@ from fedcp.tensor import (
     reconstruct_values,
     rmse,
 )
+
+import sanitized
 
 
 class TestGenerateSynthetic:
@@ -1007,51 +1010,22 @@ class TestValuesReadAsFloat:
             assert read_coo(path).values.tobytes() == want
 
 
-_SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", "-g")
-# the ranks of the driver's ROUND_RANKS
-_DRIVER_RANKS = (*range(1, 10), 16, 50, 129)
-_DRIVER = Path(__file__).with_name("sanitize_driver.c")
+# 1 to 9, 16 and 50 take the ranks sgd_pass holds as literals (3, 5 and
+# 50, the one body that steps pairs) and the general body; at 129 the row
+# norms of beta split pairwise_squares' 129 terms in two, with c NULL
+_KERNEL_RANKS = (*range(1, 10), 16, 50, 129)
 
 
-def _float_bits(values):
-    return " ".join(f"{b:016x}" for b in np.array(values, dtype=np.float64).view(np.uint64))
+def _exact_copy(raw: bytes) -> np.ndarray:
+    """``raw`` in a numpy buffer of exactly its size: a ``bytes`` object
+    keeps a NUL past its data, inside its block, where a load of one byte
+    past the end goes unseen."""
+    return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
-@pytest.fixture(scope="class")
-def sanitized_driver(tmp_path_factory):
-    """tests/sanitize_driver.c and ``_sgd.c`` built with the sanitizers."""
-    compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler")
-    tmp_path = tmp_path_factory.mktemp("sanitize")
-    flags = [f for f in _native.FLAGS if f not in ("-shared", "-fPIC")] + list(_SANITIZE)
-    probe = tmp_path / "probe"
-    made = subprocess.run(
-        [compiler, *flags, "-o", str(probe), "-x", "c", "-"],
-        input=b"int main(void) { return 0; }\n", capture_output=True, timeout=120,
-    )
-    if made.returncode == 0:
-        made = subprocess.run([str(probe)], capture_output=True, timeout=60)
-    if made.returncode != 0:
-        pytest.skip(f"no sanitizer runtime for {compiler}: {made.stderr.decode()[-200:]}")
-    driver = tmp_path / "driver"
-    built = subprocess.run(
-        [compiler, *flags, "-o", str(driver), str(_DRIVER), str(_native.SOURCE), "-lm"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert built.returncode == 0, built.stderr
-    return driver
-
-
-class _ZeroDraws:
-    """The driver's shuffle stream, whose every draw is 0: numpy's shuffle
-    then swaps each place, from the last down to the second, with place 0."""
-
-    def permutation(self, n):
-        order = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            order[[0, i]] = order[[i, 0]]
-        return order
+def _eighths(rows, rank, offset):
+    """A (rows, rank) matrix, entry (i, r) ((i + offset * r) % 5 + 1) / 8."""
+    return ((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
 
 
 def _untemper(y):
@@ -1071,7 +1045,7 @@ _NOISE_KINDS = "ffwftffwwfttfwff" * 4
 
 
 def _noise_words():
-    """The driver's word cycle: one draw word for each letter of
+    """A cycle of 32-bit words: one draw word for each letter of
     _NOISE_KINDS, each a pair of 32-bit words (high first), laid out as
     numpy's ziggurat reads them: bits 0-7 the layer, bit 8 the sign, bits
     9-60 the magnitude. "f" takes the common
@@ -1101,176 +1075,233 @@ def _noise_words():
     return words
 
 
-def _cycle_normals(words, n):
-    """numpy's Generator.standard_normal drawn n times from an MT19937 whose
-    32-bit outputs are ``words`` repeated: the draws, and the words each
-    took. The state holds the cycle from its first place on, untempered,
-    and its place is moved back by a cycle after each draw that passes it,
-    so no draw reaches MT19937's twist."""
+def _noise_stream(words):
+    """A Generator on an MT19937 whose 32-bit outputs are ``words`` repeated,
+    up to its first twist: its state holds the cycle, untempered, from its
+    first place on."""
     bits = np.random.MT19937(0)
     key = np.array([_untemper(words[j % len(words)]) for j in range(624)], dtype=np.uint32)
     bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
-    rng = np.random.Generator(bits)
-    draws, took = [], []
-    for _ in range(n):
-        before = bits.state["state"]["pos"]
-        draws.append(rng.standard_normal())
-        state = bits.state
-        took.append(state["state"]["pos"] - before)
-        if state["state"]["pos"] >= len(words):
-            state["state"]["pos"] -= len(words)
-            bits.state = state
-    return np.array(draws), took
+    return np.random.Generator(bits)
 
 
-class TestKernelsUnderSanitizers:
-    """The kernels built with AddressSanitizer and UndefinedBehaviorSanitizer,
-    run by tests/sanitize_driver.c on buffers of exactly the size of their
-    contents: a load of a word past the end of a COO body, a write past a
-    formatting buffer, a read or write past a factor, a shard or a round's
-    outputs, past the matrix a noise draw adds to or its output, or past an
-    upload, an anchor or the server step's output, stops the driver."""
+def _mt_state(rng):
+    state = rng.bit_generator.state["state"]
+    return state["key"].tobytes(), state["pos"]
 
-    def test_parse_and_format_stay_inside_their_buffers(self, sanitized_driver):
-        driver = sanitized_driver
-        # (body, what the driver prints for it): the grammar table, and every
-        # boundary token as the last token of a body, with 0 to 8 blanks left
-        cases = []
+
+def _noise_paths(words):
+    """(the letter of _NOISE_KINDS a draw starts at, the words it takes) for
+    each ``standard_normal`` drawn from ``_noise_stream(words)`` before its
+    first twist: 2 words per try."""
+    rng, paths, pos = _noise_stream(words), set(), 0
+    while True:
+        rng.standard_normal()
+        after = rng.bit_generator.state["state"]["pos"]
+        if after < pos:
+            return paths
+        paths.add((_NOISE_KINDS[pos % len(words) // 2], after - pos))
+        pos = after
+
+
+def _server_step(blobs, held, b_hat, c_hat):
+    """(status, out, change) of ``server_step`` over copies of the encodings,
+    the anchors and the two arrays of pointers to the encodings, each in a
+    buffer of exactly its size."""
+    uploads = [[_exact_copy(blob) for blob in cohort] for cohort in (blobs, held or [])]
+    addresses = [np.array([u.ctypes.data for u in cohort], dtype=np.uintp) for cohort in uploads]
+    b_hat, c_hat = b_hat.copy(), c_hat.copy()
+    out, change = np.empty(b_hat.size + c_hat.size), np.empty(1)
+    status = _native.LIBRARY.server_step(
+        len(blobs), addresses[0].ctypes.data, None if held is None else addresses[1].ctypes.data,
+        HEADER_BYTES, b_hat.size, out.size, b_hat.ctypes.data, c_hat.ctypes.data, 0.05, 0.5,
+        out.ctypes.data, change.ctypes.data,
+    )
+    return status, out, change
+
+
+@_COMPILED
+class TestKernelEdges:
+    """Each kernel at its edge cases against its Python path, every buffer it
+    reads or writes exactly the size of its contents. Under tests/sanitized.py
+    a load of a word past the end of a COO body, a write past a formatting
+    buffer, a read or write past a factor, a shard or a round's outputs,
+    past the matrix a noise draw adds to or its output, or past an upload,
+    an anchor or the server step's output, stops the run with a report."""
+
+    def test_parse_grammar_bodies(self):
         for body, rejected_line in _GRAMMAR_CASES:
-            if rejected_line is None:
-                values = _grammar_values(body)
-                cases.append((body, f"{len(values)} {_float_bits(values)}".rstrip()))
-            else:
-                cases.append((body, str(1 - rejected_line)))
+            raw = body.encode("utf-8")
+            if rejected_line is not None:
+                with pytest.raises(ValueError, match=f"^line {rejected_line} is outside"):
+                    data._bulk_parse(_exact_copy(raw), 0)
+                continue
+            coords, values = data._bulk_parse(_exact_copy(raw), 0)
+            by_line = data._read_coo_lines(data._text(raw), (12, 2, 2))
+            assert coords.tolist() == by_line.coords.tolist(), body
+            assert values.tobytes() == by_line.values.tobytes(), body
+
+    def test_parse_boundary_tokens(self):
+        # each token as the last of a body, with 0 to 8 blanks left to load;
+        # the line parser takes float(), and refuses the zeros a tensor may not hold
         for token in _BOUNDARY_TOKENS:
+            want = np.array([float(token)]).tobytes()
             for blanks in range(9):
-                cases.append((f"0 0 0 {token}{' ' * blanks}", f"1 {_float_bits([float(token)])}"))
-        bodies = [body.encode("utf-8") for body, _ in cases]
-        out = subprocess.run(
-            [str(driver)], input=b"".join(b"%d\n%s" % (len(b), b) for b in bodies),
-            capture_output=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stderr.decode()[:3000]
-        lines = out.stdout.decode().splitlines()
-        assert lines[: len(cases)] == [want for _, want in cases]
+                raw = f"0 0 0 {token}{' ' * blanks}".encode()
+                coords, values = data._bulk_parse(_exact_copy(raw), 0)
+                assert (coords.tolist(), values.tobytes()) == ([[0, 0, 0]], want), (token, blanks)
 
-        # two records of three INT64_MIN and -1.2345678901234567e-10 each,
-        # into buffers of 0 to 256 bytes: each record needs its full room
-        record = len(f"{-2**63} {-2**63} {-2**63} {-1.2345678901234567e-10!r}\n")
+    def test_format_into_buffers_of_0_to_256_bytes(self):
+        # two records of three INT64_MIN and -1.2345678901234567e-10 each:
+        # each record needs its full room
+        ints = np.full((2, 3), -(2**63), dtype=np.int64)
+        values = np.full((2, 1), -1.2345678901234567e-10)
+        line = f"{-2**63} {-2**63} {-2**63} {-1.2345678901234567e-10!r}\n".encode()
         room = data._record_bytes(3, 1)
-        want = [
-            f"{cap} {-1 if cap < room else -2 if cap < record + room else 2 * record}"
-            for cap in range(257)
-        ]
-        assert lines[len(cases):] == want
+        for cap in range(257):
+            out = np.empty(cap, dtype=np.uint8)
+            size = _native.LIBRARY.format_records(
+                ints.ctypes.data, 3, values.ctypes.data, 1, 2, out.ctypes.data, cap
+            )
+            assert size == (-1 if cap < room else -2 if cap < len(line) + room else 2 * len(line))
+            if size > 0:
+                assert out[:size].tobytes() == line * 2
 
-    def test_site_round_stays_inside_its_buffers(self, sanitized_driver, without_library):
-        out = subprocess.run([str(sanitized_driver), "rounds"], capture_output=True, timeout=300)
-        assert out.returncode == 0, out.stderr.decode()[:3000]
-        # each round as the Python round runs it, on the driver's shard and
-        # with its orders
+    @pytest.mark.parametrize("rank", _KERNEL_RANKS)
+    def test_site_round(self, without_library, rank):
+        # 3 and 10 entries are fewer than the pass's prefetch distances, and
+        # 3 leave a lone entry after a pair; most consecutive entries share no row
         dims = (5, 4, 3)
         params = SolverParams(eta=0.05, gamma=0.5, mu=0.2, tau=2, clip=0.3)
-        want = []
-        for rank in _DRIVER_RANKS:
-            for nnz in (3, 10, 40):
-                n = np.arange(nnz)
-                tensor = SparseTensorCOO(dims, np.column_stack([n % d for d in dims]),
-                                         (n % 7 + 1) / 4.0)
-                A, B, C, b_hat, c_hat = (
-                    ((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
-                    for rows, offset in ((5, 1), (4, 2), (3, 3), (4, 4), (3, 0))
-                )
-                beta = beta_lipschitz(A, B, C, params.gamma)
-                state = SiteState(tensor, A, B, C, rng_seed=0, site_id=0)
-                state.shuffle_rng = _ZeroDraws()
-                with without_library():
-                    sums = run_local_epoch(state, (b_hat, c_hat), params)
-                want.append(f"{rank} {nnz} 0 {sums.clipped} {_float_bits([sums.sse, beta])}")
-        assert out.stdout.decode().splitlines() == want
+        b_hat, c_hat = _eighths(4, rank, 4), _eighths(3, rank, 0)
+        for nnz in (3, 10, 40):
+            n = np.arange(nnz)
+            tensor = SparseTensorCOO(dims, np.column_stack([n % d for d in dims]),
+                                     (n % 7 + 1) / 4.0)
+            factors = [_eighths(rows, rank, offset) for rows, offset in zip(dims, (1, 2, 3))]
+            compiled, python = (SiteState(tensor, *(m.copy() for m in factors), rng_seed=nnz,
+                                          site_id=0) for _ in range(2))
+            sums = run_local_epoch(compiled, (b_hat, c_hat), params)
+            with without_library():
+                assert run_local_epoch(python, (b_hat, c_hat), params) == sums
+            for name in "ABC":
+                assert getattr(compiled, name).tobytes() == getattr(python, name).tobytes()
+            assert compiled.shuffle_rng.bit_generator.state == python.shuffle_rng.bit_generator.state
+            # the round's out: the sse, then beta of the factors it started from
+            out = compiled._round_args[3]
+            assert out.tolist() == [sums.sse, beta_lipschitz(*factors, params.gamma)]
 
-    def test_model_values_stays_inside_its_buffers(self, sanitized_driver):
-        out = subprocess.run([str(sanitized_driver), "model"], capture_output=True, timeout=300)
-        assert out.returncode == 0, out.stderr.decode()[:3000]
-        # the einsum on the driver's factors, at 0 to 9 entries
-        want = []
-        for rank in _DRIVER_RANKS:
-            A, B, C = (((np.arange(rows)[:, None] + offset * np.arange(rank)) % 5 + 1) / 8.0
-                       for rows, offset in ((5, 1), (4, 2), (3, 3)))
+    def test_model_values_on_0_to_9_entries(self):
+        # every count of entries left after model_values' groups of four
+        for rank in _KERNEL_RANKS:
+            A, B, C = (_eighths(rows, rank, offset) for rows, offset in zip((5, 4, 3), (1, 2, 3)))
             for nnz in range(10):
                 n = np.arange(nnz)
                 coords = np.column_stack([n % d for d in (5, 4, 3)])
-                want.append(f"{rank} {nnz} {_float_bits(reconstruct_values(A, B, C, coords))}"
-                            .rstrip())
-        assert out.stdout.decode().splitlines() == want
+                want = reconstruct_values(A, B, C, coords)
+                assert model_values(A, B, C, coords).tobytes() == want.tobytes(), (rank, nnz)
 
-    def test_gaussian_perturb_stays_inside_its_buffers(self, sanitized_driver):
+    def test_gaussian_perturb(self, without_library):
         words = _noise_words()
-        out = subprocess.run(
-            [str(sanitized_driver), "noise"],
-            input=f"{len(words)}\n{' '.join(f'{w:x}' for w in words)}\n".encode(),
-            capture_output=True, timeout=300,
-        )
-        assert out.returncode == 0, out.stderr.decode()[:3000]
-        want, kinds = [], set()
         for n in (0, 1, 7, 4096):
-            z, took = _cycle_normals(words, n)
             i = np.arange(n)
             m = np.where(i % 3 == 0, -0.0, (i % 5 - 2) / 8.0)
-            want.append(f"{n} {sum(took)} {_float_bits(((z * 0.75) + 0.0) + m)}".rstrip())
-            # where each draw's first word sits in the cycle: 2 words per try
-            start = np.cumsum([0, *took[:-1]]) % len(words) // 2
-            kinds |= {(_NOISE_KINDS[u], t) for u, t in zip(start, took)}
-        assert out.stdout.decode().splitlines() == want
+            compiled, python = _noise_stream(words), _noise_stream(words)
+            got = perturb_matrix(m, 0.75, compiled)
+            with without_library():
+                assert perturb_matrix(m, 0.75, python).tobytes() == got.tobytes(), n
+            assert _mt_state(compiled) == _mt_state(python), n
         # the common path (2 words), a wedge test that accepts (a try and a
         # double), one that rejects and tries again, and the tail (a try and
         # pairs of doubles)
-        assert {("f", 2), ("w", 4), ("t", 6)} <= kinds
-        assert any(kind == "w" and t > 4 for kind, t in kinds)
+        paths = _noise_paths(words)
+        assert {("f", 2), ("w", 4), ("t", 6)} <= paths
+        assert any(kind == "w" and took > 4 for kind, took in paths)
 
-    def test_server_step_stays_inside_its_buffers(self, sanitized_driver, without_library):
-        out = subprocess.run([str(sanitized_driver), "server"], capture_output=True, timeout=300)
-        assert out.returncode == 0, out.stderr.decode()[:3000]
-        # the driver's three calls, each as server_update takes it without
-        # the library: the first cohort, the second against the first, and
-        # the second with an inf at the end
-        want = []
-        for sites in (1, 3):
-            for size in (1, 7, 8, 129, 4099):
-                split, i = (size + 1) // 2, np.arange(size)
+    @pytest.mark.parametrize("sites", (1, 3))
+    @pytest.mark.parametrize("size", (1, 7, 8, 129, 4099))
+    def test_server_step(self, without_library, sites, size):
+        # the first cohort, the second against the first, and the second
+        # with an inf at the end, each as server_update takes it without the library
+        split, i = (size + 1) // 2, np.arange(size)
 
-                def values(numerator, scale):
-                    return np.where((numerator == 0) & (i % 2 == 1), -0.0, numerator / scale)
+        def values(numerator, scale):
+            return np.where((numerator == 0) & (i % 2 == 1), -0.0, numerator / scale)
 
-                hat = values((5 * i) % 7 - 3, 4.0)
-                first, second = ([values((i * (t + 2) + 3 * q) % 11 - 5, 8.0)
-                                  for t in range(sites)] for q in (0, 1))
-                poisoned = [v.copy() for v in second]
-                poisoned[-1][-1] = math.inf
-                for cohort, prev in ((first, None), (second, first), (poisoned, first)):
-                    blobs = [RoundMessage(t, 1, v[:split].reshape(-1, 1),
-                                          v[split:].reshape(-1, 1)).to_bytes()
-                             for t, v in enumerate(cohort)]
-                    # the held cohort, as the last step leaves it
-                    server = ServerState(
-                        B_hat=hat[:split].reshape(-1, 1), C_hat=hat[split:].reshape(-1, 1),
-                        n_sites=sites,
-                        uploads=None if prev is None else [
-                            RoundMessage(t, 0, v[:split].reshape(-1, 1),
-                                         v[split:].reshape(-1, 1)).to_bytes()
-                            for t, v in enumerate(prev)],
-                    )
-                    with without_library():
-                        try:
-                            change = server_update(server, blobs, 0.05, 0.5)
-                        except ProtocolError:
-                            want.append(f"{sites} {size} 1 -")
-                            continue
-                    anchors = _float_bits(np.concatenate([server.B_hat.ravel(),
-                                                          server.C_hat.ravel()]))
-                    shown = "-" if change is None else _float_bits([change])
-                    want.append(f"{sites} {size} 0 {shown} {anchors}")
-        assert out.stdout.decode().splitlines() == want
+        def encode(cohort, epoch):
+            return [RoundMessage(t, epoch, v[:split].reshape(-1, 1),
+                                 v[split:].reshape(-1, 1)).to_bytes()
+                    for t, v in enumerate(cohort)]
+
+        hat = values((5 * i) % 7 - 3, 4.0)
+        first, second = ([values((i * (t + 2) + 3 * q) % 11 - 5, 8.0) for t in range(sites)]
+                         for q in (0, 1))
+        poisoned = [v.copy() for v in second]
+        poisoned[-1][-1] = math.inf
+        for cohort, prev in ((first, None), (second, first), (poisoned, first)):
+            blobs, held = encode(cohort, 1), None if prev is None else encode(prev, 0)
+            status, out, change = _server_step(blobs, held, hat[:split], hat[split:])
+            server = ServerState(B_hat=hat[:split].reshape(-1, 1),
+                                 C_hat=hat[split:].reshape(-1, 1), n_sites=sites, uploads=held)
+            with without_library():
+                if cohort is poisoned:
+                    with pytest.raises(ProtocolError):
+                        server_update(server, blobs, 0.05, 0.5)
+                    assert status != 0
+                    continue
+                want = server_update(server, blobs, 0.05, 0.5)
+            assert status == 0
+            anchors = np.concatenate([server.B_hat.ravel(), server.C_hat.ravel()])
+            assert out.tobytes() == anchors.tobytes()
+            if want is not None:
+                assert change.tobytes() == np.float64(want).tobytes()
+
+
+class TestSanitizerCanary:
+    """The environment tests/sanitized.py runs pytest in reports a read one
+    byte past a buffer: without the ASan runtime preloaded, or with Python's
+    own allocator, a sanitized run would pass in silence."""
+
+    # an exact-size numpy buffer, a malloc block whatever Python allocates
+    # with, and a small bytes object, one only with PYTHONMALLOC=malloc: 12
+    # bytes of it reach one past the NUL after its data
+    @pytest.mark.parametrize("probe", [
+        "a, b = np.zeros(10, np.uint8), np.empty(11, np.uint8)\n"
+        "ctypes.memmove(b.ctypes.data, a.ctypes.data, 11)",
+        "ctypes.memmove(ctypes.create_string_buffer(12), bytes(10), 12)",
+    ], ids=["numpy", "bytes"])
+    def test_a_one_byte_over_read_is_reported(self, probe):
+        env = sanitized.environment()
+        if env is None:
+            pytest.skip("no cc, or no ASan runtime for it")
+        run = subprocess.run(
+            [sys.executable, "-c", f"import ctypes\nimport numpy as np\n{probe}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode != 0 and "heap-buffer-overflow" in run.stderr, run.stderr[-2000:]
+
+
+class TestKernelsUnderSanitizers:
+    """TestKernelEdges run by tests/sanitized.py: the kernels built with
+    AddressSanitizer and UndefinedBehaviorSanitizer, in a process that
+    started with the ASan runtime and whose every block is a malloc block."""
+
+    def test_kernel_edges_stay_inside_their_buffers(self):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        run = subprocess.run(
+            [sys.executable, str(root / "tests" / "sanitized.py"), "-q", "-rs",
+             "tests/test_data.py::TestKernelEdges"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600,
+        )
+        if run.returncode == sanitized.NO_SANITIZERS:
+            pytest.skip(run.stderr.strip())
+        # a sanitizer's report starts with what it found
+        assert run.returncode == 0, run.stdout[-3000:] + run.stderr[:3000]
+        summary = run.stdout.strip().splitlines()[-1]
+        assert " passed" in summary and "skipped" not in summary, summary
 
 
 class TestFactorFiles:
