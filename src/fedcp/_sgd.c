@@ -52,8 +52,10 @@
  * divide, or one 128-bit integer division) when the token allows it, and
  * with strtod, which glibc rounds correctly, otherwise: both give the
  * bits of Python's float(). The writer finds each value's shortest
- * round-trip digits with exact integer arithmetic and lays them out as
- * repr does; a value outside its range is left to repr.
+ * round-trip digits with Schubfach, from a table of powers of ten and
+ * 64-bit multiplies, writes them two at a time from a table of digit
+ * pairs, and lays them out as repr does; a value outside its range is
+ * left to repr. Integers take the same digit pairs.
  *
  * The callers check shapes, dtypes and contiguity before a call; this
  * file trusts that every index in coords lies inside its factor matrix.
@@ -1210,64 +1212,112 @@ int64_t parse_coo(const char *buf, int64_t len, int64_t cap, int64_t *coords,
     return n;
 }
 
-/* Shortest round-trip decimal of a double, as Python's repr writes it.
+/* Shortest round-trip decimal of a double, as Python's repr writes it:
+ * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
+ * the algorithm of Java's Double.toString, on both zeros and the normal
+ * values whose binary exponent lies in [FMT_MIN_EXP, FMT_MAX_EXP] (2^-58
+ * <= |x| < 2^63); the caller sends any other value (subnormal, huge, inf,
+ * nan) to repr itself.
  *
- * x = f * 2^e with a 53-bit integer f. The free-format digit loop (Steele
- * & White, PLDI 1990; Burger & Dybvig, PLDI 1996) keeps x = r / s and the
- * half-gaps to its neighbours, mp / s above and mm / s below, as exact
- * integers, scales them by a power of ten until (r + mp) / s lies in
- * [0.1, 1), then takes digits until the digits so far, or those with the
- * last one raised, read back as x. The gap ends count when f is even:
- * float() rounds a decimal half way between two doubles to the even one.
- * When both candidates read back, the nearer one is written, and on an
- * exact tie the even digit, as the correctly rounded dtoa behind repr
- * does. Every quantity stays below 2^120 for binary exponents e in
- * [FMT_MIN_EXP, FMT_MAX_EXP] (about 3.5e-18 <= |x| < 2^63); the caller
- * sends any other value (subnormal, huge, inf, nan) to repr itself.
+ * x = c * 2^q with a 53-bit integer c. The decimals that read back as x
+ * fill the interval between the midpoints to its two neighbours, ends
+ * included when c is even: float() rounds a decimal half way between two
+ * doubles to the even one. The decimal exponent k puts the interval's
+ * width in [10^k, 10^(k+1)), so s = floor(x / 10^k) has 16 or 17 digits
+ * and the interval holds at most one multiple of 10^(k+1). The digits are
+ * the multiple of 10^(k+1) next to x when just one of the two next to it
+ * lies in the interval (no decimal with fewer digits does), else s or
+ * s + 1 when just one of them does, else the nearer of the two, the even
+ * one on a tie: shortest, then nearest, then even, as the correctly
+ * rounded dtoa behind repr. Each of 4x and four times each end of the
+ * interval, over 10^k, is rounded to odd (its floor, with the last bit
+ * set when it is no integer, so that comparing it with 4s tells above
+ * from equal) from two 64 x 64-bit multiplies with a row of G, 10^-k to
+ * 126 bits rounded up; the paper proves the rounding changes no
+ * comparison. The candidate is picked by bitwise selects, not branches:
+ * which one wins changes from value to value as a coin toss would. Its
+ * digits are written two at a time from DIGIT_PAIRS.
  */
 #define FMT_MIN_EXP (-110)
 #define FMT_MAX_EXP 10
 #define FMT_MAX_BYTES 24 /* the longest repr of a double */
 
-/* The digit loop on integers of type T, which must hold 21 * s: write the
- * digits of r / s (with r + mp < s, or <= when even is 0) at digits and
- * return their count, mp being mm << mp_shift. When s == 2^shift a digit
- * is r >> shift and the remainder r & (s - 1); shift < 0 means s is no
- * power of two. It is defined for 128 bits, which hold every value in
- * range, and for 64 bits, taken while s < 2^59 for speed: that copy takes
- * 98.6 % of the values a 240k-entry fedcp generate and run write, and
- * writes them in about three quarters of the time.
- */
-#define DEFINE_DIGIT_LOOP(NAME, T)                                             \
-    static int NAME(T r, T s, T mm, int mp_shift, int shift, int even,         \
-                    char *digits)                                              \
-    {                                                                          \
-        T mask = s - 1, mp;                                                    \
-        int nd = 0, d, low, high;                                              \
-        for (;;) {                                                             \
-            r *= 10, mm *= 10, mp = mm << mp_shift;                            \
-            if (shift >= 0) {                                                  \
-                d = (int)(r >> shift);                                         \
-                r &= mask;                                                     \
-            } else {                                                           \
-                d = (int)(r / s);                                              \
-                r -= (T)d * s;                                                 \
-            }                                                                  \
-            low = even ? r <= mm : r < mm;                                     \
-            high = even ? r + mp >= s : r + mp > s;                            \
-            if (low || high)                                                   \
-                break;                                                         \
-            digits[nd++] = (char)('0' + d);                                    \
-        }                                                                      \
-        /* the nearer of d and d + 1, the even one on a tie */                 \
-        if (high && (!low || 2 * r > s || (2 * r == s && (d & 1))))            \
-            d++;                                                               \
-        digits[nd++] = (char)('0' + d);                                        \
-        return nd;                                                             \
-    }
+/* G[G_KMAX - k] = {g1, g0, b} for k from -34 to G_KMAX = 3, the range the
+ * binary exponents in range take: b = floor(log2(10^-k)), and g = g1 2^63
+ * + g0 = floor(10^-k 2^(125 - b)) + 1, in (2^125, 2^126] */
+#define G_KMAX 3
+static const struct {
+    uint64_t g1, g0;
+    int b;
+} G[] = {
+    {0x4189374bc6a7ef9d, 0x5916872b020c49bb, -10}, /* 10^-3 */
+    {0x51eb851eb851eb85, 0x0f5c28f5c28f5c29, -7}, /* 10^-2 */
+    {0x6666666666666666, 0x3333333333333334, -4}, /* 10^-1 */
+    {0x4000000000000000, 0x0000000000000001, 0}, /* 10^0 */
+    {0x5000000000000000, 0x0000000000000001, 3}, /* 10^1 */
+    {0x6400000000000000, 0x0000000000000001, 6}, /* 10^2 */
+    {0x7d00000000000000, 0x0000000000000001, 9}, /* 10^3 */
+    {0x4e20000000000000, 0x0000000000000001, 13}, /* 10^4 */
+    {0x61a8000000000000, 0x0000000000000001, 16}, /* 10^5 */
+    {0x7a12000000000000, 0x0000000000000001, 19}, /* 10^6 */
+    {0x4c4b400000000000, 0x0000000000000001, 23}, /* 10^7 */
+    {0x5f5e100000000000, 0x0000000000000001, 26}, /* 10^8 */
+    {0x7735940000000000, 0x0000000000000001, 29}, /* 10^9 */
+    {0x4a817c8000000000, 0x0000000000000001, 33}, /* 10^10 */
+    {0x5d21dba000000000, 0x0000000000000001, 36}, /* 10^11 */
+    {0x746a528800000000, 0x0000000000000001, 39}, /* 10^12 */
+    {0x48c2739500000000, 0x0000000000000001, 43}, /* 10^13 */
+    {0x5af3107a40000000, 0x0000000000000001, 46}, /* 10^14 */
+    {0x71afd498d0000000, 0x0000000000000001, 49}, /* 10^15 */
+    {0x470de4df82000000, 0x0000000000000001, 53}, /* 10^16 */
+    {0x58d15e1762800000, 0x0000000000000001, 56}, /* 10^17 */
+    {0x6f05b59d3b200000, 0x0000000000000001, 59}, /* 10^18 */
+    {0x4563918244f40000, 0x0000000000000001, 63}, /* 10^19 */
+    {0x56bc75e2d6310000, 0x0000000000000001, 66}, /* 10^20 */
+    {0x6c6b935b8bbd4000, 0x0000000000000001, 69}, /* 10^21 */
+    {0x43c33c1937564800, 0x0000000000000001, 73}, /* 10^22 */
+    {0x54b40b1f852bda00, 0x0000000000000001, 76}, /* 10^23 */
+    {0x69e10de76676d080, 0x0000000000000001, 79}, /* 10^24 */
+    {0x422ca8b0a00a4250, 0x0000000000000001, 83}, /* 10^25 */
+    {0x52b7d2dcc80cd2e4, 0x0000000000000001, 86}, /* 10^26 */
+    {0x6765c793fa10079d, 0x0000000000000001, 89}, /* 10^27 */
+    {0x409f9cbc7c4a04c2, 0x1000000000000001, 93}, /* 10^28 */
+    {0x50c783eb9b5c85f2, 0x5400000000000001, 96}, /* 10^29 */
+    {0x64f964e68233a76f, 0x2900000000000001, 99}, /* 10^30 */
+    {0x7e37be2022c0914b, 0x1340000000000001, 102}, /* 10^31 */
+    {0x4ee2d6d415b85ace, 0x7c08000000000001, 106}, /* 10^32 */
+    {0x629b8c891b267182, 0x5b0a000000000001, 109}, /* 10^33 */
+    {0x7b426fab61f00de3, 0x31cc800000000001, 112}, /* 10^34 */
+};
 
-DEFINE_DIGIT_LOOP(digit_loop_64, uint64_t)
-DEFINE_DIGIT_LOOP(digit_loop_128, u128)
+static const char DIGIT_PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* cp g / 2^127 rounded to odd, g = g1 2^63 + g0: its floor, with the last
+ * bit set when the bits of cp g from 2^64 to 2^127 are not all zero. As
+ * in the paper, the low 64 bits of cp g0, where g's rounding up lands,
+ * are not read. */
+static inline uint64_t round_to_odd(uint64_t g1, uint64_t g0, uint64_t cp)
+{
+    uint64_t x1 = (uint64_t)(((u128)g0 * cp) >> 64);
+    u128 y = (u128)g1 * cp;
+    uint64_t z = ((uint64_t)y >> 1) + x1;
+    return ((uint64_t)(y >> 64) + (z >> 63)) | ((z << 1) != 0);
+}
+
+/* The 8 digits of v < 10^8, zeros in front, at out. */
+static inline void write_8_digits(uint32_t v, char *out)
+{
+    uint32_t high = v / 10000, low = v % 10000;
+    memcpy(out, DIGIT_PAIRS + 2 * (high / 100), 2);
+    memcpy(out + 2, DIGIT_PAIRS + 2 * (high % 100), 2);
+    memcpy(out + 4, DIGIT_PAIRS + 2 * (low / 100), 2);
+    memcpy(out + 6, DIGIT_PAIRS + 2 * (low % 100), 2);
+}
 
 /* Write repr(x) at out, at most FMT_MAX_BYTES bytes; return the byte
  * count, or -1 (nothing written) when x is outside the range above. */
@@ -1277,7 +1327,7 @@ static int format_double(double x, char *out)
     memcpy(&bits, &x, sizeof bits);
     uint64_t frac = bits & ((1ULL << 52) - 1);
     int biased = (int)((bits >> 52) & 0x7ff);
-    int e = biased - 1075;
+    int q = biased - 1075;
     char *p = out;
     if (biased == 0 && frac == 0) {
         if (bits >> 63)
@@ -1285,54 +1335,62 @@ static int format_double(double x, char *out)
         memcpy(p, "0.0", 3);
         return (int)(p - out) + 3;
     }
-    if (biased == 0 || e < FMT_MIN_EXP || e > FMT_MAX_EXP)
+    if (biased == 0 || q < FMT_MIN_EXP || q > FMT_MAX_EXP)
         return -1;
     if (bits >> 63)
         *p++ = '-';
 
-    uint64_t f = frac | (1ULL << 52);
-    int even = (f & 1) == 0;
-    /* the gap below a power of two is half the gap above it: mp = 2 mm */
-    int h = frac == 0;
-    u128 r, s, mm;
-    if (e >= 0) {
-        r = (u128)f << (e + 1 + h);
-        s = (u128)2 << h;
-        mm = (u128)1 << e;
-    } else {
-        r = (u128)f << (1 + h);
-        s = (u128)1 << (1 - e + h);
-        mm = 1;
-    }
+    uint64_t c = frac | (1ULL << 52);
+    /* the gap below a power of two is half the gap above it, and the
+     * interval three quarters as wide: k = floor(log10(3/4 2^q)), else
+     * floor(log10(2^q)), each q log10(2) to 41 bits (the bias keeps the
+     * shifted operand non-negative) */
+    int closer = frac == 0;
+    uint64_t cb = c << 2, cbl = cb - 2 + closer, cbr = cb + 2;
+    int64_t k41 = q * 661971961083LL - (closer ? 274743187321LL : 0);
+    int k = (int)((k41 + (64LL << 41)) >> 41) - 64;
+    uint64_t g1 = G[G_KMAX - k].g1, g0 = G[G_KMAX - k].g0;
+    int h = q + G[G_KMAX - k].b + 2; /* in [2, 5] */
+    uint64_t vb = round_to_odd(g1, g0, cb << h);
+    /* d 10^k lies in the interval when lower <= 4d <= upper */
+    uint64_t lower = round_to_odd(g1, g0, cbl << h) + (c & 1);
+    uint64_t upper = round_to_odd(g1, g0, cbr << h) - (c & 1);
+    uint64_t s = vb >> 2, sp10 = s / 10 * 10, mid = (s << 2) + 2;
+    uint64_t up_in = lower <= sp10 << 2, wp_in = (sp10 + 10) << 2 <= upper;
+    uint64_t u_in = lower <= s << 2, w_in = (s + 1) << 2 <= upper;
+    /* s + 1 when it is nearer x than s, or as near and s is odd; w_in
+     * instead when just one of s and s + 1 lies in the interval */
+    uint64_t up = (vb > mid) | ((vb == mid) & s & 1);
+    up ^= (u_in ^ w_in) & (w_in ^ up);
+    /* all ones when just one of sp10 and sp10 + 10 does */
+    uint64_t m = 0 - (up_in ^ wp_in);
+    uint64_t f = ((s + up) & ~m) | ((sp10 + 10 * wp_in) & m);
 
-    /* k = the decimal exponent with 10^(k-1) <= (r + mp) / s < 10^k.
-     * Start from floor((e + 52) * log10(2)) + 1, never above k (78913 /
-     * 2^18 is a hair below log10(2); the bias keeps the shifted operand
-     * non-negative), and scale r, mm or s by 10^|k| */
-    int k = (((e + 52) * 78913 + (64 << 18)) >> 18) - 64 + 1;
-    u128 R, S, MM;
-    for (;; k++) {
-        if (k >= 0)
-            R = r, S = s * POW10[k], MM = mm;
-        else
-            R = r * POW10[-k], S = s, MM = mm * POW10[-k];
-        if (even ? R + (MM << h) < S : R + (MM << h) <= S)
-            break;
-    }
-    /* s is still the power of two 2^shift when no 10^k scaled it */
-    int shift = e < 0 && k <= 0 ? 1 - e + h : -1;
-    char digits[20];
-    int nd = S >> 59 == 0
-        ? digit_loop_64((uint64_t)R, (uint64_t)S, (uint64_t)MM, h, shift, even, digits)
-        : digit_loop_128(R, S, MM, h, shift, even, digits);
+    /* the digits of f (f >= sp10 >= 2^52 - 9 has 16 or 17) at digits,
+     * nd of them once the trailing zeros are dropped; buf holds 17, a zero
+     * first when f has 16. From here on 10^(k-1) <= the decimal < 10^k */
+    uint64_t short16 = f < POW10[16];
+    char buf[18];
+    uint64_t top = f / 100000000;
+    buf[0] = (char)('0' + top / 100000000);
+    write_8_digits((uint32_t)(top % 100000000), buf + 1);
+    write_8_digits((uint32_t)(f - top * 100000000), buf + 9);
+    buf[17] = '0'; /* read, never written out, by the copy of 17 below 1 */
+    char *digits = buf + short16;
+    int nd = 17 - (int)short16 - (buf[16] == '0');
+    while (digits[nd - 1] == '0')
+        nd--;
+    k += 17 - (int)short16;
 
     /* the layout of repr: positional when the exponent k - 1 lies in
-     * [-4, 16), that is for 1e-4 <= |x| < 1e16, else d.ddde±XX */
+     * [-4, 16), that is for 1e-4 <= |x| < 1e16, else d.ddde±XX. Below 1
+     * the copies have fixed sizes, which the compiler inlines: they may
+     * write past the text, never past FMT_MAX_BYTES */
     if (k > -4 && k <= 16) {
         if (k <= 0) {
-            memcpy(p, "0.000", 2 - k);
+            memcpy(p, "0.000", 5);
             p += 2 - k;
-            memcpy(p, digits, nd);
+            memcpy(p, digits, 17);
             p += nd;
         } else if (k < nd) {
             memcpy(p, digits, k);
@@ -1365,21 +1423,27 @@ static int format_double(double x, char *out)
     return (int)(p - out);
 }
 
-/* Write v in decimal at out; return the byte count (at most 20). */
+/* Write v in decimal at out, two digits at a time from DIGIT_PAIRS, each
+ * pair in its place; return the byte count (at most 20). */
 static int format_int(int64_t v, char *out)
 {
-    char tmp[20];
-    int n = 0, len = 0;
     uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
-    do {
-        tmp[n++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
+    int len = 1;
+    while (u >= POW10[len]) /* u <= 2^63 < 10^19 = POW10[19] */
+        len++;
     if (v < 0)
-        out[len++] = '-';
-    while (n)
-        out[len++] = tmp[--n];
-    return len;
+        *out++ = '-';
+    char *p = out + len;
+    while (u >= 100) {
+        p -= 2;
+        memcpy(p, DIGIT_PAIRS + 2 * (u % 100), 2);
+        u /= 100;
+    }
+    if (u >= 10)
+        memcpy(p - 2, DIGIT_PAIRS + 2 * u, 2);
+    else
+        p[-1] = (char)('0' + u);
+    return len + (v < 0);
 }
 
 /* The room a record may take: each int64 up to 20 bytes and each value

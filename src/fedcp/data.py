@@ -298,8 +298,8 @@ def permute_rows(tensor: SparseTensorCOO, seed: int) -> SparseTensorCOO:
 def write_coo(tensor: SparseTensorCOO, path):
     """Write ``tensor`` as a COO file: the dims line, then one record of 3
     ints and 1 value per entry."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# dims {tensor.dims[0]} {tensor.dims[1]} {tensor.dims[2]}\n".encode())
         _write_records(fh, tensor.coords, tensor.values[:, None])
 
 
@@ -314,10 +314,11 @@ _WRITE_CHUNK = 1 << 14  # records formatted per call
 
 def _write_records(fh, ints, values):
     """Write row n of ``ints`` ((n, n_ints) int64), then of ``values`` ((n,
-    n_values) float64), as one line of blank-separated ints and ``repr``s.
-    The compiled ``format_records`` writes each chunk of rows when the
-    library loaded, else ``repr``, which also writes any chunk with a value
-    outside the kernel's range; both write the same bytes."""
+    n_values) float64), as one line of blank-separated ints and ``repr``s,
+    to the binary file ``fh``. The compiled ``format_records`` writes each
+    chunk of rows when the library loaded, else ``repr``, which also writes
+    any chunk with a value outside the kernel's range; both write the same
+    bytes, and the kernel's go to the file as it left them."""
     n, n_ints = ints.shape
     n_values = values.shape[1]
     lib = _native.LIBRARY
@@ -334,10 +335,11 @@ def _write_records(fh, ints, values):
                 len(chunk_values), out.ctypes.data, out.size,
             )
             if size >= 0:
-                fh.write(str(out[:size], "ascii"))
+                fh.write(out[:size])
                 continue
         rows = zip(chunk_ints.tolist(), chunk_values.tolist())
-        fh.write("".join([" ".join([*map(str, i), *map(repr, v)]) + "\n" for i, v in rows]))
+        text = "".join([" ".join([*map(str, i), *map(repr, v)]) + "\n" for i, v in rows])
+        fh.write(text.encode("ascii"))
 
 
 # the line ends a text-mode read splits at
@@ -450,9 +452,9 @@ def _read_coo_lines(fh, dims) -> SparseTensorCOO:
 def write_factors(result: FactorizationResult, path):
     """Write the three factor blocks, each a ``# rows <n> <R>`` line and
     then one record of 0 ints and R values per row."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for m in (result.A, result.B, result.C):
-            fh.write(f"# rows {m.shape[0]} {m.shape[1]}\n")
+            fh.write(f"# rows {m.shape[0]} {m.shape[1]}\n".encode())
             _write_records(fh, np.empty((m.shape[0], 0), np.int64), m)
 
 

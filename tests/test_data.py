@@ -9,6 +9,7 @@ import sys
 import warnings
 from dataclasses import fields
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1167,6 +1168,26 @@ class TestKernelEdges:
             if size > 0:
                 assert out[:size].tobytes() == line * 2
 
+    def test_format_range_ends_and_powers_of_ten(self):
+        # each value alone into a buffer of exactly its record's room: the
+        # range ends and every power of two and of ten in range, with their
+        # neighbours, take every row of the power-of-ten table on both of
+        # its paths (a power of two's narrower interval, every other value's)
+        room = data._record_bytes(0, 1)
+        powers = [2.0**e for e in range(-58, 64)] + [float(f"1e{e}") for e in range(-17, 19)]
+        values = [v for p in powers for v in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))]
+        values = [s * v for v in values for s in (1.0, -1.0) if 2.0**-58 <= v < 2.0**63]
+        assert 2.0**-58 in values and math.nextafter(2.0**63, 0.0) in values
+        for v in values + [math.nextafter(2.0**-58, 0.0), 2.0**63]:
+            value, out = np.array([v]), np.empty(room, dtype=np.uint8)
+            size = _native.LIBRARY.format_records(
+                None, 0, value.ctypes.data, 1, 1, out.ctypes.data, room
+            )
+            if 2.0**-58 <= abs(v) < 2.0**63:
+                assert out[:size].tobytes() == f"{v!r}\n".encode(), v
+            else:
+                assert size == -1, v
+
     @pytest.mark.parametrize("rank", _KERNEL_RANKS)
     def test_site_round(self, without_library, rank):
         # 3 and 10 entries are fewer than the pass's prefetch distances, and
@@ -1476,6 +1497,61 @@ class TestCompiledFormatter:
         records = _format_records([[1, 22, 333]] * len(values), np.array(values)[:, None])
         assert records[1] == "".join("1 22 333 " + text for text in texts).encode()
 
+    def test_power_of_ten_table_rows_are_exact(self):
+        # each row of G recomputed from exact integers, and the rows are the
+        # decimal exponents k that the binary exponents in range take
+        source = _native.SOURCE.read_text()
+        define = {name: int(value) for name, value in re.findall(
+            r"#define (FMT_MIN_EXP|FMT_MAX_EXP|G_KMAX) \(?(-?\d+)\)?", source)}
+        body = re.search(r"\} G\[\] = \{(.*?)\n\};", source, re.S).group(1)
+        rows = [(int(g1, 16), int(g0, 16), int(b)) for g1, g0, b in re.findall(
+            r"\{(0x[0-9a-f]{16}), (0x[0-9a-f]{16}), (-?\d+)\}", body)]
+        assert len(rows) == body.count("{")
+
+        def floor_log(x, base):
+            n = 0
+            while x >= base:
+                x, n = x / base, n + 1
+            while x < 1:
+                x, n = x * base, n - 1
+            return n
+
+        ks = set()
+        for q in range(define["FMT_MIN_EXP"], define["FMT_MAX_EXP"] + 1):
+            # a power of two's interval is three quarters as wide
+            for width in (Fraction(2) ** q, Fraction(3, 4) * Fraction(2) ** q):
+                k = floor_log(width, 10)
+                ks.add(k)
+                b = rows[define["G_KMAX"] - k][2]
+                assert 2 <= q + b + 2 <= 5  # the shift h: (4c + 2) << h < 2**63
+        assert sorted(ks) == list(range(define["G_KMAX"] - len(rows) + 1, define["G_KMAX"] + 1))
+        for i, (g1, g0, b) in enumerate(rows):
+            power = Fraction(10) ** (i - define["G_KMAX"])  # 10^-k
+            g = math.floor(power * Fraction(2) ** (125 - b)) + 1
+            assert (b, g1, g0) == (floor_log(power, 2), g >> 63, g & (2**63 - 1)), i
+
+    def test_the_large_io_files_and_random_bits_match_repr(self):
+        # the values fedcp generate writes for the 240k-entry benchmark tensor
+        # (seed 4), its truth factors, and 200,000 random bit patterns in
+        # range, in one call per record shape
+        tensor, _, truths = data.generate_synthetic(data.SynthSpec(
+            dims=(20000, 300, 800), rank_true=5, sparsity=5e-5, n_sites=5, seed=4))
+        rng = np.random.default_rng(35)
+        n = 200_000
+        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+                | rng.integers(1075 - 110, 1075 + 11, n).astype(np.uint64) << np.uint64(52)
+                | rng.integers(0, 2**52, n, dtype=np.uint64))
+        values = np.concatenate([tensor.values, *(t.A.ravel() for t in truths),
+                                 truths[0].B.ravel(), truths[0].C.ravel(), bits.view(np.float64)])
+        assert len(values) == 240_000 + 105_500 + n and all(map(_in_compiled_range, values))
+        rows = values.reshape(-1, 5)
+        want = "".join(" ".join(map(repr, row)) + "\n" for row in rows.tolist()).encode()
+        assert _format_records([[]] * len(rows), rows) == (len(want), want)
+        coords = np.resize(tensor.coords, (len(values), 3))
+        records = zip(coords.tolist(), values.tolist())
+        want = "".join(f"{i} {j} {k} {v!r}\n" for (i, j, k), v in records).encode()
+        assert _format_records(coords, values[:, None]) == (len(want), want)
+
     def test_rows_layout_and_the_index_of_an_out_of_range_value(self):
         m = np.array([[0.5, -1.0, 3e-07], [2.0, 1e22, 0.1]])
         assert _format_records([[]], m[:1]) == (15, b"0.5 -1.0 3e-07\n")
@@ -1489,6 +1565,11 @@ class TestCompiledFormatter:
         assert _format_records(coords, values) == (len(text), text)
         values[1] = 5e-324
         assert _format_records(coords, values)[0] == -2
+        # ints of every length and both signs, at each power of ten
+        edges = [sign * v for d in range(19) for v in (10**d - 1, 10**d) for sign in (1, -1)]
+        coords = np.array(edges + [2**63 - 1, -(2**63)]).reshape(-1, 3)
+        text = "".join(f"{i} {j} {k} 1.0\n" for i, j, k in coords.tolist()).encode()
+        assert _format_records(coords, np.ones((len(coords), 1))) == (len(text), text)
 
     def test_the_writers_buffers_hold_the_longest_text_and_no_kernel_writes_past_cap(self):
         # the longest reprs in range, and the longest int64s
